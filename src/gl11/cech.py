@@ -58,7 +58,7 @@ class Nerve:
         if len(simplex) != p + 1 or len(key) != p + 1:
             raise ValueError("%r is not a %d-simplex" % (simplex, p))
         if key not in self._index[p]:
-            raise KeyError("simplex %r not in nerve" % (simplex,))
+            raise ValueError("simplex %r not in nerve" % (simplex,))
         pos, stored = self._index[p][key]
         order = [stored.index(v) for v in simplex]
         return pos, _sort_sign(order), stored
@@ -193,18 +193,21 @@ def _coboundary_matrix(nerve: Nerve, degree_from: int) -> np.ndarray:
     return mat
 
 
-def _monomial_stack(cochain: Cochain):
-    """All monomial masks appearing in a cochain, plus the coefficient matrix."""
-    masks = sorted({m for v in cochain.values.values() for m in v.terms})
-    simplices = cochain.nerve.simplices[cochain.degree]
-    mat = np.zeros((len(simplices), len(masks)), dtype=complex)
-    for r, s in enumerate(simplices):
-        v = cochain.values.get(s)
-        if v is None:
-            continue
-        for c, mask in enumerate(masks):
-            mat[r, c] = v.terms.get(mask, 0j)
-    return masks, mat
+def solve_per_monomial(mat: np.ndarray, values, n: int):
+    """Least-norm x with mat @ x = values, one linear solve per Grassmann monomial.
+
+    ``values`` holds one Grassmann element per row of ``mat``; the solution
+    has one element per column.  Returns (solution, largest residual entry),
+    so an inconsistent system shows as a residual above the caller's tol.
+    """
+    masks = sorted({m for v in values for m in v.terms})
+    rhs = np.array([[v.terms.get(m, 0j) for m in masks] for v in values],
+                   dtype=complex).reshape(len(values), len(masks))
+    sol = np.linalg.pinv(mat, rcond=1e-9) @ rhs
+    residual = mat @ sol - rhs
+    worst = abs(residual).max() if residual.size else 0.0
+    return [GrassmannElement(n, {m: sol[r, c] for c, m in enumerate(masks)})
+            for r in range(mat.shape[1])], worst
 
 
 def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
@@ -220,18 +223,13 @@ def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
         if closed > tol:
             raise ValueError("right-hand side is not closed: |delta g| = %.3e" % closed)
     mat = _coboundary_matrix(g.nerve, g.degree - 1)
-    masks, rhs = _monomial_stack(g)
-    pinv = np.linalg.pinv(mat, rcond=1e-9)
-    sol = pinv @ rhs
-    residual = mat @ sol - rhs
-    worst = abs(residual).max() if residual.size else 0.0
+    sol, worst = solve_per_monomial(
+        mat, [g.value(s) for s in g.nerve.simplices[g.degree]], g.n)
     if worst > tol:
         raise ObstructionError(
             "obstruction class nonzero on this nerve (residual %.3e)" % worst)
-    out = Cochain(g.nerve, g.degree - 1, g.n)
-    for r, s in enumerate(g.nerve.simplices[g.degree - 1]):
-        out.values[s] = GrassmannElement(g.n, {m: sol[r, c] for c, m in enumerate(masks)})
-    return out
+    return Cochain(g.nerve, g.degree - 1, g.n,
+                   dict(zip(g.nerve.simplices[g.degree - 1], sol)))
 
 
 def coboundary_solution_dim(nerve: Nerve, degree_from: int) -> int:

@@ -65,6 +65,15 @@ def _load_json(path: str) -> dict:
                          % (path, err.lineno, err.colno, err.msg))
 
 
+def _parse(path: str, parse):
+    """parse(data) on the JSON in path; a missing field is a usage error (exit 2)."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except KeyError as err:
+        raise ValueError("%s: missing field %s" % (path, err)) from None
+
+
 # -- group-selftest -------------------------------------------------------------
 
 def cmd_group_selftest(args) -> RunReport:
@@ -117,8 +126,8 @@ def cmd_group_selftest(args) -> RunReport:
 
 def cmd_cech_verify(args) -> RunReport:
     report = RunReport("cech-verify")
-    nerve = cech.nerve_from_dict(_load_json(args.nerve))
-    data = cech.TransitionData.from_dict(nerve, _load_json(args.data))
+    nerve = _parse(args.nerve, cech.nerve_from_dict)
+    data = _parse(args.data, lambda d: cech.TransitionData.from_dict(nerve, d))
     mode = args.mode
     if mode == "auto":
         mode = "sl" if data.is_sl() else "gl"
@@ -144,13 +153,10 @@ def cmd_cech_verify(args) -> RunReport:
 
 def cmd_hitchin_residual(args) -> RunReport:
     report = RunReport("hitchin-residual")
-    metric = hitchin.MetricData.from_dict(_load_json(args.metric))
-    higgs_data = _load_json(args.higgs)
-    n = metric.n
-    phi = hitchin.higgs_matrix(
-        hitchin.LocalFunction.from_dict(n, higgs_data["a"]),
-        hitchin.LocalFunction.from_dict(n, higgs_data["delta"]),
-        hitchin.LocalFunction.from_dict(n, higgs_data["gamma"]))
+    metric = _parse(args.metric, hitchin.MetricData.from_dict)
+    phi = _parse(args.higgs, lambda d: hitchin.higgs_matrix(
+        *(hitchin.LocalFunction.from_dict(metric.n, d[key])
+          for key in ("a", "delta", "gamma"))))
     residual = hitchin.hitchin_residual(metric, phi, tol=args.tol)
     for i in (0, 1):
         for j in (0, 1):
@@ -165,8 +171,8 @@ def cmd_hitchin_residual(args) -> RunReport:
 # -- fatgraph ----------------------------------------------------------------------
 
 def _load_graph_connection(args):
-    graph = fatgraph.FatGraph.from_dict(_load_json(args.graph))
-    conn = fatgraph.connection_from_dict(graph, _load_json(args.connection))
+    graph = _parse(args.graph, fatgraph.FatGraph.from_dict)
+    conn = _parse(args.connection, lambda d: fatgraph.connection_from_dict(graph, d))
     return graph, conn
 
 
@@ -224,7 +230,7 @@ def cmd_fatgraph_dims(args) -> RunReport:
 
 def _systems_for(args, rng):
     if args.system:
-        return [integrable.ParabolicData.from_dict(_load_json(args.system))]
+        return [_parse(args.system, integrable.ParabolicData.from_dict)]
     return [integrable.random_system(rng, args.m) for _ in range(args.count)]
 
 
@@ -256,7 +262,7 @@ def cmd_gaudin_commute(args) -> RunReport:
     report = RunReport("gaudin-commute")
     rng = np.random.default_rng(args.seed)
     if args.system:
-        p = integrable.ParabolicData.from_dict(_load_json(args.system))
+        p = _parse(args.system, integrable.ParabolicData.from_dict)
     else:
         p = integrable.random_system(rng, args.m)
     hams = [integrable.gaudin_hamiltonian(p, i, hbar=args.hbar) for i in range(p.m)]
@@ -278,7 +284,7 @@ def cmd_quantize_compare(args) -> RunReport:
     report = RunReport("quantize-compare")
     rng = np.random.default_rng(args.seed)
     if args.system:
-        p = integrable.ParabolicData.from_dict(_load_json(args.system))
+        p = _parse(args.system, integrable.ParabolicData.from_dict)
     else:
         p = integrable.random_system(rng, args.m)
     for i in range(p.m):

@@ -22,6 +22,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
+from .cech import solve_per_monomial
 from .grassmann import GrassmannElement, ParityError
 from .reports import CheckReport
 from .supergroup import (
@@ -320,6 +321,27 @@ class GraphConnection:
             new.append(out)
         return GraphConnection(graph, new, mode=self.mode, table=self.table)
 
+    def _rescaling_coords(self, kind: str, param: GrassmannElement) -> GroupCoords:
+        """Coordinates of the subgroup element of a rescaling kind, checked."""
+        zero = GrassmannElement.zero(self.n)
+        if kind == "diag":
+            if not param.is_even():
+                raise ParityError("diag rescaling parameter must be even")
+            if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > 1e-9:
+                raise ValueError("SU diag parameter must satisfy bar(c) = -c")
+            return GroupCoords(param, zero, zero, zero)
+        if kind not in ("lower", "upper", "odd"):
+            raise ValueError("unknown rescaling kind %r" % kind)
+        if self.mode == "su" and kind != "odd":
+            raise ValueError("SU mode restricts to 'diag' and 'odd' rescalings")
+        if not param.is_odd():
+            raise ParityError("%s rescaling parameter must be odd" % kind)
+        if kind == "lower":
+            return GroupCoords(zero, zero, param, zero)
+        if kind == "upper":
+            return GroupCoords(zero, zero, zero, param)
+        return GroupCoords(zero, zero, param, -param.conjugate(self.table))
+
     def vertex_rescale(self, v: int, kind: str, param: GrassmannElement):
         """Gauge move at one vertex by a one-parameter subgroup element.
 
@@ -328,33 +350,7 @@ class GraphConnection:
         SU mode only 'diag' with anti-real c and the paired move 'odd' are
         allowed.
         """
-        n = self.n
-        zero = GrassmannElement.zero(n)
-        if kind == "diag":
-            if not param.is_even():
-                raise ParityError("diag rescaling parameter must be even")
-            if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > 1e-9:
-                raise ValueError("SU diag parameter must satisfy bar(c) = -c")
-            r = GroupCoords(param, zero, zero, zero)
-        elif kind == "lower":
-            if self.mode == "su":
-                raise ValueError("SU mode restricts to 'diag' and 'odd' rescalings")
-            if not param.is_odd():
-                raise ParityError("lower rescaling parameter must be odd")
-            r = GroupCoords(zero, zero, param, zero)
-        elif kind == "upper":
-            if self.mode == "su":
-                raise ValueError("SU mode restricts to 'diag' and 'odd' rescalings")
-            if not param.is_odd():
-                raise ParityError("upper rescaling parameter must be odd")
-            r = GroupCoords(zero, zero, zero, param)
-        elif kind == "odd":
-            if not param.is_odd():
-                raise ParityError("odd rescaling parameter must be odd")
-            r = GroupCoords(zero, zero, param, -param.conjugate(self.table))
-        else:
-            raise ValueError("unknown rescaling kind %r" % kind)
-        out = self._apply_gauge({v: r})
+        out = self._apply_gauge({v: self._rescaling_coords(kind, param)})
         if self.mode == "su":
             report = out.check_reality()
             if not report.ok:
@@ -363,18 +359,7 @@ class GraphConnection:
 
     def rescaling_element(self, kind: str, param: GrassmannElement) -> SuperMatrix11:
         """Matrix R such that a holonomy based at v maps to R^{-1} Hol R."""
-        n = self.n
-        zero = GrassmannElement.zero(n)
-        if kind == "diag":
-            return from_coords(GroupCoords(param, zero, zero, zero))
-        if kind == "lower":
-            return from_coords(GroupCoords(zero, zero, param, zero))
-        if kind == "upper":
-            return from_coords(GroupCoords(zero, zero, zero, param))
-        if kind == "odd":
-            return from_coords(GroupCoords(zero, zero, param,
-                                           -param.conjugate(self.table)))
-        raise ValueError("unknown rescaling kind %r" % kind)
+        return from_coords(self._rescaling_coords(kind, param))
 
     # -- gauge constraints ----------------------------------------------------
 
@@ -417,22 +402,6 @@ class GraphConnection:
         return lap
 
 
-def _solve_vertex_gauge(lap: np.ndarray, residuals, n: int, tol: float):
-    """Solve L x = -residual per Grassmann monomial; returns (params, residual)."""
-    masks = sorted({m for r in residuals for m in r.terms})
-    rhs = np.zeros((lap.shape[0], len(masks)), dtype=complex)
-    for row, r in enumerate(residuals):
-        for col, mask in enumerate(masks):
-            rhs[row, col] = r.terms.get(mask, 0j)
-    pinv = np.linalg.pinv(lap, rcond=1e-9)
-    sol = -(pinv @ rhs)
-    worst = abs(lap @ sol + rhs).max() if rhs.size else 0.0
-    params = []
-    for v in range(lap.shape[0]):
-        params.append(GrassmannElement(n, {m: sol[v, c] for c, m in enumerate(masks)}))
-    return params, worst
-
-
 def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     """Bring all vertex sums to zero; returns (connection, report).
 
@@ -444,33 +413,24 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     graph = conn.graph
     n = conn.n
     lap = conn._laplacian()
-    zero = GrassmannElement.zero(n)
     report = CheckReport()
 
     out = conn
     for stage, slot in (("lower", 1), ("upper", 2)):
-        residuals = [sums[slot] for sums in out.vertex_sums()]
-        params, worst = _solve_vertex_gauge(lap, residuals, n, tol)
+        params, worst = solve_per_monomial(
+            lap, [-sums[slot] for sums in out.vertex_sums()], n)
         if worst > tol:
             report.add("normalize_solve_%s" % stage, worst, tol)
             report.info["singular"] = True
             return out, report
+        # in SU mode alpha and beta sums are conjugate-paired; one 'odd' move fixes both
+        kind = "odd" if conn.mode == "su" else stage
+        out = out._apply_gauge({v: conn._rescaling_coords(kind, p)
+                                for v, p in enumerate(params)})
         if conn.mode == "su":
-            # alpha and beta sums are conjugate-paired; one 'odd' move fixes both
-            elements = {v: GroupCoords(zero, zero, p,
-                                       -p.conjugate(conn.table))
-                        for v, p in enumerate(params)}
-            out = out._apply_gauge(elements)
             break
-        elements = {}
-        for v, p in enumerate(params):
-            alpha = p if stage == "lower" else zero
-            beta = p if stage == "upper" else zero
-            elements[v] = GroupCoords(zero, zero, alpha, beta)
-        out = out._apply_gauge(elements)
 
-    residuals = [sums[0] for sums in out.vertex_sums()]
-    params, worst = _solve_vertex_gauge(lap, residuals, n, tol)
+    params, worst = solve_per_monomial(lap, [-sums[0] for sums in out.vertex_sums()], n)
     if worst > tol:
         report.add("normalize_solve_diag", worst, tol)
         report.info["singular"] = True
@@ -478,8 +438,8 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     if conn.mode == "su":
         # keep the diagonal parameters anti-real so reality is preserved
         params = [(p - p.conjugate(conn.table)) * 0.5 for p in params]
-    elements = {v: GroupCoords(p, zero, zero, zero) for v, p in enumerate(params)}
-    out = out._apply_gauge(elements)
+    out = out._apply_gauge({v: conn._rescaling_coords("diag", p)
+                            for v, p in enumerate(params)})
 
     for v, (h, alpha, beta) in enumerate(out.vertex_sums()):
         report.add("vertex_h_sum[%d]" % v, h.max_abs(), tol)

@@ -76,6 +76,22 @@ def _sort_sign(seq) -> int:
     return -1 if swaps & 1 else 1
 
 
+def nilpotent_series(w, coeff):
+    """1 + sum_{k >= 1} coeff(k) w^k for a nilpotent ring element w.
+
+    The sum stops at the first power of w that is zero, so the result is
+    exact.  ``w`` needs ``one(n)``, ``*``, ``+`` and ``is_zero()``: a
+    GrassmannElement soul or a polynomial with nilpotent coefficients.
+    """
+    acc = type(w).one(w.n)
+    power, k = w, 1
+    while not power.is_zero():
+        acc = acc + power * coeff(k)
+        power = power * w
+        k += 1
+    return acc
+
+
 class GrassmannElement:
     """Element of the Grassmann algebra on ``n`` generators.
 
@@ -232,64 +248,36 @@ class GrassmannElement:
 
     # -- transcendental maps on even elements -------------------------------
 
+    def _even_body(self, op: str) -> complex:
+        """Body of an even element; ``op`` names the map in the error."""
+        if not self.is_even():
+            raise ParityError("%s is defined for even elements, got parity %r"
+                              % (op, self.parity()))
+        return self.body()
+
+    def _unit_soul(self, op: str, error: str):
+        """(b, soul/b) for an even element with body b away from zero."""
+        b = self._even_body(op)
+        if abs(b) <= PRUNE_TOL:
+            raise NotInvertibleError(error)
+        return b, self.soul() * (1.0 / b)
+
     def exp(self) -> "GrassmannElement":
         """exp of an even element: e^body times the truncating soul series."""
-        if not self.is_even():
-            raise ParityError("exp is defined for even elements, got parity %r"
-                              % self.parity())
-        s = self.soul()
-        acc = GrassmannElement.one(self.n)
-        power = GrassmannElement.one(self.n)
-        k = 1
-        while True:
-            power = power * s
-            if not power.terms:
-                break
-            acc = acc + power * (1.0 / math.factorial(k))
-            k += 1
-        return acc * cmath.exp(self.body())
+        b = self._even_body("exp")
+        series = nilpotent_series(self.soul(), lambda k: 1.0 / math.factorial(k))
+        return series * cmath.exp(b)
 
     def inv(self) -> "GrassmannElement":
         """Multiplicative inverse; needs even parity and nonzero body."""
-        if not self.is_even():
-            raise ParityError("inverse is defined for even elements, got parity %r"
-                              % self.parity())
-        b = self.body()
-        if abs(b) <= PRUNE_TOL:
-            raise NotInvertibleError("not invertible: body is zero")
-        w = self.soul() * (1.0 / b)
-        acc = GrassmannElement.one(self.n)
-        power = GrassmannElement.one(self.n)
-        sign = 1.0
-        while True:
-            power = power * w
-            if not power.terms:
-                break
-            sign = -sign
-            acc = acc + power * sign
-        return acc * (1.0 / b)
+        b, w = self._unit_soul("inverse", "not invertible: body is zero")
+        return nilpotent_series(w, lambda k: (-1.0) ** k) * (1.0 / b)
 
     def log(self) -> "GrassmannElement":
         """Principal log of an even invertible element."""
-        if not self.is_even():
-            raise ParityError("log is defined for even elements, got parity %r"
-                              % self.parity())
-        b = self.body()
-        if abs(b) <= PRUNE_TOL:
-            raise NotInvertibleError("log undefined: body is zero")
-        w = self.soul() * (1.0 / b)
-        acc = GrassmannElement.scalar(self.n, cmath.log(b))
-        power = GrassmannElement.one(self.n)
-        sign = -1.0
-        k = 1
-        while True:
-            power = power * w
-            if not power.terms:
-                break
-            sign = -sign
-            acc = acc + power * (sign / k)
-            k += 1
-        return acc
+        b, w = self._unit_soul("log", "log undefined: body is zero")
+        # the series is 1 + log(1 + w); subtracting 1 leaves an empty body for log(b)
+        return nilpotent_series(w, lambda k: (-1.0) ** (k + 1) / k) - 1 + cmath.log(b)
 
     # -- derivations and conjugation ----------------------------------------
 

@@ -5,11 +5,18 @@ coefficients live in a Grassmann algebra.  The Hermitian metric is
 H = e^u * G with G = [[1 - rho rhobar/2, rhobar], [rho, 1 + rho rhobar/2]];
 the scalar e^u cancels inside H^{-1} dH and H^{-1} Phi^dagger H, so every
 quantity here stays polynomial and residuals are exact.
+
+Inverses are closed forms too.  A function c(1 + w) with nilpotent w has
+inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
+of w.  An even-diagonal, odd-off-diagonal matrix has the GL(1|1) block
+inverse of gl11.supergroup.block_inverse, built from the two diagonal
+inverses alone, because its odd entries square to zero.
 """
 
 from __future__ import annotations
 
-from .grassmann import ConjugationTable, GrassmannElement, ParityError
+from .grassmann import ConjugationTable, GrassmannElement, ParityError, nilpotent_series
+from .supergroup import block_inverse
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -148,11 +155,6 @@ class LocalFunction:
         body = self.coefficient(0, 0).body()
         if abs(body) <= 1e-12:
             raise ValueError("not invertible: constant-term body is zero")
-        return self._inv(body)
-
-    def _inv(self, body):
-        if abs(body) <= 1e-12:
-            raise ValueError("not invertible: constant-term body is zero")
         scale = 1.0 / body
         w = self * scale - LocalFunction.one(self.n, cap=self.cap)
         for (p, q), c in w.terms.items():
@@ -160,16 +162,7 @@ class LocalFunction:
                 raise ValueError(
                     "not invertible in the polynomial model: term z^%d zbar^%d "
                     "has a nonzero body" % (p, q))
-        acc = LocalFunction.one(self.n, cap=self.cap)
-        power = LocalFunction.one(self.n, cap=self.cap)
-        sign = 1.0
-        while True:
-            power = power * w
-            if power.is_zero():
-                break
-            sign = -sign
-            acc = acc + power * sign
-        return acc * scale
+        return nilpotent_series(w, lambda k: (-1.0) ** k) * scale
 
     # -- calculus --------------------------------------------------------------
 
@@ -283,16 +276,14 @@ class LocalMatrix:
                              self.rows[1][1].conjugate(table)]])
 
     def inverse(self) -> "LocalMatrix":
-        a, b = self.rows[0]
-        c, d = self.rows[1]
-        a_inv = a._inv(a.coefficient(0, 0).body())
-        d_inv = d._inv(d.coefficient(0, 0).body())
-        sa = a - b * d_inv * c
-        sd = d - c * a_inv * b
-        sa_inv = sa._inv(sa.coefficient(0, 0).body())
-        sd_inv = sd._inv(sd.coefficient(0, 0).body())
-        return LocalMatrix([[sa_inv, -(a_inv * b * sd_inv)],
-                            [-(d_inv * c * sa_inv), sd_inv]])
+        """Closed-form block inverse of an even-diagonal, odd-off-diagonal matrix."""
+        (a, beta), (gamma, d) = self.rows
+        _require_parity(a, "even", "diagonal entry [0][0]")
+        _require_parity(d, "even", "diagonal entry [1][1]")
+        _require_parity(beta, "odd", "off-diagonal entry [0][1]")
+        _require_parity(gamma, "odd", "off-diagonal entry [1][0]")
+        a_inv, beta_inv, gamma_inv, d_inv = block_inverse(a, beta, gamma, d)
+        return LocalMatrix([[a_inv, beta_inv], [gamma_inv, d_inv]])
 
     def max_abs(self) -> float:
         return max(self.rows[i][j].max_abs() for i in (0, 1) for j in (0, 1))

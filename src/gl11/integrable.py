@@ -201,17 +201,8 @@ def theta_matrix(m: int, i: int) -> np.ndarray:
 
 
 def deriv_matrix(m: int, i: int) -> np.ndarray:
-    """Left derivative d_theta_i on the same basis."""
-    dim = 1 << m
-    out = np.zeros((dim, dim), dtype=complex)
-    bit = 1 << i
-    below = bit - 1
-    for state in range(dim):
-        if not state & bit:
-            continue
-        sign = -1.0 if (state & below).bit_count() & 1 else 1.0
-        out[state ^ bit, state] = sign
-    return out
+    """Left derivative d_theta_i on the same basis: the transpose of theta_i."""
+    return theta_matrix(m, i).T
 
 
 def number_matrix(m: int) -> np.ndarray:
@@ -227,8 +218,6 @@ def operator_parity(mat: np.ndarray, tol: float = 1e-12) -> str:
     same = par[:, None] == par[None, :]
     even_part = np.abs(mat[~same]).max() if (~same).any() else 0.0
     odd_part = np.abs(mat[same]).max() if same.any() else 0.0
-    if even_part <= tol and odd_part <= tol:
-        return "even"
     if even_part <= tol:
         return "even"
     if odd_part <= tol:

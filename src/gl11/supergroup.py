@@ -10,6 +10,14 @@ H_s = diag(e^{s/2}, e^{-s/2}), so sdet(g~) = e^s.  Products, inverses and the
 coordinate group law are exact (no logarithm branches); to_coords uses the
 principal branch on bodies, so h and s are canonical representatives of their
 2*pi*i and 4*pi*i classes.
+
+Odd entries square to zero, which gives every formula a closed form:
+(a^{-1} beta d^{-1} gamma)^2 = 0, so
+
+    M^{-1} = [[a^{-1} + a^{-1} beta d^{-1} gamma a^{-1}, -a^{-1} beta d^{-1}],
+              [-d^{-1} gamma a^{-1}, d^{-1} + d^{-1} gamma a^{-1} beta d^{-1}]]
+
+needs only a^{-1} and d^{-1}, and sdet(M) = (a - beta d^{-1} gamma) d^{-1}.
 """
 
 from __future__ import annotations
@@ -35,6 +43,22 @@ def _require_odd(x: GrassmannElement, name: str) -> GrassmannElement:
     if not x.is_odd():
         raise ParityError("%s must be odd, got parity %r" % (name, x.parity()))
     return x
+
+
+def block_inverse(a, beta, gamma, d):
+    """Entries of [[a, beta], [gamma, d]]^{-1} from a^{-1} and d^{-1} alone.
+
+    a, d even and invertible, beta, gamma odd: (a^{-1} beta d^{-1} gamma)^2
+    contains beta^2 = 0, so each Schur-complement inverse truncates after one
+    term and the result is exact.  Works for any supercommutative entries
+    with ``inv()``, ``*``, ``+`` and ``-``.
+    """
+    a_inv = a.inv()
+    d_inv = d.inv()
+    upper = a_inv * beta * d_inv
+    lower = d_inv * gamma * a_inv
+    return (a_inv + upper * gamma * a_inv, -upper,
+            -lower, d_inv + lower * beta * d_inv)
 
 
 class SuperMatrix11:
@@ -92,29 +116,23 @@ class SuperMatrix11:
         return abs(self.a.body()) > tol and abs(self.d.body()) > tol
 
     def inverse(self) -> "SuperMatrix11":
-        """Block (Schur complement) inverse; needs invertible a and d bodies."""
+        """Closed-form block inverse; needs invertible a and d bodies."""
         if not self.is_invertible():
             raise NotInvertibleError(
                 "supermatrix not invertible: body(a)=%r body(d)=%r"
                 % (self.a.body(), self.d.body()))
-        a_inv = self.a.inv()
-        d_inv = self.d.inv()
-        sa = (self.a - self.beta * d_inv * self.gamma).inv()
-        sd = (self.d - self.gamma * a_inv * self.beta).inv()
-        return SuperMatrix11(sa, -(a_inv * self.beta * sd),
-                             -(d_inv * self.gamma * sa), sd, check=False)
+        return SuperMatrix11(*block_inverse(*self.entries()), check=False)
 
     def supertrace(self) -> GrassmannElement:
         """str(M) = a - d."""
         return self.a - self.d
 
     def sdet(self) -> GrassmannElement:
-        """Berezinian (a/d)(1 - beta gamma / (d a))."""
+        """Berezinian (a - beta d^{-1} gamma) d^{-1}."""
         if not self.is_invertible():
             raise NotInvertibleError("sdet needs invertible a and d bodies")
-        da_inv = (self.d * self.a).inv()
-        one = GrassmannElement.one(self.n)
-        return self.a * self.d.inv() * (one - self.beta * self.gamma * da_inv)
+        d_inv = self.d.inv()
+        return (self.a - self.beta * self.gamma * d_inv) * d_inv
 
     def max_abs(self) -> float:
         return max(e.max_abs() for e in self.entries())
@@ -190,16 +208,15 @@ class GroupCoords:
 
 def from_coords(c: GroupCoords) -> SuperMatrix11:
     """Assemble the supermatrix g(h, alpha, beta) H_s."""
-    n = c.n
-    e_h = c.h.exp()
-    half = GrassmannElement.one(n) - c.alpha * c.beta * 0.5
-    e_plus = (c.s * 0.5).exp()
-    e_minus = (c.s * (-0.5)).exp()
+    e_plus = (c.h + c.s * 0.5).exp()
+    e_minus = (c.h + c.s * (-0.5)).exp()
+    ab_half = c.alpha * c.beta * 0.5
+    one = GrassmannElement.one(c.n)
     return SuperMatrix11(
-        e_h * half * e_plus,
-        e_h * c.beta * e_minus,
-        e_h * c.alpha * e_plus,
-        e_h * (GrassmannElement.one(n) + c.alpha * c.beta * 0.5) * e_minus,
+        e_plus * (one - ab_half),
+        e_minus * c.beta,
+        e_plus * c.alpha,
+        e_minus * (one + ab_half),
         check=False,
     )
 

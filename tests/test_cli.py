@@ -84,6 +84,28 @@ def test_cech_verify_bad_file_diagnostics(capsys, tmp_path):
     assert "broken.json" in str(err.value)
 
 
+def test_cech_verify_nerve_missing_field_exits_2(capsys, tmp_path):
+    nerve = json.loads(pathlib.Path(fx("nerve_triangle.json")).read_text())
+    del nerve["vertices"]
+    path = tmp_path / "no_vertices.json"
+    path.write_text(json.dumps(nerve))
+    code = main(["cech-verify", str(path), fx("cech_tetra_valid.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no_vertices.json" in err and "'vertices'" in err
+
+
+def test_hitchin_residual_metric_missing_field_exits_2(capsys, tmp_path):
+    metric = json.loads(pathlib.Path(fx("metric_example.json")).read_text())
+    del metric["n"]
+    path = tmp_path / "no_n.json"
+    path.write_text(json.dumps(metric))
+    code = main(["hitchin-residual", str(path), fx("higgs_example.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no_n.json" in err and "'n'" in err
+
+
 def test_hitchin_residual_fixture(capsys):
     code, out = run(capsys, "hitchin-residual", fx("metric_example.json"),
                     fx("higgs_example.json"))

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
+from gl11.grassmann import (
+    ConjugationTable,
+    GrassmannElement,
+    ParityError,
+    random_even,
+    random_odd,
+)
 from gl11.hitchin import (
     DegreeOverflowError,
     LocalFunction,
@@ -104,6 +110,25 @@ def test_local_matrix_inverse():
         g = m.reduced_matrix()
         prod = g * g.inverse()
         assert prod.is_close(LocalMatrix.identity(N))
+        assert (g.inverse() * g).is_close(LocalMatrix.identity(N))
+
+
+def test_local_matrix_inverse_rejects_off_grade_entries():
+    one, odd = const(scalar(1.0)), const(t(1))
+    for rows in ([[one, one], [zero_fn(), one]],      # even off-diagonal
+                 [[one + odd, zero_fn()], [zero_fn(), one]]):  # mixed diagonal
+        with pytest.raises(ParityError):
+            LocalMatrix(rows).inverse()
+
+
+def test_local_function_inverse_keeps_cap():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        souls = {k: c.soul() for k, c in random_poly(rng, "even").terms.items()}
+        f = LocalFunction(N, souls, cap=16) + const(scalar(1.5 - 0.5j))
+        f_inv = f.inv()
+        assert f_inv.cap == 16
+        assert (f * f_inv).is_close(LocalFunction.one(N))
 
 
 def test_chern_form_constant_metric_is_zero():
