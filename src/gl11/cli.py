@@ -66,12 +66,15 @@ def _load_json(path: str) -> dict:
 
 
 def _parse(path: str, parse):
-    """parse(data) on the JSON in path; a missing field is a usage error (exit 2)."""
+    """parse(data) on the JSON in path; a missing or wrongly typed field is a
+    usage error (exit 2)."""
     data = _load_json(path)
     try:
         return parse(data)
     except KeyError as err:
         raise ValueError("%s: missing field %s" % (path, err)) from None
+    except TypeError as err:
+        raise ValueError("%s: wrongly typed field: %s" % (path, err)) from None
 
 
 # -- group-selftest -------------------------------------------------------------
@@ -273,8 +276,9 @@ def cmd_gaudin_commute(args) -> RunReport:
             norm = np.linalg.norm(c) / max(np.linalg.norm(hams[i]) * np.linalg.norm(hams[j]), 1e-30)
             report.checks.add("commutator[%d,%d]" % (i, j), norm, args.tol)
     report.checks.add("sum_zero", np.abs(sum(hams)).max() / scale, args.tol)
-    n_tot = integrable.number_matrix(p.m)
-    worst = max(np.abs(h @ n_tot - n_tot @ h).max() for h in hams)
+    # [H, N] for the diagonal fermion number N is H * (n_col - n_row) entrywise
+    n = integrable.occupations(p.m).sum(axis=0)
+    worst = max(np.abs(h * (n[None, :] - n[:, None])).max() for h in hams)
     report.checks.add("fermion_number_conserved", worst / scale, args.tol)
     report.checks.info["m"] = p.m
     return report

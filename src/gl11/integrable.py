@@ -13,6 +13,12 @@ for the two-term form; validated by {H_i, H_j} = 0 and by matching operator
 commutators after quantization).  Quantization substitutes eta_i -> hbar
 d_theta_i and u_i -> hbar u_i and realizes operators on the 2^m-dimensional
 module C[theta_1 .. theta_m] with basis ordered by monomial bitmask.
+
+Each Gaudin Hamiltonian is one-body: a diagonal in the site occupations plus
+2(m - 1) hops theta_a d_theta_b, each with one signed entry per column.
+gaudin_terms builds these terms by index arithmetic on the occupation array;
+gaudin_hamiltonian scatters them into a dense matrix and gaudin_apply applies
+them matrix-free, so no 2^m x 2^m product enters either.
 """
 
 from __future__ import annotations
@@ -186,17 +192,24 @@ def poisson_bracket(p: ParabolicData, f: GrassmannElement,
 
 # -- quantum side ---------------------------------------------------------------
 
+def occupations(m: int) -> np.ndarray:
+    """Occupation n_k of site k in every basis state: an (m, 2^m) 0/1 array."""
+    states = np.arange(1 << m)
+    return ((states >> np.arange(m)[:, None]) & 1).astype(np.int8)
+
+
+def _string_signs(occ: np.ndarray, lo: int, hi: int, cols: np.ndarray) -> np.ndarray:
+    """(-1)^(occupied sites lo <= k < hi) in the states cols."""
+    return np.where(occ[lo:hi, cols].sum(axis=0) & 1, -1.0, 1.0)
+
+
 def theta_matrix(m: int, i: int) -> np.ndarray:
     """Left multiplication by theta_i on C[theta_1..theta_m], bitmask basis."""
     dim = 1 << m
+    occ = occupations(m)
+    empty = np.flatnonzero(occ[i] == 0)
     out = np.zeros((dim, dim), dtype=complex)
-    bit = 1 << i
-    below = bit - 1
-    for state in range(dim):
-        if state & bit:
-            continue
-        sign = -1.0 if (state & below).bit_count() & 1 else 1.0
-        out[state | bit, state] = sign
+    out[empty | (1 << i), empty] = _string_signs(occ, 0, i, empty)
     return out
 
 
@@ -207,14 +220,12 @@ def deriv_matrix(m: int, i: int) -> np.ndarray:
 
 def number_matrix(m: int) -> np.ndarray:
     """Total fermion number sum_i theta_i d_theta_i (diagonal)."""
-    dim = 1 << m
-    return np.diag([float(state.bit_count()) for state in range(dim)]).astype(complex)
+    return np.diag(occupations(m).sum(axis=0)).astype(complex)
 
 
 def operator_parity(mat: np.ndarray, tol: float = 1e-12) -> str:
     """'even' / 'odd' / 'mixed' with respect to monomial-length parity."""
-    dim = mat.shape[0]
-    par = np.array([state.bit_count() & 1 for state in range(dim)])
+    par = occupations(mat.shape[0].bit_length() - 1).sum(axis=0) & 1
     same = par[:, None] == par[None, :]
     even_part = np.abs(mat[~same]).max() if (~same).any() else 0.0
     odd_part = np.abs(mat[same]).max() if same.any() else 0.0
@@ -232,33 +243,64 @@ def gaudin_generators(p: ParabolicData, i: int):
     m = p.m
     dim = 1 << m
     theta = theta_matrix(m, i)
-    deriv = deriv_matrix(m, i)
-    n_op = 0.5 * p.u[i] * np.eye(dim, dtype=complex) - theta @ deriv
+    n_op = 0.5 * p.u[i] * np.eye(dim, dtype=complex) - np.diag(occupations(m)[i])
     e_op = p.v[i] * np.eye(dim, dtype=complex)
-    psi_plus = p.v[i] * deriv
+    psi_plus = p.v[i] * theta.T
     psi_minus = theta
     return n_op, e_op, psi_plus, psi_minus
 
 
+def _hop(occ: np.ndarray, a: int, b: int):
+    """theta_a d_theta_b for a != b as (rows, cols, signs), one entry per column.
+
+    d_theta_b empties site b and theta_a fills site a; the sign counts the
+    occupied sites strictly between a and b (the Jordan-Wigner string).
+    """
+    cols = np.flatnonzero((occ[b] == 1) & (occ[a] == 0))
+    lo, hi = min(a, b), max(a, b)
+    return cols ^ ((1 << a) | (1 << b)), cols, _string_signs(occ, lo + 1, hi, cols)
+
+
+def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
+    """H_i as a diagonal plus 2(m - 1) signed one-entry-per-column hops.
+
+    Writing out E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j with
+    N_k = u_k/2 - n_k, n_k the occupation of site k, gives
+
+        H_i = hbar sum_{j!=i} [v_i (u_j/2 - n_j) + v_j (u_i/2 - n_i)
+                               + v_j theta_i d_j + v_i theta_j d_i] / (z_i - z_j).
+
+    Returns (diag, hops): the diagonal as a 2^m vector and a list of
+    (rows, cols, values), each a term with distinct rows and distinct cols.
+    """
+    if not 0 <= i < p.m:
+        raise ValueError("site index %r out of range" % i)
+    occ = occupations(p.m)
+    diag = np.zeros(1 << p.m, dtype=complex)
+    hops = []
+    for j in range(p.m):
+        if j == i:
+            continue
+        w = hbar / (p.z[i] - p.z[j])
+        diag += w * (p.v[i] * (0.5 * p.u[j] - occ[j]) + p.v[j] * (0.5 * p.u[i] - occ[i]))
+        for a, b, coeff in ((i, j, p.v[j]), (j, i, p.v[i])):
+            rows, cols, signs = _hop(occ, a, b)
+            hops.append((rows, cols, (w * coeff) * signs))
+    return diag, hops
+
+
 def gaudin_hamiltonian(p: ParabolicData, i: int, hbar: float = 1.0) -> np.ndarray:
     """H_i = hbar sum_{j!=i} (E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j)
-    / (z_i - z_j)."""
+    / (z_i - z_j), assembled densely from gaudin_terms."""
     if p.m < 2:
         raise ValueError("Gaudin Hamiltonians need at least two sites")
     if p.m > 10:
         raise ValueError("dense matrices stop at m = 10; use gaudin_apply beyond")
-    if not 0 <= i < p.m:
-        raise ValueError("site index %r out of range" % i)
-    dim = 1 << p.m
-    n_i, e_i, plus_i, minus_i = gaudin_generators(p, i)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for j in range(p.m):
-        if j == i:
-            continue
-        n_j, e_j, plus_j, minus_j = gaudin_generators(p, j)
-        term = e_i @ n_j + n_i @ e_j + minus_i @ plus_j - plus_i @ minus_j
-        acc += term / (p.z[i] - p.z[j])
-    return hbar * acc
+    diag, hops = gaudin_terms(p, i, hbar)
+    out = np.diag(diag)
+    for rows, cols, values in hops:
+        out[rows, cols] += values
+    return out
 
 
 def gaudin_apply(p: ParabolicData, i: int, vec: np.ndarray,
@@ -268,41 +310,14 @@ def gaudin_apply(p: ParabolicData, i: int, vec: np.ndarray,
     Intended for site counts where the dense 2^m x 2^m matrix is too large;
     agrees entrywise with gaudin_hamiltonian @ vec.
     """
-    m = p.m
-    dim = 1 << m
+    dim = 1 << p.m
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (dim,):
         raise ValueError("state vector must have length 2^m = %d" % dim)
-
-    def sign_below(state, bit):
-        return -1.0 if (state & (bit - 1)).bit_count() & 1 else 1.0
-
-    out = np.zeros(dim, dtype=complex)
-    occ = np.array([float((state >> i) & 1) for state in range(dim)])
-    occs = {j: np.array([float((state >> j) & 1) for state in range(dim)])
-            for j in range(m)}
-    for j in range(m):
-        if j == i:
-            continue
-        w = hbar / (p.z[i] - p.z[j])
-        # diagonal pieces: E_i N_j + N_i E_j with N = u/2 - theta d_theta
-        diag = (p.v[i] * (0.5 * p.u[j] - occs[j])
-                + p.v[j] * (0.5 * p.u[i] - occ))
-        out += w * diag * vec
-        # hopping pieces: Psi-_i Psi+_j - Psi+_i Psi-_j
-        bit_i, bit_j = 1 << i, 1 << j
-        for state in range(dim):
-            amp = vec[state]
-            if amp == 0:
-                continue
-            if state & bit_j and not state & bit_i:
-                mid = state ^ bit_j
-                s = sign_below(state, bit_j) * sign_below(mid, bit_i)
-                out[mid | bit_i] += w * p.v[j] * s * amp
-            if state & bit_i and not state & bit_j:
-                mid = state | bit_j  # theta_j acts first, then d_theta_i
-                s = sign_below(state, bit_j) * sign_below(mid, bit_i)
-                out[mid ^ bit_i] -= w * p.v[i] * s * amp
+    diag, hops = gaudin_terms(p, i, hbar)
+    out = diag * vec
+    for rows, cols, values in hops:
+        out[rows] += values * vec[cols]
     return out
 
 

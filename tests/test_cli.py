@@ -106,6 +106,28 @@ def test_hitchin_residual_metric_missing_field_exits_2(capsys, tmp_path):
     assert "no_n.json" in err and "'n'" in err
 
 
+def test_hitchin_residual_metric_wrong_type_exits_2(capsys, tmp_path):
+    metric = json.loads(pathlib.Path(fx("metric_example.json")).read_text())
+    metric["n"] = None
+    path = tmp_path / "null_n.json"
+    path.write_text(json.dumps(metric))
+    code = main(["hitchin-residual", str(path), fx("higgs_example.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "null_n.json" in err and "wrongly typed" in err
+
+
+def test_cech_verify_nerve_wrong_type_exits_2(capsys, tmp_path):
+    nerve = json.loads(pathlib.Path(fx("nerve_triangle.json")).read_text())
+    nerve["vertices"] = 5
+    path = tmp_path / "int_vertices.json"
+    path.write_text(json.dumps(nerve))
+    code = main(["cech-verify", str(path), fx("cech_tetra_valid.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "int_vertices.json" in err and "wrongly typed" in err
+
+
 def test_hitchin_residual_fixture(capsys):
     code, out = run(capsys, "hitchin-residual", fx("metric_example.json"),
                     fx("higgs_example.json"))

@@ -13,8 +13,10 @@ from gl11.integrable import (
     gaudin_apply,
     gaudin_generators,
     gaudin_hamiltonian,
+    gaudin_terms,
     higgs_value,
     number_matrix,
+    occupations,
     operator_parity,
     poisson_bracket,
     quantize,
@@ -335,3 +337,84 @@ def test_system_json_roundtrip():
     p = random_system(rng, 3)
     q = ParabolicData.from_dict(p.to_dict())
     assert q.z == p.z and q.u == p.u and q.v == p.v
+
+
+def gaudin_from_generators(p, i, hbar):
+    """H_i assembled from its definition as products of generator matrices."""
+    n_i, e_i, plus_i, minus_i = gaudin_generators(p, i)
+    acc = np.zeros((1 << p.m, 1 << p.m), dtype=complex)
+    for j in range(p.m):
+        if j == i:
+            continue
+        n_j, e_j, plus_j, minus_j = gaudin_generators(p, j)
+        term = e_i @ n_j + n_i @ e_j + minus_i @ plus_j - plus_i @ minus_j
+        acc += term / (p.z[i] - p.z[j])
+    return hbar * acc
+
+
+def test_gaudin_one_body_build_matches_generator_products():
+    rng = np.random.default_rng(21)
+    for m in (2, 3, 4, 5, 6):
+        p = random_system(rng, m)
+        for hbar in (1.0, 0.5, 0.0):
+            for i in range(m):
+                expected = gaudin_from_generators(p, i, hbar)
+                scale = np.abs(expected).max()
+                got = gaudin_hamiltonian(p, i, hbar=hbar)
+                assert np.abs(got - expected).max() <= 1e-12 * max(scale, 1.0)
+
+
+def test_gaudin_terms_are_one_entry_per_column_hops():
+    rng = np.random.default_rng(22)
+    m = 5
+    p = random_system(rng, m)
+    for i in range(m):
+        diag, hops = gaudin_terms(p, i)
+        assert diag.shape == (1 << m,)
+        assert len(hops) == 2 * (m - 1)
+        for rows, cols, values in hops:
+            assert len(cols) == 1 << (m - 2)
+            assert len(set(cols.tolist())) == len(cols)
+            assert len(set(rows.tolist())) == len(rows)
+            # each hop moves one fermion: fermion number is unchanged
+            assert np.array_equal(occupations(m)[:, rows].sum(axis=0),
+                                  occupations(m)[:, cols].sum(axis=0))
+
+
+def test_matrix_free_application_matches_dense_m8():
+    rng = np.random.default_rng(23)
+    m = 8
+    p = random_system(rng, m)
+    vec = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    for i in range(m):
+        dense = gaudin_hamiltonian(p, i, hbar=0.8) @ vec
+        free = gaudin_apply(p, i, vec, hbar=0.8)
+        assert np.abs(dense - free).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)
+
+
+def test_matrix_free_sum_annihilates_beyond_dense_cap():
+    rng = np.random.default_rng(24)
+    m = 12
+    p = random_system(rng, m)
+    with pytest.raises(ValueError):
+        gaudin_hamiltonian(p, 0)
+    vec = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    images = [gaudin_apply(p, i, vec) for i in range(m)]
+    scale = max(np.abs(image).max() for image in images)
+    assert scale > 1.0
+    assert np.abs(sum(images)).max() <= 1e-12 * scale
+
+
+def test_basis_matrices_match_per_state_definition():
+    for m in (1, 3, 5):
+        dim = 1 << m
+        for i in range(m):
+            expected = np.zeros((dim, dim), dtype=complex)
+            for state in range(dim):
+                if not state >> i & 1:
+                    below = bin(state & ((1 << i) - 1)).count("1")
+                    expected[state | 1 << i, state] = -1.0 if below & 1 else 1.0
+            assert np.array_equal(theta_matrix(m, i), expected)
+        counts = [bin(state).count("1") for state in range(dim)]
+        assert np.array_equal(number_matrix(m), np.diag(counts).astype(complex))
+        assert np.array_equal(occupations(m).sum(axis=0), counts)
