@@ -3,6 +3,10 @@
 Every subcommand emits a deterministic run report (text or JSON, checks
 sorted by name) and exits 0 exactly when all checks pass at the requested
 tolerance.  Random suites are seeded through --seed.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by later calls; parsing keeps no state between calls,
+so in-process callers such as a benchmark loop pay for it once.
 """
 
 from __future__ import annotations
@@ -11,20 +15,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import cech, fatgraph, hitchin, integrable
 from .grassmann import GrassmannElement
 from .reports import CheckReport
-from .supergroup import (
-    GroupCoords,
-    from_coords,
-    coords_inverse,
-    coords_product,
-    random_coords,
-    to_coords,
-)
+from .supergroup import group_law_suite
 
 SELFTEST_GENERATORS = 8
 
@@ -80,49 +78,9 @@ def _parse(path: str, parse):
 # -- group-selftest -------------------------------------------------------------
 
 def cmd_group_selftest(args) -> RunReport:
-    rng = np.random.default_rng(args.seed)
-    report = RunReport("group-selftest")
-    tol = args.tol
-    n = SELFTEST_GENERATORS
-    worst = {"associativity": 0.0, "identity": 0.0, "inverse_formula": 0.0,
-             "sdet_exp_s": 0.0, "sdet_homomorphism": 0.0,
-             "coords_vs_matrix": 0.0, "to_coords_roundtrip": 0.0}
-    ident = from_coords(GroupCoords.identity(n))
-    for _ in range(args.count):
-        c1 = random_coords(rng, n)
-        c2 = random_coords(rng, n)
-        c3 = random_coords(rng, n)
-        m1, m2, m3 = from_coords(c1), from_coords(c2), from_coords(c3)
-        worst["associativity"] = max(worst["associativity"],
-                                     (((m1 * m2) * m3) - (m1 * (m2 * m3))).max_abs())
-        worst["identity"] = max(worst["identity"], ((m1 * ident) - m1).max_abs())
-        worst["inverse_formula"] = max(
-            worst["inverse_formula"],
-            (m1.inverse() - from_coords(coords_inverse(c1))).max_abs())
-        worst["sdet_exp_s"] = max(worst["sdet_exp_s"],
-                                  (m1.sdet() - c1.s.exp()).max_abs())
-        worst["sdet_homomorphism"] = max(
-            worst["sdet_homomorphism"],
-            ((m1 * m2).sdet() - m1.sdet() * m2.sdet()).max_abs())
-        worst["coords_vs_matrix"] = max(
-            worst["coords_vs_matrix"],
-            (from_coords(coords_product(c1, c2)) - m1 * m2).max_abs())
-        worst["to_coords_roundtrip"] = max(
-            worst["to_coords_roundtrip"],
-            (from_coords(to_coords(m1)) - m1).max_abs())
-    if args.corrupt and args.count:
-        # negative control: misstate the group law by a visible offset
-        c1, c2 = random_coords(rng, n), random_coords(rng, n)
-        bad = coords_product(c1, c2)
-        bad = GroupCoords(bad.h + GrassmannElement.scalar(n, 0.5), bad.s,
-                          bad.alpha, bad.beta)
-        worst["coords_vs_matrix"] = max(
-            worst["coords_vs_matrix"],
-            (from_coords(bad) - from_coords(c1) * from_coords(c2)).max_abs())
-    for name in sorted(worst):
-        report.checks.add(name, worst[name], tol)
-    report.checks.info["count"] = args.count
-    return report
+    return RunReport("group-selftest", group_law_suite(
+        np.random.default_rng(args.seed), SELFTEST_GENERATORS, args.count, args.tol,
+        args.corrupt))
 
 
 # -- cech-verify -----------------------------------------------------------------
@@ -378,8 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except ValueError as err:

@@ -42,6 +42,32 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+def _prune(terms: dict, prune: float) -> dict:
+    """Delete the entries of magnitude <= prune from ``terms``, in place.
+
+    The test is written so that NaN and inf coefficients stay: a blown-up
+    value must reach the residual instead of vanishing as a zero.
+    """
+    for m in [m for m, c in terms.items() if abs(c) <= prune]:
+        del terms[m]
+    return terms
+
+
+def nan_max(values) -> float:
+    """Largest of ``values`` (0.0 when empty), or NaN when any value is NaN.
+
+    The builtin ``max`` keeps whichever value it met first when a comparison
+    with NaN is False, so ``max(0.0, nan)`` reports a blown-up residual as 0.
+    """
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return math.nan
+        if v > worst:
+            worst = v
+    return worst
+
+
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
     """Bitmask to 1-based generator indices, increasing."""
     out = []
@@ -114,7 +140,7 @@ class GrassmannElement:
                                      % (_mask_to_indices(mask), n))
                 c = merged.get(mask, 0j) + complex(coeff)
                 merged[mask] = c
-            merged = {m: c for m, c in merged.items() if abs(c) > prune}
+            _prune(merged, prune)
         self.n = n
         self.terms = merged
 
@@ -122,10 +148,14 @@ class GrassmannElement:
 
     @classmethod
     def _raw(cls, n: int, merged: dict, prune: float = PRUNE_TOL) -> "GrassmannElement":
-        """Internal fast path: terms already merged and within range."""
+        """Internal fast path: terms already merged and within range.
+
+        ``merged`` becomes the new element's terms: it is pruned in place and
+        must not be used by the caller afterwards.
+        """
         self = object.__new__(cls)
         self.n = n
-        self.terms = {m: c for m, c in merged.items() if abs(c) > prune}
+        self.terms = _prune(merged, prune)
         return self
 
     @classmethod
@@ -162,7 +192,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part x - body(x)."""
-        return GrassmannElement(self.n, {m: c for m, c in self.terms.items() if m})
+        return GrassmannElement._raw(self.n, {m: c for m, c in self.terms.items() if m})
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
@@ -194,7 +224,7 @@ class GrassmannElement:
 
     def max_abs(self) -> float:
         """Magnitude of the largest coefficient (the residual norm used throughout)."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return nan_max(abs(c) for c in self.terms.values())
 
     def is_close(self, other: "GrassmannElement", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).max_abs() <= tol
@@ -218,8 +248,15 @@ class GrassmannElement:
                                      prune=0.0)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, GrassmannElement)
-                       else GrassmannElement.scalar(self.n, -other))
+        if isinstance(other, (int, float, complex)):
+            return self + (-other)
+        if self.n != other.n:
+            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
+        terms = dict(self.terms)
+        get = terms.get
+        for m, c in other.terms.items():
+            terms[m] = get(m, 0j) - c
+        return GrassmannElement._raw(self.n, terms)
 
     def __rsub__(self, other):
         return GrassmannElement.scalar(self.n, other) - self
@@ -232,13 +269,19 @@ class GrassmannElement:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
         terms: dict[int, complex] = {}
         get = terms.get
+        sign = _merge_sign
+        pairs = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            if not ma:
+                # the body meets every monomial without overlap or reordering
+                for mb, cb in pairs:
+                    terms[mb] = get(mb, 0j) + ca * cb
+                continue
+            for mb, cb in pairs:
                 if ma & mb:
                     continue
                 m = ma | mb
-                c = ca * cb if (ma == 0 or mb == 0) else ca * cb * _merge_sign(ma, mb)
-                terms[m] = get(m, 0j) + c
+                terms[m] = get(m, 0j) + (ca * cb * sign(ma, mb) if mb else ca * cb)
         return GrassmannElement._raw(self.n, terms)
 
     def __rmul__(self, other):

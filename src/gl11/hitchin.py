@@ -29,11 +29,11 @@ class LocalFunction:
     """Polynomial in z, zbar with GrassmannElement coefficients.
 
     ``terms`` maps (z_degree, zbar_degree) to a coefficient.  The parity
-    attribute is computed from the coefficients: 'even', 'odd', or 'mixed'
-    (the zero function counts as even).
+    property is computed from the coefficients when it is read: 'even',
+    'odd', or 'mixed' (the zero function counts as even).
     """
 
-    __slots__ = ("n", "terms", "cap", "parity")
+    __slots__ = ("n", "terms", "cap")
 
     def __init__(self, n: int, terms=None, cap: int = DEFAULT_DEGREE_CAP):
         self.n = n
@@ -52,15 +52,16 @@ class LocalFunction:
                         "term z^%d zbar^%d exceeds the degree cap %d" % (p, q, cap))
                 clean[(int(p), int(q))] = coeff
         self.terms = clean
-        parities = {c.parity() for c in clean.values()}
-        if not parities:
-            self.parity = "even"
-        elif parities == {"even"}:
-            self.parity = "even"
-        elif parities == {"odd"}:
-            self.parity = "odd"
-        else:
-            self.parity = "mixed"
+
+    @property
+    def parity(self) -> str:
+        """'even', 'odd' or 'mixed' from the coefficient parities."""
+        parities = {c.parity() for c in self.terms.values()}
+        if parities <= {"even"}:
+            return "even"
+        if parities == {"odd"}:
+            return "odd"
+        return "mixed"
 
     # -- constructors --------------------------------------------------------
 

@@ -28,9 +28,11 @@ from .grassmann import (
     GrassmannElement,
     NotInvertibleError,
     ParityError,
+    nan_max,
     random_even,
     random_odd,
 )
+from .reports import CheckReport
 
 
 def _require_even(x: GrassmannElement, name: str) -> GrassmannElement:
@@ -135,7 +137,7 @@ class SuperMatrix11:
         return (self.a - self.beta * self.gamma * d_inv) * d_inv
 
     def max_abs(self) -> float:
-        return max(e.max_abs() for e in self.entries())
+        return nan_max(e.max_abs() for e in self.entries())
 
     def is_close(self, other: "SuperMatrix11", tol: float = 1e-9) -> bool:
         return (self - other).max_abs() <= tol
@@ -305,3 +307,49 @@ def random_coords(rng, n: int, sl: bool = False, scale: float = 0.4,
     alpha = random_odd(rng, n, scale=scale, **kw)
     beta = random_odd(rng, n, scale=scale, **kw)
     return GroupCoords(h, s, alpha, beta)
+
+
+# -- the group-law suite -------------------------------------------------------
+
+def group_law_suite(rng, n: int, count: int, tol: float,
+                    corrupt: bool = False) -> CheckReport:
+    """Group axioms, inverses and the Berezinian on ``count`` random triples.
+
+    Each round draws coordinates c1, c2, c3 and keeps the worst residual of
+    every identity over all rounds.  With ``corrupt`` (and count > 0) one more
+    pair is drawn after the loop and its coordinate product is offset by 0.5
+    in h: a negative control that must fail ``coords_vs_matrix`` alone.
+    """
+    worst = dict.fromkeys(("associativity", "coords_vs_matrix", "identity",
+                           "inverse_formula", "sdet_exp_s", "sdet_homomorphism",
+                           "to_coords_roundtrip"), 0.0)
+
+    def fold(name, difference):
+        worst[name] = nan_max((worst[name], difference.max_abs()))
+
+    ident = from_coords(GroupCoords.identity(n))
+    for _ in range(count):
+        c1 = random_coords(rng, n)
+        c2 = random_coords(rng, n)
+        c3 = random_coords(rng, n)
+        m1, m2, m3 = from_coords(c1), from_coords(c2), from_coords(c3)
+        m12 = m1 * m2
+        sdet1 = m1.sdet()
+        fold("associativity", m12 * m3 - m1 * (m2 * m3))
+        fold("identity", m1 * ident - m1)
+        fold("inverse_formula", m1.inverse() - from_coords(coords_inverse(c1)))
+        fold("sdet_exp_s", sdet1 - c1.s.exp())
+        fold("sdet_homomorphism", m12.sdet() - sdet1 * m2.sdet())
+        fold("coords_vs_matrix", from_coords(coords_product(c1, c2)) - m12)
+        fold("to_coords_roundtrip", from_coords(to_coords(m1)) - m1)
+    if corrupt and count:
+        c1, c2 = random_coords(rng, n), random_coords(rng, n)
+        bad = coords_product(c1, c2)
+        bad = GroupCoords(bad.h + GrassmannElement.scalar(n, 0.5), bad.s,
+                          bad.alpha, bad.beta)
+        fold("coords_vs_matrix", from_coords(bad) - from_coords(c1) * from_coords(c2))
+    report = CheckReport()
+    for name in sorted(worst):
+        report.add(name, worst[name], tol)
+    report.info["count"] = count
+    return report

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from gl11 import cli
 from gl11.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
@@ -227,3 +228,61 @@ def test_quantize_compare(capsys):
     code, _ = run(capsys, "quantize-compare", "--system", fx("gaudin_m3.json"),
                   "--hbar", "0.5")
     assert code == 0
+
+
+def outcome(capsys, argv):
+    """(exit status, stdout, stderr) of one in-process call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def outcome_alone(capsys, argv):
+    """The outcome of argv as the first call of a process."""
+    cli._parser.cache_clear()
+    return outcome(capsys, argv)
+
+
+PLAIN = ["group-selftest", "--count", "2"]
+
+
+@pytest.mark.parametrize("first, second", [
+    (["group-selftest", "--count", "2", "--corrupt"], PLAIN),
+    (["--format", "json", "group-selftest", "--count", "2"], PLAIN),
+    # plain residuals print as 0: the JSON of a corrupt run shows seed and tol
+    (["--seed", "5", "--tol", "1e-30", "group-selftest", "--count", "2"],
+     ["--format", "json"] + PLAIN + ["--corrupt"]),
+    (["group-selftest", "--count", "two"], PLAIN),
+    (PLAIN, ["--format", "json", "--seed", "5", "group-selftest", "--count", "2",
+             "--corrupt"]),
+])
+def test_reused_parser_leaks_no_state(capsys, first, second):
+    expected = [outcome_alone(capsys, argv) for argv in (first, second)]
+    cli._parser.cache_clear()
+    assert [outcome(capsys, first), outcome(capsys, second)] == expected
+
+
+def test_usage_error_then_valid_call(capsys):
+    code, _, err = outcome(capsys, ["group-selftest", "--count", "two"])
+    assert code == 2
+    assert "invalid int value" in err
+    code, out, _ = outcome(capsys, PLAIN)
+    assert code == 0
+    assert "status: pass" in out
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv in (PLAIN, ["--format", "json"] + PLAIN, ["fatgraph", "dims", "--genus",
+                                                           "1", "--punctures", "1"]):
+            outcome(capsys, argv)
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

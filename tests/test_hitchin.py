@@ -375,3 +375,21 @@ def test_local_function_json_roundtrip():
     m = MetricData(random_poly(rng, "even"), random_poly(rng, "odd"), TABLE)
     m2 = MetricData.from_dict(m.to_dict())
     assert m2.u.is_close(m.u) and m2.rho.is_close(m.rho)
+
+
+def test_local_function_parity_is_computed_on_read(monkeypatch):
+    even, odd = const(t(1, 2)), const(t(3))
+    assert even.parity == "even"
+    assert odd.parity == "odd"
+    assert (even + mono(t(1), 1, 0)).parity == "mixed"
+    assert zero_fn().parity == "even"
+    assert odd.to_dict()["parity"] == "odd"
+
+    def no_parity(self):
+        raise AssertionError("parity computed at construction")
+
+    monkeypatch.setattr(GrassmannElement, "parity", no_parity)
+    built = const(scalar(2.0) + t(1, 2)) * odd + mono(t(4), 1, 1)
+    assert built.terms
+    with pytest.raises(AssertionError):
+        built.parity

@@ -1,17 +1,20 @@
 """GL(1|1)/SL(1|1) supermatrix tests: group law, Berezinian, diagonalization."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from gl11.grassmann import GrassmannElement, NotInvertibleError, random_even, random_odd
+from gl11 import supergroup
 from gl11.supergroup import (
     GroupCoords,
     SuperMatrix11,
     coords_inverse,
     coords_product,
     from_coords,
+    group_law_suite,
     higgs_eigen,
     higgs_transform,
     random_coords,
@@ -290,3 +293,41 @@ def test_supermatrix_json_roundtrip():
     c = random_coords(rng, N)
     c2 = GroupCoords.from_dict(c.to_dict())
     assert from_coords(c2).is_close(from_coords(c))
+
+
+GROUP_LAW_CHECKS = ["associativity", "coords_vs_matrix", "identity", "inverse_formula",
+                    "sdet_exp_s", "sdet_homomorphism", "to_coords_roundtrip"]
+
+
+def test_group_law_suite_passes_and_names_every_check():
+    report = group_law_suite(np.random.default_rng(4), N, 3, 1e-9)
+    assert [c.name for c in report.checks] == GROUP_LAW_CHECKS
+    assert report.ok
+    assert report.info == {"count": 3}
+
+
+def test_group_law_suite_corrupt_fails_coords_vs_matrix_alone():
+    report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9, corrupt=True)
+    assert [c.name for c in report.failing()] == ["coords_vs_matrix"]
+    assert report.worst("coords_vs_matrix") >= 0.5
+
+
+def test_group_law_suite_draw_order():
+    """Three draws per round, then the corrupt pair: the generator ends where
+    3 * count + 2 plain draws of random_coords leave it."""
+    for count, corrupt, draws in ((2, False, 6), (2, True, 8), (0, True, 0)):
+        rng = np.random.default_rng(9)
+        group_law_suite(rng, N, count, 1e-9, corrupt=corrupt)
+        reference = np.random.default_rng(9)
+        for _ in range(draws):
+            random_coords(reference, N)
+        assert rng.standard_normal() == reference.standard_normal()
+
+
+def test_group_law_suite_keeps_a_nan_residual(monkeypatch):
+    nan = GrassmannElement.scalar(N, math.nan)
+    monkeypatch.setattr(supergroup, "to_coords",
+                        lambda m: GroupCoords(nan, zero(), zero(), zero()))
+    report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9)
+    assert [c.name for c in report.failing()] == ["to_coords_roundtrip"]
+    assert math.isnan(report.worst("to_coords_roundtrip"))
