@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
+@cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built on the first call of ``main``."""
     return build_parser()
