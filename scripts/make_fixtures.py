@@ -3,14 +3,18 @@
 
 import json
 import pathlib
+import sys
 
 import numpy as np
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))  # run from a checkout without gl11 installed
 
 from gl11 import cech, fatgraph, hitchin, integrable
 from gl11.grassmann import ConjugationTable, GrassmannElement
 from gl11.supergroup import random_coords
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
+OUT = SRC / "gl11" / "fixtures"
 N = 8
 
 
@@ -95,10 +99,14 @@ def systems():
     dump("gaudin_m3.json", payload)
 
 
-if __name__ == "__main__":
+def main():
     OUT.mkdir(parents=True, exist_ok=True)
     nerves()
     cech_data()
     hitchin_data()
     graphs()
     systems()
+
+
+if __name__ == "__main__":
+    main()

@@ -2,21 +2,25 @@
 
 A nerve is a finite simplicial complex of dimension <= 3 recording which chart
 overlaps are nonempty.  Cochains take values in a Grassmann algebra and extend
-to all vertex orderings by the alternating rule.  The module verifies the
-SL(1|1) and GL(1|1) transition-cocycle identities, builds the quadratic
-2-cocycle and cup products, solves coboundary equations exactly (least-norm,
-per Grassmann monomial), and checks the Higgs gluing constraints.
+to all vertex orderings by the alternating rule.  Transition data holds one
+``supergroup.GroupCoords`` g_ij per listed edge; the reversed orientation is
+the group inverse, and the SL(1|1) and GL(1|1) cocycle checks compare g_ik
+with the coordinate group law g_ij g_jk (``supergroup.coords_product``).
+The module also builds the quadratic 2-cocycle and cup products, solves
+coboundary equations exactly (least-norm, per Grassmann monomial), and
+checks the Higgs gluing constraints.
 """
 
 from __future__ import annotations
 
 import cmath
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .grassmann import GrassmannElement, ParityError, _sort_sign
+from .grassmann import GrassmannElement, ParityError, _sort_sign, nan_max
 from .reports import CheckReport
+from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -159,7 +163,7 @@ class Cochain:
         return out
 
     def max_abs(self) -> float:
-        return max((v.max_abs() for v in self.values.values()), default=0.0)
+        return nan_max(v.max_abs() for v in self.values.values())
 
     def is_close(self, other, tol=1e-9):
         return (self - other).max_abs() <= tol
@@ -242,72 +246,52 @@ def coboundary_solution_dim(nerve: Nerve, degree_from: int) -> int:
 class TransitionData:
     """GL(1|1) transition-function data on a nerve.
 
-    Stores (h, s, alpha, beta) on each listed 1-simplex and the branch integer
-    n on each listed 2-simplex.  Accessors extend to the reversed orientation
-    by h_ji = -h_ij, s_ji = -s_ij, alpha_ji = -e^{s_ij} alpha_ij,
-    beta_ji = -e^{-s_ij} beta_ij (plain sign flips in SL mode).
+    Stores one ``GroupCoords`` g_ij on each listed 1-simplex (i, j) and the
+    branch integer n on each listed 2-simplex.  The reversed orientation is
+    the group inverse, g_ji = coords_inverse(g_ij); the accessors h, s,
+    alpha and beta read the fields of ``coords``.
     """
 
-    def __init__(self, nerve: Nerve, n: int, edges=None, integers=None):
+    def __init__(self, nerve: Nerve, n: int):
         self.nerve = nerve
         self.n = n
-        self.edge_data = {}
-        self.integers = {}
-        zero = GrassmannElement.zero(n)
-        for e in nerve.simplices[1]:
-            self.edge_data[e] = {"h": zero, "s": zero, "alpha": zero, "beta": zero}
-        if edges:
-            for simplex, payload in edges.items():
-                self.set_edge(simplex, **payload)
-        for tri in nerve.simplices[2]:
-            self.integers[tri] = 0
-        if integers:
-            for simplex, value in integers.items():
-                _, sign, stored = nerve.lookup(2, tuple(simplex))
-                if sign != 1:
-                    raise ValueError("set integers on listed orientation only")
-                self.integers[stored] = int(value)
+        identity = GroupCoords.identity(n)
+        self.edge_data = {e: identity for e in nerve.simplices[1]}
+        self.integers = {tri: 0 for tri in nerve.simplices[2]}
 
     def set_edge(self, simplex, h=None, s=None, alpha=None, beta=None):
+        """Replace the given fields of g_ij; the others keep their values."""
         _, sign, stored = self.nerve.lookup(1, tuple(simplex))
         if sign != 1:
             raise ValueError("set edge data on the listed orientation only")
-        slot = self.edge_data[stored]
-        for key, val in (("h", h), ("s", s), ("alpha", alpha), ("beta", beta)):
-            if val is None:
-                continue
-            if key in ("h", "s") and not val.is_even():
-                raise ParityError("%s_%r must be even" % (key, simplex))
-            if key in ("alpha", "beta") and not val.is_odd():
-                raise ParityError("%s_%r must be odd" % (key, simplex))
-            slot[key] = val
+        old = self.edge_data[stored]
+        try:
+            self.edge_data[stored] = GroupCoords(
+                old.h if h is None else h, old.s if s is None else s,
+                old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
+        except ValueError as err:
+            raise type(err)("edge %r: %s" % (stored, err)) from None
 
     def is_sl(self, tol: float = 1e-12) -> bool:
-        return all(d["s"].max_abs() <= tol for d in self.edge_data.values())
+        return all(c.is_sl(tol) for c in self.edge_data.values())
 
-    def _oriented(self, i, j):
+    def coords(self, i, j) -> GroupCoords:
+        """g_ij: the stored coordinates, or the inverse of g_ji when (j, i) is listed."""
         _, sign, stored = self.nerve.lookup(1, (i, j))
-        return self.edge_data[stored], sign == 1
+        c = self.edge_data[stored]
+        return c if sign == 1 else coords_inverse(c)
 
     def h(self, i, j) -> GrassmannElement:
-        data, forward = self._oriented(i, j)
-        return data["h"] if forward else -data["h"]
+        return self.coords(i, j).h
 
     def s(self, i, j) -> GrassmannElement:
-        data, forward = self._oriented(i, j)
-        return data["s"] if forward else -data["s"]
+        return self.coords(i, j).s
 
     def alpha(self, i, j) -> GrassmannElement:
-        data, forward = self._oriented(i, j)
-        if forward:
-            return data["alpha"]
-        return -(data["s"].exp() * data["alpha"])
+        return self.coords(i, j).alpha
 
     def beta(self, i, j) -> GrassmannElement:
-        data, forward = self._oriented(i, j)
-        if forward:
-            return data["beta"]
-        return -((-data["s"]).exp() * data["beta"])
+        return self.coords(i, j).beta
 
     def integer(self, i, j, k) -> int:
         _, sign, stored = self.nerve.lookup(2, (i, j, k))
@@ -318,11 +302,8 @@ class TransitionData:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "edges": [
-                {"simplex": list(e), "h": d["h"].to_dict(), "s": d["s"].to_dict(),
-                 "alpha": d["alpha"].to_dict(), "beta": d["beta"].to_dict()}
-                for e, d in sorted(self.edge_data.items())
-            ],
+            "edges": [{"simplex": list(e), **c.to_dict()}
+                      for e, c in sorted(self.edge_data.items())],
             "triangles": [
                 {"simplex": list(tri), "n": val}
                 for tri, val in sorted(self.integers.items())
@@ -333,11 +314,8 @@ class TransitionData:
     def from_dict(cls, nerve: Nerve, data: dict) -> "TransitionData":
         td = cls(nerve, int(data["n"]))
         for entry in data.get("edges", []):
-            td.set_edge(tuple(entry["simplex"]),
-                        h=GrassmannElement.from_dict(entry["h"]),
-                        s=GrassmannElement.from_dict(entry["s"]),
-                        alpha=GrassmannElement.from_dict(entry["alpha"]),
-                        beta=GrassmannElement.from_dict(entry["beta"]))
+            td.set_edge(entry["simplex"], **{key: GrassmannElement.from_dict(entry[key])
+                                             for key in ("h", "s", "alpha", "beta")})
         for entry in data.get("triangles", []):
             _, sign, stored = nerve.lookup(2, tuple(entry["simplex"]))
             td.integers[stored] = int(entry["n"])
@@ -366,40 +344,36 @@ def _reduce_mod(x: GrassmannElement, period: complex) -> GrassmannElement:
 
 
 def _cocycle_report(data, tol, twisted, h_mod_2pi=False):
+    """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if twisted."""
     report = CheckReport()
-    n = data.n
     for (i, j, k) in data.nerve.simplices[2]:
         label = "%d%d%d" % (i, j, k)
-        e_s = data.s(i, j).exp() if twisted else GrassmannElement.one(n)
-        e_ms = (-data.s(i, j)).exp() if twisted else GrassmannElement.one(n)
-        res_alpha = data.alpha(i, k) - data.alpha(i, j) - e_ms * data.alpha(j, k)
-        res_beta = data.beta(i, k) - data.beta(i, j) - e_s * data.beta(j, k)
-        quad = (data.alpha(i, j) * e_s * data.beta(j, k)
-                - e_ms * data.alpha(j, k) * data.beta(i, j)) * 0.5
-        res_h = (data.h(i, k) - data.h(i, j) - data.h(j, k) - quad
-                 - GrassmannElement.scalar(n, TWO_PI_I * data.integer(i, j, k)))
+        c_ij, c_jk, c_ik = data.coords(i, j), data.coords(j, k), data.coords(i, k)
+        law = coords_product(c_ij, c_jk)
+        res_h = (c_ik.h - GrassmannElement.scalar(data.n, TWO_PI_I * data.integer(i, j, k))
+                 - law.h)
         if h_mod_2pi:
             res_h = _reduce_mod(res_h, TWO_PI_I)
-        report.add("alpha_cocycle[%s]" % label, res_alpha.max_abs(), tol)
-        report.add("beta_cocycle[%s]" % label, res_beta.max_abs(), tol)
+        report.add("alpha_cocycle[%s]" % label, (c_ik.alpha - law.alpha).max_abs(), tol)
+        report.add("beta_cocycle[%s]" % label, (c_ik.beta - law.beta).max_abs(), tol)
         report.add("h_cocycle[%s]" % label, res_h.max_abs(), tol)
         if twisted:
-            res_s = data.s(i, k) - data.s(i, j) - data.s(j, k)
-            res_sdet = (data.s(i, k).exp()
-                        - data.s(i, j).exp() * data.s(j, k).exp())
-            report.add("s_additivity[%s]" % label,
-                       _reduce_mod(res_s, TWO_PI_I).max_abs()
-                       if h_mod_2pi else res_s.max_abs(), tol)
+            res_s = c_ik.s - law.s
+            if h_mod_2pi:
+                res_s = _reduce_mod(res_s, TWO_PI_I)
+            res_sdet = c_ik.s.exp() - c_ij.s.exp() * c_jk.s.exp()
+            report.add("s_additivity[%s]" % label, res_s.max_abs(), tol)
             report.add("sdet_cocycle[%s]" % label, res_sdet.max_abs(), tol)
     return report
 
 
 def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
-    """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2."""
-    e_s = data.s(i, j).exp()
-    e_ms = (-data.s(i, j)).exp()
-    return (data.alpha(i, j) * e_s * data.beta(j, k)
-            - e_ms * data.alpha(j, k) * data.beta(i, j)) * 0.5
+    """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
+    quadratic term of h in the group law g_ij g_jk."""
+    c_ij, c_jk = data.coords(i, j), data.coords(j, k)
+    e_s = c_ij.s.exp()
+    e_ms = (-c_ij.s).exp()
+    return (c_ij.alpha * e_s * c_jk.beta - e_ms * c_jk.alpha * c_ij.beta) * 0.5
 
 
 def two_cocycle_g(data: TransitionData, tol: float = 1e-9) -> Cochain:
@@ -412,7 +386,6 @@ def two_cocycle_g(data: TransitionData, tol: float = 1e-9) -> Cochain:
     for (i, j, k) in data.nerve.simplices[2]:
         out.values[(i, j, k)] = two_cocycle_value(data, i, j, k)
     # antisymmetry under all vertex permutations, recomputed from raw data
-    from itertools import permutations
     for (i, j, k) in data.nerve.simplices[2]:
         base = out.values[(i, j, k)]
         for perm in permutations((i, j, k)):
@@ -506,6 +479,12 @@ def sl_higgs_obstruction(data: TransitionData, higgs: HiggsCechData,
     return t, eta, report
 
 
+def _c_value(g_ij: GroupCoords, higgs: HiggsCechData, i) -> GrassmannElement:
+    """c_ij = beta_ij gamma_i - delta_i alpha_ij - beta_ij alpha_ij b_i."""
+    return (g_ij.beta * higgs.gamma[i] - higgs.delta[i] * g_ij.alpha
+            - g_ij.beta * g_ij.alpha * higgs.b[i])
+
+
 def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
                          tol: float = 1e-9) -> CheckReport:
     """General supertrace constraints: the two b-relations and the c-cocycle."""
@@ -514,24 +493,19 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
     c = Cochain(data.nerve, 1, n)
     for (i, j) in data.nerve.simplices[1]:
         label = "%d%d" % (i, j)
-        e_s = data.s(i, j).exp()
-        e_ms = (-data.s(i, j)).exp()
+        g_ij = data.coords(i, j)
+        e_s = g_ij.s.exp()
+        e_ms = (-g_ij.s).exp()
         res_b = higgs.b[i] - higgs.b[j]
-        brel_alpha = data.alpha(i, j) * higgs.b[i] - (higgs.gamma[i]
-                                                      - e_ms * higgs.gamma[j])
-        brel_beta = data.beta(i, j) * higgs.b[i] - (e_s * higgs.delta[j]
-                                                    - higgs.delta[i])
+        brel_alpha = g_ij.alpha * higgs.b[i] - (higgs.gamma[i] - e_ms * higgs.gamma[j])
+        brel_beta = g_ij.beta * higgs.b[i] - (e_s * higgs.delta[j] - higgs.delta[i])
         report.add("b_global[%s]" % label, res_b.max_abs(), tol)
         report.add("brel_alpha[%s]" % label, brel_alpha.max_abs(), tol)
         report.add("brel_beta[%s]" % label, brel_beta.max_abs(), tol)
-        c_ij = (data.beta(i, j) * higgs.gamma[i]
-                - higgs.delta[i] * data.alpha(i, j)
-                - data.beta(i, j) * data.alpha(i, j) * higgs.b[i])
+        c_ij = _c_value(g_ij, higgs, i)
         c.values[(i, j)] = c_ij
         # alternation c_ji = -c_ij recomputed from base-j data (uses brel)
-        c_ji = (data.beta(j, i) * higgs.gamma[j]
-                - higgs.delta[j] * data.alpha(j, i)
-                - data.beta(j, i) * data.alpha(j, i) * higgs.b[j])
+        c_ji = _c_value(data.coords(j, i), higgs, j)
         report.add("c_alternating[%s]" % label, (c_ji + c_ij).max_abs(), tol)
     for (i, j, k) in data.nerve.simplices[2]:
         res = c.value((i, j)) + c.value((j, k)) + c.value((k, i))
@@ -544,8 +518,8 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
     except ObstructionError as err:
         report.info["c_exact"] = False
         report.info["obstruction"] = str(err)
-    given = max(((c.value((i, j)) - (higgs.a[i] - higgs.a[j])).max_abs()
-                 for (i, j) in data.nerve.simplices[1]), default=0.0)
+    given = nan_max((c.value((i, j)) - (higgs.a[i] - higgs.a[j])).max_abs()
+                    for (i, j) in data.nerve.simplices[1])
     report.add("c_equals_a_difference", given, tol)
     return report
 
@@ -558,20 +532,15 @@ def transition_from_frames(nerve: Nerve, frames: dict) -> TransitionData:
     Frame bodies should stay small so that no 2*pi*i branch integers arise;
     the returned data has n_ijk = 0.
     """
-    from .supergroup import coords_inverse, coords_product
-
     first = next(iter(frames.values()))
     td = TransitionData(nerve, first.n)
     for (i, j) in nerve.simplices[1]:
-        cij = coords_product(coords_inverse(frames[i]), frames[j])
-        td.set_edge((i, j), h=cij.h, s=cij.s, alpha=cij.alpha, beta=cij.beta)
+        td.edge_data[(i, j)] = coords_product(coords_inverse(frames[i]), frames[j])
     return td
 
 
 def higgs_from_global(nerve: Nerve, frames: dict, phi) -> HiggsCechData:
     """Chart data of a fixed supermatrix phi conjugated into each frame."""
-    from .supergroup import from_coords
-
     n = phi.n
     a, b, delta, gamma = {}, {}, {}, {}
     for v in nerve.vertices:

@@ -15,7 +15,13 @@ inverses alone, because its odd entries square to zero.
 
 from __future__ import annotations
 
-from .grassmann import ConjugationTable, GrassmannElement, ParityError, nilpotent_series
+from .grassmann import (
+    ConjugationTable,
+    GrassmannElement,
+    ParityError,
+    nan_max,
+    nilpotent_series,
+)
 from .supergroup import block_inverse
 
 DEFAULT_DEGREE_CAP = 8
@@ -96,7 +102,7 @@ class LocalFunction:
         return self.terms.get((p, q), GrassmannElement.zero(self.n))
 
     def max_abs(self) -> float:
-        return max((c.max_abs() for c in self.terms.values()), default=0.0)
+        return nan_max(c.max_abs() for c in self.terms.values())
 
     def is_close(self, other, tol=1e-9):
         return (self - other).max_abs() <= tol
@@ -287,7 +293,7 @@ class LocalMatrix:
         return LocalMatrix([[a_inv, beta_inv], [gamma_inv, d_inv]])
 
     def max_abs(self) -> float:
-        return max(self.rows[i][j].max_abs() for i in (0, 1) for j in (0, 1))
+        return nan_max(self.rows[i][j].max_abs() for i in (0, 1) for j in (0, 1))
 
     def is_close(self, other, tol=1e-9):
         return (self - other).max_abs() <= tol

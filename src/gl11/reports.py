@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .grassmann import nan_max
+
 
 @dataclass
 class Check:
@@ -40,15 +42,14 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return nan_max(c.residual for c in self.checks)
 
     def failing(self) -> list:
         return [c for c in self.checks if not c.passed]
 
     def worst(self, prefix: str = "") -> float:
         """Largest residual among checks whose name starts with prefix."""
-        return max((c.residual for c in self.checks if c.name.startswith(prefix)),
-                   default=0.0)
+        return nan_max(c.residual for c in self.checks if c.name.startswith(prefix))
 
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],

@@ -1,6 +1,7 @@
 """Cech cochain tests: coboundaries, cocycle checks, cup products, Higgs gluing."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from gl11.cech import (
     triangle_nerve,
     two_cocycle_g,
 )
-from gl11.grassmann import GrassmannElement, random_element, random_even, random_odd
+from gl11.grassmann import (
+    GrassmannElement,
+    ParityError,
+    random_element,
+    random_even,
+    random_odd,
+)
 from gl11.supergroup import GroupCoords, SuperMatrix11, random_coords
 
 N = 8
@@ -437,3 +444,120 @@ def test_transition_data_json_roundtrip():
     for (i, j) in nerve.simplices[1]:
         assert back.h(i, j).is_close(data.h(i, j))
         assert back.alpha(i, j).is_close(data.alpha(i, j))
+
+
+# -- reference: the reversal rules and cocycle identities written out ---------
+
+FIELDS = ("h", "s", "alpha", "beta")
+
+
+def ref_oriented(raw, i, j):
+    """(h, s, alpha, beta) of g_ij from the listed edge's fields:
+    h_ji = -h_ij, s_ji = -s_ij, alpha_ji = -e^{s_ij} alpha_ij,
+    beta_ji = -e^{-s_ij} beta_ij."""
+    if (i, j) in raw:
+        return raw[(i, j)]
+    h, s, alpha, beta = raw[(j, i)]
+    return -h, -s, -(s.exp() * alpha), -((-s).exp() * beta)
+
+
+def ref_cocycle_residuals(nerve, raw, twisted):
+    """The five cocycle residuals on every listed triangle (all n_ijk = 0)."""
+    out = {}
+    one = GrassmannElement.one(N)
+    for (i, j, k) in nerve.simplices[2]:
+        label = "[%d%d%d]" % (i, j, k)
+        h_ij, s_ij, a_ij, b_ij = ref_oriented(raw, i, j)
+        h_jk, s_jk, a_jk, b_jk = ref_oriented(raw, j, k)
+        h_ik, s_ik, a_ik, b_ik = ref_oriented(raw, i, k)
+        e_s, e_ms = (s_ij.exp(), (-s_ij).exp()) if twisted else (one, one)
+        quad = (a_ij * e_s * b_jk - e_ms * a_jk * b_ij) * 0.5
+        out["alpha_cocycle" + label] = (a_ik - a_ij - e_ms * a_jk).max_abs()
+        out["beta_cocycle" + label] = (b_ik - b_ij - e_s * b_jk).max_abs()
+        out["h_cocycle" + label] = (h_ik - h_ij - h_jk - quad).max_abs()
+        if twisted:
+            out["s_additivity" + label] = (s_ik - s_ij - s_jk).max_abs()
+            out["sdet_cocycle" + label] = (s_ik.exp() - s_ij.exp() * s_jk.exp()).max_abs()
+    return out
+
+
+def sphere_nerve(reversed_triangles):
+    """Tetrahedron boundary; reversed triangles read every edge against its
+    listed orientation."""
+    nerve = tetrahedron_nerve(solid=False)
+    if not reversed_triangles:
+        return nerve
+    return Nerve(nerve.vertices, {1: nerve.simplices[1],
+                                  2: [tri[::-1] for tri in nerve.simplices[2]]})
+
+
+def perturbed(rng, sl, field, reversed_triangles):
+    """Frame data with one field of edge (1, 3) perturbed, and its raw fields."""
+    nerve = sphere_nerve(reversed_triangles)
+    data = transition_from_frames(nerve, random_frames(rng, nerve, sl=sl))
+    raw = {e: [getattr(data, f)(*e) for f in FIELDS] for e in nerve.simplices[1]}
+    pos = FIELDS.index(field)
+    bump = (random_even if field in ("h", "s") else random_odd)(rng, N, num_terms=3)
+    raw[(1, 3)][pos] = raw[(1, 3)][pos] + bump
+    data.set_edge((1, 3), **{field: raw[(1, 3)][pos]})
+    return data, raw
+
+
+def assert_matches_reference(data, raw, report, twisted):
+    for (i, j) in data.nerve.simplices[1]:
+        for a, b in ((i, j), (j, i)):
+            want = ref_oriented(raw, a, b)
+            c = data.coords(a, b)
+            for f, w in zip(FIELDS, want):
+                assert (getattr(data, f)(a, b) - w).max_abs() <= 1e-12, (f, a, b)
+                assert (getattr(c, f) - w).max_abs() <= 1e-12, (f, a, b)
+    ref = ref_cocycle_residuals(data.nerve, raw, twisted)
+    got = {c.name: c.residual for c in report.checks}
+    assert got.keys() == ref.keys()
+    for name, want in ref.items():
+        assert got[name] == pytest.approx(want, rel=1e-9, abs=1e-10), name
+    assert max(ref.values()) > 1e-3  # the perturbation shows
+
+
+@pytest.mark.parametrize("reversed_triangles", [False, True])
+@pytest.mark.parametrize("field", FIELDS)
+def test_gl_cocycle_check_matches_written_out_reference(field, reversed_triangles):
+    rng = np.random.default_rng(20 + FIELDS.index(field))
+    for _ in range(3):
+        data, raw = perturbed(rng, False, field, reversed_triangles)
+        assert_matches_reference(data, raw, check_gl_cocycle(data), twisted=True)
+
+
+@pytest.mark.parametrize("reversed_triangles", [False, True])
+@pytest.mark.parametrize("field", ("h", "alpha", "beta"))
+def test_sl_cocycle_check_matches_written_out_reference(field, reversed_triangles):
+    rng = np.random.default_rng(30 + FIELDS.index(field))
+    for _ in range(3):
+        data, raw = perturbed(rng, True, field, reversed_triangles)
+        assert_matches_reference(data, raw, check_sl_cocycle(data), twisted=False)
+
+
+def test_set_edge_names_edge_and_field():
+    data = TransitionData(triangle_nerve(), N)
+    with pytest.raises(ParityError, match=r"edge \(1, 2\): h must be even"):
+        data.set_edge((1, 2), h=t(1))
+    with pytest.raises(ParityError, match=r"edge \(2, 3\): beta must be odd"):
+        data.set_edge((2, 3), beta=t(1, 2))
+    # a rejected edit leaves the stored coordinates untouched
+    assert data.h(1, 2).max_abs() == 0.0 and data.beta(2, 3).max_abs() == 0.0
+
+
+def test_cochain_max_abs_keeps_nan():
+    nerve = triangle_nerve()
+    c = Cochain(nerve, 1, N, {(1, 2): scalar(1.0), (1, 3): scalar(math.nan)})
+    assert math.isnan(c.max_abs())
+
+
+def test_gl_higgs_given_a_fold_keeps_nan():
+    nerve = triangle_nerve()
+    data = TransitionData(nerve, N)
+    higgs = HiggsCechData(nerve, N, a={1: scalar(0.0), 2: scalar(0.0),
+                                       3: scalar(math.nan)})
+    report = gl_higgs_constraints(data, higgs)
+    given = [c for c in report.checks if c.name == "c_equals_a_difference"]
+    assert math.isnan(given[0].residual) and not report.ok

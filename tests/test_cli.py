@@ -1,12 +1,14 @@
 """CLI tests: exit-status contract, determinism, fixtures, negative controls."""
 
 import json
+import math
 import pathlib
 
 import pytest
 
-from gl11 import cli
+from gl11 import cli, integrable
 from gl11.cli import main
+from gl11.grassmann import GrassmannElement
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
 
@@ -286,3 +288,48 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+def test_cech_verify_odd_term_in_h_names_file_edge_and_field(capsys, tmp_path):
+    data = json.loads(pathlib.Path(fx("cech_tetra_valid.json")).read_text())
+    data["edges"][0]["h"]["terms"].append({"mono": [3], "re": 1.0, "im": 0.0})
+    path = tmp_path / "odd_h.json"
+    path.write_text(json.dumps(data))
+    code = main(["cech-verify", fx("nerve_tetrahedron_boundary.json"), str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "odd_h.json: edge (1, 2): h must be even" in err
+
+
+def test_hitchin_residual_odd_term_in_u_names_file_and_field(capsys, tmp_path):
+    metric = json.loads(pathlib.Path(fx("metric_example.json")).read_text())
+    metric["u"]["terms"][0]["coeff"]["terms"].append({"mono": [3], "re": 1.0, "im": 0.0})
+    path = tmp_path / "odd_u.json"
+    path.write_text(json.dumps(metric))
+    code = main(["hitchin-residual", str(path), fx("higgs_example.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "odd_u.json: u must be even" in err
+
+
+@pytest.mark.parametrize("target, check", [
+    ("garnier_hamiltonian_expanded", "two_routes_agree"),
+    ("poisson_bracket", "poisson_commutativity"),
+    ("garnier_hamiltonian", "hamiltonians_sum_to_zero"),
+])
+def test_garnier_check_folds_keep_nan(capsys, monkeypatch, target, check):
+    real = getattr(integrable, target)
+    calls = []
+
+    def poisoned(*args, **kw):
+        # the first call for the second system returns NaN, so each fold meets
+        # it after a finite value, where the builtin max would keep the latter
+        out = real(*args, **kw)
+        calls.append(1)
+        return out + GrassmannElement.scalar(out.n, math.nan) if len(calls) == 4 else out
+
+    monkeypatch.setattr(integrable, target, poisoned)
+    code, out = run(capsys, "--format", "json", "garnier-check", "--m", "3", "--count", "2")
+    assert code == 1
+    residuals = {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+    assert math.isnan(residuals[check])

@@ -1,5 +1,7 @@
 """Hitchin-equation residual tests on the polynomial chart model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,14 @@ def test_local_function_parity_is_computed_on_read(monkeypatch):
     assert built.terms
     with pytest.raises(AssertionError):
         built.parity
+
+
+def test_local_function_max_abs_keeps_nan():
+    f = LocalFunction(N, {(0, 0): scalar(1.0), (1, 0): scalar(math.nan)})
+    assert math.isnan(f.max_abs())
+
+
+def test_local_matrix_max_abs_keeps_nan():
+    one, poisoned = const(scalar(1.0)), const(scalar(math.nan))
+    m = LocalMatrix([[one, zero_fn()], [zero_fn(), poisoned]])
+    assert math.isnan(m.max_abs())

@@ -130,3 +130,19 @@ def test_nan_max():
     assert math.isnan(nan_max([0.0, NAN]))
     assert math.isnan(nan_max([NAN, 3.0]))
     assert nan_max([1.0, INF]) == INF
+
+
+def test_check_report_max_residual_keeps_nan():
+    report = CheckReport()
+    report.add("finite", 1.0, 1e-9)
+    report.add("blown_up", NAN, 1e-9)
+    assert math.isnan(report.max_residual)
+
+
+def test_check_report_worst_keeps_nan():
+    report = CheckReport()
+    report.add("alpha[1]", 1.0, 1e-9)
+    report.add("alpha[2]", NAN, 1e-9)
+    report.add("beta[1]", 2.0, 1e-9)
+    assert math.isnan(report.worst("alpha"))
+    assert report.worst("beta") == 2.0
