@@ -314,10 +314,20 @@ class TransitionData:
     def from_dict(cls, nerve: Nerve, data: dict) -> "TransitionData":
         td = cls(nerve, int(data["n"]))
         for entry in data.get("edges", []):
-            td.set_edge(entry["simplex"], **{key: GrassmannElement.from_dict(entry[key])
-                                             for key in ("h", "s", "alpha", "beta")})
+            simplex = tuple(entry["simplex"])
+            fields = {key: GrassmannElement.from_dict(entry[key])
+                      for key in ("h", "s", "alpha", "beta")}
+            for key, value in fields.items():
+                if value.n != td.n:
+                    raise ValueError('edge %r: %s has %d generators, "n" is %d'
+                                     % (simplex, key, value.n, td.n))
+            td.set_edge(simplex, **fields)
         for entry in data.get("triangles", []):
-            _, sign, stored = nerve.lookup(2, tuple(entry["simplex"]))
+            simplex = tuple(entry["simplex"])
+            _, sign, stored = nerve.lookup(2, simplex)
+            if sign != 1:
+                raise ValueError("triangle %r: reverses the listed orientation %r"
+                                 % (simplex, stored))
             td.integers[stored] = int(entry["n"])
         return td
 

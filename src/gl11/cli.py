@@ -2,7 +2,11 @@
 
 Every subcommand emits a deterministic run report (text or JSON, checks
 sorted by name) and exits 0 exactly when all checks pass at the requested
-tolerance.  Random suites are seeded through --seed.
+tolerance.  Random suites are seeded through --seed; a suite size --count
+below 1 is a usage error (exit 2), since an empty suite proves nothing.
+gaudin-commute checks the Gaudin commutators on the m x m one-body matrices
+of integrable.one_body and reads the sparse Jordan-Wigner entries of
+integrable.gaudin_terms, so it forms no 2^m x 2^m array.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
@@ -218,24 +222,36 @@ def cmd_garnier_check(args) -> RunReport:
 
 
 def cmd_gaudin_commute(args) -> RunReport:
+    """[H_i, H_j] = theta [A_i, A_j] d: checks on m x m matrices and sparse entries."""
     report = RunReport("gaudin-commute")
     rng = np.random.default_rng(args.seed)
     if args.system:
         p = _parse(args.system, integrable.ParabolicData.from_dict)
     else:
         p = integrable.random_system(rng, args.m)
-    hams = [integrable.gaudin_hamiltonian(p, i, hbar=args.hbar) for i in range(p.m)]
-    scale = max(max(np.abs(h).max() for h in hams), 1.0)
+    forms = [integrable.one_body(p, i, hbar=args.hbar) for i in range(p.m)]
     for i in range(p.m):
         for j in range(i + 1, p.m):
-            c = hams[i] @ hams[j] - hams[j] @ hams[i]
-            norm = np.linalg.norm(c) / max(np.linalg.norm(hams[i]) * np.linalg.norm(hams[j]), 1e-30)
+            a_i, a_j = forms[i][1], forms[j][1]
+            norm = (np.linalg.norm(a_i @ a_j - a_j @ a_i)
+                    / max(np.linalg.norm(a_i) * np.linalg.norm(a_j), 1e-30))
             report.checks.add("commutator[%d,%d]" % (i, j), norm, args.tol)
-    report.checks.add("sum_zero", np.abs(sum(hams)).max() / scale, args.tol)
-    # [H, N] for the diagonal fermion number N is H * (n_col - n_row) entrywise
+    # [H, N] for the diagonal fermion number N is H * (n_col - n_row) entrywise;
+    # scale is the largest |entry| of any realized H_i, as max|H_i| densely
     n = integrable.occupations(p.m).sum(axis=0)
-    worst = max(np.abs(h * (n[None, :] - n[:, None])).max() for h in hams)
-    report.checks.add("fermion_number_conserved", worst / scale, args.tol)
+    entries, moved = [], []
+    for i in range(p.m):
+        diag, hops = integrable.gaudin_terms(p, i, hbar=args.hbar)
+        entries.append(np.abs(diag).max())
+        for rows, cols, values in hops:
+            entries.append(np.abs(values).max())
+            moved.append(np.abs(values * (n[cols] - n[rows])).max())
+    scale = max(nan_max(entries), 1.0)
+    total_c = sum(c for c, _ in forms)
+    total_a = sum(a for _, a in forms)
+    report.checks.add("sum_zero", nan_max([abs(total_c), np.abs(total_a).max()]) / scale,
+                      args.tol)
+    report.checks.add("fermion_number_conserved", nan_max(moved) / scale, args.tol)
     report.checks.info["m"] = p.m
     return report
 
@@ -248,8 +264,8 @@ def cmd_quantize_compare(args) -> RunReport:
     else:
         p = integrable.random_system(rng, args.m)
     for i in range(p.m):
-        classical = integrable.garnier_hamiltonian(p, i)
-        quantum = integrable.quantize(p, classical, hbar=args.hbar)
+        quantum = integrable.quantize_observable(
+            p, integrable.garnier_hamiltonian(p.scaled(args.hbar), i), args.hbar)
         direct = integrable.gaudin_hamiltonian(p, i, hbar=args.hbar)
         report.checks.add("quantize_matches_gaudin[%d]" % i,
                           np.abs(quantum - direct).max(), args.tol)
@@ -258,6 +274,17 @@ def cmd_quantize_compare(args) -> RunReport:
 
 
 # -- argument parsing -------------------------------------------------------------
+
+def _count(text: str) -> int:
+    """A suite size: an int of at least 1, since an empty suite proves nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -271,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group-selftest", help="group law and Berezinian suites")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_count, default=1000)
     p.add_argument("--corrupt", action="store_true",
                    help="inject a deliberate failure (negative control)")
     p.set_defaults(func=cmd_group_selftest)
@@ -316,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("garnier-check", help="classical integrability suite")
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--system", help="JSON system file instead of random draws")
     p.set_defaults(func=cmd_garnier_check)
 

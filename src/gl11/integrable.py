@@ -14,11 +14,16 @@ commutators after quantization).  Quantization substitutes eta_i -> hbar
 d_theta_i and u_i -> hbar u_i and realizes operators on the 2^m-dimensional
 module C[theta_1 .. theta_m] with basis ordered by monomial bitmask.
 
-Each Gaudin Hamiltonian is one-body: a diagonal in the site occupations plus
-2(m - 1) hops theta_a d_theta_b, each with one signed entry per column.
-gaudin_terms builds these terms by index arithmetic on the occupation array;
-gaudin_hamiltonian scatters them into a dense matrix and gaudin_apply applies
-them matrix-free, so no 2^m x 2^m product enters either.
+Each Gaudin Hamiltonian is one-body, H_i = c_i + sum_kl A_kl theta_k d_theta_l,
+and one_body returns (c_i, A_i) with A_i an m x m matrix; that is the one
+place the Hamiltonian formula is written.  Bilinears close under commutation,
+[theta A d, theta B d] = theta [A, B] d, so commutators of the H_i are
+commutators of m x m matrices.  gaudin_terms is the Jordan-Wigner realization
+on the 2^m states: the diagonal c_i + sum_k A_kk n_k plus one hop
+theta_a d_theta_b with one signed entry per column for each nonzero A_ab,
+built by index arithmetic on the occupation array.  gaudin_hamiltonian
+scatters them into a dense matrix and gaudin_apply applies them matrix-free,
+so no 2^m x 2^m product enters either.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .grassmann import GrassmannElement, ParityError
 from .supergroup import SuperMatrix11
 
 MIN_SEPARATION = 1e-8
+# gaudin_terms builds 2(m - 1) hops of 2^(m-2) entries: about 16 MB at m = 16
+MAX_REALIZED_SITES = 16
 
 
 class ParabolicData:
@@ -261,39 +268,63 @@ def _hop(occ: np.ndarray, a: int, b: int):
     return cols ^ ((1 << a) | (1 << b)), cols, _string_signs(occ, lo + 1, hi, cols)
 
 
-def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
-    """H_i as a diagonal plus 2(m - 1) signed one-entry-per-column hops.
+def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
+    """H_i = c + sum_kl A_kl theta_k d_theta_l as (c, A), A an m x m matrix.
 
     Writing out E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j with
-    N_k = u_k/2 - n_k, n_k the occupation of site k, gives
+    N_k = u_k/2 - n_k, n_k = theta_k d_theta_k the occupation of site k, gives
 
         H_i = hbar sum_{j!=i} [v_i (u_j/2 - n_j) + v_j (u_i/2 - n_i)
-                               + v_j theta_i d_j + v_i theta_j d_i] / (z_i - z_j).
+                               + v_j theta_i d_j + v_i theta_j d_i] / (z_i - z_j),
 
-    Returns (diag, hops): the diagonal as a 2^m vector and a list of
-    (rows, cols, values), each a term with distinct rows and distinct cols.
+    so with w_ij = hbar / (z_i - z_j): c = sum_{j!=i} w_ij (v_i u_j + v_j u_i) / 2,
+    A_ii = -sum_{j!=i} w_ij v_j, and for each j != i A_jj = -w_ij v_i,
+    A_ij = w_ij v_j and A_ji = w_ij v_i.  Bilinears theta A d close under
+    commutation, [theta A d, theta B d] = theta [A, B] d, so commutators of
+    these Hamiltonians are commutators of m x m matrices.
     """
+    if p.m < 2:
+        raise ValueError("Gaudin Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
-    occ = occupations(p.m)
-    diag = np.zeros(1 << p.m, dtype=complex)
-    hops = []
+    c = 0j
+    a = np.zeros((p.m, p.m), dtype=complex)
     for j in range(p.m):
         if j == i:
             continue
         w = hbar / (p.z[i] - p.z[j])
-        diag += w * (p.v[i] * (0.5 * p.u[j] - occ[j]) + p.v[j] * (0.5 * p.u[i] - occ[i]))
-        for a, b, coeff in ((i, j, p.v[j]), (j, i, p.v[i])):
-            rows, cols, signs = _hop(occ, a, b)
-            hops.append((rows, cols, (w * coeff) * signs))
+        c += 0.5 * w * (p.v[i] * p.u[j] + p.v[j] * p.u[i])
+        a[i, i] -= w * p.v[j]
+        a[j, j] = -w * p.v[i]
+        a[i, j] = w * p.v[j]
+        a[j, i] = w * p.v[i]
+    return c, a
+
+
+def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
+    """The Jordan-Wigner realization of one_body on C[theta_1 .. theta_m].
+
+    Returns (diag, hops): the diagonal c + sum_k A_kk n_k as a 2^m vector and,
+    for each nonzero off-diagonal A_ab, one hop theta_a d_theta_b as
+    (rows, cols, values), a term with distinct rows and distinct cols.
+    """
+    if p.m > MAX_REALIZED_SITES:
+        raise ValueError("the 2^m-state realization stops at m = %d"
+                         % MAX_REALIZED_SITES)
+    c, a = one_body(p, i, hbar)
+    occ = occupations(p.m)
+    diag = c + np.diagonal(a) @ occ
+    hops = []
+    for x, y in zip(*np.nonzero(a)):
+        if x != y:
+            rows, cols, signs = _hop(occ, x, y)
+            hops.append((rows, cols, a[x, y] * signs))
     return diag, hops
 
 
 def gaudin_hamiltonian(p: ParabolicData, i: int, hbar: float = 1.0) -> np.ndarray:
     """H_i = hbar sum_{j!=i} (E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j)
     / (z_i - z_j), assembled densely from gaudin_terms."""
-    if p.m < 2:
-        raise ValueError("Gaudin Hamiltonians need at least two sites")
     if p.m > 10:
         raise ValueError("dense matrices stop at m = 10; use gaudin_apply beyond")
     diag, hops = gaudin_terms(p, i, hbar)

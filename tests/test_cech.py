@@ -561,3 +561,23 @@ def test_gl_higgs_given_a_fold_keeps_nan():
     report = gl_higgs_constraints(data, higgs)
     given = [c for c in report.checks if c.name == "c_equals_a_difference"]
     assert math.isnan(given[0].residual) and not report.ok
+
+
+def test_transition_data_triangle_orientation():
+    nerve = triangle_nerve()
+    for simplex in ([1, 2, 3], [2, 3, 1], [3, 1, 2]):
+        data = TransitionData.from_dict(nerve, {"n": 2, "triangles": [
+            {"simplex": simplex, "n": 1}]})
+        assert data.integer(1, 2, 3) == 1
+    for simplex in ([3, 2, 1], [2, 1, 3], [1, 3, 2]):
+        with pytest.raises(ValueError, match=r"triangle \(%d, %d, %d\)" % tuple(simplex)):
+            TransitionData.from_dict(nerve, {"n": 2, "triangles": [
+                {"simplex": simplex, "n": 1}]})
+
+
+def test_transition_data_generator_count_checked_while_parsing():
+    nerve = triangle_nerve()
+    good = TransitionData(nerve, 4).to_dict()
+    good["edges"][1]["alpha"] = GrassmannElement.zero(6).to_dict()
+    with pytest.raises(ValueError, match='edge \\(1, 3\\): alpha has 6 generators, "n" is 4'):
+        TransitionData.from_dict(nerve, good)

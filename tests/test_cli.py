@@ -29,14 +29,6 @@ def test_group_selftest_passes(capsys):
     assert "status: pass" in out
 
 
-def test_group_selftest_zero_count_empty_pass(capsys):
-    code, out = run(capsys, "--format", "json", "group-selftest", "--count", "0")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["exit_status"] == 0
-    assert all(c["residual"] == 0.0 for c in payload["checks"])
-
-
 def test_group_selftest_corrupt_fails(capsys):
     code, out = run(capsys, "--format", "json", "group-selftest",
                     "--count", "5", "--corrupt")
@@ -333,3 +325,109 @@ def test_garnier_check_folds_keep_nan(capsys, monkeypatch, target, check):
     assert code == 1
     residuals = {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
     assert math.isnan(residuals[check])
+
+
+@pytest.mark.parametrize("command", ["group-selftest", "garnier-check"])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_count_below_one_exits_2(capsys, command, count):
+    # a suite that evaluated nothing must not pass
+    code, out, err = outcome(capsys, [command, "--count", count])
+    assert code == 2
+    assert out == ""
+    assert "argument --count: must be at least 1, got %s" % count in err
+
+
+def gaudin_report(capsys, *argv):
+    code, out, err = outcome(capsys, ["--format", "json", "gaudin-commute", *argv])
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_gaudin_commute_beyond_dense_cap(capsys):
+    code, payload = gaudin_report(capsys, "--m", "12")
+    assert code == 0
+    commutators = [c for c in payload["checks"] if c["name"].startswith("commutator[")]
+    assert len(commutators) == 66
+    assert all(c["passed"] for c in payload["checks"])
+    assert payload["info"]["m"] == 12
+
+
+def test_gaudin_commute_site_limits_exit_2(capsys):
+    for m, message in (("1", "at least two sites"), ("17", "stops at m = 16")):
+        code, out, err = outcome(capsys, ["gaudin-commute", "--m", m])
+        assert code == 2
+        assert message in err
+
+
+def test_gaudin_commute_forms_no_dense_matrix(capsys, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("a dense 2^m x 2^m matrix was requested")
+
+    for name in ("gaudin_hamiltonian", "gaudin_generators", "theta_matrix",
+                 "deriv_matrix", "number_matrix", "quantize_observable"):
+        monkeypatch.setattr(integrable, name, refuse)
+    code, payload = gaudin_report(capsys, "--m", "6")
+    assert code == 0
+
+
+@pytest.mark.parametrize("part", ["matrix", "constant"])
+def test_gaudin_commute_perturbed_one_body_fails(capsys, monkeypatch, part):
+    real = integrable.one_body
+
+    def perturbed(p, i, hbar=1.0):
+        c, a = real(p, i, hbar)
+        if i == 2 and part == "constant":
+            c += 1e-3
+        elif i == 2:
+            a = a.copy()
+            a[0, 1] += 1e-3
+        return c, a
+
+    monkeypatch.setattr(integrable, "one_body", perturbed)
+    code, payload = gaudin_report(capsys, "--m", "5")
+    assert code == 1
+    failing = {c["name"] for c in payload["checks"] if not c["passed"]}
+    expected = {"sum_zero"}
+    if part == "matrix":
+        # theta E d added to H_2 breaks exactly the commutators with H_2
+        expected |= {"commutator[%d,%d]" % (min(2, j), max(2, j)) for j in (0, 1, 3, 4)}
+    assert failing == expected
+
+
+def test_gaudin_commute_sees_a_hop_that_moves_fermion_number(capsys, monkeypatch):
+    real = integrable.gaudin_terms
+
+    def moved(p, i, hbar=1.0):
+        diag, hops = real(p, i, hbar)
+        rows, cols, values = hops[0]
+        # filling site 0 on top of the hop changes the row's fermion number
+        return diag, [(rows ^ 1, cols, values)] + hops[1:]
+
+    monkeypatch.setattr(integrable, "gaudin_terms", moved)
+    code, payload = gaudin_report(capsys, "--m", "4")
+    assert code == 1
+    failing = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failing == ["fermion_number_conserved"]
+
+
+def test_cech_verify_generator_count_mismatch_names_file_edge_and_field(capsys, tmp_path):
+    data = json.loads(pathlib.Path(fx("cech_tetra_valid.json")).read_text())
+    data["n"] = 4
+    path = tmp_path / "wrong_n.json"
+    path.write_text(json.dumps(data))
+    code, out, err = outcome(capsys, ["cech-verify", fx("nerve_tetrahedron_boundary.json"),
+                                      str(path)])
+    assert code == 2
+    assert out == ""
+    assert 'wrong_n.json: edge (1, 2): h has 8 generators, "n" is 4' in err
+
+
+def test_cech_verify_reversed_triangle_exits_2(capsys, tmp_path):
+    data = json.loads(pathlib.Path(fx("cech_tetra_valid.json")).read_text())
+    data["triangles"][0]["simplex"] = [2, 1, 3]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = outcome(capsys, ["cech-verify", fx("nerve_tetrahedron_boundary.json"),
+                                      str(path)])
+    assert code == 2
+    assert "reversed.json: triangle (2, 1, 3): reverses the listed orientation (1, 2, 3)" in err

@@ -17,6 +17,7 @@ from gl11.integrable import (
     higgs_value,
     number_matrix,
     occupations,
+    one_body,
     operator_parity,
     poisson_bracket,
     quantize,
@@ -418,3 +419,87 @@ def test_basis_matrices_match_per_state_definition():
         counts = [bin(state).count("1") for state in range(dim)]
         assert np.array_equal(number_matrix(m), np.diag(counts).astype(complex))
         assert np.array_equal(occupations(m).sum(axis=0), counts)
+
+
+def bilinears(m):
+    """theta_k d_theta_l for all k, l as dense products of basis matrices."""
+    thetas = [theta_matrix(m, k) for k in range(m)]
+    return [[thetas[k] @ thetas[l].T for l in range(m)] for k in range(m)]
+
+
+def realize(c, a, pairs):
+    """c + sum_kl a_kl theta_k d_theta_l as a dense matrix (no gaudin_terms)."""
+    m = a.shape[0]
+    out = c * np.eye(1 << m, dtype=complex)
+    for k in range(m):
+        for l in range(m):
+            out += a[k, l] * pairs[k][l]
+    return out
+
+
+def test_one_body_realization_matches_gaudin_hamiltonian():
+    rng = np.random.default_rng(25)
+    for m in range(2, 9):
+        p = random_system(rng, m)
+        pairs = bilinears(m)
+        for hbar in (1.0, 0.5, 0.0):
+            for i in range(m):
+                expected = gaudin_hamiltonian(p, i, hbar=hbar)
+                got = realize(*one_body(p, i, hbar=hbar), pairs)
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-12 * max(scale, 1.0)
+
+
+def test_one_body_realization_matches_generator_products():
+    rng = np.random.default_rng(26)
+    for m in (2, 3, 4, 5):
+        p = random_system(rng, m)
+        pairs = bilinears(m)
+        for i in range(m):
+            expected = gaudin_from_generators(p, i, 0.7)
+            got = realize(*one_body(p, i, hbar=0.7), pairs)
+            assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+
+
+def test_dense_commutator_is_realized_matrix_commutator():
+    rng = np.random.default_rng(27)
+    for m in range(2, 9):
+        p = random_system(rng, m)
+        pairs = bilinears(m)
+        hams = [gaudin_hamiltonian(p, i, hbar=0.7) for i in range(m)]
+        mats = [one_body(p, i, hbar=0.7)[1] for i in range(m)]
+        for i in range(m):
+            # theta E d added to H_i makes every commutator with it nonzero
+            e = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            h_i, a_i = hams[i] + realize(0.0, e, pairs), mats[i] + e
+            for j in range(m):
+                if j == i:
+                    continue
+                expected = realize(0.0, a_i @ mats[j] - mats[j] @ a_i, pairs)
+                assert np.abs(expected).max() > 1e-3
+                got = comm(h_i, hams[j])
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_one_body_matrices_commute_and_sum_to_zero_beyond_dense_cap():
+    rng = np.random.default_rng(28)
+    m = 40
+    p = random_system(rng, m)
+    forms = [one_body(p, i) for i in range(m)]
+    scale = max(np.abs(a).max() for _, a in forms)
+    assert abs(sum(c for c, _ in forms)) <= 1e-12 * scale
+    assert np.abs(sum(a for _, a in forms)).max() <= 1e-12 * scale
+    for i in range(m):
+        for j in range(i + 1, m):
+            a_i, a_j = forms[i][1], forms[j][1]
+            assert np.abs(a_i @ a_j - a_j @ a_i).max() <= 1e-12 * scale * scale
+
+
+def test_one_body_and_realization_site_limits():
+    with pytest.raises(ValueError, match="at least two sites"):
+        one_body(ParabolicData([0.0], [1.0], [1.0]), 0)
+    p = random_system(np.random.default_rng(29), 17)
+    c, a = one_body(p, 3)
+    assert a.shape == (17, 17)
+    with pytest.raises(ValueError, match="stops at m = 16"):
+        gaudin_terms(p, 3)
