@@ -23,7 +23,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .cech import solve_per_monomial
-from .grassmann import GrassmannElement, ParityError
+from .grassmann import ConjugationTable, GrassmannElement, ParityError
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -528,13 +528,14 @@ def flat_torus_connection(n: int, x: GroupCoords, scale) -> GraphConnection:
 
 
 def connection_to_dict(conn: GraphConnection) -> dict:
-    return {"mode": conn.mode, "n": conn.n,
+    su = {"conjugation": {"pairing": list(conn.table.pairing)}} if conn.mode == "su" else {}
+    return {"mode": conn.mode, "n": conn.n, **su,
             "edges": [{"edge": e, "h": c.h.to_dict(), "alpha": c.alpha.to_dict(),
                        "beta": c.beta.to_dict()}
                       for e, c in enumerate(conn.coords)]}
 
 
-def connection_from_dict(graph: FatGraph, data: dict, table=None) -> GraphConnection:
+def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
     n = int(data["n"])
     zero = GrassmannElement.zero(n)
     coords = [GroupCoords.identity(n) for _ in range(graph.num_edges)]
@@ -543,4 +544,6 @@ def connection_from_dict(graph: FatGraph, data: dict, table=None) -> GraphConnec
             GrassmannElement.from_dict(entry["h"]), zero,
             GrassmannElement.from_dict(entry["alpha"]),
             GrassmannElement.from_dict(entry["beta"]))
-    return GraphConnection(graph, coords, mode=data.get("mode", "sl"), table=table)
+    mode = data.get("mode", "sl")
+    table = ConjugationTable(data["conjugation"]["pairing"]) if mode == "su" else None
+    return GraphConnection(graph, coords, mode=mode, table=table)

@@ -98,6 +98,10 @@ class LocalFunction:
     def is_antiholomorphic(self, tol: float = 0.0) -> bool:
         return all(p == 0 for (p, q), c in self.terms.items() if c.max_abs() > tol)
 
+    def degree(self) -> int:
+        """Highest power of z or of zbar in any term (0 for a constant)."""
+        return max((max(key) for key in self.terms), default=0)
+
     def coefficient(self, p, q) -> GrassmannElement:
         return self.terms.get((p, q), GrassmannElement.zero(self.n))
 
@@ -138,16 +142,8 @@ class LocalFunction:
                 prod = c1 * c2
                 if not prod.terms:
                     continue
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        # overflow only matters for terms that survive cancellation
-        acc = {k: c for k, c in acc.items() if c.terms}
-        for (p, q) in acc:
-            if p > cap or q > cap:
-                raise DegreeOverflowError(
-                    "product term z^%d zbar^%d exceeds the degree cap %d" % (p, q, cap))
+                acc[key] = acc[key] + prod if key in acc else prod
+        # the constructor drops cancelled terms before it checks the cap
         return LocalFunction(self.n, acc, cap=cap)
 
     def __rmul__(self, other):
@@ -241,11 +237,6 @@ class LocalMatrix:
         zero = LocalFunction.zero(n, cap=cap)
         return cls([[one, zero], [zero, one]])
 
-    @classmethod
-    def zero(cls, n, cap=DEFAULT_DEGREE_CAP):
-        zero = LocalFunction.zero(n, cap=cap)
-        return cls([[zero, zero], [zero, zero]])
-
     def __getitem__(self, idx):
         return self.rows[idx[0]][idx[1]]
 
@@ -310,7 +301,9 @@ class MetricData:
         if table.n != u.n:
             raise ValueError("conjugation table size mismatch")
         self.u = u
-        self.rho = rho
+        # more than n odd factors multiply to zero, so no product of rho's and
+        # rhobar's has a surviving term above degree n deg(rho)
+        self.rho = LocalFunction(rho.n, rho.terms, cap=max(rho.cap, rho.n * rho.degree()))
         self.table = table
 
     @property
@@ -429,6 +422,9 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
     _require_parity(phi[0, 0], "even", "Phi diagonal")
     _require_parity(phi[0, 1], "odd", "Phi upper-right")
     _require_parity(phi[1, 0], "odd", "Phi lower-left")
+    # a product here holds rho's, rhobar's and one entry each of Phi and Phi^dagger
+    cap = m.rho.cap + 2 * max(f.degree() for row in phi.rows for f in row)
+    phi = LocalMatrix([[LocalFunction(m.n, f.terms, cap=cap) for f in row] for row in phi.rows])
     g = m.reduced_matrix()
     adj = phi.adjoint(m.table)
     adj_h = g.inverse() * adj * g

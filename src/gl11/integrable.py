@@ -18,12 +18,12 @@ Each Gaudin Hamiltonian is one-body, H_i = c_i + sum_kl A_kl theta_k d_theta_l,
 and one_body returns (c_i, A_i) with A_i an m x m matrix; that is the one
 place the Hamiltonian formula is written.  Bilinears close under commutation,
 [theta A d, theta B d] = theta [A, B] d, so commutators of the H_i are
-commutators of m x m matrices.  gaudin_terms is the Jordan-Wigner realization
-on the 2^m states: the diagonal c_i + sum_k A_kk n_k plus one hop
-theta_a d_theta_b with one signed entry per column for each nonzero A_ab,
-built by index arithmetic on the occupation array.  gaudin_hamiltonian
-scatters them into a dense matrix and gaudin_apply applies them matrix-free,
-so no 2^m x 2^m product enters either.
+commutators of m x m matrices.  Quantization reads the same form off a
+Garnier H_i = c + sum_kl A_kl theta_k eta_l (quantized_one_body).
+one_body_terms realizes any (c, A) on the 2^m states by index arithmetic: the
+diagonal c + sum_k A_kk n_k plus one signed Jordan-Wigner hop per nonzero
+A_ab.  one_body_matrix scatters them densely and gaudin_apply applies them
+matrix-free, so no 2^m x 2^m product enters either.
 """
 
 from __future__ import annotations
@@ -150,10 +150,8 @@ def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
     """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j)."""
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
-    if not 0 <= i < p.m:
-        raise ValueError("site index %r out of range" % i)
     acc = GrassmannElement.zero(p.n)
-    a_i = residue_matrix(p, i)
+    a_i = residue_matrix(p, i)  # raises on a site index out of range
     for j in range(p.m):
         if j == i:
             continue
@@ -301,18 +299,17 @@ def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
     return c, a
 
 
-def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
-    """The Jordan-Wigner realization of one_body on C[theta_1 .. theta_m].
+def one_body_terms(c, a):
+    """The Jordan-Wigner realization of c + sum_kl A_kl theta_k d_theta_l.
 
     Returns (diag, hops): the diagonal c + sum_k A_kk n_k as a 2^m vector and,
     for each nonzero off-diagonal A_ab, one hop theta_a d_theta_b as
     (rows, cols, values), a term with distinct rows and distinct cols.
     """
-    if p.m > MAX_REALIZED_SITES:
+    if len(a) > MAX_REALIZED_SITES:
         raise ValueError("the 2^m-state realization stops at m = %d"
                          % MAX_REALIZED_SITES)
-    c, a = one_body(p, i, hbar)
-    occ = occupations(p.m)
+    occ = occupations(len(a))
     diag = c + np.diagonal(a) @ occ
     hops = []
     for x, y in zip(*np.nonzero(a)):
@@ -322,16 +319,26 @@ def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
     return diag, hops
 
 
-def gaudin_hamiltonian(p: ParabolicData, i: int, hbar: float = 1.0) -> np.ndarray:
-    """H_i = hbar sum_{j!=i} (E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j)
-    / (z_i - z_j), assembled densely from gaudin_terms."""
-    if p.m > 10:
+def one_body_matrix(c, a) -> np.ndarray:
+    """one_body_terms scattered into a dense 2^m x 2^m matrix."""
+    if len(a) > 10:
         raise ValueError("dense matrices stop at m = 10; use gaudin_apply beyond")
-    diag, hops = gaudin_terms(p, i, hbar)
+    diag, hops = one_body_terms(c, a)
     out = np.diag(diag)
     for rows, cols, values in hops:
         out[rows, cols] += values
     return out
+
+
+def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
+    """one_body_terms of H_i, one_body(p, i, hbar)."""
+    return one_body_terms(*one_body(p, i, hbar))
+
+
+def gaudin_hamiltonian(p: ParabolicData, i: int, hbar: float = 1.0) -> np.ndarray:
+    """H_i = hbar sum_{j!=i} (E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j)
+    / (z_i - z_j) as a dense matrix."""
+    return one_body_matrix(*one_body(p, i, hbar))
 
 
 def gaudin_apply(p: ParabolicData, i: int, vec: np.ndarray,
@@ -352,40 +359,36 @@ def gaudin_apply(p: ParabolicData, i: int, vec: np.ndarray,
     return out
 
 
-def quantize_observable(p: ParabolicData, f: GrassmannElement,
-                        hbar: float = 1.0) -> np.ndarray:
-    """Monomial-wise substitution theta_i -> theta_i, eta_i -> hbar d_theta_i.
+def quantized_one_body(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0):
+    """(c, hbar A) for f = c + sum_kl A_kl theta_k eta_l, which quantization
+    eta_l -> hbar d_theta_l sends to c + hbar sum_kl A_kl theta_k d_theta_l.
 
-    Monomials are read in canonical increasing generator order, which places
-    theta_i immediately before eta_i of the same site (normal ordering).
+    f.terms stores theta_k eta_l (k <= l) and eta_l theta_k = -theta_k eta_l
+    (l < k) in increasing generator order; any other monomial raises.
     """
     if f.n != p.n:
         raise ValueError("observable lives in the wrong Grassmann algebra")
-    m = p.m
-    dim = 1 << m
-    cache = {}
-
-    def op_for(gen_index):
-        if gen_index not in cache:
-            site, is_eta = divmod(gen_index - 1, 2)
-            if is_eta:
-                cache[gen_index] = hbar * deriv_matrix(m, site)
-            else:
-                cache[gen_index] = theta_matrix(m, site)
-        return cache[gen_index]
-
-    acc = np.zeros((dim, dim), dtype=complex)
+    c, a = 0j, np.zeros((p.m, p.m), dtype=complex)
     for mask, coeff in f.terms.items():
-        word = np.eye(dim, dtype=complex)
-        g = 1
-        mm = mask
-        while mm:
-            if mm & 1:
-                word = word @ op_for(g)
-            mm >>= 1
-            g += 1
-        acc += coeff * word
-    return acc
+        bits = [b for b in range(p.n) if mask >> b & 1]  # theta_k at 2k, eta_k at 2k + 1
+        if not bits:
+            c += coeff
+        elif len(bits) == 2 and (bits[0] ^ bits[1]) & 1:  # one theta, one eta
+            x, y = bits[0] >> 1, bits[1] >> 1
+            if bits[0] & 1:
+                a[y, x] -= coeff
+            else:
+                a[x, y] += coeff
+        else:
+            name = " ".join(("theta_%d", "eta_%d")[b & 1] % (b >> 1) for b in bits)
+            raise ValueError("monomial %s is not a constant or a theta_k eta_l" % name)
+    return c, hbar * a
+
+
+def quantize_observable(p: ParabolicData, f: GrassmannElement,
+                        hbar: float = 1.0) -> np.ndarray:
+    """eta_i -> hbar d_theta_i on f: one_body_matrix of quantized_one_body."""
+    return one_body_matrix(*quantized_one_body(p, f, hbar))
 
 
 def quantize(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0) -> np.ndarray:
@@ -393,7 +396,7 @@ def quantize(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0) -> np.nda
 
     Identifies the site index by matching against the Garnier family (raising
     otherwise), applies the weight rule u_i -> hbar u_i by rebuilding the
-    observable on the scaled system, then substitutes monomial by monomial.
+    observable on the scaled system, then quantizes it (quantize_observable).
     """
     site = None
     for i in range(p.m):

@@ -4,11 +4,12 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from gl11 import cli, integrable
+from gl11 import cli, fatgraph, hitchin, integrable
 from gl11.cli import main
-from gl11.grassmann import GrassmannElement
+from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
 
@@ -431,3 +432,101 @@ def test_cech_verify_reversed_triangle_exits_2(capsys, tmp_path):
                                       str(path)])
     assert code == 2
     assert "reversed.json: triangle (2, 1, 3): reverses the listed orientation (1, 2, 3)" in err
+
+
+def quantize_report(capsys, *argv):
+    code, out, err = outcome(capsys, ["--format", "json", "quantize-compare", *argv])
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_quantize_compare_beyond_dense_cap(capsys):
+    code, payload = quantize_report(capsys, "--m", "12")
+    assert code == 0
+    assert [c["name"] for c in payload["checks"]] == sorted(
+        "quantize_matches_gaudin[%d]" % i for i in range(12))
+    assert all(c["passed"] and c["residual"] <= 1e-13 for c in payload["checks"])
+    assert payload["info"]["m"] == 12
+
+
+def test_quantize_compare_runs_to_the_grassmann_limit(capsys):
+    code, payload = quantize_report(capsys, "--m", "32")
+    assert code == 0
+    assert len(payload["checks"]) == 32
+    code, out, err = outcome(capsys, ["quantize-compare", "--m", "33"])
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= n <= 64 generators" in err
+
+
+def test_quantize_compare_forms_no_dense_matrix(capsys, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("a 2^m-state operator was requested")
+
+    for name in ("gaudin_hamiltonian", "theta_matrix", "deriv_matrix",
+                 "quantize_observable", "gaudin_terms"):
+        monkeypatch.setattr(integrable, name, refuse)
+    code, payload = quantize_report(capsys, "--m", "6", "--hbar", "0.7")
+    assert code == 0
+
+
+@pytest.mark.parametrize("part", ["matrix", "constant"])
+def test_quantize_compare_perturbed_one_body_fails(capsys, monkeypatch, part):
+    real = integrable.one_body
+
+    def perturbed(p, i, hbar=1.0):
+        c, a = real(p, i, hbar)
+        if i == 2 and part == "constant":
+            c += 1e-3
+        elif i == 2:
+            a = a.copy()
+            a[3, 1] += 1e-3
+        return c, a
+
+    monkeypatch.setattr(integrable, "one_body", perturbed)
+    code, payload = quantize_report(capsys, "--m", "5")
+    assert code == 1
+    failing = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failing == ["quantize_matches_gaudin[2]"]
+
+
+def test_hitchin_residual_degree_4_solution(capsys, tmp_path):
+    # degree-4 building blocks on all eight generators: intermediate products
+    # of hitchin_residual and chern_form_via_inverse pass the default degree
+    # cap 8 before they cancel (this draw does so in both)
+    n = 8
+    rng = np.random.default_rng(4)
+
+    def poly(draw, var):
+        return hitchin.LocalFunction(n, {(p, 0) if var == "z" else (0, p):
+                                         draw(rng, n, num_terms=3, scale=0.5)
+                                         for p in range(5)})
+
+    rho_h, rho_a = poly(random_odd, "z"), poly(random_odd, "zbar")
+    v_h, v_a = poly(random_even, "z"), poly(random_even, "zbar")
+    delta, gamma, a = poly(random_odd, "z"), poly(random_odd, "z"), poly(random_even, "z")
+    metric = hitchin.hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,
+                                      ConjugationTable.swap_halves(n))
+    metric_path, higgs_path = tmp_path / "metric.json", tmp_path / "higgs.json"
+    metric_path.write_text(json.dumps(metric.to_dict()))
+    higgs_path.write_text(json.dumps({"n": n, "a": a.to_dict(), "delta": delta.to_dict(),
+                                      "gamma": gamma.to_dict()}))
+    code, out, err = outcome(capsys, ["hitchin-residual", str(metric_path), str(higgs_path)])
+    assert (code, err) == (0, "")
+    assert "status: pass" in out
+
+
+def test_fatgraph_normalize_su_connection(capsys, tmp_path):
+    graph = fatgraph.fixture_graph(1, 1)
+    conn = fatgraph.random_connection(np.random.default_rng(5), graph, 8, mode="su",
+                                      table=ConjugationTable.swap_halves(8))
+    path, out_path = tmp_path / "su.json", tmp_path / "su_normalized.json"
+    path.write_text(json.dumps(fatgraph.connection_to_dict(conn)))
+    code, out, err = outcome(capsys, ["fatgraph", "normalize", fx("fatgraph_g1s1.json"),
+                                      str(path), "-o", str(out_path)])
+    assert (code, err) == (0, "")
+    normalized = json.loads(out_path.read_text())
+    assert normalized["mode"] == "su" and "conjugation" in normalized
+    code, out, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                                      str(out_path), "--cycle", "0+,0-"])
+    assert (code, err) == (0, "")

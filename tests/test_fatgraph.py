@@ -365,3 +365,24 @@ def test_graph_and_connection_json_roundtrip():
         assert c1.h.is_close(c2.h)
         assert c1.alpha.is_close(c2.alpha)
         assert c1.beta.is_close(c2.beta)
+
+
+def test_su_connection_json_roundtrip():
+    rng = np.random.default_rng(17)
+    graph = fixture_graph(1, 1)
+    conn = random_connection(rng, graph, N, mode="su", table=TABLE)
+    data = connection_to_dict(conn)
+    assert data["conjugation"] == {"pairing": list(TABLE.pairing)}
+    back = connection_from_dict(graph, data)
+    assert back.mode == "su"
+    assert back.table.pairing == TABLE.pairing
+    assert back.check_reality().ok
+    for c1, c2 in zip(conn.coords, back.coords):
+        assert c1.h.is_close(c2.h)
+        assert c1.alpha.is_close(c2.alpha)
+        assert c1.beta.is_close(c2.beta)
+
+
+def test_sl_connection_json_has_no_conjugation():
+    conn = random_connection(np.random.default_rng(18), fixture_graph(1, 1), N)
+    assert sorted(connection_to_dict(conn)) == ["edges", "mode", "n"]

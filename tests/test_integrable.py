@@ -21,6 +21,8 @@ from gl11.integrable import (
     operator_parity,
     poisson_bracket,
     quantize,
+    quantize_observable,
+    quantized_one_body,
     random_system,
     residue_matrix,
     theta_matrix,
@@ -503,3 +505,75 @@ def test_one_body_and_realization_site_limits():
     assert a.shape == (17, 17)
     with pytest.raises(ValueError, match="stops at m = 16"):
         gaudin_terms(p, 3)
+
+
+def word_product_quantize(p, f, hbar):
+    """Oracle: each monomial of f as a product of dense basis matrices,
+    theta_i -> theta_matrix, eta_i -> hbar deriv_matrix, in generator order."""
+    dim = 1 << p.m
+    acc = np.zeros((dim, dim), dtype=complex)
+    for mask, coeff in f.terms.items():
+        word = np.eye(dim, dtype=complex)
+        for g in range(p.n):
+            if mask >> g & 1:
+                site, is_eta = divmod(g, 2)
+                word = word @ (hbar * deriv_matrix(p.m, site) if is_eta
+                               else theta_matrix(p.m, site))
+        acc += coeff * word
+    return acc
+
+
+def test_quantize_observable_matches_word_products_on_garnier():
+    rng = np.random.default_rng(30)
+    for m in range(2, 7):
+        p = random_system(rng, m)
+        for hbar in (1.0, 0.5, 0.0):
+            for i in range(m):
+                f = garnier_hamiltonian(p.scaled(hbar), i)
+                expected = word_product_quantize(p, f, hbar)
+                got = quantize_observable(p, f, hbar)
+                assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+
+
+def test_quantize_observable_matches_word_products_on_random_bilinears():
+    # every (k, l) is stored as theta_k eta_l when k <= l and as eta_l theta_k
+    # when l < k, so both orders occur
+    rng = np.random.default_rng(31)
+    for m in range(2, 6):
+        p = random_system(rng, m)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        f = GrassmannElement.scalar(p.n, c)
+        for k in range(m):
+            for l in range(m):
+                f = f + a[k, l] * (p.theta(k) * p.eta(l))
+        assert any(mask & 0b10 and mask & 0b100 for mask in f.terms)  # eta_0 theta_1
+        for hbar in (1.0, 0.5, 0.0):
+            c_q, a_q = quantized_one_body(p, f, hbar)
+            assert abs(c_q - c) <= 1e-14
+            assert np.abs(a_q - hbar * a).max() <= 1e-14
+            expected = word_product_quantize(p, f, hbar)
+            got = quantize_observable(p, f, hbar)
+            assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda p: p.theta(0) * p.theta(1), "theta_0 theta_1"),
+    (lambda p: p.eta(0) * p.eta(2), "eta_0 eta_2"),
+    (lambda p: p.theta(1), "theta_1"),
+    (lambda p: p.theta(0) * p.eta(0) * p.theta(1) * p.eta(1),
+     "theta_0 eta_0 theta_1 eta_1"),
+])
+def test_quantized_one_body_rejects_non_bilinears(build, name):
+    p = random_system(np.random.default_rng(32), 3)
+    f = garnier_hamiltonian(p, 0) + build(p)
+    with pytest.raises(ValueError, match="monomial %s is not" % name):
+        quantized_one_body(p, f)
+    with pytest.raises(ValueError, match="monomial %s is not" % name):
+        quantize_observable(p, f)
+
+
+def test_quantized_one_body_rejects_another_algebra():
+    p = random_system(np.random.default_rng(33), 3)
+    with pytest.raises(ValueError, match="wrong Grassmann algebra"):
+        quantized_one_body(p, GrassmannElement.one(p.n + 2))
