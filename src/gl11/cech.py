@@ -377,30 +377,48 @@ def _cocycle_report(data, tol, twisted, h_mod_2pi=False):
     return report
 
 
-def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
-    """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
-    quadratic term of h in the group law g_ij g_jk."""
-    c_ij, c_jk = data.coords(i, j), data.coords(j, k)
-    e_s = c_ij.s.exp()
-    e_ms = (-c_ij.s).exp()
+def _edge_factors(data: TransitionData, i, j):
+    """(g_ij, e^{s_ij}, e^{-s_ij}) for the oriented edge (i, j)."""
+    c = data.coords(i, j)
+    return c, c.s.exp(), (-c.s).exp()
+
+
+def _quadratic_term(ij, jk) -> GrassmannElement:
+    """(alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2 from edge factors."""
+    (c_ij, e_s, e_ms), (c_jk, _, _) = ij, jk
     return (c_ij.alpha * e_s * c_jk.beta - e_ms * c_jk.alpha * c_ij.beta) * 0.5
 
 
+def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
+    """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
+    quadratic term of h in the group law g_ij g_jk."""
+    return _quadratic_term(_edge_factors(data, i, j), _edge_factors(data, j, k))
+
+
 def two_cocycle_g(data: TransitionData, tol: float = 1e-9) -> Cochain:
-    """The quadratic 2-cocycle, with antisymmetry and closedness asserted."""
+    """The quadratic 2-cocycle, with antisymmetry and closedness asserted.
+
+    Each edge's coordinates and e^{+-s} are read once per call, in both
+    orientations; the value on each vertex ordering of every triangle is
+    then recomputed from them (bit for bit what ``two_cocycle_value``
+    returns) and compared with the alternating extension of the listed one.
+    """
     report = check_gl_cocycle(data, tol)
     if not report.ok:
         raise ValueError("transition data fails the cocycle check: %s"
                          % [c.name for c in report.failing()])
+    factors = {(i, j): _edge_factors(data, i, j)
+               for edge in data.nerve.simplices[1] for (i, j) in (edge, edge[::-1])}
     out = Cochain(data.nerve, 2, data.n)
     for (i, j, k) in data.nerve.simplices[2]:
-        out.values[(i, j, k)] = two_cocycle_value(data, i, j, k)
-    # antisymmetry under all vertex permutations, recomputed from raw data
+        out.values[(i, j, k)] = _quadratic_term(factors[(i, j)], factors[(j, k)])
+    # antisymmetry under all vertex permutations, recomputed from the edge factors
     for (i, j, k) in data.nerve.simplices[2]:
         base = out.values[(i, j, k)]
         for perm in permutations((i, j, k)):
             sign = _sort_sign([(i, j, k).index(v) for v in perm])
-            diff = two_cocycle_value(data, *perm) - sign * base
+            p, q, r = perm
+            diff = _quadratic_term(factors[(p, q)], factors[(q, r)]) - sign * base
             if diff.max_abs() > tol:
                 raise AssertionError("two-cocycle not antisymmetric on %r" % (perm,))
     if data.nerve.simplices[3]:

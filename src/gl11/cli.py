@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -156,22 +157,10 @@ def cmd_fatgraph_normalize(args) -> RunReport:
     return report
 
 
-def _parse_cycle(text: str):
-    steps = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token[-1] not in "+-":
-            raise SystemExit("cycle steps look like '3+' or '2-', got %r" % token)
-        steps.append((int(token[:-1]), token[-1] == "+"))
-    return steps
-
-
 def cmd_fatgraph_holonomy(args) -> RunReport:
     report = RunReport("fatgraph-holonomy")
     _, conn = _load_graph_connection(args)
-    hol = conn.holonomy(_parse_cycle(args.cycle))
+    hol = conn.holonomy(args.cycle)
     report.checks.info["holonomy"] = hol.to_dict()
     report.checks.info["supertrace"] = hol.supertrace().to_dict()
     report.checks.info["sdet"] = hol.sdet().to_dict()
@@ -281,11 +270,43 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A pass/fail tolerance: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    return value
+
+
+def _cycle(text: str):
+    """Cycle steps from a comma list like '0+,2-,1+': [(edge, forward), ...].
+
+    Only the form is checked here; whether each edge exists is checked by
+    ``GraphConnection.holonomy``, which knows the graph.
+    """
+    steps = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            if token[-1] not in "+-":
+                raise ValueError
+            steps.append((int(token[:-1]), token[-1] == "+"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "cycle steps look like '3+' or '2-', got %r" % token) from None
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gl11",
         description="Exact checks for GL(1|1) supergeometry computations.")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="pass/fail tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random suites (default 0)")
@@ -321,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = fat.add_parser("holonomy", help="holonomy along an edge cycle")
     q.add_argument("graph")
     q.add_argument("connection")
-    q.add_argument("--cycle", required=True, help="comma list like '0+,2-,1+'")
+    q.add_argument("--cycle", type=_cycle, required=True,
+                   help="comma list like '0+,2-,1+'")
     q.set_defaults(func=cmd_fatgraph_holonomy)
 
     q = fat.add_parser("check-punctures", help="boundary holonomy constraints")

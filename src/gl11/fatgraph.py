@@ -56,6 +56,9 @@ class FatGraph:
             if len(order) != 3:
                 raise ValueError("vertex %r is not trivalent" % (order,))
             for h in order:
+                if not 0 <= h < size:
+                    raise ValueError("vertex %r: half-edge %d is not in 0..%d"
+                                     % (order, h, size - 1))
                 if seen[h]:
                     raise ValueError("half-edge %d assigned to two vertices" % h)
                 seen[h] = True
@@ -273,9 +276,6 @@ class GraphConnection:
     def edge_coords(self, e: int, forward: bool = True) -> GroupCoords:
         return self.coords[e] if forward else coords_inverse(self.coords[e])
 
-    def edge_matrix(self, e: int, forward: bool = True) -> SuperMatrix11:
-        return from_coords(self.edge_coords(e, forward))
-
     def check_reality(self, tol: float = 1e-9) -> CheckReport:
         """h_bar = -h and alpha_bar = -beta on every edge (SU form)."""
         report = CheckReport()
@@ -287,21 +287,33 @@ class GraphConnection:
         return report
 
     def holonomy(self, cycle) -> SuperMatrix11:
-        """Ordered product of edge matrices along (edge, forward) steps."""
+        """Ordered product of the edge elements along (edge, forward) steps.
+
+        The steps are folded in coordinates by the exact group law
+        (``coords_product``, a reversed step contributing ``coords_inverse``)
+        and the supermatrix is assembled once at the end, so no 2x2
+        supermatrix product is formed.  An empty cycle gives the identity; a
+        step naming no edge, or one that does not start where the previous
+        step ended, raises ValueError naming the step.
+        """
         if not cycle:
             return SuperMatrix11.identity(self.n)
         graph = self.graph
         prev_target = None
         acc = None
-        for (e, forward) in cycle:
+        for step, (e, forward) in enumerate(cycle):
+            if not 0 <= e < graph.num_edges:
+                raise ValueError("cycle step %d: edge %r is not in 0..%d"
+                                 % (step, e, graph.num_edges - 1))
             src = graph.source(e) if forward else graph.target(e)
             dst = graph.target(e) if forward else graph.source(e)
             if prev_target is not None and src != prev_target:
-                raise ValueError("cycle is not contiguous at edge %d" % e)
+                raise ValueError("cycle step %d: edge %d does not start where step %d ended"
+                                 % (step, e, step - 1))
             prev_target = dst
-            m = self.edge_matrix(e, forward)
-            acc = m if acc is None else acc * m
-        return acc
+            c = self.edge_coords(e, forward)
+            acc = c if acc is None else coords_product(acc, c)
+        return from_coords(acc)
 
     def _apply_gauge(self, elements: dict) -> "GraphConnection":
         """Gauge transformation by one group element per vertex.
@@ -536,11 +548,24 @@ def connection_to_dict(conn: GraphConnection) -> dict:
 
 
 def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
+    """Connection from its dict; unlisted edges carry the identity.
+
+    Each ``"edge"`` must be an integer edge index of ``graph``, listed at
+    most once; anything else raises ValueError naming the entry.
+    """
     n = int(data["n"])
     zero = GrassmannElement.zero(n)
     coords = [GroupCoords.identity(n) for _ in range(graph.num_edges)]
-    for entry in data.get("edges", []):
-        coords[int(entry["edge"])] = GroupCoords(
+    listed = set()
+    for k, entry in enumerate(data.get("edges", [])):
+        e = entry["edge"]
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < graph.num_edges:
+            raise ValueError('edges[%d]: "edge" must be an edge index in 0..%d, got %r'
+                             % (k, graph.num_edges - 1, e))
+        if e in listed:
+            raise ValueError('edges[%d]: "edge" %d is listed twice' % (k, e))
+        listed.add(e)
+        coords[e] = GroupCoords(
             GrassmannElement.from_dict(entry["h"]), zero,
             GrassmannElement.from_dict(entry["alpha"]),
             GrassmannElement.from_dict(entry["beta"]))

@@ -11,6 +11,11 @@ inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
 of w.  An even-diagonal, odd-off-diagonal matrix has the GL(1|1) block
 inverse of gl11.supergroup.block_inverse, built from the two diagonal
 inverses alone, because its odd entries square to zero.
+
+The Hitchin commutator [Phi, Phi^dagger_H] drops the central part of Phi
+before any product: for Phi = [[a, delta], [gamma, d]] with a even, a I
+commutes with everything, so only N = Phi - a I (zero in the upper diagonal
+entry, d - a in the lower) is conjugated and multiplied.
 """
 
 from __future__ import annotations
@@ -414,7 +419,10 @@ def hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,
 def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> LocalMatrix:
     """F - [Phi, Phi^dagger_H] with Phi^dagger_H = H^{-1} Phi^dagger H.
 
-    Requires the supertraceless local shape [[a, delta], [gamma, a]].
+    Requires the supertraceless local shape [[a, delta], [gamma, a]].  The
+    commutator is taken of N = Phi - a I: a is even, so a I and its adjoint
+    abar I are central and [Phi, Phi^dagger_H] = [N, N^dagger_H] exactly.
+    N has a zero upper diagonal entry and d - a (zero when d = a) below it.
     """
     if phi.supertrace().max_abs() > tol:
         raise ValueError("hitchin_residual requires str(Phi) = 0; got %.3e"
@@ -422,11 +430,12 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
     _require_parity(phi[0, 0], "even", "Phi diagonal")
     _require_parity(phi[0, 1], "odd", "Phi upper-right")
     _require_parity(phi[1, 0], "odd", "Phi lower-left")
-    # a product here holds rho's, rhobar's and one entry each of Phi and Phi^dagger
+    # a product here holds rho's, rhobar's and one entry each of N and N^dagger
     cap = m.rho.cap + 2 * max(f.degree() for row in phi.rows for f in row)
-    phi = LocalMatrix([[LocalFunction(m.n, f.terms, cap=cap) for f in row] for row in phi.rows])
+    shifted = LocalMatrix([[LocalFunction(m.n, f.terms, cap=cap) for f in row] for row in
+                           ((LocalFunction.zero(m.n), phi[0, 1]),
+                            (phi[1, 0], phi[1, 1] - phi[0, 0]))])
     g = m.reduced_matrix()
-    adj = phi.adjoint(m.table)
-    adj_h = g.inverse() * adj * g
-    commutator = phi * adj_h - adj_h * phi
+    adj_h = g.inverse() * shifted.adjoint(m.table) * g
+    commutator = shifted * adj_h - adj_h * shifted
     return curvature(m) - commutator

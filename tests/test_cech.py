@@ -25,6 +25,7 @@ from gl11.cech import (
     transition_from_frames,
     triangle_nerve,
     two_cocycle_g,
+    two_cocycle_value,
 )
 from gl11.grassmann import (
     GrassmannElement,
@@ -581,3 +582,26 @@ def test_transition_data_generator_count_checked_while_parsing():
     good["edges"][1]["alpha"] = GrassmannElement.zero(6).to_dict()
     with pytest.raises(ValueError, match='edge \\(1, 3\\): alpha has 6 generators, "n" is 4'):
         TransitionData.from_dict(nerve, good)
+
+
+def edges_reversed(nerve):
+    """The same nerve with every edge listed in the opposite orientation."""
+    return Nerve(nerve.vertices, {1: [e[::-1] for e in nerve.simplices[1]],
+                                  2: nerve.simplices[2], 3: nerve.simplices[3]})
+
+
+@pytest.mark.parametrize("solid", [True, False])
+def test_two_cocycle_g_matches_two_cocycle_value_bit_for_bit(solid):
+    # every g_ij of a listed triangle is read through coords_inverse here
+    rng = np.random.default_rng(43 + solid)
+    nerve = edges_reversed(tetrahedron_nerve(solid))
+    for _ in range(5):
+        data = transition_from_frames(nerve, random_frames(rng, nerve))
+        assert not data.is_sl()
+        g = two_cocycle_g(data)
+        for (i, j, k) in nerve.simplices[2]:
+            value = two_cocycle_value(data, i, j, k)
+            assert list(g.values[(i, j, k)].terms.items()) == list(value.terms.items())
+            # g_ijk is the quadratic term of h in the group law g_ij g_jk
+            quadratic = data.h(i, k) - data.h(i, j) - data.h(j, k)
+            assert (quadratic - value).max_abs() <= 1e-12

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gl11 import cli, fatgraph, hitchin, integrable
+from gl11 import cli, fatgraph, hitchin, integrable, supergroup
 from gl11.cli import main
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
 
@@ -530,3 +533,106 @@ def test_fatgraph_normalize_su_connection(capsys, tmp_path):
     code, out, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
                                       str(out_path), "--cycle", "0+,0-"])
     assert (code, err) == (0, "")
+
+
+G1S1_FACE = ",".join("%d%s" % (e, "+" if forward else "-") for e, forward in
+                     fatgraph.FatGraph.from_dict(json.loads(
+                         (FIXTURES / "fatgraph_g1s1.json").read_text())).boundary_cycles()[0])
+
+
+@pytest.mark.parametrize("cycle, step, edge", [("-1+", 0, -1), ("9+", 0, 9),
+                                               ("0+,0-,3-", 2, 3)])
+def test_fatgraph_holonomy_unknown_edge_exits_2(capsys, cycle, step, edge):
+    # a negative index must not wrap around to the last edge
+    code, out, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                                      fx("connection_g1s1_flat.json"), "--cycle=" + cycle])
+    assert (code, out) == (2, "")
+    assert "cycle step %d: edge %d is not in 0..2" % (step, edge) in err
+
+
+def connection_with(tmp_path, change):
+    data = json.loads((FIXTURES / "connection_g1s1_flat.json").read_text())
+    change(data["edges"])
+    path = tmp_path / "connection.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda edges: edges[0].update(edge=7),
+     "edges[0]: \"edge\" must be an edge index in 0..2, got 7"),
+    (lambda edges: edges[2].update(edge=-1),
+     "edges[2]: \"edge\" must be an edge index in 0..2, got -1"),
+    (lambda edges: edges[1].update(edge="1"),
+     "edges[1]: \"edge\" must be an edge index in 0..2, got '1'"),
+    (lambda edges: edges[1].update(edge=True),
+     "edges[1]: \"edge\" must be an edge index in 0..2, got True"),
+    (lambda edges: edges[2].update(edge=0), "edges[2]: \"edge\" 0 is listed twice"),
+])
+@pytest.mark.parametrize("command", ["check-punctures", "normalize"])
+def test_connection_edge_index_names_file_and_field(capsys, tmp_path, change, message,
+                                                    command):
+    path = connection_with(tmp_path, change)
+    code, out, err = outcome(capsys, ["fatgraph", command, fx("fatgraph_g1s1.json"), path])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-9x"])
+def test_invalid_tolerance_exits_2(capsys, tol):
+    # an invalid tolerance is a usage error, not a failed check
+    code, out, err = outcome(capsys, ["--tol", tol, "fatgraph", "check-punctures",
+                                      fx("fatgraph_g1s1.json"), fx("connection_g1s1_flat.json")])
+    assert (code, out) == (2, "")
+    assert "argument --tol:" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-12", "0.5"])
+def test_valid_tolerance_is_used(capsys, tol):
+    code, out, _ = outcome(capsys, ["--format", "json", "--tol", tol, "fatgraph",
+                                    "check-punctures", fx("fatgraph_g1s1.json"),
+                                    fx("connection_g1s1_random.json")])
+    assert {c["tol"] for c in json.loads(out)["checks"]} == {float(tol)}
+    assert code == (0 if tol == "0.5" else 1)
+
+
+def test_fatgraph_commands_form_no_supermatrix_product(capsys, monkeypatch):
+    # holonomies fold edge coordinates by the group law; no 2x2 product is formed
+    def product(self, other):
+        raise AssertionError("SuperMatrix11 product formed")
+
+    monkeypatch.setattr(supergroup.SuperMatrix11, "__mul__", product)
+    for connection, status in (("connection_g1s1_flat.json", 0),
+                               ("connection_g1s1_random.json", 1)):
+        code, _, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                                        fx(connection), "--cycle", G1S1_FACE])
+        assert (code, err) == (0, "")
+        code, _, err = outcome(capsys, ["fatgraph", "check-punctures",
+                                        fx("fatgraph_g1s1.json"), fx(connection)])
+        assert (code, err) == (status, "")
+
+
+def test_python_m_gl11_runs_the_cli():
+    src = str(FIXTURES.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "gl11", "fatgraph", "check-punctures",
+                           fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout.startswith("== fatgraph-check-punctures ==")
+    assert done.stdout.rstrip().endswith("status: FAIL")
+
+
+@pytest.mark.parametrize("half_edge", [9, -1])
+def test_fatgraph_half_edge_out_of_range_names_file(capsys, tmp_path, half_edge):
+    # -1 must not wrap around to the last half-edge
+    data = json.loads((FIXTURES / "fatgraph_g1s1.json").read_text())
+    data["cyclic_orders"][1][2] = half_edge
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = outcome(capsys, ["fatgraph", "check-punctures", str(path),
+                                      fx("connection_g1s1_flat.json")])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: vertex (1, 3, %d): half-edge %d is not in 0..5\n" % (
+        path, half_edge, half_edge)

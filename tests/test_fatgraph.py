@@ -18,7 +18,7 @@ from gl11.fatgraph import (
     theta_graph,
 )
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
-from gl11.supergroup import GroupCoords, SuperMatrix11, random_coords
+from gl11.supergroup import GroupCoords, SuperMatrix11, from_coords, random_coords
 
 N = 8
 TABLE = ConjugationTable.swap_halves(N)
@@ -386,3 +386,44 @@ def test_su_connection_json_roundtrip():
 def test_sl_connection_json_has_no_conjugation():
     conn = random_connection(np.random.default_rng(18), fixture_graph(1, 1), N)
     assert sorted(connection_to_dict(conn)) == ["edges", "mode", "n"]
+
+
+def matrix_holonomy(conn, cycle):
+    """The generic route: ordered product of assembled edge supermatrices.
+
+    A reversed step is the matrix inverse of the stored edge, so this oracle
+    shares neither the coordinate group law nor coords_inverse.
+    """
+    acc = None
+    for e, forward in cycle:
+        m = from_coords(conn.coords[e])
+        m = m if forward else m.inverse()
+        acc = m if acc is None else acc * m
+    return acc
+
+
+def closed_walks(graph):
+    """Every face, each face reversed, and every face started at its second step."""
+    for face in graph.boundary_cycles():
+        yield face
+        yield [(e, not forward) for e, forward in reversed(face)]
+        yield face[1:] + face[:1]
+
+
+@pytest.mark.parametrize("genus, punctures", FIXTURES)
+@pytest.mark.parametrize("mode", ["sl", "su"])
+def test_holonomy_matches_matrix_product(genus, punctures, mode):
+    rng = np.random.default_rng(31 + 10 * genus + punctures)
+    graph = fixture_graph(genus, punctures)
+    table = TABLE if mode == "su" else None
+    for _ in range(3):
+        conn = random_connection(rng, graph, N, mode=mode, table=table)
+        walks = list(closed_walks(graph))
+        assert any(not forward for walk in walks for _, forward in walk)
+        for walk in walks:
+            assert (conn.holonomy(walk) - matrix_holonomy(conn, walk)).max_abs() <= 1e-12
+        # open paths too: every single step in both directions
+        for e in range(graph.num_edges):
+            for forward in (True, False):
+                step = [(e, forward)]
+                assert (conn.holonomy(step) - matrix_holonomy(conn, step)).max_abs() <= 1e-12

@@ -406,3 +406,46 @@ def test_local_matrix_max_abs_keeps_nan():
     one, poisoned = const(scalar(1.0)), const(scalar(math.nan))
     m = LocalMatrix([[one, zero_fn()], [zero_fn(), poisoned]])
     assert math.isnan(m.max_abs())
+
+
+def full_phi_residual(m, phi):
+    """The generic route: F - [Phi, Phi^dagger_H] with the whole Phi conjugated."""
+    cap = m.rho.cap + 2 * max(f.degree() for row in phi.rows for f in row)
+    phi = LocalMatrix([[LocalFunction(m.n, f.terms, cap=cap) for f in row] for row in phi.rows])
+    g = m.reduced_matrix()
+    adj_h = g.inverse() * phi.adjoint(m.table) * g
+    return curvature(m) - (phi * adj_h - adj_h * phi)
+
+
+@pytest.mark.parametrize("case", ["solution", "perturbed_metric", "flat_metric",
+                                  "d_differs_from_a"])
+def test_hitchin_residual_matches_full_phi_commutator(case):
+    rng = np.random.default_rng(["solution", "perturbed_metric", "flat_metric",
+                                 "d_differs_from_a"].index(case) + 50)
+    for _ in range(6):
+        rho_h = random_poly(rng, "odd", max_deg=2, holo=True)
+        rho_a = random_poly(rng, "odd", max_deg=2, anti=True)
+        v_h = random_poly(rng, "even", max_deg=2, holo=True)
+        v_a = random_poly(rng, "even", max_deg=2, anti=True)
+        delta = random_poly(rng, "odd", max_deg=2, holo=True)
+        gamma = random_poly(rng, "odd", max_deg=2, holo=True)
+        # a with a nonzero body, so that a non-central remainder of a I would show
+        a = random_poly(rng, "even", max_deg=2, holo=True) + const(scalar(1.5))
+        m = hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma, TABLE)
+        d, tol = a, 1e-9
+        if case == "perturbed_metric":
+            m = MetricData(m.u + mono(scalar(1.0), 1, 1) + random_poly(rng, "even"),
+                           m.rho, TABLE)
+        elif case == "flat_metric":
+            m = flat_solution(rho_h, rho_a, v_h, v_a, TABLE)
+        elif case == "d_differs_from_a":
+            d = a + random_poly(rng, "even", max_deg=2, holo=True) * 0.05 + const(scalar(0.2))
+            tol = 1.0  # admits this str(Phi) = a - d
+        phi = LocalMatrix([[a, delta], [gamma, d]])
+        expected = full_phi_residual(m, phi)
+        residual = hitchin_residual(m, phi, tol=tol)
+        assert (residual - expected).max_abs() <= 1e-12 * max(1.0, expected.max_abs())
+        if case == "solution":
+            assert expected.max_abs() <= 1e-10
+        else:
+            assert expected.max_abs() > 1e-3
