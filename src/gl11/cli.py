@@ -123,9 +123,7 @@ def cmd_cech_verify(args) -> RunReport:
 def cmd_hitchin_residual(args) -> RunReport:
     report = RunReport("hitchin-residual")
     metric = _parse(args.metric, hitchin.MetricData.from_dict)
-    phi = _parse(args.higgs, lambda d: hitchin.higgs_matrix(
-        *(hitchin.LocalFunction.from_dict(metric.n, d[key])
-          for key in ("a", "delta", "gamma"))))
+    phi = _parse(args.higgs, lambda d: hitchin.higgs_from_dict(metric.n, d))
     residual = hitchin.hitchin_residual(metric, phi, tol=args.tol)
     for i in (0, 1):
         for j in (0, 1):

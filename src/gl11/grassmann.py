@@ -80,6 +80,14 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def json_int(value, field: str) -> int:
+    """value if it is a JSON integer; a float, string or bool, which int() would
+    truncate or convert, raises ValueError naming field."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError('"%s" holds %r, not an integer' % (field, value))
+    return value
+
+
 def _indices_to_mask(indices) -> int:
     mask = 0
     for i in indices:
@@ -375,10 +383,10 @@ class GrassmannElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannElement":
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         terms = {}
         for entry in data.get("terms", []):
-            mono = list(entry["mono"])
+            mono = [json_int(i, "mono") for i in entry["mono"]]
             if mono != sorted(mono):
                 raise ValueError("monomial %r not in canonical increasing order" % (mono,))
             mask = _indices_to_mask(mono)

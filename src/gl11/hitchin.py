@@ -6,11 +6,15 @@ H = e^u * G with G = [[1 - rho rhobar/2, rhobar], [rho, 1 + rho rhobar/2]];
 the scalar e^u cancels inside H^{-1} dH and H^{-1} Phi^dagger H, so every
 quantity here stays polynomial and residuals are exact.
 
+Polynomials are exact maps from (z degree, zbar degree) to coefficient, with
+no degree bound: sums, products and derivatives never need truncating.
+
 Inverses are closed forms too.  A function c(1 + w) with nilpotent w has
 inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
-of w.  An even-diagonal, odd-off-diagonal matrix has the GL(1|1) block
-inverse of gl11.supergroup.block_inverse, built from the two diagonal
-inverses alone, because its odd entries square to zero.
+of w: w has body-free coefficients, so w^(n+1) = 0.
+An even-diagonal, odd-off-diagonal matrix has the GL(1|1) block inverse of
+gl11.supergroup.block_inverse, built from the two diagonal inverses alone,
+because its odd entries square to zero.
 
 The Hitchin commutator [Phi, Phi^dagger_H] drops the central part of Phi
 before any product: for Phi = [[a, delta], [gamma, d]] with a even, a I
@@ -24,16 +28,11 @@ from .grassmann import (
     ConjugationTable,
     GrassmannElement,
     ParityError,
+    json_int,
     nan_max,
     nilpotent_series,
 )
 from .supergroup import block_inverse
-
-DEFAULT_DEGREE_CAP = 8
-
-
-class DegreeOverflowError(ValueError):
-    """A product left the truncated polynomial model with a nonzero term."""
 
 
 class LocalFunction:
@@ -44,23 +43,20 @@ class LocalFunction:
     'odd', or 'mixed' (the zero function counts as even).
     """
 
-    __slots__ = ("n", "terms", "cap")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.cap = cap
         clean = {}
         if terms:
             for (p, q), coeff in terms.items():
                 if coeff.n != n:
-                    raise ValueError("coefficient generator count mismatch")
+                    raise ValueError('term z^%d zbar^%d: coefficient has %d generators, '
+                                     '"n" is %d' % (p, q, coeff.n, n))
                 if not coeff.terms:
                     continue
                 if p < 0 or q < 0:
                     raise ValueError("negative degree (%d, %d)" % (p, q))
-                if p > cap or q > cap:
-                    raise DegreeOverflowError(
-                        "term z^%d zbar^%d exceeds the degree cap %d" % (p, q, cap))
                 clean[(int(p), int(q))] = coeff
         self.terms = clean
 
@@ -77,35 +73,32 @@ class LocalFunction:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, cap=DEFAULT_DEGREE_CAP):
-        return cls(n, cap=cap)
+    def zero(cls, n):
+        return cls(n)
 
     @classmethod
-    def one(cls, n, cap=DEFAULT_DEGREE_CAP):
-        return cls(n, {(0, 0): GrassmannElement.one(n)}, cap=cap)
+    def one(cls, n):
+        return cls(n, {(0, 0): GrassmannElement.one(n)})
 
     @classmethod
-    def constant(cls, coeff: GrassmannElement, cap=DEFAULT_DEGREE_CAP):
-        return cls(coeff.n, {(0, 0): coeff}, cap=cap)
+    def constant(cls, coeff: GrassmannElement):
+        return cls(coeff.n, {(0, 0): coeff})
 
     @classmethod
-    def monomial(cls, coeff: GrassmannElement, p: int, q: int, cap=DEFAULT_DEGREE_CAP):
-        return cls(coeff.n, {(p, q): coeff}, cap=cap)
+    def monomial(cls, coeff: GrassmannElement, p: int, q: int):
+        return cls(coeff.n, {(p, q): coeff})
 
     # -- structure -----------------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(c.max_abs() <= tol for c in self.terms.values())
 
-    def is_holomorphic(self, tol: float = 0.0) -> bool:
-        return all(q == 0 for (p, q), c in self.terms.items() if c.max_abs() > tol)
+    # the keys alone decide: terms never hold a zero coefficient
+    def is_holomorphic(self) -> bool:
+        return all(q == 0 for _, q in self.terms)
 
-    def is_antiholomorphic(self, tol: float = 0.0) -> bool:
-        return all(p == 0 for (p, q), c in self.terms.items() if c.max_abs() > tol)
-
-    def degree(self) -> int:
-        """Highest power of z or of zbar in any term (0 for a constant)."""
-        return max((max(key) for key in self.terms), default=0)
+    def is_antiholomorphic(self) -> bool:
+        return all(p == 0 for p, _ in self.terms)
 
     def coefficient(self, p, q) -> GrassmannElement:
         return self.terms.get((p, q), GrassmannElement.zero(self.n))
@@ -120,26 +113,23 @@ class LocalFunction:
 
     def __add__(self, other):
         if isinstance(other, GrassmannElement):
-            other = LocalFunction.constant(other, cap=self.cap)
+            other = LocalFunction.constant(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, GrassmannElement.zero(self.n)) + c
-        return LocalFunction(self.n, terms, cap=max(self.cap, other.cap))
+        return LocalFunction(self.n, terms)
 
     def __neg__(self):
-        return LocalFunction(self.n, {k: -c for k, c in self.terms.items()},
-                             cap=self.cap)
+        return LocalFunction(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return LocalFunction(self.n, {k: c * other for k, c in self.terms.items()},
-                                 cap=self.cap)
+            return LocalFunction(self.n, {k: c * other for k, c in self.terms.items()})
         if isinstance(other, GrassmannElement):
-            other = LocalFunction.constant(other, cap=self.cap)
-        cap = max(self.cap, other.cap)
+            other = LocalFunction.constant(other)
         acc: dict[tuple, GrassmannElement] = {}
         for (p1, q1), c1 in self.terms.items():
             for (p2, q2), c2 in other.terms.items():
@@ -148,13 +138,12 @@ class LocalFunction:
                 if not prod.terms:
                     continue
                 acc[key] = acc[key] + prod if key in acc else prod
-        # the constructor drops cancelled terms before it checks the cap
-        return LocalFunction(self.n, acc, cap=cap)
+        return LocalFunction(self.n, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, GrassmannElement)):
             if isinstance(other, GrassmannElement):
-                return LocalFunction.constant(other, cap=self.cap) * self
+                return LocalFunction.constant(other) * self
             return self * other
         return NotImplemented
 
@@ -164,7 +153,7 @@ class LocalFunction:
         if abs(body) <= 1e-12:
             raise ValueError("not invertible: constant-term body is zero")
         scale = 1.0 / body
-        w = self * scale - LocalFunction.one(self.n, cap=self.cap)
+        w = self * scale - LocalFunction.one(self.n)
         for (p, q), c in w.terms.items():
             if abs(c.body()) > 1e-12:
                 raise ValueError(
@@ -176,25 +165,21 @@ class LocalFunction:
 
     def d_z(self) -> "LocalFunction":
         return LocalFunction(self.n, {(p - 1, q): c * float(p)
-                                      for (p, q), c in self.terms.items() if p > 0},
-                             cap=self.cap)
+                                      for (p, q), c in self.terms.items() if p > 0})
 
     def d_zbar(self) -> "LocalFunction":
         return LocalFunction(self.n, {(p, q - 1): c * float(q)
-                                      for (p, q), c in self.terms.items() if q > 0},
-                             cap=self.cap)
+                                      for (p, q), c in self.terms.items() if q > 0})
 
     def antiderivative_z(self) -> "LocalFunction":
         """Primitive in z with zero z-constant term."""
         return LocalFunction(self.n, {(p + 1, q): c * (1.0 / (p + 1))
-                                      for (p, q), c in self.terms.items()},
-                             cap=self.cap)
+                                      for (p, q), c in self.terms.items()})
 
     def conjugate(self, table: ConjugationTable) -> "LocalFunction":
         """Swap z and zbar and conjugate every coefficient."""
         return LocalFunction(self.n, {(q, p): c.conjugate(table)
-                                      for (p, q), c in self.terms.items()},
-                             cap=self.cap)
+                                      for (p, q), c in self.terms.items()})
 
     def evaluate(self, z: complex, zbar: complex) -> GrassmannElement:
         out = GrassmannElement.zero(self.n)
@@ -212,13 +197,21 @@ class LocalFunction:
                           for (p, q), c in sorted(self.terms.items())]}
 
     @classmethod
-    def from_dict(cls, n: int, data: dict, cap=DEFAULT_DEGREE_CAP) -> "LocalFunction":
+    def from_dict(cls, n: int, data: dict) -> "LocalFunction":
         terms = {}
         for entry in data.get("terms", []):
-            key = (int(entry["z"]), int(entry["zbar"]))
+            key = (json_int(entry["z"], "z"), json_int(entry["zbar"], "zbar"))
             coeff = GrassmannElement.from_dict(entry["coeff"])
-            terms[key] = terms.get(key, GrassmannElement.zero(n)) + coeff
-        return cls(n, terms, cap=cap)
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        return cls(n, terms)
+
+
+def _function_field(n: int, data: dict, key: str) -> LocalFunction:
+    """LocalFunction.from_dict of data[key]; a ValueError names the field."""
+    try:
+        return LocalFunction.from_dict(n, data[key])
+    except ValueError as err:
+        raise type(err)("%s: %s" % (key, err)) from None
 
 
 def _require_parity(f: LocalFunction, parity: str, name: str) -> LocalFunction:
@@ -237,9 +230,9 @@ class LocalMatrix:
         self.n = rows[0][0].n
 
     @classmethod
-    def identity(cls, n, cap=DEFAULT_DEGREE_CAP):
-        one = LocalFunction.one(n, cap=cap)
-        zero = LocalFunction.zero(n, cap=cap)
+    def identity(cls, n):
+        one = LocalFunction.one(n)
+        zero = LocalFunction.zero(n)
         return cls([[one, zero], [zero, one]])
 
     def __getitem__(self, idx):
@@ -306,9 +299,7 @@ class MetricData:
         if table.n != u.n:
             raise ValueError("conjugation table size mismatch")
         self.u = u
-        # more than n odd factors multiply to zero, so no product of rho's and
-        # rhobar's has a surviving term above degree n deg(rho)
-        self.rho = LocalFunction(rho.n, rho.terms, cap=max(rho.cap, rho.n * rho.degree()))
+        self.rho = rho
         self.table = table
 
     @property
@@ -334,8 +325,7 @@ class MetricData:
     def from_dict(cls, data: dict) -> "MetricData":
         n = int(data["n"])
         table = ConjugationTable(data["conjugation"]["pairing"])
-        return cls(LocalFunction.from_dict(n, data["u"]),
-                   LocalFunction.from_dict(n, data["rho"]), table)
+        return cls(_function_field(n, data, "u"), _function_field(n, data, "rho"), table)
 
 
 def chern_form(m: MetricData) -> LocalMatrix:
@@ -397,6 +387,11 @@ def higgs_matrix(a: LocalFunction, delta: LocalFunction,
     return LocalMatrix([[a, delta], [gamma, a]])
 
 
+def higgs_from_dict(n: int, data: dict) -> LocalMatrix:
+    """The Higgs field of a Higgs file: its "a", "delta" and "gamma" on n generators."""
+    return higgs_matrix(*(_function_field(n, data, key) for key in ("a", "delta", "gamma")))
+
+
 def hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,
                      table: ConjugationTable) -> MetricData:
     """Metric solving F = [Phi, Phi^dagger_H] for Phi = [[a, delta], [gamma, a]].
@@ -430,11 +425,8 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
     _require_parity(phi[0, 0], "even", "Phi diagonal")
     _require_parity(phi[0, 1], "odd", "Phi upper-right")
     _require_parity(phi[1, 0], "odd", "Phi lower-left")
-    # a product here holds rho's, rhobar's and one entry each of N and N^dagger
-    cap = m.rho.cap + 2 * max(f.degree() for row in phi.rows for f in row)
-    shifted = LocalMatrix([[LocalFunction(m.n, f.terms, cap=cap) for f in row] for row in
-                           ((LocalFunction.zero(m.n), phi[0, 1]),
-                            (phi[1, 0], phi[1, 1] - phi[0, 0]))])
+    shifted = LocalMatrix([[LocalFunction.zero(m.n), phi[0, 1]],
+                           [phi[1, 0], phi[1, 1] - phi[0, 0]]])
     g = m.reduced_matrix()
     adj_h = g.inverse() * shifted.adjoint(m.table) * g
     commutator = shifted * adj_h - adj_h * shifted

@@ -177,9 +177,6 @@ def test_criterion_4_eigen_decomposition():
 
 
 def _random_poly(rng, parity, max_deg, holo=False, anti=False):
-    # cap 16: intermediates of the residual chain (e.g. the metric block
-    # rho_a rhobar_h against a conjugated Higgs entry) reach degree 12 for
-    # degree-4 data before cancelling
     terms = {}
     for _ in range(3):
         p = 0 if anti else int(rng.integers(0, max_deg + 1))
@@ -188,7 +185,7 @@ def _random_poly(rng, parity, max_deg, holo=False, anti=False):
                  else random_odd(rng, N, num_terms=2))
         key = (p, q)
         terms[key] = terms.get(key, GrassmannElement.zero(N)) + coeff
-    return hitchin.LocalFunction(N, terms, cap=16)
+    return hitchin.LocalFunction(N, terms)
 
 
 def test_criterion_5_hitchin_residuals():

@@ -308,6 +308,38 @@ def test_hitchin_residual_odd_term_in_u_names_file_and_field(capsys, tmp_path):
     assert "odd_u.json: u must be even" in err
 
 
+@pytest.mark.parametrize("field, value", [("z", 1.5), ("zbar", "0"), ("n", 8.9),
+                                          ("n", "8"), ("mono", 1.7), ("mono", True)])
+def test_hitchin_residual_non_integer_field_exits_2(capsys, tmp_path, field, value):
+    metric = json.loads(pathlib.Path(fx("metric_example.json")).read_text())
+    term = metric["rho"]["terms"][0]
+    if field in ("z", "zbar"):
+        term[field] = value
+    elif field == "n":
+        term["coeff"]["n"] = value
+    else:
+        term["coeff"]["terms"][0]["mono"] = [value]
+    path = tmp_path / ("bad_%s.json" % field)
+    path.write_text(json.dumps(metric))
+    code = main(["hitchin-residual", str(path), fx("higgs_example.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert 'bad_%s.json: rho: "%s" holds %r, not an integer' % (field, field, value) in err
+
+
+def test_hitchin_residual_generator_count_names_field_and_term(capsys, tmp_path):
+    higgs = json.loads(pathlib.Path(fx("higgs_example.json")).read_text())
+    higgs["delta"]["terms"].append({"z": 0, "zbar": 0,
+                                    "coeff": GrassmannElement.generator(4, 1).to_dict()})
+    path = tmp_path / "short_delta.json"
+    path.write_text(json.dumps(higgs))
+    code = main(["hitchin-residual", fx("metric_example.json"), str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ('short_delta.json: delta: term z^0 zbar^0: coefficient has 4 generators, '
+            '"n" is 8') in err
+
+
 @pytest.mark.parametrize("target, check", [
     ("garnier_hamiltonian_expanded", "two_routes_agree"),
     ("poisson_bracket", "poisson_commutativity"),
@@ -493,17 +525,17 @@ def test_quantize_compare_perturbed_one_body_fails(capsys, monkeypatch, part):
     assert failing == ["quantize_matches_gaudin[2]"]
 
 
-def test_hitchin_residual_degree_4_solution(capsys, tmp_path):
-    # degree-4 building blocks on all eight generators: intermediate products
-    # of hitchin_residual and chern_form_via_inverse pass the default degree
-    # cap 8 before they cancel (this draw does so in both)
+@pytest.mark.parametrize("degree", [4, 8])
+def test_hitchin_residual_polynomial_solution(capsys, tmp_path, degree):
+    # building blocks of the given degree on all eight generators; at degree 8
+    # eta and phi have degree 9 and intermediate products go far beyond it
     n = 8
     rng = np.random.default_rng(4)
 
     def poly(draw, var):
         return hitchin.LocalFunction(n, {(p, 0) if var == "z" else (0, p):
                                          draw(rng, n, num_terms=3, scale=0.5)
-                                         for p in range(5)})
+                                         for p in range(degree + 1)})
 
     rho_h, rho_a = poly(random_odd, "z"), poly(random_odd, "zbar")
     v_h, v_a = poly(random_even, "z"), poly(random_even, "zbar")
