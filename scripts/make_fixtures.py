@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the JSON fixtures shipped with the package (deterministic)."""
 
-import json
 import pathlib
 import sys
 
@@ -12,6 +11,7 @@ sys.path.insert(0, str(SRC))  # run from a checkout without gl11 installed
 
 from gl11 import cech, fatgraph, hitchin, integrable
 from gl11.grassmann import ConjugationTable, GrassmannElement
+from gl11.reports import to_json
 from gl11.supergroup import random_coords
 
 OUT = SRC / "gl11" / "fixtures"
@@ -21,8 +21,7 @@ N = 8
 def dump(name, payload):
     path = OUT / name
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(to_json(payload) + "\n")
     print("wrote", path)
 
 

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .grassmann import GrassmannElement, ParityError, _sort_sign, nan_max
+from .grassmann import GrassmannElement, ParityError, _sort_sign, json_int, nan_max
 from .reports import CheckReport
 from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
 
@@ -312,7 +312,7 @@ class TransitionData:
 
     @classmethod
     def from_dict(cls, nerve: Nerve, data: dict) -> "TransitionData":
-        td = cls(nerve, int(data["n"]))
+        td = cls(nerve, json_int(data["n"], "n"))
         for entry in data.get("edges", []):
             simplex = tuple(entry["simplex"])
             fields = {key: GrassmannElement.from_dict(entry[key])
@@ -328,7 +328,10 @@ class TransitionData:
             if sign != 1:
                 raise ValueError("triangle %r: reverses the listed orientation %r"
                                  % (simplex, stored))
-            td.integers[stored] = int(entry["n"])
+            try:
+                td.integers[stored] = json_int(entry["n"], "n")
+            except TypeError as err:
+                raise TypeError("triangle %r: %s" % (simplex, err)) from None
         return td
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cech, fatgraph, hitchin, integrable
 from .grassmann import GrassmannElement, nan_max
-from .reports import CheckReport
+from .reports import CheckReport, to_json
 from .supergroup import group_law_suite
 
 SELFTEST_GENERATORS = 8
@@ -52,7 +52,7 @@ class RunReport:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+            return to_json(self.to_dict())
         lines = ["== %s ==" % self.command, self.checks.format_text(),
                  "status: %s" % ("pass" if self.exit_status == 0 else "FAIL")]
         return "\n".join(line for line in lines if line)
@@ -78,7 +78,7 @@ def _parse(path: str, parse):
     except KeyError as err:
         raise ValueError("%s: missing field %s" % (path, err)) from None
     except TypeError as err:
-        raise ValueError("%s: wrongly typed field: %s" % (path, err)) from None
+        raise ValueError("%s: %s (wrongly typed field)" % (path, err)) from None
     except ValueError as err:
         raise ValueError("%s: %s" % (path, err)) from None
 
@@ -150,8 +150,7 @@ def cmd_fatgraph_normalize(args) -> RunReport:
     report.checks.extend(check)
     if args.output:
         with open(args.output, "w") as handle:
-            json.dump(fatgraph.connection_to_dict(normalized), handle, indent=2,
-                      sort_keys=True)
+            handle.write(to_json(fatgraph.connection_to_dict(normalized)))
     return report
 
 

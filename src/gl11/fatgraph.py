@@ -23,7 +23,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .cech import solve_per_monomial
-from .grassmann import ConjugationTable, GrassmannElement, ParityError
+from .grassmann import ConjugationTable, GrassmannElement, ParityError, json_int
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -553,7 +553,7 @@ def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
     Each ``"edge"`` must be an integer edge index of ``graph``, listed at
     most once; anything else raises ValueError naming the entry.
     """
-    n = int(data["n"])
+    n = json_int(data["n"], "n")
     zero = GrassmannElement.zero(n)
     coords = [GroupCoords.identity(n) for _ in range(graph.num_edges)]
     listed = set()

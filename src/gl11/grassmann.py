@@ -81,10 +81,11 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
 
 
 def json_int(value, field: str) -> int:
-    """value if it is a JSON integer; a float, string or bool, which int() would
-    truncate or convert, raises ValueError naming field."""
+    """value if it is a JSON integer; anything else, including the floats,
+    strings and bools that int() would truncate or convert, raises TypeError
+    naming field."""
     if type(value) is not int:  # bool is a subclass of int
-        raise ValueError('"%s" holds %r, not an integer' % (field, value))
+        raise TypeError('"%s" holds %r, not an integer' % (field, value))
     return value
 
 

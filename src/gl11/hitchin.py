@@ -35,6 +35,12 @@ from .grassmann import (
 from .supergroup import block_inverse
 
 
+def _generator_error(key, coeff: GrassmannElement, n: int) -> ValueError:
+    """The error for a coefficient of z^p zbar^q, key = (p, q), not on n generators."""
+    return ValueError('term z^%d zbar^%d: coefficient has %d generators, "n" is %d'
+                      % (key + (coeff.n, n)))
+
+
 class LocalFunction:
     """Polynomial in z, zbar with GrassmannElement coefficients.
 
@@ -51,8 +57,7 @@ class LocalFunction:
         if terms:
             for (p, q), coeff in terms.items():
                 if coeff.n != n:
-                    raise ValueError('term z^%d zbar^%d: coefficient has %d generators, '
-                                     '"n" is %d' % (p, q, coeff.n, n))
+                    raise _generator_error((p, q), coeff, n)
                 if not coeff.terms:
                     continue
                 if p < 0 or q < 0:
@@ -202,15 +207,17 @@ class LocalFunction:
         for entry in data.get("terms", []):
             key = (json_int(entry["z"], "z"), json_int(entry["zbar"], "zbar"))
             coeff = GrassmannElement.from_dict(entry["coeff"])
+            if coeff.n != n:  # before merging, so that the message names the term
+                raise _generator_error(key, coeff, n)
             terms[key] = terms[key] + coeff if key in terms else coeff
         return cls(n, terms)
 
 
 def _function_field(n: int, data: dict, key: str) -> LocalFunction:
-    """LocalFunction.from_dict of data[key]; a ValueError names the field."""
+    """LocalFunction.from_dict of data[key]; a TypeError or ValueError names the field."""
     try:
         return LocalFunction.from_dict(n, data[key])
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise type(err)("%s: %s" % (key, err)) from None
 
 
@@ -323,7 +330,7 @@ class MetricData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricData":
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         table = ConjugationTable(data["conjugation"]["pairing"])
         return cls(_function_field(n, data, "u"), _function_field(n, data, "rho"), table)
 

@@ -1,10 +1,74 @@
-"""Named residual reports shared by the verification operations and the CLI."""
+"""Named residual reports shared by the verification operations and the CLI.
+
+``to_json`` is the one JSON writer of the package: reports, the normalized
+connection files and the shipped fixtures all go through it.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .grassmann import nan_max
+
+
+def _json_float(x) -> str:
+    """A float as json spells it: repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_value(o, newline: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it at the depth of newline."""
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == {int}:  # a monomial's indices: one join
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_value(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if o.keys() == {"im", "mono", "re"}:  # a Grassmann term, the bulk of a report
+            return '{%s"im": %s,%s"mono": %s,%s"re": %s%s}' % (
+                inner, _json_value(o["im"], inner), inner, _json_value(o["mono"], inner),
+                inner, _json_value(o["re"], inner), newline)
+        if not o:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(key) + ": " + _json_value(o[key], inner) for key in sorted(o)])
+            + newline + "}")
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+def to_json(obj) -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    Dicts, lists and tuples are walked here; strings, ints and floats go
+    through the C-level ``encode_basestring_ascii``, ``int.__repr__`` and
+    ``float.__repr__``, as in json, so float subclasses such as numpy
+    scalars read the same.  Dict keys must be strings (a non-str key raises
+    TypeError).  json.dumps with an indent takes its pure-Python encoder,
+    about twice as slow on the report schema.
+    """
+    return _json_value(obj, "\n")
 
 
 @dataclass

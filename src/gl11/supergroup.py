@@ -18,6 +18,18 @@ Odd entries square to zero, which gives every formula a closed form:
               [-d^{-1} gamma a^{-1}, d^{-1} + d^{-1} gamma a^{-1} beta d^{-1}]]
 
 needs only a^{-1} and d^{-1}, and sdet(M) = (a - beta d^{-1} gamma) d^{-1}.
+
+On SL(1|1) the twist vanishes: when the stored s has no terms, e^{+-s} is
+exactly one, so the group law reduces to the additive edge-coordinate fold
+
+    alpha = alpha_1 + alpha_2,  beta = beta_1 + beta_2,
+    h = h_1 + h_2 + (alpha_1 beta_2 - alpha_2 beta_1) / 2,
+
+the inverse to (-h, -s, -alpha, -beta), and from_coords needs e^h once.
+The test is ``not s.terms``, an exact zero and not a tolerance, so a GL
+element whose s is merely small keeps its twist factors.  Every product the
+shortcut skips is a multiplication by e^0 = 1 + 0j, which is exact on finite
+coefficients, so the results are the same floating-point values.
 """
 
 from __future__ import annotations
@@ -210,8 +222,11 @@ class GroupCoords:
 
 def from_coords(c: GroupCoords) -> SuperMatrix11:
     """Assemble the supermatrix g(h, alpha, beta) H_s."""
-    e_plus = (c.h + c.s * 0.5).exp()
-    e_minus = (c.h + c.s * (-0.5)).exp()
+    if not c.s.terms:
+        e_plus = e_minus = c.h.exp()
+    else:
+        e_plus = (c.h + c.s * 0.5).exp()
+        e_minus = (c.h + c.s * (-0.5)).exp()
     ab_half = c.alpha * c.beta * 0.5
     one = GrassmannElement.one(c.n)
     return SuperMatrix11(
@@ -241,6 +256,9 @@ def to_coords(m: SuperMatrix11) -> GroupCoords:
 
 def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
     """Exact group law in coordinates (no branch ambiguity)."""
+    if not c1.s.terms:
+        h = c1.h + c2.h + (c1.alpha * c2.beta - c2.alpha * c1.beta) * 0.5
+        return GroupCoords(h, c1.s + c2.s, c1.alpha + c2.alpha, c1.beta + c2.beta)
     e_s1 = c1.s.exp()
     e_ms1 = (-c1.s).exp()
     alpha = c1.alpha + e_ms1 * c2.alpha
@@ -252,6 +270,8 @@ def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
 
 def coords_inverse(c: GroupCoords) -> GroupCoords:
     """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta)."""
+    if not c.s.terms:
+        return GroupCoords(-c.h, -c.s, -c.alpha, -c.beta)
     return GroupCoords(-c.h, -c.s, -(c.s.exp() * c.alpha), -((-c.s).exp() * c.beta))
 
 

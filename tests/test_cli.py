@@ -1,5 +1,6 @@
 """CLI tests: exit-status contract, determinism, fixtures, negative controls."""
 
+import importlib.util
 import json
 import math
 import os
@@ -675,3 +676,86 @@ def test_fatgraph_half_edge_out_of_range_names_file(capsys, tmp_path, half_edge)
     assert (code, out) == (2, "")
     assert err == "error: %s: vertex (1, 3, %d): half-edge %d is not in 0..5\n" % (
         path, half_edge, half_edge)
+
+
+# -- integer "n" fields and repeated terms ----------------------------------------
+
+def rewritten(tmp_path, name, fixture, change):
+    """A copy of a shipped fixture with change(data) applied, written to tmp_path."""
+    data = json.loads(pathlib.Path(fx(fixture)).read_text())
+    change(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def set_n(value):
+    return lambda data: data.__setitem__("n", value)
+
+
+def test_hitchin_residual_float_n_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "float_n.json", "metric_example.json", set_n(8.9))
+    code = main(["hitchin-residual", path, fx("higgs_example.json")])
+    assert code == 2
+    assert 'float_n.json: "n" holds 8.9, not an integer' in capsys.readouterr().err
+
+
+def test_cech_verify_float_n_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "float_n.json", "cech_tetra_valid.json", set_n(8.5))
+    code = main(["cech-verify", fx("nerve_tetrahedron.json"), path])
+    assert code == 2
+    assert 'float_n.json: "n" holds 8.5, not an integer' in capsys.readouterr().err
+
+
+def test_cech_verify_float_triangle_n_exits_2(capsys, tmp_path):
+    def change(data):
+        data["triangles"][0]["n"] = 1.0
+
+    path = rewritten(tmp_path, "float_triangle.json", "cech_tetra_valid.json", change)
+    code = main(["cech-verify", fx("nerve_tetrahedron.json"), path])
+    assert code == 2
+    assert ('float_triangle.json: triangle (1, 2, 3): "n" holds 1.0, not an integer'
+            in capsys.readouterr().err)
+
+
+def test_fatgraph_holonomy_float_n_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "float_n.json", "connection_g1s1_random.json", set_n(8.0))
+    code = main(["fatgraph", "holonomy", fx("fatgraph_g1s1.json"), path, "--cycle", "0+"])
+    assert code == 2
+    assert 'float_n.json: "n" holds 8.0, not an integer' in capsys.readouterr().err
+
+
+def test_hitchin_residual_repeated_term_names_the_term(capsys, tmp_path):
+    def change(higgs):
+        # z^1 listed twice, the second time on 4 generators
+        higgs["delta"]["terms"].append({"z": 1, "zbar": 0,
+                                        "coeff": GrassmannElement.generator(4, 1).to_dict()})
+
+    path = rewritten(tmp_path, "repeated_delta.json", "higgs_example.json", change)
+    code = main(["hitchin-residual", fx("metric_example.json"), path])
+    assert code == 2
+    assert ('repeated_delta.json: delta: term z^1 zbar^0: coefficient has 4 generators, '
+            '"n" is 8') in capsys.readouterr().err
+
+
+# -- the JSON writer on every shipped-fixture command --------------------------------
+
+def load_report_digest():
+    spec = importlib.util.spec_from_file_location(
+        "report_digest",
+        pathlib.Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
+    commands = load_report_digest().fixture_commands(str(tmp_path))
+    for command in commands:
+        argv = ["--format", "json"] + command
+        args = cli.build_parser().parse_args(argv)
+        expected = json.dumps(args.func(args).to_dict(), indent=2, sort_keys=True)
+        main(argv)
+        assert capsys.readouterr().out == expected + "\n", command
+    written = (tmp_path / "normalized.json").read_text()
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True)

@@ -331,3 +331,81 @@ def test_group_law_suite_keeps_a_nan_residual(monkeypatch):
     report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9)
     assert [c.name for c in report.failing()] == ["to_coords_roundtrip"]
     assert math.isnan(report.worst("to_coords_roundtrip"))
+
+
+# -- the s = 0 group law against the e^{+-s} formulas ---------------------------
+
+def twisted_product(c1, c2):
+    """coords_product with the twist factors e^{+-s_1} always formed."""
+    e_s1 = c1.s.exp()
+    e_ms1 = (-c1.s).exp()
+    alpha = c1.alpha + e_ms1 * c2.alpha
+    beta = c1.beta + e_s1 * c2.beta
+    h = c1.h + c2.h + (c1.alpha * e_s1 * c2.beta - e_ms1 * c2.alpha * c1.beta) * 0.5
+    return GroupCoords(h, c1.s + c2.s, alpha, beta)
+
+
+def twisted_inverse(c):
+    return GroupCoords(-c.h, -c.s, -(c.s.exp() * c.alpha), -((-c.s).exp() * c.beta))
+
+
+def twisted_from_coords(c):
+    e_plus = (c.h + c.s * 0.5).exp()
+    e_minus = (c.h + c.s * (-0.5)).exp()
+    ab_half = c.alpha * c.beta * 0.5
+    return SuperMatrix11(e_plus * (one() - ab_half), e_minus * c.beta,
+                         e_plus * c.alpha, e_minus * (one() + ab_half), check=False)
+
+
+def assert_same_terms(x, y):
+    """Equal coefficient maps: the same floating-point values, not a tolerance."""
+    if isinstance(x, GroupCoords):
+        x, y = (x.h, x.s, x.alpha, x.beta), (y.h, y.s, y.alpha, y.beta)
+    else:
+        x, y = x.entries(), y.entries()
+    for u, v in zip(x, y):
+        assert u.terms == v.terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sl_group_law_equals_the_twisted_formulas(seed):
+    rng = np.random.default_rng(seed)
+    acc = GroupCoords.identity(N)
+    for _ in range(8):
+        c = random_coords(rng, N, sl=True, num_terms=5)
+        inverse = coords_inverse(c)
+        assert_same_terms(inverse, twisted_inverse(c))
+        step = inverse if rng.integers(2) else c  # reversed steps, as in a holonomy
+        product = coords_product(acc, step)
+        assert_same_terms(product, twisted_product(acc, step))
+        acc = product
+        assert_same_terms(from_coords(acc), twisted_from_coords(acc))
+    assert acc.alpha.terms and acc.h.terms  # the fold did not collapse
+
+
+def test_sl_group_law_forms_no_exponential(monkeypatch):
+    rng = np.random.default_rng(3)
+    c1 = random_coords(rng, N, sl=True, num_terms=5)
+    c2 = random_coords(rng, N, sl=True, num_terms=5)
+    product, inverse = twisted_product(c1, c2), twisted_inverse(c1)
+
+    def refuse(self):
+        raise AssertionError("exp formed on the SL group law")
+
+    monkeypatch.setattr(GrassmannElement, "exp", refuse)
+    assert_same_terms(coords_product(c1, c2), product)
+    assert_same_terms(coords_inverse(c1), inverse)
+
+
+@pytest.mark.parametrize("s_term", [
+    GrassmannElement(N, {0b11: 1e-11}),
+    GrassmannElement(N, {0: 1e-13}, prune=0.0),  # below is_sl's tolerance, still stored
+])
+def test_tiny_s_keeps_the_twist(s_term):
+    rng = np.random.default_rng(5)
+    c1 = random_coords(rng, N, sl=True, num_terms=5)
+    c1 = GroupCoords(c1.h, s_term, c1.alpha, c1.beta)
+    c2 = random_coords(rng, N, num_terms=5)
+    assert_same_terms(coords_product(c1, c2), twisted_product(c1, c2))
+    assert_same_terms(coords_inverse(c1), twisted_inverse(c1))
+    assert_same_terms(from_coords(c1), twisted_from_coords(c1))
