@@ -28,18 +28,7 @@ import shutil
 import sys
 import tempfile
 
-# BLAS sums in a different order on more threads; run on one, as the benchmark does
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))  # run from a checkout without gl11 installed
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import numpy as np  # noqa: E402
-import workloads  # noqa: E402
-from gl11 import cli  # noqa: E402
-
 FIXTURES = ROOT / "src" / "gl11" / "fixtures"
 
 
@@ -76,6 +65,8 @@ def fixture_commands(workdir):
 
 def call(argv):
     """(exit status, stdout + stderr) of cli.main(argv), run in this process."""
+    from gl11 import cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -107,6 +98,14 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                         help="benchmark pool seeds (default 1 2)")
     args = parser.parse_args(argv)
+    # BLAS sums in a different order on more threads; run on one, as the benchmark
+    # does.  Set here, not at import, so that importing fixture_commands changes nothing.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # this checkout's gl11
+    import numpy as np
+    import workloads
+
     workdir = tempfile.mkdtemp(prefix="report_digest-")
     try:
         for workload in sorted(workloads.BUILDERS):

@@ -40,16 +40,9 @@ def _json_value(o, newline: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if set(map(type, o)) == {int}:  # a monomial's indices: one join
-            items = map(int.__repr__, o)
-        else:
-            items = [_json_value(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return ("[" + inner + ("," + inner).join([_json_value(v, inner) for v in o])
+                + newline + "]")
     if isinstance(o, dict):
-        if o.keys() == {"im", "mono", "re"}:  # a Grassmann term, the bulk of a report
-            return '{%s"im": %s,%s"mono": %s,%s"re": %s%s}' % (
-                inner, _json_value(o["im"], inner), inner, _json_value(o["mono"], inner),
-                inner, _json_value(o["re"], inner), newline)
         if not o:
             return "{}"
         return ("{" + inner + ("," + inner).join(
@@ -66,7 +59,7 @@ def to_json(obj) -> str:
     ``float.__repr__``, as in json, so float subclasses such as numpy
     scalars read the same.  Dict keys must be strings (a non-str key raises
     TypeError).  json.dumps with an indent takes its pure-Python encoder,
-    about twice as slow on the report schema.
+    about 1.5 times as slow on the report schema.
     """
     return _json_value(obj, "\n")
 
