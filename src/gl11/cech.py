@@ -78,8 +78,10 @@ def nerve_to_dict(nerve: Nerve) -> dict:
 
 
 def nerve_from_dict(data: dict) -> Nerve:
-    simplices = {int(p): [tuple(s) for s in lst]
-                 for p, lst in data.get("simplices", {}).items()}
+    listed = data.get("simplices", {})
+    if type(listed) is not dict or not all(type(lst) is list for lst in listed.values()):
+        raise TypeError('"simplices" holds %r, not an object of simplex lists' % (listed,))
+    simplices = {int(p): [tuple(s) for s in lst] for p, lst in listed.items()}
     return Nerve(data["vertices"], simplices)
 
 
@@ -315,9 +317,12 @@ class TransitionData:
         td = cls(nerve, json_int(data["n"], "n"))
         for entry in data.get("edges", []):
             simplex = tuple(entry["simplex"])
-            fields = {key: GrassmannElement.from_dict(entry[key])
-                      for key in ("h", "s", "alpha", "beta")}
-            for key, value in fields.items():
+            fields = {}
+            for key in ("h", "s", "alpha", "beta"):
+                try:
+                    fields[key] = value = GrassmannElement.from_dict(entry[key])
+                except (TypeError, ValueError) as err:
+                    raise type(err)("edge %r: %s: %s" % (simplex, key, err)) from None
                 if value.n != td.n:
                     raise ValueError('edge %r: %s has %d generators, "n" is %d'
                                      % (simplex, key, value.n, td.n))

@@ -565,10 +565,13 @@ def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
         if e in listed:
             raise ValueError('edges[%d]: "edge" %d is listed twice' % (k, e))
         listed.add(e)
-        coords[e] = GroupCoords(
-            GrassmannElement.from_dict(entry["h"]), zero,
-            GrassmannElement.from_dict(entry["alpha"]),
-            GrassmannElement.from_dict(entry["beta"]))
+        fields = {}
+        for key in ("h", "alpha", "beta"):
+            try:
+                fields[key] = GrassmannElement.from_dict(entry[key])
+            except (TypeError, ValueError) as err:
+                raise type(err)("edges[%d]: %s: %s" % (k, key, err)) from None
+        coords[e] = GroupCoords(fields["h"], zero, fields["alpha"], fields["beta"])
     mode = data.get("mode", "sl")
     table = ConjugationTable(data["conjugation"]["pairing"]) if mode == "su" else None
     return GraphConnection(graph, coords, mode=mode, table=table)

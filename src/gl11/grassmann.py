@@ -89,6 +89,21 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_number(value, field: str) -> float:
+    """value as a float if it is a finite JSON number.  A bool, string or
+    other non-number raises TypeError, and NaN, an infinity or an integer too
+    large for a float raises ValueError, each naming field."""
+    if type(value) is not int and type(value) is not float:  # bool is a subclass of int
+        raise TypeError('"%s" holds %r, not a number' % (field, value))
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError('"%s" holds %r, not a finite number' % (field, value))
+    return number
+
+
 def _indices_to_mask(indices) -> int:
     mask = 0
     for i in indices:
@@ -391,8 +406,9 @@ class GrassmannElement:
             if mono != sorted(mono):
                 raise ValueError("monomial %r not in canonical increasing order" % (mono,))
             mask = _indices_to_mask(mono)
-            terms[mask] = terms.get(mask, 0j) + complex(entry.get("re", 0.0),
-                                                        entry.get("im", 0.0))
+            terms[mask] = terms.get(mask, 0j) + complex(
+                json_number(entry.get("re", 0.0), "re"),
+                json_number(entry.get("im", 0.0), "im"))
         return cls(n, terms)
 
 

@@ -10,9 +10,22 @@ symplectic structure sum delta eta_i wedge delta theta_i yields the bracket
 
 with left derivatives (this is the unique super-antisymmetric sign choice
 for the two-term form; validated by {H_i, H_j} = 0 and by matching operator
-commutators after quantization).  Quantization substitutes eta_i -> hbar
-d_theta_i and u_i -> hbar u_i and realizes operators on the 2^m-dimensional
-module C[theta_1 .. theta_m] with basis ordered by monomial bitmask.
+commutators after quantization).
+
+The classical side computes each quantity once per system.  ParabolicData
+builds its residue matrices A_i on first use and keeps them; its sites are
+tuples, so the stored matrices cannot go stale.  garnier_hamiltonian takes
+str(A_i A_j) from the diagonal blocks alone (supertrace_product), the same
+floating-point operations as the supertrace of the full product.
+garnier_hamiltonian_expanded, the independent route, builds theta_k, eta_k
+and u_k - 2 theta_k eta_k once per call and uses no residue matrix.
+odd_gradient takes the 2m derivatives of an observable once, and
+poisson_bracket accepts either observables or their gradients, so a family
+of Hamiltonians is differentiated once and not once per pair.
+
+Quantization substitutes eta_i -> hbar d_theta_i and u_i -> hbar u_i and
+realizes operators on the 2^m-dimensional module C[theta_1 .. theta_m] with
+basis ordered by monomial bitmask.
 
 Each Gaudin Hamiltonian is one-body, H_i = c_i + sum_kl A_kl theta_k d_theta_l,
 and one_body returns (c_i, A_i) with A_i an m x m matrix; that is the one
@@ -28,10 +41,12 @@ matrix-free, so no 2^m x 2^m product enters either.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .grassmann import GrassmannElement, ParityError
-from .supergroup import SuperMatrix11
+from .grassmann import GrassmannElement, ParityError, json_number
+from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
 # gaudin_terms builds 2(m - 1) hops of 2^(m-2) entries: about 16 MB at m = 16
@@ -42,9 +57,9 @@ class ParabolicData:
     """Sites (z_i, u_i, v_i) with odd generators theta_i, eta_i per site."""
 
     def __init__(self, z, u, v):
-        self.z = [complex(x) for x in z]
-        self.u = [complex(x) for x in u]
-        self.v = [complex(x) for x in v]
+        self.z = tuple(complex(x) for x in z)
+        self.u = tuple(complex(x) for x in u)
+        self.v = tuple(complex(x) for x in v)
         if not (len(self.z) == len(self.u) == len(self.v)):
             raise ValueError("z, u, v must have equal lengths")
         if not self.z:
@@ -79,6 +94,20 @@ class ParabolicData:
     def eta(self, i) -> GrassmannElement:
         return GrassmannElement.generator(self.n, 2 * i + 2)
 
+    @cached_property
+    def residues(self) -> tuple:
+        """(A_0, ..., A_{m-1}), built on first use and kept (see residue_matrix)."""
+        n = self.n
+        out = []
+        for i in range(self.m):
+            theta, eta = self.theta(i), self.eta(i)
+            te = theta * eta
+            out.append(SuperMatrix11(GrassmannElement.scalar(n, self.a(i)) - te,
+                                     theta,
+                                     self.v[i] * eta,
+                                     GrassmannElement.scalar(n, self.b(i)) - te))
+        return tuple(out)
+
     def scaled(self, hbar: float) -> "ParabolicData":
         """Same sites with u_i -> hbar u_i (the quantization weight rule)."""
         return ParabolicData(self.z, [hbar * ui for ui in self.u], self.v)
@@ -90,10 +119,20 @@ class ParabolicData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
-        sites = data["sites"]
-        return cls([complex(*site["z"]) for site in sites],
-                   [complex(*site["u"]) for site in sites],
-                   [complex(*site["v"]) for site in sites])
+        """Sites from [{"z": [re, im], "u": [re, im], "v": [re, im]}, ...];
+        each entry must be a list of two finite numbers."""
+        fields = {"z": [], "u": [], "v": []}
+        for k, site in enumerate(data["sites"]):
+            for key, values in fields.items():
+                try:
+                    pair = site[key]
+                    if type(pair) is not list or len(pair) != 2:
+                        raise TypeError("%r is not a list of two numbers" % (pair,))
+                    values.append(complex(json_number(pair[0], "re"),
+                                          json_number(pair[1], "im")))
+                except (TypeError, ValueError) as err:
+                    raise type(err)("sites[%d]: %s: %s" % (k, key, err)) from None
+        return cls(fields["z"], fields["u"], fields["v"])
 
 
 def random_system(rng, m: int, spread: float = 2.0) -> ParabolicData:
@@ -113,13 +152,7 @@ def residue_matrix(p: ParabolicData, i: int) -> SuperMatrix11:
     """A_i = [[a_i - theta_i eta_i, theta_i], [v_i eta_i, b_i - theta_i eta_i]]."""
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
-    n = p.n
-    theta, eta = p.theta(i), p.eta(i)
-    te = theta * eta
-    return SuperMatrix11(GrassmannElement.scalar(n, p.a(i)) - te,
-                         theta,
-                         p.v[i] * eta,
-                         GrassmannElement.scalar(n, p.b(i)) - te)
+    return p.residues[i]
 
 
 def flag_frame(p: ParabolicData, i: int):
@@ -152,10 +185,10 @@ def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
         raise ValueError("Garnier Hamiltonians need at least two sites")
     acc = GrassmannElement.zero(p.n)
     a_i = residue_matrix(p, i)  # raises on a site index out of range
-    for j in range(p.m):
+    for j, a_j in enumerate(p.residues):
         if j == i:
             continue
-        acc = acc + (a_i * residue_matrix(p, j)).supertrace() * (1.0 / (p.z[i] - p.z[j]))
+        acc = acc + supertrace_product(a_i, a_j) * (1.0 / (p.z[i] - p.z[j]))
     return acc
 
 
@@ -167,31 +200,40 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
     """
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
+    if not 0 <= i < p.m:
+        raise ValueError("site index %r out of range" % i)
     n = p.n
+    theta = [p.theta(k) for k in range(p.m)]
+    eta = [p.eta(k) for k in range(p.m)]
+    w = [GrassmannElement.scalar(n, p.u[k]) - 2 * (theta[k] * eta[k]) for k in range(p.m)]
     acc = GrassmannElement.zero(n)
     for j in range(p.m):
         if j == i:
             continue
-        te_i = p.theta(i) * p.eta(i)
-        te_j = p.theta(j) * p.eta(j)
-        term = (0.5 * p.v[j] * (GrassmannElement.scalar(n, p.u[i]) - 2 * te_i)
-                + 0.5 * p.v[i] * (GrassmannElement.scalar(n, p.u[j]) - 2 * te_j)
-                + p.v[j] * (p.theta(i) * p.eta(j))
-                - p.v[i] * (p.eta(i) * p.theta(j)))
+        term = (0.5 * p.v[j] * w[i]
+                + 0.5 * p.v[i] * w[j]
+                + p.v[j] * (theta[i] * eta[j])
+                - p.v[i] * (eta[i] * theta[j]))
         acc = acc + term * (1.0 / (p.z[i] - p.z[j]))
     return acc
 
 
-def poisson_bracket(p: ParabolicData, f: GrassmannElement,
-                    g: GrassmannElement) -> GrassmannElement:
-    """Odd symplectic bracket for even observables."""
-    if not (f.is_even() and g.is_even()):
+def odd_gradient(p: ParabolicData, f: GrassmannElement):
+    """[(d_theta_k f, d_eta_k f) for each site k] of an even observable f."""
+    if not f.is_even():
         raise ParityError("the bracket is exercised on even observables only")
+    return [(f.derivative(2 * k + 1), f.derivative(2 * k + 2)) for k in range(p.m)]
+
+
+def poisson_bracket(p: ParabolicData, f, g) -> GrassmannElement:
+    """Odd symplectic bracket of two even observables, or of their odd_gradients."""
+    if isinstance(f, GrassmannElement):
+        f = odd_gradient(p, f)
+    if isinstance(g, GrassmannElement):
+        g = odd_gradient(p, g)
     acc = GrassmannElement.zero(p.n)
-    for i in range(p.m):
-        ti, ei = 2 * i + 1, 2 * i + 2
-        acc = (acc + f.derivative(ti) * g.derivative(ei)
-               + f.derivative(ei) * g.derivative(ti))
+    for (theta_f, eta_f), (theta_g, eta_g) in zip(f, g, strict=True):
+        acc = acc + theta_f * eta_g + eta_f * theta_g
     return acc
 
 

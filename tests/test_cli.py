@@ -759,3 +759,168 @@ def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
         assert capsys.readouterr().out == expected + "\n", command
     written = (tmp_path / "normalized.json").read_text()
     assert written == json.dumps(json.loads(written), indent=2, sort_keys=True)
+
+
+# -- garnier-check on its exact structure --------------------------------------------
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_garnier_check_forms_no_supermatrix_product(capsys, monkeypatch, m):
+    # str(A_i A_j) comes from the diagonal blocks alone
+    def product(self, other):
+        raise AssertionError("SuperMatrix11 product formed")
+
+    monkeypatch.setattr(supergroup.SuperMatrix11, "__mul__", product)
+    code, out, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "2"])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_garnier_check_computes_each_quantity_once(capsys, monkeypatch, m):
+    counts = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(GrassmannElement, "derivative")
+    counted(supergroup.SuperMatrix11, "__init__")
+    for name in ("garnier_hamiltonian", "garnier_hamiltonian_expanded", "poisson_bracket"):
+        counted(integrable, name)
+    code, _, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "1"])
+    assert (code, err) == (0, "")
+    assert counts == {
+        "derivative": 2 * m * m,     # each H_i's 2m derivatives, once
+        "__init__": m,               # each residue matrix, once
+        "garnier_hamiltonian": m,
+        "garnier_hamiltonian_expanded": m,
+        "poisson_bracket": m * (m - 1) // 2,
+    }
+
+
+def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, monkeypatch):
+    real = integrable.poisson_bracket
+    seen = []
+
+    def recording(p, f, g):
+        seen.append((p, f, g))
+        return real(p, f, g)
+
+    monkeypatch.setattr(integrable, "poisson_bracket", recording)
+    code, _, err = outcome(capsys, ["garnier-check", "--m", "4", "--count", "2"])
+    assert (code, err) == (0, "")
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert len(seen) == 2 * len(pairs)
+    for (p, f, g), (i, j) in zip(seen, pairs * 2):
+        for got, site in ((f, i), (g, j)):
+            want = integrable.odd_gradient(p, integrable.garnier_hamiltonian(p, site))
+            assert [(t.terms, e.terms) for t, e in got] == [
+                (t.terms, e.terms) for t, e in want]
+
+
+# -- typed site fields in --system files ----------------------------------------------
+
+def system_with(tmp_path, key, value):
+    def change(data):
+        data["sites"][0][key] = value
+
+    return rewritten(tmp_path, "system.json", "gaudin_m3.json", change)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("z", "5", "sites[0]: z: '5' is not a list of two numbers (wrongly typed field)"),
+    ("z", [True, False],
+     'sites[0]: z: "re" holds True, not a number (wrongly typed field)'),
+    ("z", [math.inf, 0], 'sites[0]: z: "re" holds inf, not a finite number'),
+    ("u", [1.0, math.nan], 'sites[0]: u: "im" holds nan, not a finite number'),
+    ("v", [1.0, 2.0, 3.0],
+     "sites[0]: v: [1.0, 2.0, 3.0] is not a list of two numbers (wrongly typed field)"),
+])
+def test_garnier_check_rejects_junk_site_fields(capsys, tmp_path, key, value, message):
+    path = system_with(tmp_path, key, value)
+    code, out, err = outcome(capsys, ["garnier-check", "--system", path])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize("command", ["gaudin-commute", "quantize-compare"])
+def test_other_system_commands_reject_junk_site_fields(capsys, tmp_path, command):
+    path = system_with(tmp_path, "z", [math.inf, 0])
+    code, out, err = outcome(capsys, [command, "--system", path])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: sites[0]: z: "re" holds inf, not a finite number\n' % path
+
+
+def test_system_file_with_integer_coordinates_still_runs(capsys, tmp_path):
+    path = system_with(tmp_path, "z", [0, 1])
+    code, _, err = outcome(capsys, ["garnier-check", "--system", path])
+    assert (code, err) == (0, "")
+
+
+# -- finite coefficients and named edge fields in input files --------------------------
+
+def set_last_re(pick, field, value):
+    """A change that sets "re" of the last term of pick(data)[field] to value."""
+    return lambda data: pick(data)[field]["terms"][-1].__setitem__("re", value)
+
+
+def test_connection_with_infinite_coefficient_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "inf_alpha.json", "connection_g1s1_random.json",
+                     set_last_re(lambda data: data["edges"][1], "alpha", math.inf))
+    code, out, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                                      path, "--cycle", "1-"])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: edges[1]: alpha: "re" holds inf, not a finite number\n' % path
+
+
+def test_transition_data_with_nan_coefficient_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "nan_h.json", "cech_tetra_valid.json",
+                     set_last_re(lambda data: data["edges"][0], "h", math.nan))
+    code, out, err = outcome(capsys, ["cech-verify", fx("nerve_tetrahedron.json"), path])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: edge (1, 2): h: "re" holds nan, not a finite number\n' % path
+
+
+def test_higgs_file_with_infinite_coefficient_exits_2(capsys, tmp_path):
+    path = rewritten(tmp_path, "inf_delta.json", "higgs_example.json",
+                     set_last_re(lambda data: data["delta"]["terms"][0], "coeff", -math.inf))
+    code, out, err = outcome(capsys, ["hitchin-residual", fx("metric_example.json"), path])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: delta: "re" holds -inf, not a finite number\n' % path
+
+
+def test_transition_data_edge_type_error_names_edge_and_field(capsys, tmp_path):
+    def change(data):
+        data["edges"][0]["alpha"]["terms"][0]["mono"] = [1.5]
+
+    path = rewritten(tmp_path, "float_mono.json", "cech_tetra_valid.json", change)
+    code, out, err = outcome(capsys, ["cech-verify", fx("nerve_tetrahedron.json"), path])
+    assert (code, out) == (2, "")
+    assert err == ('error: %s: edge (1, 2): alpha: "mono" holds 1.5, not an integer '
+                   '(wrongly typed field)\n' % path)
+
+
+def test_connection_edge_type_error_names_edge_and_field(capsys, tmp_path):
+    def change(data):
+        data["edges"][1]["beta"]["n"] = "8"
+
+    path = rewritten(tmp_path, "string_n.json", "connection_g1s1_random.json", change)
+    code, out, err = outcome(capsys, ["fatgraph", "check-punctures",
+                                      fx("fatgraph_g1s1.json"), path])
+    assert (code, out) == (2, "")
+    assert err == ('error: %s: edges[1]: beta: "n" holds \'8\', not an integer '
+                   '(wrongly typed field)\n' % path)
+
+
+@pytest.mark.parametrize("simplices", [[], {"1": 5}, "edges"])
+def test_cech_verify_nerve_simplices_of_wrong_type_exits_2(capsys, tmp_path, simplices):
+    path = rewritten(tmp_path, "nerve.json", "nerve_tetrahedron.json",
+                     lambda data: data.__setitem__("simplices", simplices))
+    code, out, err = outcome(capsys, ["cech-verify", path, fx("cech_tetra_valid.json")])
+    assert (code, out) == (2, "")
+    assert err == ('error: %s: "simplices" holds %r, not an object of simplex lists '
+                   '(wrongly typed field)\n' % (path, simplices))

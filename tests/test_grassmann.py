@@ -276,3 +276,24 @@ def test_random_odd_has_odd_parity():
     for _ in range(20):
         assert random_odd(rng, N).is_odd()
         assert random_even(rng, N).is_even()
+
+
+@pytest.mark.parametrize("value, error, problem", [
+    (math.inf, ValueError, "holds inf, not a finite number"),
+    (-math.inf, ValueError, "holds -inf, not a finite number"),
+    (math.nan, ValueError, "holds nan, not a finite number"),
+    pytest.param(10 ** 400, ValueError, "holds 1(0)+, not a finite number",
+                 id="int-beyond-float"),
+    (True, TypeError, "holds True, not a number"),
+    ("1.0", TypeError, "holds '1.0', not a number"),
+    (None, TypeError, "holds None, not a number"),
+])
+def test_from_dict_rejects_coefficients_that_are_not_finite_numbers(value, error, problem):
+    data = {"n": 2, "terms": [{"mono": [1], "re": 1.0, "im": value}]}
+    with pytest.raises(error, match='"im" %s' % problem):
+        GrassmannElement.from_dict(data)
+
+
+def test_from_dict_reads_integer_coefficients_as_floats():
+    data = {"n": 2, "terms": [{"mono": [1], "re": 2, "im": -3}, {"mono": [], "re": 0.5}]}
+    assert GrassmannElement.from_dict(data).terms == {1: 2 - 3j, 0: 0.5 + 0j}

@@ -577,3 +577,152 @@ def test_quantized_one_body_rejects_another_algebra():
     p = random_system(np.random.default_rng(33), 3)
     with pytest.raises(ValueError, match="wrong Grassmann algebra"):
         quantized_one_body(p, GrassmannElement.one(p.n + 2))
+
+
+# -- the classical side computed once per system ------------------------------------
+# The formulas as they were written before the shortcuts, kept as oracles: the
+# residue rebuilt per use, str(A_i A_j) from the full SuperMatrix11 product, the
+# closed form with its generators rebuilt per j, and a bracket that takes both
+# observables' derivatives per pair.  The shortcuts keep the same floating-point
+# operations in the same order, so the oracles agree in every coefficient bit.
+
+from gl11.integrable import odd_gradient  # noqa: E402
+from gl11.supergroup import supertrace_product  # noqa: E402
+
+
+def rebuilt_residue(p, i):
+    n = p.n
+    theta, eta = p.theta(i), p.eta(i)
+    te = theta * eta
+    return SuperMatrix11(GrassmannElement.scalar(n, p.a(i)) - te, theta, p.v[i] * eta,
+                         GrassmannElement.scalar(n, p.b(i)) - te)
+
+
+def product_garnier(p, i):
+    acc = GrassmannElement.zero(p.n)
+    a_i = rebuilt_residue(p, i)
+    for j in range(p.m):
+        if j != i:
+            acc = acc + (a_i * rebuilt_residue(p, j)).supertrace() * (1.0 / (p.z[i] - p.z[j]))
+    return acc
+
+
+def per_j_expanded(p, i):
+    n = p.n
+    acc = GrassmannElement.zero(n)
+    for j in range(p.m):
+        if j == i:
+            continue
+        te_i = p.theta(i) * p.eta(i)
+        te_j = p.theta(j) * p.eta(j)
+        term = (0.5 * p.v[j] * (GrassmannElement.scalar(n, p.u[i]) - 2 * te_i)
+                + 0.5 * p.v[i] * (GrassmannElement.scalar(n, p.u[j]) - 2 * te_j)
+                + p.v[j] * (p.theta(i) * p.eta(j))
+                - p.v[i] * (p.eta(i) * p.theta(j)))
+        acc = acc + term * (1.0 / (p.z[i] - p.z[j]))
+    return acc
+
+
+def per_pair_bracket(p, f, g):
+    acc = GrassmannElement.zero(p.n)
+    for i in range(p.m):
+        ti, ei = 2 * i + 1, 2 * i + 2
+        acc = (acc + f.derivative(ti) * g.derivative(ei)
+               + f.derivative(ei) * g.derivative(ti))
+    return acc
+
+
+def oracle_systems():
+    """Random systems with m = 2..6 and their copies scaled by hbar = 1, 0.5, 0."""
+    rng = np.random.default_rng(40)
+    for m in range(2, 7):
+        for _ in range(2):
+            p = random_system(rng, m)
+            yield p
+            for hbar in (1.0, 0.5, 0.0):
+                yield p.scaled(hbar)
+
+
+def test_residues_equal_the_rebuilt_oracle_and_are_kept():
+    for p in oracle_systems():
+        assert p.residues is p.residues
+        for i in range(p.m):
+            assert residue_matrix(p, i) is p.residues[i]
+            got = [e.terms for e in residue_matrix(p, i).entries()]
+            assert got == [e.terms for e in rebuilt_residue(p, i).entries()]
+
+
+def test_residue_matrix_keeps_its_range_check():
+    p = random_system(np.random.default_rng(41), 3)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="site index %d out of range" % i):
+            residue_matrix(p, i)
+        with pytest.raises(ValueError, match="site index %d out of range" % i):
+            garnier_hamiltonian(p, i)
+        with pytest.raises(ValueError, match="site index %d out of range" % i):
+            garnier_hamiltonian_expanded(p, i)
+
+
+def test_sites_are_tuples_and_a_scaled_copy_has_its_own_residues():
+    p = random_system(np.random.default_rng(42), 3)
+    assert all(type(x) is tuple for x in (p.z, p.u, p.v))
+    kept = p.residues
+    q = p.scaled(0.5)
+    assert p.residues is kept
+    for i in range(p.m):
+        assert residue_matrix(q, i).a.terms == rebuilt_residue(q, i).a.terms
+        assert residue_matrix(q, i).a.terms != residue_matrix(p, i).a.terms
+
+
+def test_supertrace_product_of_residues_equals_the_full_product():
+    for p in oracle_systems():
+        for x in p.residues:
+            for y in p.residues:
+                assert supertrace_product(x, y).terms == (x * y).supertrace().terms
+
+
+def test_garnier_routes_equal_their_oracles_in_every_coefficient():
+    for p in oracle_systems():
+        for i in range(p.m):
+            assert garnier_hamiltonian(p, i).terms == product_garnier(p, i).terms
+            assert garnier_hamiltonian_expanded(p, i).terms == per_j_expanded(p, i).terms
+
+
+def test_bracket_of_gradients_equals_the_per_pair_oracle():
+    for p in oracle_systems():
+        hams = [garnier_hamiltonian(p, i) for i in range(p.m)]
+        grads = [odd_gradient(p, h) for h in hams]
+        for i in range(p.m):
+            for j in range(p.m):
+                expected = per_pair_bracket(p, hams[i], hams[j]).terms
+                assert poisson_bracket(p, grads[i], grads[j]).terms == expected
+                assert poisson_bracket(p, hams[i], hams[j]).terms == expected
+
+
+def test_odd_gradient_is_theta_then_eta_derivatives():
+    rng = np.random.default_rng(43)
+    p = random_system(rng, 3)
+    # theta_0 eta_1 + 2 theta_2 eta_0 + 3 theta_1 eta_1: the two halves differ
+    f = (p.theta(0) * p.eta(1) + 2.0 * p.theta(2) * p.eta(0)
+         + 3.0 * p.theta(1) * p.eta(1))
+    got = [(t.terms, e.terms) for t, e in odd_gradient(p, f)]
+    assert got == [(f.derivative(2 * k + 1).terms, f.derivative(2 * k + 2).terms)
+                   for k in range(p.m)]
+    assert got[0][0] != got[0][1]
+
+
+def test_bracket_elements_and_gradients_agree_and_odd_observables_raise():
+    rng = np.random.default_rng(44)
+    p = random_system(rng, 3)
+    f = p.theta(0) * p.eta(1) + 2.0 * p.theta(2) * p.eta(0)
+    g = p.theta(1) * p.eta(2) + garnier_hamiltonian(p, 1)
+    expected = poisson_bracket(p, f, g).terms
+    assert poisson_bracket(p, odd_gradient(p, f), odd_gradient(p, g)).terms == expected
+    assert poisson_bracket(p, f, odd_gradient(p, g)).terms == expected
+    odd = p.theta(0) + p.theta(1) * p.eta(1) * p.eta(2)
+    with pytest.raises(ParityError):
+        odd_gradient(p, odd)
+    with pytest.raises(ParityError):
+        poisson_bracket(p, f, odd)
+    with pytest.raises(ParityError):
+        poisson_bracket(p, odd, odd_gradient(p, g))

@@ -409,3 +409,13 @@ def test_tiny_s_keeps_the_twist(s_term):
     assert_same_terms(coords_product(c1, c2), twisted_product(c1, c2))
     assert_same_terms(coords_inverse(c1), twisted_inverse(c1))
     assert_same_terms(from_coords(c1), twisted_from_coords(c1))
+
+
+def test_supertrace_product_equals_the_supertrace_of_the_product():
+    # the diagonal blocks alone, with the operations of the full product
+    rng = np.random.default_rng(90)
+    for _ in range(20):
+        x = from_coords(random_coords(rng, N))
+        y = from_coords(random_coords(rng, N))
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert supergroup.supertrace_product(a, b).terms == (a * b).supertrace().terms
