@@ -92,10 +92,7 @@ def graphs():
 
 def systems():
     rng = np.random.default_rng(11)
-    p = integrable.random_system(rng, 3)
-    payload = p.to_dict()
-    payload["hbar"] = 1.0
-    dump("gaudin_m3.json", payload)
+    dump("gaudin_m3.json", integrable.random_system(rng, 3).to_dict())
 
 
 def main():

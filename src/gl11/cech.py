@@ -18,7 +18,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .grassmann import GrassmannElement, ParityError, _sort_sign, json_int, nan_max
+from .grassmann import (GrassmannElement, ParityError, _sort_sign, json_at, json_count,
+                        json_element, json_int, json_list, json_object, nan_max)
 from .reports import CheckReport
 from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
 
@@ -77,12 +78,22 @@ def nerve_to_dict(nerve: Nerve) -> dict:
                           for p in (1, 2, 3) if nerve.simplices[p]}}
 
 
+def _simplex(value, p: int, field: str) -> tuple:
+    return tuple(json_int(v, field) for v in json_list(value, field, p + 1))
+
+
 def nerve_from_dict(data: dict) -> Nerve:
     listed = data.get("simplices", {})
     if type(listed) is not dict or not all(type(lst) is list for lst in listed.values()):
         raise TypeError('"simplices" holds %r, not an object of simplex lists' % (listed,))
-    simplices = {int(p): [tuple(s) for s in lst] for p, lst in listed.items()}
-    return Nerve(data["vertices"], simplices)
+    simplices = {}
+    for key, lst in listed.items():
+        p = {"1": 1, "2": 2, "3": 3}.get(key)
+        if p is None:
+            raise ValueError('"simplices" has the key %r, not "1", "2" or "3"' % key)
+        simplices[p] = json_at("simplices", lambda: [_simplex(s, p, key) for s in lst])
+    vertices = [json_int(v, "vertices") for v in json_list(data["vertices"], "vertices")]
+    return Nerve(vertices, simplices)
 
 
 def triangle_nerve() -> Nerve:
@@ -267,12 +278,10 @@ class TransitionData:
         if sign != 1:
             raise ValueError("set edge data on the listed orientation only")
         old = self.edge_data[stored]
-        try:
-            self.edge_data[stored] = GroupCoords(
-                old.h if h is None else h, old.s if s is None else s,
-                old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
-        except ValueError as err:
-            raise type(err)("edge %r: %s" % (stored, err)) from None
+        self.edge_data[stored] = json_at(
+            ("edge %r", stored), GroupCoords,
+            old.h if h is None else h, old.s if s is None else s,
+            old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
 
     def is_sl(self, tol: float = 1e-12) -> bool:
         return all(c.is_sl(tol) for c in self.edge_data.values())
@@ -314,54 +323,47 @@ class TransitionData:
 
     @classmethod
     def from_dict(cls, nerve: Nerve, data: dict) -> "TransitionData":
-        td = cls(nerve, json_int(data["n"], "n"))
-        for entry in data.get("edges", []):
-            simplex = tuple(entry["simplex"])
-            fields = {}
-            for key in ("h", "s", "alpha", "beta"):
-                try:
-                    fields[key] = value = GrassmannElement.from_dict(entry[key])
-                except (TypeError, ValueError) as err:
-                    raise type(err)("edge %r: %s: %s" % (simplex, key, err)) from None
-                if value.n != td.n:
-                    raise ValueError('edge %r: %s has %d generators, "n" is %d'
-                                     % (simplex, key, value.n, td.n))
-            td.set_edge(simplex, **fields)
-        for entry in data.get("triangles", []):
-            simplex = tuple(entry["simplex"])
-            _, sign, stored = nerve.lookup(2, simplex)
-            if sign != 1:
-                raise ValueError("triangle %r: reverses the listed orientation %r"
-                                 % (simplex, stored))
-            try:
-                td.integers[stored] = json_int(entry["n"], "n")
-            except TypeError as err:
-                raise TypeError("triangle %r: %s" % (simplex, err)) from None
+        td = cls(nerve, json_count(data["n"]))
+        for simplex, stored, entry in _listed(nerve, 1, "edge", data.get("edges", [])):
+            td.set_edge(stored, **json_at(("edge %r", simplex), lambda: {
+                key: json_element(entry[key], td.n, key)
+                for key in ("h", "s", "alpha", "beta")}))
+        for simplex, stored, entry in _listed(nerve, 2, "triangle", data.get("triangles", [])):
+            td.integers[stored] = json_at(("triangle %r", simplex),
+                                          lambda: json_int(entry["n"], "n"))
         return td
 
 
-def check_sl_cocycle(data: TransitionData, tol: float = 1e-9,
-                     h_mod_2pi: bool = False) -> CheckReport:
+def _listed(nerve: Nerve, p: int, name: str, entries):
+    """(simplex, stored, entry) per entry of "edges" or "triangles": each names
+    a listed p-simplex once, in its listed orientation up to an even permutation."""
+    seen = set()
+    for k, entry in enumerate(json_list(entries, name + "s")):
+        path = (name + "s[%d]", k)
+        simplex = json_at(path, lambda: _simplex(json_object(entry)["simplex"], p, "simplex"))
+        _, sign, stored = json_at(path, nerve.lookup, p, simplex)
+        if sign != 1:
+            raise ValueError("%s %r: reverses the listed orientation %r"
+                             % (name, simplex, stored))
+        if stored in seen:
+            raise ValueError("%s %r: listed twice" % (name, simplex))
+        seen.add(stored)
+        yield simplex, stored, entry
+
+
+def check_sl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
     """Additive cocycle identities on every listed 2-simplex (SL mode, s = 0)."""
     if not data.is_sl():
         raise ValueError("check_sl_cocycle requires SL mode (s identically zero)")
-    return _cocycle_report(data, tol, twisted=False, h_mod_2pi=h_mod_2pi)
+    return _cocycle_report(data, tol, twisted=False)
 
 
-def check_gl_cocycle(data: TransitionData, tol: float = 1e-9,
-                     h_mod_2pi: bool = False) -> CheckReport:
+def check_gl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
     """Twisted cocycle identities (e^{s} factors); reduces to the SL check at s = 0."""
-    return _cocycle_report(data, tol, twisted=True, h_mod_2pi=h_mod_2pi)
+    return _cocycle_report(data, tol, twisted=True)
 
 
-def _reduce_mod(x: GrassmannElement, period: complex) -> GrassmannElement:
-    """Shift the body by an integer multiple of period minimizing its size."""
-    b = x.body()
-    k = round((b / period).real)
-    return x - GrassmannElement.scalar(x.n, k * period)
-
-
-def _cocycle_report(data, tol, twisted, h_mod_2pi=False):
+def _cocycle_report(data, tol, twisted):
     """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if twisted."""
     report = CheckReport()
     for (i, j, k) in data.nerve.simplices[2]:
@@ -370,15 +372,11 @@ def _cocycle_report(data, tol, twisted, h_mod_2pi=False):
         law = coords_product(c_ij, c_jk)
         res_h = (c_ik.h - GrassmannElement.scalar(data.n, TWO_PI_I * data.integer(i, j, k))
                  - law.h)
-        if h_mod_2pi:
-            res_h = _reduce_mod(res_h, TWO_PI_I)
         report.add("alpha_cocycle[%s]" % label, (c_ik.alpha - law.alpha).max_abs(), tol)
         report.add("beta_cocycle[%s]" % label, (c_ik.beta - law.beta).max_abs(), tol)
         report.add("h_cocycle[%s]" % label, res_h.max_abs(), tol)
         if twisted:
             res_s = c_ik.s - law.s
-            if h_mod_2pi:
-                res_s = _reduce_mod(res_s, TWO_PI_I)
             res_sdet = c_ik.s.exp() - c_ij.s.exp() * c_jk.s.exp()
             report.add("s_additivity[%s]" % label, res_s.max_abs(), tol)
             report.add("sdet_cocycle[%s]" % label, res_sdet.max_abs(), tol)

@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from . import cech, fatgraph, hitchin, integrable
-from .grassmann import GrassmannElement, nan_max
+from .grassmann import GrassmannElement, json_at, json_object, nan_max
 from .reports import CheckReport, to_json
 from .supergroup import group_law_suite
 
@@ -58,29 +58,21 @@ class RunReport:
         return "\n".join(line for line in lines if line)
 
 
-def _load_json(path: str) -> dict:
+def _parse(path: str, parse):
+    """parse(data) on the JSON object in path.  An unreadable or undecodable
+    file and a missing, wrongly typed or invalid field are usage errors
+    (exit 2) whose message starts with the path."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as err:
-        raise SystemExit("cannot read %s: %s" % (path, err))
-    except json.JSONDecodeError as err:
-        raise SystemExit("cannot parse %s: line %d column %d: %s"
-                         % (path, err.lineno, err.colno, err.msg))
-
-
-def _parse(path: str, parse):
-    """parse(data) on the JSON in path; a missing, wrongly typed or invalid
-    field is a usage error (exit 2) whose message starts with the path."""
-    data = _load_json(path)
-    try:
-        return parse(data)
-    except KeyError as err:
-        raise ValueError("%s: missing field %s" % (path, err)) from None
-    except TypeError as err:
-        raise ValueError("%s: %s (wrongly typed field)" % (path, err)) from None
-    except ValueError as err:
+        raise ValueError("%s: %s" % (path, err.strerror)) from None
+    except ValueError as err:  # not JSON, or bytes that are not UTF-8
         raise ValueError("%s: %s" % (path, err)) from None
+    try:
+        return json_at(path, lambda: parse(json_object(data)))
+    except TypeError as err:
+        raise ValueError("%s (wrongly typed field)" % err) from None
 
 
 # -- group-selftest -------------------------------------------------------------

@@ -23,7 +23,8 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .cech import solve_per_monomial
-from .grassmann import ConjugationTable, GrassmannElement, ParityError, json_int
+from .grassmann import (ConjugationTable, GrassmannElement, ParityError, json_at, json_count,
+                        json_element, json_int, json_list, json_object)
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -39,7 +40,7 @@ class FatGraph:
     """Half-edge fatgraph: pairing involution, cyclic orders, orientation."""
 
     def __init__(self, pairing, cyclic_orders, orientation=None):
-        pairing = tuple(int(h) for h in pairing)
+        pairing = tuple(pairing)
         size = len(pairing)
         if size % 2:
             raise ValueError("odd number of half-edges")
@@ -49,8 +50,7 @@ class FatGraph:
             if p == h or pairing[p] != h:
                 raise ValueError("pairing is not a fixed-point-free involution at %d" % h)
         self.pairing = pairing
-        self.cyclic_orders = tuple(tuple(int(h) for h in order)
-                                   for order in cyclic_orders)
+        self.cyclic_orders = tuple(tuple(order) for order in cyclic_orders)
         seen = [False] * size
         for order in self.cyclic_orders:
             if len(order) != 3:
@@ -74,7 +74,6 @@ class FatGraph:
             if h < pairing[h]:
                 self.edge_halves.append((h, pairing[h]))
         if orientation is not None:
-            orientation = [int(h) for h in orientation]
             if len(orientation) != len(self.edge_halves):
                 raise ValueError("orientation needs one tail half-edge per edge")
             fixed = []
@@ -177,8 +176,17 @@ class FatGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FatGraph":
-        return cls(data["pairing"], data["cyclic_orders"],
-                   orientation=data.get("orientation"))
+        """{"pairing": [...], "cyclic_orders": [[...], ...], "orientation": [...]}."""
+        orders = json_list(data["cyclic_orders"], "cyclic_orders")
+        orientation = data.get("orientation")
+        return cls(_half_edges(data["pairing"], "pairing"),
+                   [_half_edges(order, "cyclic_orders") for order in orders],
+                   orientation=None if orientation is None
+                   else _half_edges(orientation, "orientation"))
+
+
+def _half_edges(value, field: str) -> list:
+    return [json_int(h, field) for h in json_list(value, field)]
 
 
 # -- fixture graphs -----------------------------------------------------------
@@ -551,27 +559,29 @@ def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
     """Connection from its dict; unlisted edges carry the identity.
 
     Each ``"edge"`` must be an integer edge index of ``graph``, listed at
-    most once; anything else raises ValueError naming the entry.
+    most once, and its "h", "alpha" and "beta" elements on the file's "n"
+    generators; anything else raises an error naming the entry.
     """
-    n = json_int(data["n"], "n")
-    zero = GrassmannElement.zero(n)
+    n = json_count(data["n"])
     coords = [GroupCoords.identity(n) for _ in range(graph.num_edges)]
     listed = set()
-    for k, entry in enumerate(data.get("edges", [])):
-        e = entry["edge"]
-        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < graph.num_edges:
-            raise ValueError('edges[%d]: "edge" must be an edge index in 0..%d, got %r'
-                             % (k, graph.num_edges - 1, e))
-        if e in listed:
-            raise ValueError('edges[%d]: "edge" %d is listed twice' % (k, e))
-        listed.add(e)
-        fields = {}
-        for key in ("h", "alpha", "beta"):
-            try:
-                fields[key] = GrassmannElement.from_dict(entry[key])
-            except (TypeError, ValueError) as err:
-                raise type(err)("edges[%d]: %s: %s" % (k, key, err)) from None
-        coords[e] = GroupCoords(fields["h"], zero, fields["alpha"], fields["beta"])
+    for k, entry in enumerate(json_list(data.get("edges", []), "edges")):
+        e, c = json_at(("edges[%d]", k), _edge_coords, entry, graph, n, listed)
+        coords[e] = c
     mode = data.get("mode", "sl")
-    table = ConjugationTable(data["conjugation"]["pairing"]) if mode == "su" else None
+    table = (json_at("conjugation", ConjugationTable.from_dict, data["conjugation"], n)
+             if mode == "su" else None)
     return GraphConnection(graph, coords, mode=mode, table=table)
+
+
+def _edge_coords(entry, graph: FatGraph, n: int, listed: set):
+    """(e, g_e) of one "edges" entry; e joins listed."""
+    e = json_object(entry)["edge"]
+    if type(e) is not int or not 0 <= e < graph.num_edges:  # bool is a subclass of int
+        raise ValueError('"edge" must be an edge index in 0..%d, got %r'
+                         % (graph.num_edges - 1, e))
+    if e in listed:
+        raise ValueError('"edge" %d is listed twice' % e)
+    listed.add(e)
+    h, alpha, beta = (json_element(entry[key], n, key) for key in ("h", "alpha", "beta"))
+    return e, GroupCoords(h, GrassmannElement.zero(n), alpha, beta)

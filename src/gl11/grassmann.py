@@ -6,6 +6,12 @@ of square-free monomials; a monomial is stored as a bitmask (bit i-1 set means
 generator i is present), always read in increasing generator order.  All
 operations are pure and return new values; an element is never mutated after
 construction.
+
+Every input file is read through the readers here: ``json_int``,
+``json_count`` (a generator count), ``json_number``, ``json_list``,
+``json_object`` and ``json_element`` (an element on exactly n generators),
+with ``json_at`` putting the field path in front of any error raised inside
+a read.
 """
 
 from __future__ import annotations
@@ -102,6 +108,46 @@ def json_number(value, field: str) -> float:
     if not math.isfinite(number):
         raise ValueError('"%s" holds %r, not a finite number' % (field, value))
     return number
+
+
+def json_count(value) -> int:
+    """value if it is a JSON integer in 1..MAX_GENERATORS, the "n" of a file."""
+    n = json_int(value, "n")
+    if not 1 <= n <= MAX_GENERATORS:
+        raise ValueError('"n" holds %d, not a generator count in 1..%d' % (n, MAX_GENERATORS))
+    return n
+
+
+def json_list(value, field: str, length=None) -> list:
+    """value if it is a JSON list (of length entries if given), else TypeError."""
+    if type(value) is not list or length is not None and len(value) != length:
+        raise TypeError('"%s" holds %r, not a list%s' % (
+            field, value, "" if length is None else " of %d entries" % length))
+    return value
+
+
+def json_object(value, field=None) -> dict:
+    """value if it is a JSON object; anything else raises TypeError, naming
+    field if given (else the caller's path names it)."""
+    if type(value) is not dict:
+        raise TypeError(("%r is not an object" % (value,)) if field is None
+                        else '"%s" holds %r, not an object' % (field, value))
+    return value
+
+
+def json_at(path, read, *args):
+    """read(*args), with "<path>: " put in front of a TypeError or ValueError
+    raised inside; a KeyError becomes ValueError "<path>: missing field ...".
+    path is a string or a tuple such as ("edges[%d]", k), formatted on errors only.
+    """
+    try:
+        return read(*args)
+    except (TypeError, ValueError) as err:
+        error, problem = type(err), err
+    except KeyError as err:
+        error, problem = ValueError, "missing field %s" % err
+    raise error("%s: %s" % (path if isinstance(path, str) else path[0] % path[1:],
+                            problem)) from None
 
 
 def _indices_to_mask(indices) -> int:
@@ -237,14 +283,6 @@ class GrassmannElement:
         if self.is_odd():
             return "odd"
         return "mixed"
-
-    def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: c for m, c in self.terms.items()
-                                         if m.bit_count() % 2 == 0})
-
-    def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: c for m, c in self.terms.items()
-                                         if m.bit_count() % 2 == 1})
 
     def max_abs(self) -> float:
         """Magnitude of the largest coefficient (the residual norm used throughout)."""
@@ -398,14 +436,22 @@ class GrassmannElement:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GrassmannElement":
-        n = json_int(data["n"], "n")
+    def from_dict(cls, data) -> "GrassmannElement":
+        """{"n": n, "terms": [{"mono": [...], "re": x, "im": y}, ...]}: each "mono"
+        increasing in 1..n, "re" and "im" finite numbers (0 when left out)."""
+        data = json_object(data)
+        n = json_count(data["n"])  # bounds every 1 << (i - 1) below
         terms = {}
-        for entry in data.get("terms", []):
-            mono = [json_int(i, "mono") for i in entry["mono"]]
-            if mono != sorted(mono):
-                raise ValueError("monomial %r not in canonical increasing order" % (mono,))
-            mask = _indices_to_mask(mono)
+        for entry in json_list(data.get("terms", []), "terms"):
+            mono = json_list(json_object(entry, "terms")["mono"], "mono")
+            mask = last = 0
+            for i in mono:
+                if type(i) is not int or not last < i <= n:
+                    json_int(i, "mono")
+                    raise ValueError('"mono" holds %r, not increasing indices in 1..%d'
+                                     % (mono, n))
+                mask |= 1 << (i - 1)
+                last = i
             terms[mask] = terms.get(mask, 0j) + complex(
                 json_number(entry.get("re", 0.0), "re"),
                 json_number(entry.get("im", 0.0), "im"))
@@ -416,7 +462,7 @@ class ConjugationTable:
     """Involution on generator indices realizing complex conjugation on Lambda."""
 
     def __init__(self, pairing):
-        pairing = tuple(int(i) for i in pairing)
+        pairing = tuple(pairing)
         n = len(pairing)
         if sorted(pairing) != list(range(1, n + 1)):
             raise ValueError("pairing must permute 1..%d" % n)
@@ -425,6 +471,12 @@ class ConjugationTable:
                 raise ValueError("pairing is not an involution at index %d" % i)
         self.n = n
         self.pairing = pairing
+
+    @classmethod
+    def from_dict(cls, data, n: int) -> "ConjugationTable":
+        """The table {"pairing": [...]} of n integer generator indices."""
+        pairing = json_list(json_object(data)["pairing"], "pairing", n)
+        return cls([json_int(i, "pairing") for i in pairing])
 
     @classmethod
     def swap_halves(cls, n: int) -> "ConjugationTable":
@@ -441,6 +493,14 @@ class ConjugationTable:
 
     def __repr__(self):
         return "ConjugationTable(%r)" % (self.pairing,)
+
+
+def json_element(value, n: int, field: str) -> GrassmannElement:
+    """GrassmannElement.from_dict(value) under the path field, on exactly n generators."""
+    element = json_at(field, GrassmannElement.from_dict, value)
+    if element.n != n:
+        raise ValueError('%s has %d generators, "n" is %d' % (field, element.n, n))
+    return element
 
 
 # -- random elements (used by tests and the CLI self-test) -------------------

@@ -28,25 +28,23 @@ from .grassmann import (
     ConjugationTable,
     GrassmannElement,
     ParityError,
+    json_at,
+    json_count,
     json_int,
+    json_list,
+    json_object,
     nan_max,
     nilpotent_series,
 )
 from .supergroup import block_inverse
 
 
-def _generator_error(key, coeff: GrassmannElement, n: int) -> ValueError:
-    """The error for a coefficient of z^p zbar^q, key = (p, q), not on n generators."""
-    return ValueError('term z^%d zbar^%d: coefficient has %d generators, "n" is %d'
-                      % (key + (coeff.n, n)))
-
-
 class LocalFunction:
     """Polynomial in z, zbar with GrassmannElement coefficients.
 
-    ``terms`` maps (z_degree, zbar_degree) to a coefficient.  The parity
-    property is computed from the coefficients when it is read: 'even',
-    'odd', or 'mixed' (the zero function counts as even).
+    ``terms`` maps (z_degree, zbar_degree) to a coefficient on n generators.
+    The parity property is computed from the coefficients when it is read:
+    'even', 'odd', or 'mixed' (the zero function counts as even).
     """
 
     __slots__ = ("n", "terms")
@@ -55,14 +53,15 @@ class LocalFunction:
         self.n = n
         clean = {}
         if terms:
-            for (p, q), coeff in terms.items():
+            for key, coeff in terms.items():
                 if coeff.n != n:
-                    raise _generator_error((p, q), coeff, n)
+                    raise ValueError('term z^%d zbar^%d: coefficient has %d generators, '
+                                     '"n" is %d' % (key + (coeff.n, n)))
                 if not coeff.terms:
                     continue
-                if p < 0 or q < 0:
-                    raise ValueError("negative degree (%d, %d)" % (p, q))
-                clean[(int(p), int(q))] = coeff
+                if key[0] < 0 or key[1] < 0:
+                    raise ValueError("negative degree (%d, %d)" % key)
+                clean[key] = coeff
         self.terms = clean
 
     @property
@@ -202,23 +201,18 @@ class LocalFunction:
                           for (p, q), c in sorted(self.terms.items())]}
 
     @classmethod
-    def from_dict(cls, n: int, data: dict) -> "LocalFunction":
+    def from_dict(cls, n: int, data) -> "LocalFunction":
+        """{"terms": [{"z": p, "zbar": q, "coeff": <element>}, ...]} on n generators;
+        the coefficients of a term listed twice add up."""
         terms = {}
-        for entry in data.get("terms", []):
+        for entry in json_list(json_object(data).get("terms", []), "terms"):
+            entry = json_object(entry, "terms")
             key = (json_int(entry["z"], "z"), json_int(entry["zbar"], "zbar"))
-            coeff = GrassmannElement.from_dict(entry["coeff"])
-            if coeff.n != n:  # before merging, so that the message names the term
-                raise _generator_error(key, coeff, n)
-            terms[key] = terms[key] + coeff if key in terms else coeff
+            # a one-term function, so that a wrong generator count names its term
+            term = cls(n, {key: GrassmannElement.from_dict(json_object(entry["coeff"], "coeff"))})
+            for key, coeff in term.terms.items():
+                terms[key] = terms[key] + coeff if key in terms else coeff
         return cls(n, terms)
-
-
-def _function_field(n: int, data: dict, key: str) -> LocalFunction:
-    """LocalFunction.from_dict of data[key]; a TypeError or ValueError names the field."""
-    try:
-        return LocalFunction.from_dict(n, data[key])
-    except (TypeError, ValueError) as err:
-        raise type(err)("%s: %s" % (key, err)) from None
 
 
 def _require_parity(f: LocalFunction, parity: str, name: str) -> LocalFunction:
@@ -330,9 +324,10 @@ class MetricData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricData":
-        n = json_int(data["n"], "n")
-        table = ConjugationTable(data["conjugation"]["pairing"])
-        return cls(_function_field(n, data, "u"), _function_field(n, data, "rho"), table)
+        n = json_count(data["n"])
+        table = json_at("conjugation", ConjugationTable.from_dict, data["conjugation"], n)
+        u, rho = (json_at(key, LocalFunction.from_dict, n, data[key]) for key in ("u", "rho"))
+        return cls(u, rho, table)
 
 
 def chern_form(m: MetricData) -> LocalMatrix:
@@ -395,8 +390,11 @@ def higgs_matrix(a: LocalFunction, delta: LocalFunction,
 
 
 def higgs_from_dict(n: int, data: dict) -> LocalMatrix:
-    """The Higgs field of a Higgs file: its "a", "delta" and "gamma" on n generators."""
-    return higgs_matrix(*(_function_field(n, data, key) for key in ("a", "delta", "gamma")))
+    """The Higgs field of a Higgs file: its "a", "delta" and "gamma" on its "n" = n."""
+    if json_int(data["n"], "n") != n:
+        raise ValueError('"n" holds %d, not the metric\'s %d' % (data["n"], n))
+    return higgs_matrix(*(json_at(key, LocalFunction.from_dict, n, data[key])
+                          for key in ("a", "delta", "gamma")))
 
 
 def hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,

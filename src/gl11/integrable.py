@@ -45,7 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grassmann import GrassmannElement, ParityError, json_number
+from .grassmann import (GrassmannElement, ParityError, json_at, json_list, json_number,
+                        json_object)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
@@ -119,20 +120,25 @@ class ParabolicData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
-        """Sites from [{"z": [re, im], "u": [re, im], "v": [re, im]}, ...];
-        each entry must be a list of two finite numbers."""
-        fields = {"z": [], "u": [], "v": []}
-        for k, site in enumerate(data["sites"]):
-            for key, values in fields.items():
-                try:
-                    pair = site[key]
-                    if type(pair) is not list or len(pair) != 2:
-                        raise TypeError("%r is not a list of two numbers" % (pair,))
-                    values.append(complex(json_number(pair[0], "re"),
-                                          json_number(pair[1], "im")))
-                except (TypeError, ValueError) as err:
-                    raise type(err)("sites[%d]: %s: %s" % (k, key, err)) from None
-        return cls(fields["z"], fields["u"], fields["v"])
+        """{"sites": [{"z": [re, im], "u": [re, im], "v": [re, im]}, ...]} and nothing else."""
+        for key in data:
+            if key != "sites":
+                raise ValueError('unknown field "%s": a system file holds only "sites"' % key)
+        sites = [json_at(("sites[%d]", k), _site, site)
+                 for k, site in enumerate(json_list(data["sites"], "sites"))]
+        return cls(*([site[i] for site in sites] for i in range(3)))
+
+
+def _site(site) -> tuple:
+    site = json_object(site)
+    return tuple(json_at(key, _complex, site[key]) for key in ("z", "u", "v"))
+
+
+def _complex(pair) -> complex:
+    """A complex number written [re, im], two finite JSON numbers."""
+    if type(pair) is not list or len(pair) != 2:
+        raise TypeError("%r is not a list of two numbers" % (pair,))
+    return complex(json_number(pair[0], "re"), json_number(pair[1], "im"))
 
 
 def random_system(rng, m: int, spread: float = 2.0) -> ParabolicData:

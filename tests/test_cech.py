@@ -434,7 +434,6 @@ def test_sl_check_h_mod_flag():
     data = TransitionData(nerve, N)
     data.set_edge((1, 3), h=scalar(2j * cmath.pi))
     assert not check_sl_cocycle(data).ok
-    assert check_sl_cocycle(data, h_mod_2pi=True).ok
 
 
 def test_transition_data_json_roundtrip():

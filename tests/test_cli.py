@@ -77,11 +77,14 @@ def test_cech_verify_zero_data_on_triangle(capsys, tmp_path):
 
 
 def test_cech_verify_bad_file_diagnostics(capsys, tmp_path):
+    # an unreadable or undecodable file is a usage error (exit 2), not a failed check
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    with pytest.raises(SystemExit) as err:
-        run(capsys, "cech-verify", fx("nerve_triangle.json"), str(bad))
-    assert "broken.json" in str(err.value)
+    missing = tmp_path / "missing.json"
+    for path in (bad, missing):
+        code, out, err = outcome(capsys, ["cech-verify", fx("nerve_triangle.json"), str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s: " % path)
 
 
 def test_cech_verify_nerve_missing_field_exits_2(capsys, tmp_path):
@@ -924,3 +927,91 @@ def test_cech_verify_nerve_simplices_of_wrong_type_exits_2(capsys, tmp_path, sim
     assert (code, out) == (2, "")
     assert err == ('error: %s: "simplices" holds %r, not an object of simplex lists '
                    '(wrongly typed field)\n' % (path, simplices))
+
+
+# -- one typed reader for every input file ---------------------------------------------
+
+def set_at(keys, value):
+    """A change that sets data[k0][k1]...[kn] to value."""
+    def change(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+
+    return change
+
+
+def rename_simplices_key(data):
+    data["simplices"]["1.0"] = data["simplices"].pop("1")
+
+
+GRAPH, FLAT, RANDOM = "fatgraph_g1s1.json", "connection_g1s1_flat.json", \
+    "connection_g1s1_random.json"
+MALFORMED = [
+    # (fixture, change, argv with the changed file as {}, message after the path)
+    (GRAPH, set_at(["pairing", 0], 1.5), ["fatgraph", "check-punctures", "{}", fx(FLAT)],
+     '"pairing" holds 1.5, not an integer (wrongly typed field)'),
+    (GRAPH, set_at(["pairing", 0], "1"), ["fatgraph", "check-punctures", "{}", fx(FLAT)],
+     '"pairing" holds \'1\', not an integer (wrongly typed field)'),
+    ("metric_example.json", set_at(["conjugation", "pairing", 0], 5.0),
+     ["hitchin-residual", "{}", fx("higgs_example.json")],
+     'conjugation: "pairing" holds 5.0, not an integer (wrongly typed field)'),
+    ("metric_example.json", set_at(["conjugation", "pairing", 0], "5"),
+     ["hitchin-residual", "{}", fx("higgs_example.json")],
+     'conjugation: "pairing" holds \'5\', not an integer (wrongly typed field)'),
+    ("nerve_tetrahedron.json", set_at(["vertices", 0], 1.0),
+     ["cech-verify", "{}", fx("cech_tetra_valid.json")],
+     '"vertices" holds 1.0, not an integer (wrongly typed field)'),
+    ("nerve_tetrahedron.json", set_at(["simplices", "1", 0], [1, 2.0]),
+     ["cech-verify", "{}", fx("cech_tetra_valid.json")],
+     'simplices: "1" holds 2.0, not an integer (wrongly typed field)'),
+    ("nerve_tetrahedron.json", rename_simplices_key,
+     ["cech-verify", "{}", fx("cech_tetra_valid.json")],
+     '"simplices" has the key \'1.0\', not "1", "2" or "3"'),
+    ("cech_tetra_valid.json", set_at(["edges", 0, "simplex"], [1.0, 2.0]),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     'edges[0]: "simplex" holds 1.0, not an integer (wrongly typed field)'),
+    ("cech_tetra_valid.json", set_at(["edges", 0, "h", "terms", 1, "mono"], [0, 1]),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     'edge (1, 2): h: "mono" holds [0, 1], not increasing indices in 1..8'),
+    ("cech_tetra_valid.json", set_at(["edges", 0, "h", "terms", 1, "mono"], [-1, 1]),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     'edge (1, 2): h: "mono" holds [-1, 1], not increasing indices in 1..8'),
+    ("cech_tetra_valid.json", set_at(["edges"], {"x": 1}),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     '"edges" holds {\'x\': 1}, not a list (wrongly typed field)'),
+    ("cech_tetra_valid.json", set_at(["edges", 0], 7),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     "edges[0]: 7 is not an object (wrongly typed field)"),
+    (RANDOM, set_at(["edges", 1, "alpha"], GrassmannElement.generator(4, 1).to_dict()),
+     ["fatgraph", "check-punctures", fx(GRAPH), "{}"],
+     'edges[1]: alpha has 4 generators, "n" is 8'),
+    (RANDOM, lambda data: data["edges"][1]["h"]["terms"].append(
+        {"mono": [3], "re": 1.0, "im": 0.0}),
+     ["fatgraph", "check-punctures", fx(GRAPH), "{}"],
+     "edges[1]: h must be even, got parity 'mixed'"),
+    ("gaudin_m3.json", set_at(["sites"], [5]), ["quantize-compare", "--system", "{}"],
+     "sites[0]: 5 is not an object (wrongly typed field)"),
+    ("cech_tetra_valid.json", set_at(["n"], 0),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     '"n" holds 0, not a generator count in 1..64'),
+    (RANDOM, set_at(["n"], 65), ["fatgraph", "check-punctures", fx(GRAPH), "{}"],
+     '"n" holds 65, not a generator count in 1..64'),
+]
+
+
+@pytest.mark.parametrize("fixture, change, argv, message", MALFORMED)
+def test_malformed_input_names_file_and_field_path(capsys, tmp_path, fixture, change, argv,
+                                                   message):
+    path = rewritten(tmp_path, "changed.json", fixture, change)
+    code, out, err = outcome(capsys, [path if arg == "{}" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (path, message)
+
+
+def test_system_file_rejects_other_fields(capsys, tmp_path):
+    # --hbar is the one source of hbar; a field the reader would ignore is refused
+    path = rewritten(tmp_path, "system.json", "gaudin_m3.json", set_at(["hbar"], "junk"))
+    code, out, err = outcome(capsys, ["quantize-compare", "--system", path])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: unknown field "hbar": a system file holds only "sites"\n' % path

@@ -297,3 +297,11 @@ def test_from_dict_rejects_coefficients_that_are_not_finite_numbers(value, error
 def test_from_dict_reads_integer_coefficients_as_floats():
     data = {"n": 2, "terms": [{"mono": [1], "re": 2, "im": -3}, {"mono": [], "re": 0.5}]}
     assert GrassmannElement.from_dict(data).terms == {1: 2 - 3j, 0: 0.5 + 0j}
+
+
+@pytest.mark.parametrize("n", [0, -1, 65])
+def test_from_dict_checks_the_generator_count_before_any_index(n):
+    # the count bounds every "mono" index, so no shift is taken past 64 bits
+    data = {"n": n, "terms": [{"mono": [max(n, 1)], "re": 1.0}]}
+    with pytest.raises(ValueError, match='"n" holds %d, not a generator count in 1..64' % n):
+        GrassmannElement.from_dict(data)
