@@ -18,8 +18,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .grassmann import (GrassmannElement, ParityError, _sort_sign, json_at, json_count,
-                        json_element, json_int, json_list, json_object, nan_max)
+from .grassmann import (GrassmannElement, _sort_sign, json_at, json_count, json_element,
+                        json_int, json_list, json_object, nan_max, require_parity)
 from .reports import CheckReport
 from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
 
@@ -45,7 +45,8 @@ class Nerve:
                     raise ValueError("simplex %r has repeated vertices" % (s,))
                 key = frozenset(s)
                 if key in seen:
-                    raise ValueError("simplex %r listed twice" % (s,))
+                    raise ValueError('"vertices" lists vertex %r twice' % s if p == 0
+                                     else "simplex %r listed twice" % (s,))
                 seen[key] = (pos, s)
             self._index[p] = seen
         self._check_closure()
@@ -283,8 +284,8 @@ class TransitionData:
             old.h if h is None else h, old.s if s is None else s,
             old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
 
-    def is_sl(self, tol: float = 1e-12) -> bool:
-        return all(c.is_sl(tol) for c in self.edge_data.values())
+    def is_sl(self) -> bool:
+        return all(c.is_sl() for c in self.edge_data.values())
 
     def coords(self, i, j) -> GroupCoords:
         """g_ij: the stored coordinates, or the inverse of g_ji when (j, i) is listed."""
@@ -461,10 +462,10 @@ class HiggsCechData:
         self.delta = dict(delta) if delta else {v: zero for v in verts}
         self.gamma = dict(gamma) if gamma else {v: zero for v in verts}
         for v in verts:
-            if not (self.a[v].is_even() and self.b[v].is_even()):
-                raise ParityError("a_%r and b_%r must be even" % (v, v))
-            if not (self.delta[v].is_odd() and self.gamma[v].is_odd()):
-                raise ParityError("delta_%r and gamma_%r must be odd" % (v, v))
+            require_parity(self.a[v], "even", "a_%r" % (v,))
+            require_parity(self.b[v], "even", "b_%r" % (v,))
+            require_parity(self.delta[v], "odd", "delta_%r" % (v,))
+            require_parity(self.gamma[v], "odd", "gamma_%r" % (v,))
 
 
 def _check_higgs_sections(data: TransitionData, higgs: HiggsCechData,

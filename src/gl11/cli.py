@@ -141,8 +141,11 @@ def cmd_fatgraph_normalize(args) -> RunReport:
     normalized, check = fatgraph.gauge_normalize(conn, tol=args.tol)
     report.checks.extend(check)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(to_json(fatgraph.connection_to_dict(normalized)))
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(to_json(fatgraph.connection_to_dict(normalized)))
+        except OSError as err:  # an unwritable path is a usage error, like an unreadable one
+            raise ValueError("%s: %s" % (args.output, err.strerror)) from None
     return report
 
 

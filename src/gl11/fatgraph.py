@@ -23,8 +23,8 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .cech import solve_per_monomial
-from .grassmann import (ConjugationTable, GrassmannElement, ParityError, json_at, json_count,
-                        json_element, json_int, json_list, json_object)
+from .grassmann import (ConjugationTable, GrassmannElement, json_at, json_count,
+                        json_element, json_int, json_list, json_object, require_parity)
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -345,8 +345,7 @@ class GraphConnection:
         """Coordinates of the subgroup element of a rescaling kind, checked."""
         zero = GrassmannElement.zero(self.n)
         if kind == "diag":
-            if not param.is_even():
-                raise ParityError("diag rescaling parameter must be even")
+            require_parity(param, "even", "diag rescaling parameter")
             if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > 1e-9:
                 raise ValueError("SU diag parameter must satisfy bar(c) = -c")
             return GroupCoords(param, zero, zero, zero)
@@ -354,8 +353,7 @@ class GraphConnection:
             raise ValueError("unknown rescaling kind %r" % kind)
         if self.mode == "su" and kind != "odd":
             raise ValueError("SU mode restricts to 'diag' and 'odd' rescalings")
-        if not param.is_odd():
-            raise ParityError("%s rescaling parameter must be odd" % kind)
+        require_parity(param, "odd", "%s rescaling parameter" % kind)
         if kind == "lower":
             return GroupCoords(zero, zero, param, zero)
         if kind == "upper":
@@ -409,18 +407,6 @@ class GraphConnection:
             sums.append((h, alpha, beta))
         return sums
 
-    def _laplacian(self) -> np.ndarray:
-        graph = self.graph
-        lap = np.zeros((graph.num_vertices, graph.num_vertices))
-        for h in range(len(graph.pairing)):
-            v = graph.vertex_of[h]
-            w = graph.vertex_of[graph.pairing[h]]
-            if v == w:
-                continue
-            lap[v, v] += 1.0
-            lap[v, w] -= 1.0
-        return lap
-
 
 def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     """Bring all vertex sums to zero; returns (connection, report).
@@ -432,7 +418,8 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     """
     graph = conn.graph
     n = conn.n
-    lap = conn._laplacian()
+    incidence = conn._signed_incidence()
+    lap = incidence @ incidence.T  # the graph Laplacian; a self-loop's column is zero
     report = CheckReport()
 
     out = conn
@@ -466,7 +453,6 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
         report.add("vertex_alpha_sum[%d]" % v, alpha.max_abs(), tol)
         report.add("vertex_beta_sum[%d]" % v, beta.max_abs(), tol)
 
-    incidence = conn._signed_incidence()
     rank = int(np.linalg.matrix_rank(incidence, tol=1e-9))
     e_count = graph.num_edges
     report.info["singular"] = False

@@ -36,6 +36,17 @@ class NotInvertibleError(ValueError):
     """Inverse (or log) requested for an element with vanishing body."""
 
 
+def require_parity(x, parity: str, name: str):
+    """x if it is ``parity`` ('even' or 'odd'), else ParityError naming ``name``.
+
+    x is a GrassmannElement or anything with the same ``is_even``,
+    ``is_odd`` and ``parity`` methods; zero passes as both parities.
+    """
+    if not (x.is_even() if parity == "even" else x.is_odd()):
+        raise ParityError("%s must be %s, got parity %r" % (name, parity, x.parity()))
+    return x
+
+
 @lru_cache(maxsize=1 << 16)
 def _merge_sign(a: int, b: int) -> int:
     """Sign from sorting the concatenation of monomials a and b (disjoint)."""
@@ -191,9 +202,8 @@ def nilpotent_series(w, coeff):
 class GrassmannElement:
     """Element of the Grassmann algebra on ``n`` generators.
 
-    ``terms`` maps a monomial bitmask to its complex coefficient.  The map is
-    canonicalized at construction: coefficients of equal monomials are merged
-    and entries of magnitude <= ``prune`` are removed.
+    ``terms`` is a dict from monomial bitmask to complex coefficient.  It is
+    copied at construction, and entries of magnitude <= ``prune`` are removed.
     """
 
     __slots__ = ("n", "terms")
@@ -204,12 +214,11 @@ class GrassmannElement:
         merged: dict[int, complex] = {}
         if terms:
             full = (1 << n) - 1
-            for mask, coeff in terms.items() if isinstance(terms, dict) else terms:
+            for mask, coeff in terms.items():
                 if mask & ~full:
                     raise ValueError("monomial %s outside generator range 1..%d"
                                      % (_mask_to_indices(mask), n))
-                c = merged.get(mask, 0j) + complex(coeff)
-                merged[mask] = c
+                merged[mask] = 0j + complex(coeff)  # a -0.0 part is stored as 0.0
             _prune(merged, prune)
         self.n = n
         self.terms = merged
@@ -355,10 +364,7 @@ class GrassmannElement:
 
     def _even_body(self, op: str) -> complex:
         """Body of an even element; ``op`` names the map in the error."""
-        if not self.is_even():
-            raise ParityError("%s is defined for even elements, got parity %r"
-                              % (op, self.parity()))
-        return self.body()
+        return require_parity(self, "even", "the argument of " + op).body()
 
     def _unit_soul(self, op: str, error: str):
         """(b, soul/b) for an even element with body b away from zero."""

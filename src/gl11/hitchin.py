@@ -12,7 +12,7 @@ no degree bound: sums, products and derivatives never need truncating.
 Inverses are closed forms too.  A function c(1 + w) with nilpotent w has
 inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
 of w: w has body-free coefficients, so w^(n+1) = 0.
-An even-diagonal, odd-off-diagonal matrix has the GL(1|1) block inverse of
+A LocalMatrix is a SuperMatrix11 with LocalFunction entries; its inverse is
 gl11.supergroup.block_inverse, built from the two diagonal inverses alone,
 because its odd entries square to zero.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from .grassmann import (
     ConjugationTable,
     GrassmannElement,
-    ParityError,
     json_at,
     json_count,
     json_int,
@@ -35,16 +34,18 @@ from .grassmann import (
     json_object,
     nan_max,
     nilpotent_series,
+    require_parity,
 )
-from .supergroup import block_inverse
+from .supergroup import SuperMatrix11, block_inverse
 
 
 class LocalFunction:
     """Polynomial in z, zbar with GrassmannElement coefficients.
 
     ``terms`` maps (z_degree, zbar_degree) to a coefficient on n generators.
-    The parity property is computed from the coefficients when it is read:
-    'even', 'odd', or 'mixed' (the zero function counts as even).
+    Parity is GrassmannElement's contract, read from the coefficients when
+    asked: ``is_even()`` and ``is_odd()`` hold when every coefficient is even
+    or odd, and ``parity()`` is 'even', 'odd' or 'mixed' (zero is even).
     """
 
     __slots__ = ("n", "terms")
@@ -64,7 +65,12 @@ class LocalFunction:
                 clean[key] = coeff
         self.terms = clean
 
-    @property
+    def is_even(self) -> bool:
+        return all(c.is_even() for c in self.terms.values())
+
+    def is_odd(self) -> bool:
+        return all(c.is_odd() for c in self.terms.values())
+
     def parity(self) -> str:
         """'even', 'odd' or 'mixed' from the coefficient parities."""
         parities = {c.parity() for c in self.terms.values()}
@@ -193,10 +199,10 @@ class LocalFunction:
 
     def __repr__(self):
         return "LocalFunction(n=%d, %d terms, parity=%s)" % (
-            self.n, len(self.terms), self.parity)
+            self.n, len(self.terms), self.parity())
 
     def to_dict(self) -> dict:
-        return {"parity": self.parity,
+        return {"parity": self.parity(),
                 "terms": [{"z": p, "zbar": q, "coeff": c.to_dict()}
                           for (p, q), c in sorted(self.terms.items())]}
 
@@ -215,78 +221,39 @@ class LocalFunction:
         return cls(n, terms)
 
 
-def _require_parity(f: LocalFunction, parity: str, name: str) -> LocalFunction:
-    if not f.is_zero() and f.parity != parity:
-        raise ParityError("%s must be %s, got %s" % (name, parity, f.parity))
-    return f
+class LocalMatrix(SuperMatrix11):
+    """SuperMatrix11 with LocalFunction entries, built as LocalMatrix(a, beta, gamma, d).
 
+    The algebra, supertrace, norm and parity checks are SuperMatrix11's; this
+    class adds the chart calculus and the inverse of a polynomial matrix.
+    """
 
-class LocalMatrix:
-    """2x2 matrix of LocalFunctions."""
-
-    __slots__ = ("rows", "n")
-
-    def __init__(self, rows):
-        self.rows = [[rows[0][0], rows[0][1]], [rows[1][0], rows[1][1]]]
-        self.n = rows[0][0].n
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n):
-        one = LocalFunction.one(n)
-        zero = LocalFunction.zero(n)
-        return cls([[one, zero], [zero, one]])
+        one, zero = LocalFunction.one(n), LocalFunction.zero(n)
+        return cls(one, zero, zero, one)
 
     def __getitem__(self, idx):
-        return self.rows[idx[0]][idx[1]]
-
-    def __add__(self, other):
-        return LocalMatrix([[self.rows[i][j] + other.rows[i][j] for j in (0, 1)]
-                            for i in (0, 1)])
-
-    def __sub__(self, other):
-        return LocalMatrix([[self.rows[i][j] - other.rows[i][j] for j in (0, 1)]
-                            for i in (0, 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, LocalMatrix):
-            return LocalMatrix([
-                [sum((self.rows[i][k] * other.rows[k][j] for k in (0, 1)),
-                     LocalFunction.zero(self.n)) for j in (0, 1)]
-                for i in (0, 1)])
-        return LocalMatrix([[self.rows[i][j] * other for j in (0, 1)]
-                            for i in (0, 1)])
+        """Entry m[i, j]: m[0, 1] is beta and m[1, 0] is gamma."""
+        i, j = idx
+        return self.entries()[2 * i + j]
 
     def d_z(self):
-        return LocalMatrix([[self.rows[i][j].d_z() for j in (0, 1)] for i in (0, 1)])
+        return LocalMatrix(*(e.d_z() for e in self.entries()), check=False)
 
     def d_zbar(self):
-        return LocalMatrix([[self.rows[i][j].d_zbar() for j in (0, 1)] for i in (0, 1)])
-
-    def supertrace(self) -> LocalFunction:
-        return self.rows[0][0] - self.rows[1][1]
+        return LocalMatrix(*(e.d_zbar() for e in self.entries()), check=False)
 
     def adjoint(self, table: ConjugationTable) -> "LocalMatrix":
         """Conjugate transpose; an antihomomorphism since bar(uv) = bar(v)bar(u)."""
-        return LocalMatrix([[self.rows[0][0].conjugate(table),
-                             self.rows[1][0].conjugate(table)],
-                            [self.rows[0][1].conjugate(table),
-                             self.rows[1][1].conjugate(table)]])
+        return LocalMatrix(self.a.conjugate(table), self.gamma.conjugate(table),
+                           self.beta.conjugate(table), self.d.conjugate(table), check=False)
 
     def inverse(self) -> "LocalMatrix":
-        """Closed-form block inverse of an even-diagonal, odd-off-diagonal matrix."""
-        (a, beta), (gamma, d) = self.rows
-        _require_parity(a, "even", "diagonal entry [0][0]")
-        _require_parity(d, "even", "diagonal entry [1][1]")
-        _require_parity(beta, "odd", "off-diagonal entry [0][1]")
-        _require_parity(gamma, "odd", "off-diagonal entry [1][0]")
-        a_inv, beta_inv, gamma_inv, d_inv = block_inverse(a, beta, gamma, d)
-        return LocalMatrix([[a_inv, beta_inv], [gamma_inv, d_inv]])
-
-    def max_abs(self) -> float:
-        return nan_max(self.rows[i][j].max_abs() for i in (0, 1) for j in (0, 1))
-
-    def is_close(self, other, tol=1e-9):
-        return (self - other).max_abs() <= tol
+        """Closed-form block inverse; LocalFunction.inv decides invertibility."""
+        return LocalMatrix(*block_inverse(*self.entries()), check=False)
 
 
 class MetricData:
@@ -295,8 +262,8 @@ class MetricData:
     __slots__ = ("u", "rho", "table")
 
     def __init__(self, u: LocalFunction, rho: LocalFunction, table: ConjugationTable):
-        _require_parity(u, "even", "u")
-        _require_parity(rho, "odd", "rho")
+        require_parity(u, "even", "u")
+        require_parity(rho, "odd", "rho")
         if table.n != u.n:
             raise ValueError("conjugation table size mismatch")
         self.u = u
@@ -316,7 +283,7 @@ class MetricData:
         rho, rhobar = self.rho, self.rhobar()
         m = rho * rhobar * 0.5
         one = LocalFunction.one(n)
-        return LocalMatrix([[one - m, rhobar], [rho, one + m]])
+        return LocalMatrix(one - m, rhobar, rho, one + m, check=False)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "u": self.u.to_dict(), "rho": self.rho.to_dict(),
@@ -338,16 +305,15 @@ def chern_form(m: MetricData) -> LocalMatrix:
     """
     rho, rhobar = m.rho, m.rhobar()
     diag = m.u.d_z() - (rhobar * rho.d_z() + rho * rhobar.d_z()) * 0.5
-    return LocalMatrix([[diag, rhobar.d_z()], [rho.d_z(), diag]])
+    return LocalMatrix(diag, rhobar.d_z(), rho.d_z(), diag, check=False)
 
 
 def chern_form_via_inverse(m: MetricData) -> LocalMatrix:
     """Independent route: d_z u * I + G^{-1} d_z G by matrix inversion."""
     g = m.reduced_matrix()
     du = m.u.d_z()
-    out = g.inverse() * g.d_z()
-    ident = LocalMatrix.identity(m.n)
-    return out + LocalMatrix([[ident[i, j] * du for j in (0, 1)] for i in (0, 1)])
+    zero = LocalFunction.zero(m.n)
+    return g.inverse() * g.d_z() + LocalMatrix(du, zero, zero, du, check=False)
 
 
 def curvature(m: MetricData) -> LocalMatrix:
@@ -369,10 +335,10 @@ def flat_solution(rho_h: LocalFunction, rho_a: LocalFunction,
     for f, name in ((rho_a, "rho_a"), (v_a, "v_a")):
         if not f.is_antiholomorphic():
             raise ValueError("%s must be antiholomorphic (no z)" % name)
-    _require_parity(rho_h, "odd", "rho_h")
-    _require_parity(rho_a, "odd", "rho_a")
-    _require_parity(v_h, "even", "v_h")
-    _require_parity(v_a, "even", "v_a")
+    require_parity(rho_h, "odd", "rho_h")
+    require_parity(rho_a, "odd", "rho_a")
+    require_parity(v_h, "even", "v_h")
+    require_parity(v_a, "even", "v_a")
     rho = rho_h + rho_a
     u = (v_h + v_a
          + rho_h.conjugate(table) * rho_h * 0.5
@@ -383,10 +349,10 @@ def flat_solution(rho_h: LocalFunction, rho_a: LocalFunction,
 def higgs_matrix(a: LocalFunction, delta: LocalFunction,
                  gamma: LocalFunction) -> LocalMatrix:
     """Supertraceless local Higgs field [[a, delta], [gamma, a]]."""
-    _require_parity(a, "even", "a")
-    _require_parity(delta, "odd", "delta")
-    _require_parity(gamma, "odd", "gamma")
-    return LocalMatrix([[a, delta], [gamma, a]])
+    require_parity(a, "even", "a")
+    require_parity(delta, "odd", "delta")
+    require_parity(gamma, "odd", "gamma")
+    return LocalMatrix(a, delta, gamma, a, check=False)
 
 
 def higgs_from_dict(n: int, data: dict) -> LocalMatrix:
@@ -409,7 +375,7 @@ def hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,
     for f, name in ((delta, "delta"), (gamma, "gamma")):
         if not f.is_holomorphic():
             raise ValueError("%s must be holomorphic" % name)
-        _require_parity(f, "odd", name)
+        require_parity(f, "odd", name)
     eta = delta.antiderivative_z()
     phi = gamma.antiderivative_z()
     u = (base.u + eta * eta.conjugate(table) + phi * phi.conjugate(table))
@@ -427,11 +393,8 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
     if phi.supertrace().max_abs() > tol:
         raise ValueError("hitchin_residual requires str(Phi) = 0; got %.3e"
                          % phi.supertrace().max_abs())
-    _require_parity(phi[0, 0], "even", "Phi diagonal")
-    _require_parity(phi[0, 1], "odd", "Phi upper-right")
-    _require_parity(phi[1, 0], "odd", "Phi lower-left")
-    shifted = LocalMatrix([[LocalFunction.zero(m.n), phi[0, 1]],
-                           [phi[1, 0], phi[1, 1] - phi[0, 0]]])
+    shifted = LocalMatrix(LocalFunction.zero(m.n), phi.beta, phi.gamma, phi.d - phi.a,
+                          check=False)
     g = m.reduced_matrix()
     adj_h = g.inverse() * shifted.adjoint(m.table) * g
     commutator = shifted * adj_h - adj_h * shifted

@@ -45,8 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grassmann import (GrassmannElement, ParityError, json_at, json_list, json_number,
-                        json_object)
+from .grassmann import (GrassmannElement, json_at, json_list, json_number, json_object,
+                        require_parity)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
@@ -226,8 +226,7 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
 
 def odd_gradient(p: ParabolicData, f: GrassmannElement):
     """[(d_theta_k f, d_eta_k f) for each site k] of an even observable f."""
-    if not f.is_even():
-        raise ParityError("the bracket is exercised on even observables only")
+    require_parity(f, "even", "the observable of a bracket")
     return [(f.derivative(2 * k + 1), f.derivative(2 * k + 2)) for k in range(p.m)]
 
 

@@ -26,7 +26,8 @@ exactly one, so the group law reduces to the additive edge-coordinate fold
     h = h_1 + h_2 + (alpha_1 beta_2 - alpha_2 beta_1) / 2,
 
 the inverse to (-h, -s, -alpha, -beta), and from_coords needs e^h once.
-The test is ``not s.terms``, an exact zero and not a tolerance, so a GL
+The test is ``GroupCoords.is_sl()``, which reads ``not s.terms``: an exact
+zero and not a tolerance, so a GL
 element whose s is merely small keeps its twist factors.  Every product the
 shortcut skips is a multiplication by e^0 = 1 + 0j, which is exact on finite
 coefficients, so the results are the same floating-point values.
@@ -39,24 +40,12 @@ import cmath
 from .grassmann import (
     GrassmannElement,
     NotInvertibleError,
-    ParityError,
     nan_max,
     random_even,
     random_odd,
+    require_parity,
 )
 from .reports import CheckReport
-
-
-def _require_even(x: GrassmannElement, name: str) -> GrassmannElement:
-    if not x.is_even():
-        raise ParityError("%s must be even, got parity %r" % (name, x.parity()))
-    return x
-
-
-def _require_odd(x: GrassmannElement, name: str) -> GrassmannElement:
-    if not x.is_odd():
-        raise ParityError("%s must be odd, got parity %r" % (name, x.parity()))
-    return x
 
 
 def block_inverse(a, beta, gamma, d):
@@ -85,7 +74,11 @@ def supertrace_product(x: "SuperMatrix11", y: "SuperMatrix11") -> GrassmannEleme
 
 
 class SuperMatrix11:
-    """(1|1)x(1|1) supermatrix [[a, beta], [gamma, d]] with graded blocks."""
+    """(1|1)x(1|1) supermatrix [[a, beta], [gamma, d]] with graded blocks.
+
+    ``*``, ``+``, ``-`` and ``scale`` build the operand's own class, so a
+    subclass with other graded entries (gl11.hitchin.LocalMatrix) shares them.
+    """
 
     __slots__ = ("a", "beta", "gamma", "d", "n")
 
@@ -94,10 +87,10 @@ class SuperMatrix11:
         if len(ns) != 1:
             raise ValueError("entries live in different Grassmann algebras: %r" % ns)
         if check:
-            _require_even(a, "a")
-            _require_even(d, "d")
-            _require_odd(beta, "beta")
-            _require_odd(gamma, "gamma")
+            require_parity(a, "even", "a")
+            require_parity(d, "even", "d")
+            require_parity(beta, "odd", "beta")
+            require_parity(gamma, "odd", "gamma")
         self.a, self.beta, self.gamma, self.d = a, beta, gamma, d
         self.n = a.n
 
@@ -120,20 +113,20 @@ class SuperMatrix11:
         beta = self.a * other.beta + self.beta * other.d
         gamma = self.gamma * other.a + self.d * other.gamma
         d = self.gamma * other.beta + self.d * other.d
-        return SuperMatrix11(a, beta, gamma, d, check=False)
+        return type(self)(a, beta, gamma, d, check=False)
 
     def __add__(self, other: "SuperMatrix11") -> "SuperMatrix11":
-        return SuperMatrix11(self.a + other.a, self.beta + other.beta,
-                             self.gamma + other.gamma, self.d + other.d, check=False)
+        return type(self)(self.a + other.a, self.beta + other.beta,
+                          self.gamma + other.gamma, self.d + other.d, check=False)
 
     def __sub__(self, other: "SuperMatrix11") -> "SuperMatrix11":
-        return SuperMatrix11(self.a - other.a, self.beta - other.beta,
-                             self.gamma - other.gamma, self.d - other.d, check=False)
+        return type(self)(self.a - other.a, self.beta - other.beta,
+                          self.gamma - other.gamma, self.d - other.d, check=False)
 
     def scale(self, c) -> "SuperMatrix11":
         """Left multiplication of every entry by an even scalar."""
-        return SuperMatrix11(c * self.a, c * self.beta, c * self.gamma, c * self.d,
-                             check=False)
+        return type(self)(c * self.a, c * self.beta, c * self.gamma, c * self.d,
+                          check=False)
 
     def is_invertible(self, tol: float = 1e-12) -> bool:
         return abs(self.a.body()) > tol and abs(self.d.body()) > tol
@@ -193,10 +186,10 @@ class GroupCoords:
         ns = {h.n, s.n, alpha.n, beta.n}
         if len(ns) != 1:
             raise ValueError("coordinates live in different Grassmann algebras: %r" % ns)
-        _require_even(h, "h")
-        _require_even(s, "s")
-        _require_odd(alpha, "alpha")
-        _require_odd(beta, "beta")
+        require_parity(h, "even", "h")
+        require_parity(s, "even", "s")
+        require_parity(alpha, "odd", "alpha")
+        require_parity(beta, "odd", "beta")
         self.h, self.s, self.alpha, self.beta = h, s, alpha, beta
         self.n = h.n
 
@@ -210,8 +203,9 @@ class GroupCoords:
         """SL(1|1) coordinates (s = 0)."""
         return cls(h, GrassmannElement.zero(h.n), alpha, beta)
 
-    def is_sl(self, tol: float = 1e-12) -> bool:
-        return self.s.max_abs() <= tol
+    def is_sl(self) -> bool:
+        """s has no stored terms: exactly SL(1|1), the test of the group-law shortcuts."""
+        return not self.s.terms
 
     def __repr__(self):
         return ("GroupCoords(h=%r, s=%r, alpha=%r, beta=%r)"
@@ -231,7 +225,7 @@ class GroupCoords:
 
 def from_coords(c: GroupCoords) -> SuperMatrix11:
     """Assemble the supermatrix g(h, alpha, beta) H_s."""
-    if not c.s.terms:
+    if c.is_sl():
         e_plus = e_minus = c.h.exp()
     else:
         e_plus = (c.h + c.s * 0.5).exp()
@@ -265,7 +259,7 @@ def to_coords(m: SuperMatrix11) -> GroupCoords:
 
 def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
     """Exact group law in coordinates (no branch ambiguity)."""
-    if not c1.s.terms:
+    if c1.is_sl():
         h = c1.h + c2.h + (c1.alpha * c2.beta - c2.alpha * c1.beta) * 0.5
         return GroupCoords(h, c1.s + c2.s, c1.alpha + c2.alpha, c1.beta + c2.beta)
     e_s1 = c1.s.exp()
@@ -279,7 +273,7 @@ def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
 
 def coords_inverse(c: GroupCoords) -> GroupCoords:
     """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta)."""
-    if not c.s.terms:
+    if c.is_sl():
         return GroupCoords(-c.h, -c.s, -c.alpha, -c.beta)
     return GroupCoords(-c.h, -c.s, -(c.s.exp() * c.alpha), -((-c.s).exp() * c.beta))
 

@@ -120,6 +120,24 @@ def test_hitchin_residual_metric_wrong_type_exits_2(capsys, tmp_path):
     assert "null_n.json" in err and "wrongly typed" in err
 
 
+def test_cech_verify_duplicate_vertex_names_vertices(capsys, tmp_path):
+    nerve = json.loads(pathlib.Path(fx("nerve_tetrahedron_boundary.json")).read_text())
+    nerve["vertices"] = [1, 2, 3, 4, 4]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(nerve))
+    code, out, err = outcome(capsys, ["cech-verify", str(path), fx("cech_tetra_valid.json")])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: "vertices" lists vertex 4 twice\n' % path
+
+
+def test_fatgraph_normalize_unwritable_output_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing_dir" / "x.json"
+    code, out, err = outcome(capsys, ["fatgraph", "normalize", fx("fatgraph_g1s1.json"),
+                                      fx("connection_g1s1_random.json"), "-o", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: No such file or directory\n" % out_path
+
+
 def test_cech_verify_nerve_wrong_type_exits_2(capsys, tmp_path):
     nerve = json.loads(pathlib.Path(fx("nerve_triangle.json")).read_text())
     nerve["vertices"] = 5

@@ -427,3 +427,22 @@ def test_holonomy_matches_matrix_product(genus, punctures, mode):
             for forward in (True, False):
                 step = [(e, forward)]
                 assert (conn.holonomy(step) - matrix_holonomy(conn, step)).max_abs() <= 1e-12
+
+
+def half_edge_laplacian(graph):
+    """The graph Laplacian summed over half-edges, self-loops left out."""
+    lap = np.zeros((graph.num_vertices, graph.num_vertices))
+    for h in range(len(graph.pairing)):
+        v, w = graph.vertex_of[h], graph.vertex_of[graph.pairing[h]]
+        if v != w:
+            lap[v, v] += 1.0
+            lap[v, w] -= 1.0
+    return lap
+
+
+def test_incidence_gram_is_the_graph_laplacian():
+    # gauge_normalize solves with B B^T of the signed incidence B; the dumbbell has self-loops
+    rng = np.random.default_rng(31)
+    for graph in [fixture_graph(g, s) for g, s in FIXTURES] + [dumbbell_graph()]:
+        incidence = random_connection(rng, graph, N)._signed_incidence()
+        assert np.array_equal(incidence @ incidence.T, half_edge_laplacian(graph))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gl11.grassmann import (
     ParityError,
     random_even,
     random_odd,
+    require_parity,
 )
 from gl11.hitchin import (
     LocalFunction,
@@ -25,7 +27,7 @@ from gl11.hitchin import (
     hitchin_residual,
     hitchin_solution,
 )
-from gl11.supergroup import GroupCoords, coords_product
+from gl11.supergroup import GroupCoords, SuperMatrix11, coords_product
 
 N = 8
 TABLE = ConjugationTable.swap_halves(N)
@@ -114,10 +116,10 @@ def test_local_matrix_inverse():
 
 def test_local_matrix_inverse_rejects_off_grade_entries():
     one, odd = const(scalar(1.0)), const(t(1))
-    for rows in ([[one, one], [zero_fn(), one]],      # even off-diagonal
-                 [[one + odd, zero_fn()], [zero_fn(), one]]):  # mixed diagonal
+    for entries in ((one, one, zero_fn(), one),      # even off-diagonal
+                    (one + odd, zero_fn(), zero_fn(), one)):  # mixed diagonal
         with pytest.raises(ParityError):
-            LocalMatrix(rows).inverse()
+            LocalMatrix(*entries).inverse()
 
 
 def test_local_function_inverse():
@@ -289,8 +291,8 @@ def test_perturbed_metric_has_localized_residual():
 
 def test_hitchin_residual_requires_supertraceless():
     m = MetricData(zero_fn(), zero_fn(), TABLE)
-    phi = LocalMatrix([[const(scalar(1.0)), zero_fn()],
-                       [zero_fn(), const(scalar(-1.0))]])
+    phi = LocalMatrix(const(scalar(1.0)), zero_fn(),
+                      zero_fn(), const(scalar(-1.0)))
     with pytest.raises(ValueError):
         hitchin_residual(m, phi)
 
@@ -400,10 +402,10 @@ def test_local_function_json_roundtrip():
 
 def test_local_function_parity_is_computed_on_read(monkeypatch):
     even, odd = const(t(1, 2)), const(t(3))
-    assert even.parity == "even"
-    assert odd.parity == "odd"
-    assert (even + mono(t(1), 1, 0)).parity == "mixed"
-    assert zero_fn().parity == "even"
+    assert even.parity() == "even"
+    assert odd.parity() == "odd"
+    assert (even + mono(t(1), 1, 0)).parity() == "mixed"
+    assert zero_fn().parity() == "even"
     assert odd.to_dict()["parity"] == "odd"
 
     def no_parity(self):
@@ -413,7 +415,7 @@ def test_local_function_parity_is_computed_on_read(monkeypatch):
     built = const(scalar(2.0) + t(1, 2)) * odd + mono(t(4), 1, 1)
     assert built.terms
     with pytest.raises(AssertionError):
-        built.parity
+        built.parity()
 
 
 def test_local_function_max_abs_keeps_nan():
@@ -423,8 +425,81 @@ def test_local_function_max_abs_keeps_nan():
 
 def test_local_matrix_max_abs_keeps_nan():
     one, poisoned = const(scalar(1.0)), const(scalar(math.nan))
-    m = LocalMatrix([[one, zero_fn()], [zero_fn(), poisoned]])
+    m = LocalMatrix(one, zero_fn(), zero_fn(), poisoned)
     assert math.isnan(m.max_abs())
+
+
+def rows_product(x, y):
+    """The former rows-based LocalMatrix product: each entry a sum() from the zero function."""
+    return [[sum((x[i, k] * y[k, j] for k in (0, 1)), zero_fn()) for j in (0, 1)]
+            for i in (0, 1)]
+
+
+def coefficient_dicts(f):
+    return {key: c.terms for key, c in f.terms.items()}
+
+
+def random_graded_matrix(rng):
+    """Even diagonal, odd off-diagonal; each entry zero with probability 0.3."""
+    return LocalMatrix(*[zero_fn() if rng.random() < 0.3 else random_poly(rng, parity)
+                         for parity in ("even", "odd", "odd", "even")])
+
+
+def test_local_matrix_product_matches_the_rows_product():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        x, y = random_graded_matrix(rng), random_graded_matrix(rng)
+        product, oracle = x * y, rows_product(x, y)
+        assert type(product) is LocalMatrix
+        for i in (0, 1):
+            for j in (0, 1):
+                assert coefficient_dicts(product[i, j]) == coefficient_dicts(oracle[i][j])
+
+
+def test_hitchin_products_are_supermatrix_products(monkeypatch):
+    products = []
+    multiply = SuperMatrix11.__mul__
+
+    def spy(self, other):
+        products.append(type(self))
+        return multiply(self, other)
+
+    monkeypatch.setattr(SuperMatrix11, "__mul__", spy)
+    rng = np.random.default_rng(72)
+    delta = random_poly(rng, "odd", holo=True)
+    m = hitchin_solution(zero_fn(), random_poly(rng, "odd", anti=True), zero_fn(), zero_fn(),
+                         delta, zero_fn(), TABLE)
+    hitchin_residual(m, higgs_matrix(const(scalar(1.0)), delta, zero_fn()))
+    chern_form_via_inverse(m)
+    assert len(products) == 5 and set(products) == {LocalMatrix}
+
+
+def test_local_matrix_adds_only_the_chart_calculus():
+    defined = {name for name, value in vars(LocalMatrix).items()
+               if isinstance(value, (types.FunctionType, classmethod))}
+    assert defined == {"identity", "__getitem__", "d_z", "d_zbar", "adjoint", "inverse"}
+
+
+@pytest.mark.parametrize("kind", ["GrassmannElement", "LocalFunction"])
+def test_require_parity_on_both_element_types(kind):
+    if kind == "GrassmannElement":
+        zero, even, odd, mixed = GrassmannElement.zero(N), t(1, 2), t(3), scalar(1.0) + t(1)
+    else:
+        zero, even, odd = zero_fn(), mono(t(1, 2), 1, 0), mono(t(3), 0, 2)
+        mixed = const(t(1, 2)) + mono(t(3), 1, 0)  # each coefficient graded, not alike
+    for parity in ("even", "odd"):
+        assert require_parity(zero, parity, "x") is zero
+        with pytest.raises(ParityError) as err:
+            require_parity(mixed, parity, "x")
+        assert str(err.value) == "x must be %s, got parity 'mixed'" % parity
+    assert require_parity(even, "even", "x") is even
+    assert require_parity(odd, "odd", "x") is odd
+    with pytest.raises(ParityError) as err:
+        require_parity(odd, "even", "u")
+    assert str(err.value) == "u must be even, got parity 'odd'"
+    with pytest.raises(ParityError) as err:
+        require_parity(even, "odd", "rho")
+    assert str(err.value) == "rho must be odd, got parity 'even'"
 
 
 def full_phi_residual(m, phi):
@@ -458,7 +533,7 @@ def test_hitchin_residual_matches_full_phi_commutator(case):
         elif case == "d_differs_from_a":
             d = a + random_poly(rng, "even", max_deg=2, holo=True) * 0.05 + const(scalar(0.2))
             tol = 1.0  # admits this str(Phi) = a - d
-        phi = LocalMatrix([[a, delta], [gamma, d]])
+        phi = LocalMatrix(a, delta, gamma, d)
         expected = full_phi_residual(m, phi)
         residual = hitchin_residual(m, phi, tol=tol)
         assert (residual - expected).max_abs() <= 1e-12 * max(1.0, expected.max_abs())

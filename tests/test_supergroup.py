@@ -399,7 +399,7 @@ def test_sl_group_law_forms_no_exponential(monkeypatch):
 
 @pytest.mark.parametrize("s_term", [
     GrassmannElement(N, {0b11: 1e-11}),
-    GrassmannElement(N, {0: 1e-13}, prune=0.0),  # below is_sl's tolerance, still stored
+    GrassmannElement(N, {0: 1e-13}, prune=0.0),  # below the prune tolerance, still stored
 ])
 def test_tiny_s_keeps_the_twist(s_term):
     rng = np.random.default_rng(5)
@@ -409,6 +409,14 @@ def test_tiny_s_keeps_the_twist(s_term):
     assert_same_terms(coords_product(c1, c2), twisted_product(c1, c2))
     assert_same_terms(coords_inverse(c1), twisted_inverse(c1))
     assert_same_terms(from_coords(c1), twisted_from_coords(c1))
+
+
+def test_is_sl_is_the_exact_test_of_the_shortcuts():
+    # a stored s term, however small, keeps a GL element off the SL(1|1) fold
+    c = random_coords(np.random.default_rng(6), N, sl=True)
+    assert c.is_sl()
+    tiny = GrassmannElement(N, {0: 1e-13}, prune=0.0)
+    assert not GroupCoords(c.h, tiny, c.alpha, c.beta).is_sl()
 
 
 def test_supertrace_product_equals_the_supertrace_of_the_product():
