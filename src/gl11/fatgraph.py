@@ -37,33 +37,39 @@ from .supergroup import (
 
 
 class FatGraph:
-    """Half-edge fatgraph: pairing involution, cyclic orders, orientation."""
+    """Half-edge fatgraph: pairing involution, cyclic orders, orientation.
+
+    Each error about an argument starts with its name, which is also the
+    key that holds it in a fatgraph file: ``"cyclic_orders": vertex [0, 1]
+    is not trivalent``.
+    """
 
     def __init__(self, pairing, cyclic_orders, orientation=None):
         pairing = tuple(pairing)
         size = len(pairing)
         if size % 2:
-            raise ValueError("odd number of half-edges")
+            raise ValueError('"pairing": odd number of half-edges')
         if sorted(pairing) != list(range(size)):
-            raise ValueError("pairing must permute 0..%d" % (size - 1))
+            raise ValueError('"pairing": not a permutation of 0..%d' % (size - 1))
         for h, p in enumerate(pairing):
             if p == h or pairing[p] != h:
-                raise ValueError("pairing is not a fixed-point-free involution at %d" % h)
+                raise ValueError('"pairing": not a fixed-point-free involution at %d' % h)
         self.pairing = pairing
         self.cyclic_orders = tuple(tuple(order) for order in cyclic_orders)
         seen = [False] * size
         for order in self.cyclic_orders:
             if len(order) != 3:
-                raise ValueError("vertex %r is not trivalent" % (order,))
+                raise ValueError('"cyclic_orders": vertex %s is not trivalent' % list(order))
             for h in order:
                 if not 0 <= h < size:
-                    raise ValueError("vertex %r: half-edge %d is not in 0..%d"
-                                     % (order, h, size - 1))
+                    raise ValueError('"cyclic_orders": vertex %s: half-edge %d is not in 0..%d'
+                                     % (list(order), h, size - 1))
                 if seen[h]:
-                    raise ValueError("half-edge %d assigned to two vertices" % h)
+                    raise ValueError('"cyclic_orders": half-edge %d assigned to two vertices'
+                                     % h)
                 seen[h] = True
         if not all(seen):
-            raise ValueError("some half-edges missing from vertices")
+            raise ValueError('"cyclic_orders": some half-edges missing from vertices')
         self.vertex_of = [0] * size
         for v, order in enumerate(self.cyclic_orders):
             for h in order:
@@ -75,7 +81,7 @@ class FatGraph:
                 self.edge_halves.append((h, pairing[h]))
         if orientation is not None:
             if len(orientation) != len(self.edge_halves):
-                raise ValueError("orientation needs one tail half-edge per edge")
+                raise ValueError('"orientation": needs one tail half-edge per edge')
             fixed = []
             for e, tail in enumerate(orientation):
                 lo, hi = self.edge_halves[e]
@@ -84,7 +90,8 @@ class FatGraph:
                 elif tail == hi:
                     fixed.append((hi, lo))
                 else:
-                    raise ValueError("half-edge %d is not on edge %d" % (tail, e))
+                    raise ValueError('"orientation": half-edge %d is not on edge %d'
+                                     % (tail, e))
             self.edge_halves = fixed
         self._check_connected()
 

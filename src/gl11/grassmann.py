@@ -63,8 +63,14 @@ def _prune(terms: dict, prune: float) -> dict:
     """Delete the entries of magnitude <= prune from ``terms``, in place.
 
     The test is written so that NaN and inf coefficients stay: a blown-up
-    value must reach the residual instead of vanishing as a zero.
+    value must reach the residual instead of vanishing as a zero.  Most
+    calls delete nothing, so the values are scanned before any key is listed.
     """
+    for c in terms.values():
+        if abs(c) <= prune:
+            break
+    else:
+        return terms
     for m in [m for m, c in terms.items() if abs(c) <= prune]:
         del terms[m]
     return terms
@@ -83,6 +89,9 @@ def nan_max(values) -> float:
         if v > worst:
             worst = v
     return worst
+
+
+_low_bit = (1).__and__  # k & 1, mapped over monomial lengths by the parity tests
 
 
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -187,16 +196,31 @@ def nilpotent_series(w, coeff):
     """1 + sum_{k >= 1} coeff(k) w^k for a nilpotent ring element w.
 
     The sum stops at the first power of w that is zero, so the result is
-    exact.  ``w`` needs ``one(n)``, ``*``, ``+`` and ``is_zero()``: a
-    GrassmannElement soul or a polynomial with nilpotent coefficients.
+    exact.  ``w`` needs ``one(n)``, ``*``, ``add_scaled`` and ``is_zero()``:
+    a GrassmannElement soul or a polynomial with nilpotent coefficients.
     """
     acc = type(w).one(w.n)
     power, k = w, 1
     while not power.is_zero():
-        acc = acc + power * coeff(k)
+        acc = acc.add_scaled(power, coeff(k))
         power = power * w
         k += 1
     return acc
+
+
+_new = object.__new__
+
+
+def _element(n: int, terms: dict, prune: float = PRUNE_TOL) -> "GrassmannElement":
+    """The element on n generators that owns ``terms``, pruned in place.
+
+    ``terms`` must be merged and within range already, and the caller must
+    not use it afterwards.  Every result of the kernel is built here.
+    """
+    x = _new(GrassmannElement)
+    x.n = n
+    x.terms = _prune(terms, prune)
+    return x
 
 
 class GrassmannElement:
@@ -224,18 +248,6 @@ class GrassmannElement:
         self.terms = merged
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _raw(cls, n: int, merged: dict, prune: float = PRUNE_TOL) -> "GrassmannElement":
-        """Internal fast path: terms already merged and within range.
-
-        ``merged`` becomes the new element's terms: it is pruned in place and
-        must not be used by the caller afterwards.
-        """
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = _prune(merged, prune)
-        return self
 
     @classmethod
     def zero(cls, n: int) -> "GrassmannElement":
@@ -271,17 +283,17 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part x - body(x)."""
-        return GrassmannElement._raw(self.n, {m: c for m, c in self.terms.items() if m})
+        return _element(self.n, {m: c for m, c in self.terms.items() if m})
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def is_even(self) -> bool:
         """True when every monomial has even length (vacuously for 0)."""
-        return all(m.bit_count() % 2 == 0 for m in self.terms)
+        return not any(map(_low_bit, map(int.bit_count, self.terms)))
 
     def is_odd(self) -> bool:
-        return all(m.bit_count() % 2 == 1 for m in self.terms)
+        return all(map(_low_bit, map(int.bit_count, self.terms)))
 
     def parity(self) -> str:
         """'even', 'odd', or 'mixed'; the zero element reports 'even'."""
@@ -297,8 +309,35 @@ class GrassmannElement:
         """Magnitude of the largest coefficient (the residual norm used throughout)."""
         return nan_max(abs(c) for c in self.terms.values())
 
+    def residual(self, other: "GrassmannElement") -> float:
+        """``(self - other).max_abs()``, without building the difference.
+
+        The largest |x_m - y_m| over the union of monomials, NaN when any is
+        NaN, and 0.0 when it is <= PRUNE_TOL, where the difference's prune
+        would have deleted every term.
+        """
+        if self.n != other.n:
+            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
+        mine, theirs = self.terms, other.terms
+        get = theirs.get
+        worst = 0.0
+        for m, c in mine.items():
+            gap = abs(c - get(m, 0j))
+            if gap > worst:
+                worst = gap
+            elif gap != gap:
+                return math.nan
+        for m, c in theirs.items():
+            if m not in mine:
+                gap = abs(c)
+                if gap > worst:
+                    worst = gap
+                elif gap != gap:
+                    return math.nan
+        return worst if worst > PRUNE_TOL else 0.0
+
     def is_close(self, other: "GrassmannElement", tol: float = DEFAULT_TOL) -> bool:
-        return (self - other).max_abs() <= tol
+        return self.residual(other) <= tol
 
     # -- ring operations ----------------------------------------------------
 
@@ -308,15 +347,31 @@ class GrassmannElement:
         if self.n != other.n:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
         terms = dict(self.terms)
+        get = terms.get
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0j) + c
-        return GrassmannElement._raw(self.n, terms)
+            terms[m] = get(m, 0j) + c
+        return _element(self.n, terms)
 
     __radd__ = __add__
 
+    def add_scaled(self, other: "GrassmannElement", k) -> "GrassmannElement":
+        """``self + other * k`` for a number k, without the element other * k.
+
+        The same values, operation for operation: a scaled term that the
+        product's prune would delete is left out of the sum.
+        """
+        if self.n != other.n:
+            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
+        terms = dict(self.terms)
+        get = terms.get
+        for m, c in other.terms.items():
+            c = c * k
+            if not abs(c) <= PRUNE_TOL:
+                terms[m] = get(m, 0j) + c
+        return _element(self.n, terms)
+
     def __neg__(self):
-        return GrassmannElement._raw(self.n, {m: -c for m, c in self.terms.items()},
-                                     prune=0.0)
+        return _element(self.n, {m: -c for m, c in self.terms.items()}, prune=0.0)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -327,15 +382,14 @@ class GrassmannElement:
         get = terms.get
         for m, c in other.terms.items():
             terms[m] = get(m, 0j) - c
-        return GrassmannElement._raw(self.n, terms)
+        return _element(self.n, terms)
 
     def __rsub__(self, other):
         return GrassmannElement.scalar(self.n, other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return GrassmannElement._raw(
-                self.n, {m: c * other for m, c in self.terms.items()})
+            return _element(self.n, {m: c * other for m, c in self.terms.items()})
         if self.n != other.n:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
         terms: dict[int, complex] = {}
@@ -353,7 +407,7 @@ class GrassmannElement:
                     continue
                 m = ma | mb
                 terms[m] = get(m, 0j) + (ca * cb * sign(ma, mb) if mb else ca * cb)
-        return GrassmannElement._raw(self.n, terms)
+        return _element(self.n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -404,7 +458,7 @@ class GrassmannElement:
                 continue
             sign = -1.0 if (m & below).bit_count() & 1 else 1.0
             terms[m ^ bit] = sign * c
-        return GrassmannElement._raw(self.n, terms, prune=0.0)
+        return _element(self.n, terms, prune=0.0)
 
     def conjugate(self, table: "ConjugationTable") -> "GrassmannElement":
         """Antilinear conjugation: bar(uv) = bar(v) bar(u), generators by table."""
@@ -417,7 +471,7 @@ class GrassmannElement:
             mapped = [table.pairing[i - 1] for i in reversed(idx)]
             sign = _sort_sign(mapped)
             terms[_indices_to_mask(mapped)] = sign * c.conjugate()
-        return GrassmannElement._raw(self.n, terms, prune=0.0)
+        return _element(self.n, terms, prune=0.0)
 
     # -- presentation and serialization --------------------------------------
 
@@ -535,7 +589,7 @@ def random_element(rng, n: int, parity: str = "any", max_degree=None,
                 continue
         if k < 0 or k > n:
             continue
-        mask = _indices_to_mask(rng.choice(n, size=k, replace=False) + 1) if k else 0
+        mask = _indices_to_mask((rng.choice(n, size=k, replace=False) + 1).tolist()) if k else 0
         coeff = complex(rng.standard_normal(), rng.standard_normal()) * scale
         terms[mask] = coeff
     if body is not None:

@@ -110,14 +110,22 @@ class LocalFunction:
     def is_antiholomorphic(self) -> bool:
         return all(p == 0 for p, _ in self.terms)
 
+    def body(self) -> complex:
+        """Body of the constant term: the value at z = zbar = 0 and zero generators."""
+        return self.coefficient(0, 0).body()
+
     def coefficient(self, p, q) -> GrassmannElement:
         return self.terms.get((p, q), GrassmannElement.zero(self.n))
 
     def max_abs(self) -> float:
         return nan_max(c.max_abs() for c in self.terms.values())
 
+    def residual(self, other) -> float:
+        """(self - other).max_abs(), the entry fold of SuperMatrix11.residual."""
+        return (self - other).max_abs()
+
     def is_close(self, other, tol=1e-9):
-        return (self - other).max_abs() <= tol
+        return self.residual(other) <= tol
 
     # -- algebra --------------------------------------------------------------
 
@@ -128,6 +136,10 @@ class LocalFunction:
         for key, c in other.terms.items():
             terms[key] = terms.get(key, GrassmannElement.zero(self.n)) + c
         return LocalFunction(self.n, terms)
+
+    def add_scaled(self, other, k):
+        """self + other * k for a number k, as GrassmannElement.add_scaled."""
+        return self + other * k
 
     def __neg__(self):
         return LocalFunction(self.n, {k: -c for k, c in self.terms.items()})
@@ -159,7 +171,7 @@ class LocalFunction:
 
     def inv(self) -> "LocalFunction":
         """Inverse of c(1 + w) with w nilpotent (all non-body content soul)."""
-        body = self.coefficient(0, 0).body()
+        body = self.body()
         if abs(body) <= 1e-12:
             raise ValueError("not invertible: constant-term body is zero")
         scale = 1.0 / body
@@ -224,16 +236,14 @@ class LocalFunction:
 class LocalMatrix(SuperMatrix11):
     """SuperMatrix11 with LocalFunction entries, built as LocalMatrix(a, beta, gamma, d).
 
-    The algebra, supertrace, norm and parity checks are SuperMatrix11's; this
-    class adds the chart calculus and the inverse of a polynomial matrix.
+    The algebra, identity, zero, supertrace, Berezinian, norm and parity
+    checks are SuperMatrix11's; this class adds the chart calculus and the
+    inverse of a polynomial matrix.
     """
 
     __slots__ = ()
 
-    @classmethod
-    def identity(cls, n):
-        one, zero = LocalFunction.one(n), LocalFunction.zero(n)
-        return cls(one, zero, zero, one)
+    element = LocalFunction
 
     def __getitem__(self, idx):
         """Entry m[i, j]: m[0, 1] is beta and m[1, 0] is gamma."""

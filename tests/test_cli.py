@@ -695,8 +695,41 @@ def test_fatgraph_half_edge_out_of_range_names_file(capsys, tmp_path, half_edge)
     code, out, err = outcome(capsys, ["fatgraph", "check-punctures", str(path),
                                       fx("connection_g1s1_flat.json")])
     assert (code, out) == (2, "")
-    assert err == "error: %s: vertex (1, 3, %d): half-edge %d is not in 0..5\n" % (
-        path, half_edge, half_edge)
+    assert err == ('error: %s: "cyclic_orders": vertex [1, 3, %d]: half-edge %d is not in 0..5\n'
+                   % (path, half_edge, half_edge))
+
+
+def graph_error(capsys, tmp_path, change):
+    """(exit code, stderr) of check-punctures on fatgraph_g1s1.json with change applied."""
+    data = json.loads((FIXTURES / "fatgraph_g1s1.json").read_text())
+    change(data)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = outcome(capsys, ["fatgraph", "check-punctures", str(path),
+                                      fx("connection_g1s1_flat.json")])
+    assert out == ""
+    return code, err.replace(str(path), "<file>")
+
+
+def test_fatgraph_not_trivalent_names_cyclic_orders(capsys, tmp_path):
+    def change(data):
+        data["cyclic_orders"][0] = [0, 2]
+
+    assert graph_error(capsys, tmp_path, change) == (
+        2, 'error: <file>: "cyclic_orders": vertex [0, 2] is not trivalent\n')
+
+
+@pytest.mark.parametrize("key, change, problem", [
+    ("pairing", lambda data: data["pairing"].reverse(),
+     "not a fixed-point-free involution at 2"),
+    ("cyclic_orders", lambda data: data["cyclic_orders"][1].__setitem__(
+        0, data["cyclic_orders"][0][0]), "half-edge 0 assigned to two vertices"),
+    ("orientation", lambda data: data["orientation"].append(0),
+     "needs one tail half-edge per edge"),
+])
+def test_fatgraph_errors_name_their_key(capsys, tmp_path, key, change, problem):
+    assert graph_error(capsys, tmp_path, change) == (
+        2, 'error: <file>: "%s": %s\n' % (key, problem))
 
 
 # -- integer "n" fields and repeated terms ----------------------------------------

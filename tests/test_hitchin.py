@@ -10,6 +10,7 @@ import pytest
 from gl11.grassmann import (
     ConjugationTable,
     GrassmannElement,
+    NotInvertibleError,
     ParityError,
     random_even,
     random_odd,
@@ -477,7 +478,7 @@ def test_hitchin_products_are_supermatrix_products(monkeypatch):
 def test_local_matrix_adds_only_the_chart_calculus():
     defined = {name for name, value in vars(LocalMatrix).items()
                if isinstance(value, (types.FunctionType, classmethod))}
-    assert defined == {"identity", "__getitem__", "d_z", "d_zbar", "adjoint", "inverse"}
+    assert defined == {"__getitem__", "d_z", "d_zbar", "adjoint", "inverse"}
 
 
 @pytest.mark.parametrize("kind", ["GrassmannElement", "LocalFunction"])
@@ -541,3 +542,32 @@ def test_hitchin_residual_matches_full_phi_commutator(case):
             assert expected.max_abs() <= 1e-10
         else:
             assert expected.max_abs() > 1e-3
+
+
+def test_local_matrix_zero_and_identity_have_local_function_entries():
+    for m in (LocalMatrix.zero(4), LocalMatrix.identity(4)):
+        assert type(m) is LocalMatrix
+        assert all(type(e) is LocalFunction for e in m.entries())
+    assert all(e.is_zero() for e in LocalMatrix.zero(4).entries())
+
+
+def test_local_matrix_is_invertible_reads_the_constant_bodies():
+    assert LocalMatrix.identity(4).is_invertible()
+    assert not LocalMatrix.zero(4).is_invertible()
+    one, z = LocalFunction.one(N), mono(scalar(1.0), 1, 0)
+    assert not LocalMatrix(one, zero_fn(), zero_fn(), z).is_invertible()
+
+
+def test_local_matrix_sdet():
+    assert LocalMatrix.identity(4).sdet().residual(LocalFunction.one(4)) == 0.0
+    with pytest.raises(NotInvertibleError):
+        LocalMatrix.zero(4).sdet()
+    # G = [[1 - rho rhobar/2, rhobar], [rho, 1 + rho rhobar/2]] has Berezinian 1
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        g = MetricData(zero_fn(), random_poly(rng, "odd"), TABLE).reduced_matrix()
+        assert g.sdet().is_close(LocalFunction.one(N), tol=1e-12)
+    # a diagonal of two constants: the Berezinian is a / d
+    a, d = const(scalar(3.0) + t(1, 2)), const(scalar(2.0))
+    expected = const((scalar(3.0) + t(1, 2)) * 0.5)
+    assert LocalMatrix(a, zero_fn(), zero_fn(), d).sdet().residual(expected) == 0.0

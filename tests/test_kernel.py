@@ -9,6 +9,7 @@ equality of the coefficient maps, not a tolerance.
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -146,3 +147,85 @@ def test_check_report_worst_keeps_nan():
     report.add("beta[1]", 2.0, 1e-9)
     assert math.isnan(report.worst("alpha"))
     assert report.worst("beta") == 2.0
+
+
+# -- the fused residual, add_scaled, the prune scan and the parity tests -------
+
+def same_float(a, b):
+    """a and b are the same float, NaN included."""
+    return a == b or (a != a and b != b)
+
+
+edge_coefficients = st.sampled_from([PRUNE_TOL, -PRUNE_TOL, 1j * PRUNE_TOL, 2 * PRUNE_TOL,
+                                     NAN, INF, -INF, complex(0.0, INF), 0.5])
+unpruned = st.dictionaries(all_masks, st.one_of(coefficients, edge_coefficients),
+                           max_size=6).map(lambda terms: GrassmannElement(N, terms, prune=0.0))
+residual_operands = st.one_of(any_element, unpruned, st.just(GrassmannElement.zero(N)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(residual_operands, residual_operands)
+@example(t1, t2)                                             # disjoint supports
+@example(GrassmannElement.zero(N), GrassmannElement.zero(N))
+@example(GrassmannElement(N, {1: PRUNE_TOL}, prune=0.0), GrassmannElement.zero(N))
+@example(GrassmannElement(N, {0: 1.0, 1: PRUNE_TOL}, prune=0.0), GrassmannElement.one(N))
+@example(GrassmannElement(N, {3: NAN}), t1)
+@example(t1, GrassmannElement(N, {1: INF}))
+def test_residual_is_the_max_abs_of_the_difference(x, y):
+    assert same_float(x.residual(y), (x - y).max_abs())
+    assert same_float(y.residual(x), (y - x).max_abs())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(residual_operands, min_size=8, max_size=8))
+def test_supermatrix_residual_is_the_max_abs_of_the_difference(entries):
+    x = SuperMatrix11(*entries[:4], check=False)
+    y = SuperMatrix11(*entries[4:], check=False)
+    assert same_float(x.residual(y), (x - y).max_abs())
+    assert x.is_close(y) == ((x - y).max_abs() <= 1e-9)
+
+
+def test_residual_of_different_algebras_raises():
+    with pytest.raises(ValueError, match="generator counts differ"):
+        GrassmannElement.one(N).residual(GrassmannElement.one(N + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(residual_operands, residual_operands,
+       st.one_of(st.sampled_from([0, 0.0, -0.0, 1e-13, 1e-12, 0.5, -0.5, 1j, 1e300]),
+                 st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                    allow_infinity=False)))
+@example(t1, t1, -1.0)                     # exact cancellation
+@example(t1 + t2, t1, 1e-13)               # every scaled term below the prune
+def test_add_scaled_is_bitwise_the_sum_with_a_scaled_element(x, other, k):
+    expected = x + other * k
+    got = x.add_scaled(other, k)
+    assert list(got.terms) == list(expected.terms)   # the same keys in the same order
+    assert all(same_float(a.real, b.real) and same_float(a.imag, b.imag)
+               and math.copysign(1, a.real) == math.copysign(1, b.real)
+               and math.copysign(1, a.imag) == math.copysign(1, b.imag)
+               for a, b in zip(got.terms.values(), expected.terms.values()))
+
+
+def test_prune_scan_keeps_nan_and_inf():
+    for terms in ({0: NAN, 1: 1.0}, {0: INF, 1: -INF}, {1: complex(0.0, NAN)}):
+        assert set(GrassmannElement(N, terms).terms) == set(terms)
+    x = GrassmannElement(N, {0: NAN, 1: 1e-13, 2: INF, 3: 2.0})
+    assert set(x.terms) == {0, 2, 3}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_element)
+def test_parity_tests_match_the_monomial_lengths(x):
+    lengths = [m.bit_count() for m in x.terms]
+    assert x.is_even() == all(k % 2 == 0 for k in lengths)
+    assert x.is_odd() == all(k % 2 == 1 for k in lengths)
+
+
+def test_parity_of_zero_odd_and_mixed():
+    zero = GrassmannElement.zero(N)
+    assert zero.is_even() and zero.is_odd() and zero.parity() == "even"
+    assert t1.is_odd() and not t1.is_even() and t1.parity() == "odd"
+    assert (t1 * t2).is_even() and not (t1 * t2).is_odd()
+    mixed = GrassmannElement.one(N) + t1
+    assert not mixed.is_even() and not mixed.is_odd() and mixed.parity() == "mixed"

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gl11.grassmann import GrassmannElement, NotInvertibleError, random_even, random_odd
+from gl11.grassmann import (GrassmannElement, NotInvertibleError, nan_max, random_even,
+                            random_odd)
 from gl11 import supergroup
 from gl11.supergroup import (
     GroupCoords,
@@ -324,10 +325,48 @@ def test_group_law_suite_draw_order():
         assert rng.standard_normal() == reference.standard_normal()
 
 
+def difference_fold_suite(rng, n, count, corrupt):
+    """The worst residual of every check over the suite's rounds, folded as
+    ``(x - y).max_abs()`` with ``to_coords`` forming its own Berezinian."""
+    worst = dict.fromkeys(GROUP_LAW_CHECKS, 0.0)
+
+    def fold(name, difference):
+        worst[name] = nan_max((worst[name], difference.max_abs()))
+
+    ident = from_coords(GroupCoords.identity(n))
+    for _ in range(count):
+        c1, c2, c3 = random_coords(rng, n), random_coords(rng, n), random_coords(rng, n)
+        m1, m2, m3 = from_coords(c1), from_coords(c2), from_coords(c3)
+        m12 = m1 * m2
+        fold("associativity", m12 * m3 - m1 * (m2 * m3))
+        fold("identity", m1 * ident - m1)
+        fold("inverse_formula", m1.inverse() - from_coords(coords_inverse(c1)))
+        fold("sdet_exp_s", m1.sdet() - c1.s.exp())
+        fold("sdet_homomorphism", m12.sdet() - m1.sdet() * m2.sdet())
+        fold("coords_vs_matrix", from_coords(coords_product(c1, c2)) - m12)
+        fold("to_coords_roundtrip", from_coords(to_coords(m1)) - m1)
+    if corrupt and count:
+        c1, c2 = random_coords(rng, n), random_coords(rng, n)
+        bad = coords_product(c1, c2)
+        bad = GroupCoords(bad.h + scalar(0.5), bad.s, bad.alpha, bad.beta)
+        fold("coords_vs_matrix", from_coords(bad) - from_coords(c1) * from_coords(c2))
+    return worst
+
+
+@pytest.mark.parametrize("seed, corrupt", [(1, False), (2, False), (3, True), (4, True)])
+def test_group_law_suite_equals_the_difference_fold(seed, corrupt):
+    report = group_law_suite(np.random.default_rng(seed), N, 10, 1e-9, corrupt)
+    oracle = difference_fold_suite(np.random.default_rng(seed), N, 10, corrupt)
+    assert {c.name: c.residual.hex() for c in report.checks} == {
+        name: value.hex() for name, value in oracle.items()}
+    assert (oracle["coords_vs_matrix"] > 1e-9) == corrupt
+
+
 def test_group_law_suite_keeps_a_nan_residual(monkeypatch):
     nan = GrassmannElement.scalar(N, math.nan)
-    monkeypatch.setattr(supergroup, "to_coords",
-                        lambda m: GroupCoords(nan, zero(), zero(), zero()))
+    # the suite's round trip is to_coords with the Berezinian it formed already
+    monkeypatch.setattr(supergroup, "_coords_from_sdet",
+                        lambda m, sdet: GroupCoords(nan, zero(), zero(), zero()))
     report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9)
     assert [c.name for c in report.failing()] == ["to_coords_roundtrip"]
     assert math.isnan(report.worst("to_coords_roundtrip"))
