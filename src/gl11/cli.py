@@ -4,6 +4,8 @@ Every subcommand emits a deterministic run report (text or JSON, checks
 sorted by name) and exits 0 exactly when all checks pass at the requested
 tolerance.  Random suites are seeded through --seed; a suite size --count
 below 1 is a usage error (exit 2), since an empty suite proves nothing.
+cech-verify takes its mode from the data (SL when every s_ij is zero, else
+GL) and names it in the report's info.
 gaudin-commute and quantize-compare check their identities on the m x m
 one-body forms of integrable.one_body and integrable.quantized_one_body and
 on the sparse Jordan-Wigner entries of integrable.gaudin_terms, so neither
@@ -89,15 +91,11 @@ def cmd_cech_verify(args) -> RunReport:
     report = RunReport("cech-verify")
     nerve = _parse(args.nerve, cech.nerve_from_dict)
     data = _parse(args.data, lambda d: cech.TransitionData.from_dict(nerve, d))
-    mode = args.mode
-    if mode == "auto":
-        mode = "sl" if data.is_sl() else "gl"
-    if mode == "sl":
-        report.checks.extend(cech.check_sl_cocycle(data, tol=args.tol))
-    else:
-        report.checks.extend(cech.check_gl_cocycle(data, tol=args.tol))
+    mode = "sl" if data.is_sl() else "gl"
+    check = cech.check_sl_cocycle if mode == "sl" else cech.check_gl_cocycle
+    report.checks.extend(check(data, tol=args.tol))
     if report.checks.ok and nerve.simplices[2]:
-        g = cech.two_cocycle_g(data, tol=args.tol)
+        g = cech.two_cocycle_g(data)
         if nerve.simplices[3]:
             report.checks.add("two_cocycle_closed", g.coboundary().max_abs(), args.tol)
         try:
@@ -121,9 +119,8 @@ def cmd_hitchin_residual(args) -> RunReport:
         for j in (0, 1):
             report.checks.add("residual[%d][%d]" % (i, j),
                               residual[i, j].max_abs(), args.tol)
-    report.checks.add("chern_form_routes_agree",
-                      (hitchin.chern_form(metric)
-                       - hitchin.chern_form_via_inverse(metric)).max_abs(), args.tol)
+    report.checks.add("chern_form_routes_agree", hitchin.chern_form(metric).residual(
+        hitchin.chern_form_via_inverse(metric)), args.tol)
     return report
 
 
@@ -192,7 +189,7 @@ def cmd_garnier_check(args) -> RunReport:
         hams = [integrable.garnier_hamiltonian(p, i) for i in range(p.m)]
         total = GrassmannElement.zero(p.n)
         for i, h in enumerate(hams):
-            routes.append((h - integrable.garnier_hamiltonian_expanded(p, i)).max_abs())
+            routes.append(h.residual(integrable.garnier_hamiltonian_expanded(p, i)))
             total = total + h
         sums.append(total.max_abs())
         grads = [integrable.odd_gradient(p, h) for h in hams]
@@ -264,15 +261,25 @@ def _count(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """A pass/fail tolerance: a finite float of at least 0."""
+def _finite(text: str, ok, wanted: str) -> float:
+    """A finite float for which ok(value) holds; wanted says what that means."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    if not math.isfinite(value) or not ok(value):
+        raise argparse.ArgumentTypeError("must be a finite %s, got %r" % (wanted, text))
     return value
+
+
+def _tolerance(text: str) -> float:
+    """A pass/fail tolerance: a finite float of at least 0."""
+    return _finite(text, lambda v: v >= 0, "number >= 0")
+
+
+def _hbar(text: str) -> float:
+    """Planck's constant: a finite nonzero float (at 0 every quantum check reads 0 = 0)."""
+    return _finite(text, lambda v: v != 0, "nonzero number")
 
 
 def _cycle(text: str):
@@ -316,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cech-verify", help="transition-cocycle identities")
     p.add_argument("nerve")
     p.add_argument("data")
-    p.add_argument("--mode", choices=("auto", "sl", "gl"), default="auto")
     p.set_defaults(func=cmd_cech_verify)
 
     p = sub.add_parser("hitchin-residual", help="metric + Higgs residual check")
@@ -360,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaudin-commute", help="operator commutator suite")
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--hbar", type=_hbar, default=1.0)
     p.add_argument("--system")
     p.set_defaults(func=cmd_gaudin_commute)
 
     p = sub.add_parser("quantize-compare", help="quantized Garnier vs Gaudin")
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--hbar", type=_hbar, default=1.0)
     p.add_argument("--system")
     p.set_defaults(func=cmd_quantize_compare)
     return parser

@@ -196,12 +196,14 @@ def nilpotent_series(w, coeff):
     """1 + sum_{k >= 1} coeff(k) w^k for a nilpotent ring element w.
 
     The sum stops at the first power of w that is zero, so the result is
-    exact.  ``w`` needs ``one(n)``, ``*``, ``add_scaled`` and ``is_zero()``:
-    a GrassmannElement soul or a polynomial with nilpotent coefficients.
+    exact.  ``w`` needs ``one(n)``, ``*``, ``add_scaled`` and ``terms``: a
+    GrassmannElement soul or a polynomial with nilpotent coefficients.  Neither
+    holds a zero term (the kernel prunes every product and a LocalFunction drops
+    empty coefficients), so a power is zero exactly when its terms are empty.
     """
     acc = type(w).one(w.n)
     power, k = w, 1
-    while not power.is_zero():
+    while power.terms:
         acc = acc.add_scaled(power, coeff(k))
         power = power * w
         k += 1

@@ -121,8 +121,11 @@ class LocalFunction:
         return nan_max(c.max_abs() for c in self.terms.values())
 
     def residual(self, other) -> float:
-        """(self - other).max_abs(), the entry fold of SuperMatrix11.residual."""
-        return (self - other).max_abs()
+        """(self - other).max_abs() as a fold of GrassmannElement.residual, no difference built."""
+        zero = GrassmannElement.zero(self.n)
+        mine, theirs = self.terms, other.terms
+        return nan_max(mine.get(key, zero).residual(theirs.get(key, zero))
+                       for key in mine.keys() | theirs.keys())
 
     def is_close(self, other, tol=1e-9):
         return self.residual(other) <= tol

@@ -7,6 +7,7 @@ that failure honestly rather than hiding it.
 """
 
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -85,9 +86,13 @@ def test_criterion_2_cocycle_suite():
             sl_frames = {v: random_coords(rng, N, sl=True) for v in nerve.vertices}
             sl_data = cech.transition_from_frames(nerve, sl_frames)
             worst = max(worst, cech.check_sl_cocycle(sl_data, tol=TOL).max_residual)
-            # two_cocycle_g asserts antisymmetry internally; delta-closedness
-            # is measurable on the solid tetrahedron
-            g = cech.two_cocycle_g(data, tol=TOL)
+            # g alternates on every vertex ordering; delta-closedness is
+            # measurable on the solid tetrahedron
+            g = cech.two_cocycle_g(data)
+            for tri in nerve.simplices[2]:
+                for perm in permutations(tri):
+                    worst = max(worst, cech.two_cocycle_value(data, *perm).residual(
+                        g.value(perm)))
             if nerve.simplices[3]:
                 worst = max(worst, g.coboundary().max_abs())
     # perturbation leaves exactly the injected residual on the named identity

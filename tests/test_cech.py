@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gl11.cech import (
 from gl11.grassmann import (
     GrassmannElement,
     ParityError,
+    nan_max,
     random_element,
     random_even,
     random_odd,
@@ -57,6 +59,13 @@ def random_cochain(rng, nerve, degree, parity="any"):
 
 def random_frames(rng, nerve, sl=False):
     return {v: random_coords(rng, N, sl=sl) for v in nerve.vertices}
+
+
+def alternation_residual(data, g):
+    """Largest gap between g on a vertex ordering of a listed triangle and the
+    quadratic term computed on that ordering from the edge data."""
+    return nan_max(two_cocycle_value(data, *perm).residual(g.value(perm))
+                   for tri in data.nerve.simplices[2] for perm in permutations(tri))
 
 
 def test_nerve_face_closure_enforced():
@@ -182,7 +191,8 @@ def test_two_cocycle_example_and_closedness():
     nerve = tetrahedron_nerve(solid=True)
     for _ in range(20):
         data = transition_from_frames(nerve, random_frames(rng, nerve))
-        g = two_cocycle_g(data)  # asserts antisymmetry and delta g = 0 internally
+        g = two_cocycle_g(data)
+        assert alternation_residual(data, g) <= TOL
         assert g.coboundary().max_abs() < 1e-10
 
 
@@ -587,6 +597,20 @@ def edges_reversed(nerve):
     """The same nerve with every edge listed in the opposite orientation."""
     return Nerve(nerve.vertices, {1: [e[::-1] for e in nerve.simplices[1]],
                                   2: nerve.simplices[2], 3: nerve.simplices[3]})
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("solid", [True, False])
+def test_two_cocycle_g_alternates_on_every_vertex_ordering(solid, reverse):
+    # cocycle data makes the quadratic term alternating: on each of the six
+    # orderings of a triangle it equals the signed value stored for the listed one
+    rng = np.random.default_rng(11 + 2 * solid + reverse)
+    nerve = tetrahedron_nerve(solid)
+    if reverse:
+        nerve = edges_reversed(nerve)
+    for _ in range(5):
+        data = transition_from_frames(nerve, random_frames(rng, nerve))
+        assert alternation_residual(data, two_cocycle_g(data)) <= TOL
 
 
 @pytest.mark.parametrize("solid", [True, False])

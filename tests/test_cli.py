@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gl11 import cli, fatgraph, hitchin, integrable, supergroup
+from gl11 import cech, cli, fatgraph, hitchin, integrable, supergroup
 from gl11.cli import main
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
 
@@ -74,6 +74,60 @@ def test_cech_verify_zero_data_on_triangle(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, _ = run(capsys, "cech-verify", fx("nerve_triangle.json"), str(path))
     assert code == 0
+
+
+def perturbed_cech_files(tmp_path, seed, solid):
+    """Nerve and data files: exact cocycle data on the tetrahedron from one
+    seeded frame per vertex, then alpha_12 moved by 1e-3 t_1."""
+    nerve = cech.tetrahedron_nerve(solid)
+    rng = np.random.default_rng(seed)
+    frames = {v: supergroup.random_coords(rng, 8) for v in nerve.vertices}
+    data = cech.transition_from_frames(nerve, frames)
+    data.set_edge((1, 2), alpha=data.alpha(1, 2) + 1e-3 * GrassmannElement.generator(8, 1))
+    paths = [tmp_path / "nerve.json", tmp_path / "data.json"]
+    paths[0].write_text(json.dumps(cech.nerve_to_dict(nerve)))
+    paths[1].write_text(json.dumps(data.to_dict()))
+    return [str(path) for path in paths]
+
+
+def failing_checks(out):
+    return [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+def test_cech_verify_reports_data_that_pass_within_tol(capsys, tmp_path):
+    # the perturbation passes every cocycle check at this tol; g is then not
+    # alternating to 1e-9, which no check claims, and the report still comes out
+    code, out, err = outcome(capsys, ["--format", "json", "--tol", "0.0010000001",
+                                      "cech-verify", *perturbed_cech_files(tmp_path, 43, False)])
+    assert (code, err) == (0, "")
+    assert failing_checks(out) == []
+
+
+def test_cech_verify_reports_an_open_two_cocycle(capsys, tmp_path):
+    # here the same perturbation leaves |delta g| above tol: a failed check, not a crash
+    code, out, err = outcome(capsys, ["--format", "json", "--tol", "0.0010000001",
+                                      "cech-verify", *perturbed_cech_files(tmp_path, 39, True)])
+    assert (code, err) == (1, "")
+    assert failing_checks(out) == ["two_cocycle_closed"]
+
+
+def test_exact_solves_pass_at_tol_0(capsys):
+    # the rounding of an exact least-norm solve is neither an obstruction nor a singular system
+    code, out, _ = outcome(capsys, ["--format", "json", "--tol", "0", "cech-verify",
+                                    fx("nerve_tetrahedron_boundary.json"),
+                                    fx("cech_tetra_valid.json")])
+    payload = json.loads(out)
+    assert code == 0
+    assert "two_cocycle_split" in {c["name"] for c in payload["checks"]}
+    assert "two_cocycle_split" not in payload["info"]
+    code, out, _ = outcome(capsys, ["--format", "json", "--tol", "0", "cech-verify",
+                                    fx("nerve_tetrahedron_boundary.json"),
+                                    fx("cech_tetra_corrupt_h.json")])
+    assert code == 1 and failing_checks(out)
+    code, out, _ = outcome(capsys, ["--format", "json", "--tol", "0", "fatgraph", "normalize",
+                                    fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")])
+    assert code == 0
+    assert json.loads(out)["info"]["singular"] is False
 
 
 def test_cech_verify_bad_file_diagnostics(capsys, tmp_path):
@@ -200,15 +254,6 @@ def test_fatgraph_dims(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["info"]["even"] == 3 and payload["info"]["odd"] == 4
-
-
-def test_domain_errors_exit_2(capsys):
-    # SL mode requested on twisted data: clean diagnostic, exit status 2
-    code = main(["cech-verify", fx("nerve_tetrahedron_boundary.json"),
-                 fx("cech_tetra_valid.json"), "--mode", "sl"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "SL mode" in err
 
 
 def test_fatgraph_dims_constrained_su(capsys):
@@ -646,6 +691,15 @@ def test_invalid_tolerance_exits_2(capsys, tol):
                                       fx("fatgraph_g1s1.json"), fx("connection_g1s1_flat.json")])
     assert (code, out) == (2, "")
     assert "argument --tol:" in err
+
+
+@pytest.mark.parametrize("hbar", ["0", "nan", "inf", "-inf", "0x"])
+@pytest.mark.parametrize("command", ["gaudin-commute", "quantize-compare"])
+def test_invalid_hbar_exits_2(capsys, command, hbar):
+    # at hbar 0 both sides of every quantum check vanish: a usage error, not a pass
+    code, out, err = outcome(capsys, [command, "--hbar=" + hbar])
+    assert (code, out) == (2, "")
+    assert "argument --hbar:" in err
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-12", "0.5"])

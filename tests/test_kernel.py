@@ -21,6 +21,7 @@ from gl11.grassmann import (
     _sort_sign,
     nan_max,
 )
+from gl11.hitchin import LocalFunction
 from gl11.reports import CheckReport
 from gl11.supergroup import SuperMatrix11
 
@@ -183,6 +184,27 @@ def test_supermatrix_residual_is_the_max_abs_of_the_difference(entries):
     y = SuperMatrix11(*entries[4:], check=False)
     assert same_float(x.residual(y), (x - y).max_abs())
     assert x.is_close(y) == ((x - y).max_abs() <= 1e-9)
+
+
+# LocalFunction coefficients as the kernel and the readers store them: pruned,
+# NaN and inf kept
+stored_coefficients = st.one_of(any_element, st.dictionaries(
+    all_masks, st.one_of(coefficients, edge_coefficients), max_size=6).map(
+        lambda terms: GrassmannElement(N, terms)))
+local_functions = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                  stored_coefficients, max_size=4).map(
+                                      lambda terms: LocalFunction(N, terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(local_functions, local_functions)
+@example(LocalFunction(N), LocalFunction(N))
+@example(LocalFunction(N, {(1, 0): t1}), LocalFunction(N, {(0, 1): t1}))
+@example(LocalFunction(N, {(0, 0): GrassmannElement(N, {3: NAN})}),
+         LocalFunction(N, {(1, 1): t2}))
+def test_local_function_residual_is_the_max_abs_of_the_difference(x, y):
+    assert same_float(x.residual(y), (x - y).max_abs())
+    assert same_float(y.residual(x), (y - x).max_abs())
 
 
 def test_residual_of_different_algebras_raises():
