@@ -14,6 +14,11 @@ are byte-identical:
 
     diff <(python3 a/scripts/report_digest.py) <(python3 b/scripts/report_digest.py)
 
+With ``--outcomes`` each line ends in the sorted names of the checks the
+report marks failed instead of the hash, so that a change of the random
+draws can be diffed by outcome: the fixture lines must keep theirs, while
+the pool lines move with the inputs they draw.
+
 Like ``make_fixtures.py``, it runs the gl11 in its own checkout's ``src/``.
 """
 
@@ -21,8 +26,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
+import re
 import shlex
 import shutil
 import sys
@@ -30,6 +37,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "gl11" / "fixtures"
+FAIL_LINE = re.compile(r"^(\S+) +\S+  FAIL$", re.MULTILINE)  # a failed check in a text report
 
 
 def fixture_commands(workdir):
@@ -64,7 +72,7 @@ def fixture_commands(workdir):
 
 
 def call(argv):
-    """(exit status, stdout + stderr) of cli.main(argv), run in this process."""
+    """(exit status, stdout, stderr) of cli.main(argv), run in this process."""
     from gl11 import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -76,11 +84,21 @@ def call(argv):
         except Exception as exc:  # an escaped exception is an outcome too
             status = "raised"
             print("%s: %s" % (type(exc).__name__, exc), file=err)
-    return status, out.getvalue() + err.getvalue()
+    return status, out.getvalue(), err.getvalue()
 
 
-def digest_line(argv, workdir):
-    status, text = call(argv)
+def failing_checks(stdout):
+    """Sorted names of the checks a JSON or text report marks failed."""
+    try:
+        checks = json.loads(stdout)["checks"]
+    except ValueError:
+        return sorted(FAIL_LINE.findall(stdout))
+    return sorted(c["name"] for c in checks if not c["passed"])
+
+
+def digest_line(argv, workdir, outcomes=False):
+    status, stdout, stderr = call(argv)
+    text = stdout + stderr
     output = argv[argv.index("-o") + 1] if "-o" in argv else None
     if output is not None and os.path.exists(output):
         text += pathlib.Path(output).read_text()
@@ -89,7 +107,10 @@ def digest_line(argv, workdir):
     def relative(s):
         return s.replace(workdir, "<work>").replace(str(ROOT), "<root>")
 
-    digest = hashlib.sha256(relative(text).encode()).hexdigest()
+    if outcomes:
+        digest = " ".join(failing_checks(stdout)) or "-"
+    else:
+        digest = hashlib.sha256(relative(text).encode()).hexdigest()
     return "%s\t%s\t%s" % (" ".join(shlex.quote(relative(a)) for a in argv), status, digest)
 
 
@@ -97,6 +118,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                         help="benchmark pool seeds (default 1 2)")
+    parser.add_argument("--outcomes", action="store_true",
+                        help="print the failing check names in place of the output hash")
     args = parser.parse_args(argv)
     # BLAS sums in a different order on more threads; run on one, as the benchmark
     # does.  Set here, not at import, so that importing fixture_commands changes nothing.
@@ -111,10 +134,10 @@ def main(argv=None):
         for workload in sorted(workloads.BUILDERS):
             for seed in args.seeds:
                 for op in workloads.BUILDERS[workload](np.random.default_rng(seed), workdir):
-                    print(digest_line(op.argv, workdir))
+                    print(digest_line(op.argv, workdir, args.outcomes))
         for command in fixture_commands(workdir):
             for fmt in ("text", "json"):
-                print(digest_line(["--format", fmt] + command, workdir))
+                print(digest_line(["--format", fmt] + command, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -100,8 +100,7 @@ def cmd_cech_verify(args) -> RunReport:
             report.checks.add("two_cocycle_closed", g.coboundary().max_abs(), args.tol)
         try:
             f = cech.solve_coboundary(g, tol=args.tol)
-            report.checks.add("two_cocycle_split", (f.coboundary() - g).max_abs(),
-                              args.tol)
+            report.checks.add("two_cocycle_split", f.coboundary().residual(g), args.tol)
         except cech.ObstructionError as err:
             report.checks.info["two_cocycle_split"] = str(err)
     report.checks.info["mode"] = mode

@@ -574,26 +574,43 @@ def random_element(rng, n: int, parity: str = "any", max_degree=None,
 
     ``body`` forces the empty-monomial coefficient (only sensible for even
     parity); ``max_degree`` caps monomial length.
+
+    Candidates come in batches, one for each monomial still missing, and a
+    batch of b costs two numpy calls: ``rng.random((b, n + 1))`` and
+    ``rng.standard_normal(2 * b)``.  In each row the last column u gives the
+    degree k = int(u * (max_degree + 1)), uniform on 0..max_degree and then
+    moved to the requested parity, the first k indices of the argsort of the
+    other n columns give a uniform k-subset of the generators, and two
+    normals give the coefficient, times ``scale``.  A candidate whose
+    monomial is already drawn replaces it, and one whose degree is out of
+    range is dropped; both leave a monomial missing for the next batch.  At
+    most 50 * num_terms candidates are drawn.
     """
     if max_degree is None:
         max_degree = n
     terms: dict[int, complex] = {}
-    attempts = 0
-    while len(terms) < num_terms and attempts < 50 * num_terms:
-        attempts += 1
-        k = int(rng.integers(0, max_degree + 1))
-        if parity == "even" and k % 2:
-            k += 1 if k + 1 <= max_degree else -1
-        if parity == "odd":
-            if k % 2 == 0:
-                k = k + 1 if k + 1 <= max_degree else k - 1
-            if k < 1:
+    budget = 50 * num_terms
+    while len(terms) < num_terms and budget > 0:
+        b = min(num_terms - len(terms), budget)
+        budget -= b
+        u = rng.random((b, n + 1))
+        z = rng.standard_normal(2 * b).tolist()
+        for order, key, re, im in zip(u[:, :n].argsort(axis=1).tolist(), u[:, n].tolist(),
+                                      z[::2], z[1::2]):
+            k = int(key * (max_degree + 1))
+            if parity == "even" and k % 2:
+                k += 1 if k + 1 <= max_degree else -1
+            if parity == "odd":
+                if k % 2 == 0:
+                    k = k + 1 if k + 1 <= max_degree else k - 1
+                if k < 1:
+                    continue
+            if k > n:
                 continue
-        if k < 0 or k > n:
-            continue
-        mask = _indices_to_mask((rng.choice(n, size=k, replace=False) + 1).tolist()) if k else 0
-        coeff = complex(rng.standard_normal(), rng.standard_normal()) * scale
-        terms[mask] = coeff
+            mask = 0
+            for i in order[:k]:
+                mask |= 1 << i
+            terms[mask] = complex(re, im) * scale
     if body is not None:
         terms[0] = complex(body)
     elif parity == "odd":

@@ -104,9 +104,11 @@ def test_cech_verify_reports_data_that_pass_within_tol(capsys, tmp_path):
 
 
 def test_cech_verify_reports_an_open_two_cocycle(capsys, tmp_path):
-    # here the same perturbation leaves |delta g| above tol: a failed check, not a crash
+    # here the same perturbation leaves |delta g| above tol: a failed check, not a crash.
+    # Seed 116 is the smallest, and in 1..300 the only, seed whose solid tetrahedron
+    # fails two_cocycle_closed alone at this tol; no boundary seed in 1..300 does.
     code, out, err = outcome(capsys, ["--format", "json", "--tol", "0.0010000001",
-                                      "cech-verify", *perturbed_cech_files(tmp_path, 39, True)])
+                                      "cech-verify", *perturbed_cech_files(tmp_path, 116, True)])
     assert (code, err) == (1, "")
     assert failing_checks(out) == ["two_cocycle_closed"]
 
@@ -702,13 +704,27 @@ def test_invalid_hbar_exits_2(capsys, command, hbar):
     assert "argument --hbar:" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "1e-12", "0.5"])
-def test_valid_tolerance_is_used(capsys, tol):
+def check_punctures(capsys, tol):
+    """(exit status, checks) of check-punctures on the shipped random connection."""
     code, out, _ = outcome(capsys, ["--format", "json", "--tol", tol, "fatgraph",
                                     "check-punctures", fx("fatgraph_g1s1.json"),
                                     fx("connection_g1s1_random.json")])
-    assert {c["tol"] for c in json.loads(out)["checks"]} == {float(tol)}
-    assert code == (0 if tol == "0.5" else 1)
+    return code, json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-12", "reported"])
+def test_valid_tolerance_is_used(capsys, tol):
+    # "reported" is the worst residual the command reports at --tol 0: the data
+    # pass at exactly that tol and fail just below it, whatever the fixture holds
+    passing = tol == "reported"
+    if passing:
+        worst = max(c["residual"] for c in check_punctures(capsys, "0")[1])
+        assert worst > 1e-12
+        assert check_punctures(capsys, repr(math.nextafter(worst, 0.0)))[0] == 1
+        tol = repr(worst)
+    code, checks = check_punctures(capsys, tol)
+    assert {c["tol"] for c in checks} == {float(tol)}
+    assert code == (0 if passing else 1)
 
 
 def test_fatgraph_commands_form_no_supermatrix_product(capsys, monkeypatch):

@@ -278,6 +278,105 @@ def test_random_odd_has_odd_parity():
         assert random_even(rng, N).is_even()
 
 
+# -- the random draw: distribution, termination and numpy calls per batch -----
+
+DEGREES = {"any": lambda k: True, "even": lambda k: k % 2 == 0, "odd": lambda k: k % 2 == 1}
+
+
+def available_monomials(n, parity, max_degree):
+    return sum(math.comb(n, k) for k in range(min(n, max_degree) + 1) if DEGREES[parity](k))
+
+
+class CountingRng:
+    """A seeded Generator that records each call; any other method raises AttributeError."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        return self.rng.standard_normal(size)
+
+    def batches(self, n):
+        """Batch sizes b, checking that each batch is random((b, n + 1)), standard_normal(2b)."""
+        names = [name for name, _ in self.calls]
+        assert names == ["random", "standard_normal"] * (len(names) // 2)
+        sizes = [size for _, size in self.calls]
+        assert all(normals % 2 == 0 and shape == (normals // 2, n + 1)
+                   for shape, normals in zip(sizes[::2], sizes[1::2]))
+        return [shape[0] for shape in sizes[::2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("parity", ["any", "even", "odd"])
+def test_random_element_keeps_parity_degree_cap_and_term_count(n, parity):
+    rng = np.random.default_rng(40 + n)
+    for max_degree in sorted({None, 1, 2, n // 2, n}, key=lambda d: -1 if d is None else d):
+        cap = n if max_degree is None else max_degree
+        want = min(4, available_monomials(n, parity, cap))
+        for _ in range(10):
+            x = random_element(rng, n, parity, max_degree=max_degree, num_terms=4, scale=0.5)
+            assert x.n == n
+            assert len(x.terms) == want
+            assert all(DEGREES[parity](m.bit_count()) and m.bit_count() <= cap
+                       for m in x.terms)
+            if parity == "odd":
+                assert 0 not in x.terms
+            else:
+                y = random_element(rng, n, parity, max_degree=max_degree, num_terms=4,
+                                   body=0.25 - 2j)
+                assert y.terms[0] == 0.25 - 2j
+                assert len(y.terms) in (want, want + 1)
+                assert all(DEGREES[parity](m.bit_count()) for m in y.terms)
+
+
+def test_random_element_ends_when_too_few_monomials_exist():
+    # n = 2 has only t1 and t2 odd: the draw stops after 50 * 5 candidates
+    rng = CountingRng(3)
+    x = random_odd(rng, 2, num_terms=5)
+    assert sorted(x.terms) == [0b01, 0b10]
+    assert sum(rng.batches(2)) == 250
+
+
+def test_random_element_is_determined_by_the_seed():
+    for parity in ("any", "even", "odd"):
+        x = random_element(np.random.default_rng(5), N, parity, num_terms=6, scale=0.4)
+        y = random_element(np.random.default_rng(5), N, parity, num_terms=6, scale=0.4)
+        assert x.terms == y.terms
+        assert list(x.terms) == list(y.terms)
+
+
+def test_random_element_picks_generators_uniformly():
+    # a biased k-subset pick (say the first k generators) shows up here
+    rng = np.random.default_rng(2025)
+    counts = [0] * N
+    for _ in range(20_000):
+        (mask,) = random_element(rng, N, num_terms=1).terms
+        for i in range(N):
+            counts[i] += mask >> i & 1
+    mean = sum(counts) / N
+    assert all(abs(c - mean) <= 0.05 * mean for c in counts), counts
+
+
+@pytest.mark.parametrize("n, parity, num_terms", [
+    (64, "any", 6), (8, "even", 3), (8, "odd", 6), (2, "even", 2), (3, "odd", 4)])
+def test_random_element_makes_two_numpy_calls_per_batch(n, parity, num_terms):
+    rng = CountingRng(7)
+    x = random_element(rng, n, parity, num_terms=num_terms)
+    batches = rng.batches(n)   # any per-term integers or choice call raises AttributeError
+    assert batches[0] == num_terms
+    assert all(b <= num_terms for b in batches)
+    assert sum(batches) <= 50 * num_terms
+    assert len(x.terms) == num_terms
+    if n == 64:
+        assert len(batches) == 1   # no collision among 6 of 2^64 monomials
+
+
 @pytest.mark.parametrize("value, error, problem", [
     (math.inf, ValueError, "holds inf, not a finite number"),
     (-math.inf, ValueError, "holds -inf, not a finite number"),

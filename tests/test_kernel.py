@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
     GrassmannElement,
@@ -203,6 +204,29 @@ local_functions = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)
 @example(LocalFunction(N, {(0, 0): GrassmannElement(N, {3: NAN})}),
          LocalFunction(N, {(1, 1): t2}))
 def test_local_function_residual_is_the_max_abs_of_the_difference(x, y):
+    assert same_float(x.residual(y), (x - y).max_abs())
+    assert same_float(y.residual(x), (y - x).max_abs())
+
+
+# cochains on the solid tetrahedron; a simplex without a value reads as zero
+TETRAHEDRON = tetrahedron_nerve()
+
+
+def cochain_pairs(degree):
+    values = st.dictionaries(st.sampled_from(TETRAHEDRON.simplices[degree]),
+                             stored_coefficients, max_size=6)
+    return st.tuples(values, values).map(
+        lambda pair: [Cochain(TETRAHEDRON, degree, N, v) for v in pair])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 1, 2, 3]).flatmap(cochain_pairs))
+@example([Cochain(TETRAHEDRON, 1, N), Cochain(TETRAHEDRON, 1, N)])
+@example([Cochain(TETRAHEDRON, 1, N, {(1, 2): t1}), Cochain(TETRAHEDRON, 1, N, {(2, 1): t1})])
+@example([Cochain(TETRAHEDRON, 2, N, {(1, 2, 3): GrassmannElement(N, {3: NAN})}),
+          Cochain(TETRAHEDRON, 2, N, {(1, 2, 4): t2})])
+def test_cochain_residual_is_the_max_abs_of_the_difference(pair):
+    x, y = pair
     assert same_float(x.residual(y), (x - y).max_abs())
     assert same_float(y.residual(x), (y - x).max_abs())
 
