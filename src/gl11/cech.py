@@ -39,6 +39,7 @@ class Nerve:
         self.simplices = {p: [tuple(s) for s in simplices.get(p, [])] for p in (1, 2, 3)}
         self.simplices[0] = [(v,) for v in self.vertices]
         self._index = {}
+        self._stored = {}  # stored tuple -> lookup's answer, for every degree
         for p in (0, 1, 2, 3):
             seen = {}
             for pos, s in enumerate(self.simplices[p]):
@@ -49,6 +50,7 @@ class Nerve:
                     raise ValueError('"vertices" lists vertex %r twice' % s if p == 0
                                      else "simplex %r listed twice" % (s,))
                 seen[key] = (pos, s)
+                self._stored[s] = (pos, 1, s)
             self._index[p] = seen
         self._check_closure()
 
@@ -60,7 +62,16 @@ class Nerve:
                         raise ValueError("face %r of %r missing from nerve" % (face, s))
 
     def lookup(self, p: int, simplex) -> tuple[int, int, tuple]:
-        """(position, orientation sign, stored tuple) for a vertex tuple."""
+        """(position, orientation sign, stored tuple) for a vertex tuple.
+
+        A simplex in its stored orientation, as in the folds over
+        ``simplices``, is answered from a tuple-keyed index; any other
+        ordering takes the permutation sign of its sorting.
+        """
+        if type(simplex) is tuple:
+            hit = self._stored.get(simplex)
+            if hit is not None and len(simplex) == p + 1:
+                return hit
         key = frozenset(simplex)
         if len(simplex) != p + 1 or len(key) != p + 1:
             raise ValueError("%r is not a %d-simplex" % (simplex, p))

@@ -9,7 +9,9 @@ GL) and names it in the report's info.
 gaudin-commute and quantize-compare check their identities on the m x m
 one-body forms of integrable.one_body and integrable.quantized_one_body and
 on the sparse Jordan-Wigner entries of integrable.gaudin_terms, so neither
-forms a 2^m x 2^m array.
+forms a 2^m x 2^m array.  The three integrable commands read --m as a site
+count in 2..32, so that the 2m generators fit in 64; gaudin-commute realizes its
+states only up to m = 16 and says so beyond.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
@@ -249,14 +251,28 @@ def cmd_quantize_compare(args) -> RunReport:
 
 # -- argument parsing -------------------------------------------------------------
 
-def _count(text: str) -> int:
-    """A suite size: an int of at least 1, since an empty suite proves nothing."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
+def _count(text: str) -> int:
+    """A suite size: an int of at least 1, since an empty suite proves nothing."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _sites(text: str) -> int:
+    """A site count m: an int in 2..integrable.MAX_SITES, so that the 2m generators fit."""
+    value = _int(text)
+    if not 2 <= value <= integrable.MAX_SITES:
+        raise argparse.ArgumentTypeError(
+            "must be a site count in 2..%d, so that the 2m generators fit in %d, got %d"
+            % (integrable.MAX_SITES, 2 * integrable.MAX_SITES, value))
     return value
 
 
@@ -358,19 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_fatgraph_dims)
 
     p = sub.add_parser("garnier-check", help="classical integrability suite")
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=_sites, default=3)
     p.add_argument("--count", type=_count, default=10)
     p.add_argument("--system", help="JSON system file instead of random draws")
     p.set_defaults(func=cmd_garnier_check)
 
     p = sub.add_parser("gaudin-commute", help="operator commutator suite")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_sites, default=4)
     p.add_argument("--hbar", type=_hbar, default=1.0)
     p.add_argument("--system")
     p.set_defaults(func=cmd_gaudin_commute)
 
     p = sub.add_parser("quantize-compare", help="quantized Garnier vs Gaudin")
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=_sites, default=3)
     p.add_argument("--hbar", type=_hbar, default=1.0)
     p.add_argument("--system")
     p.set_defaults(func=cmd_quantize_compare)

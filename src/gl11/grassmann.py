@@ -7,6 +7,11 @@ generator i is present), always read in increasing generator order.  All
 operations are pure and return new values; an element is never mutated after
 construction.
 
+Every product goes through one monomial pair loop, ``_accumulate``, which adds
+x * y into a dict in place.  ``GrassmannElement.dot`` sums x * y over several
+pairs into one such dict and prunes it once, and ``x * y`` is its one-pair
+case; a sum of products therefore builds one element, not one per product.
+
 Every input file is read through the readers here: ``json_int``,
 ``json_count`` (a generator count), ``json_number``, ``json_list``,
 ``json_object`` and ``json_element`` (an element on exactly n generators),
@@ -210,6 +215,28 @@ def nilpotent_series(w, coeff):
     return acc
 
 
+def _accumulate(terms: dict, x, y) -> None:
+    """Add the product x * y of two elements into ``terms``, in place.
+
+    The kernel's one monomial pair loop: the pairs are visited in the order
+    of x's terms, then y's, and nothing is pruned here.
+    """
+    get = terms.get
+    sign = _merge_sign
+    pairs = y.terms.items()
+    for ma, ca in x.terms.items():
+        if not ma:
+            # the body meets every monomial without overlap or reordering
+            for mb, cb in pairs:
+                terms[mb] = get(mb, 0j) + ca * cb
+            continue
+        for mb, cb in pairs:
+            if ma & mb:
+                continue
+            m = ma | mb
+            terms[m] = get(m, 0j) + (ca * cb * sign(ma, mb) if mb else ca * cb)
+
+
 _new = object.__new__
 
 
@@ -392,24 +419,24 @@ class GrassmannElement:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return _element(self.n, {m: c * other for m, c in self.terms.items()})
-        if self.n != other.n:
-            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
+        return GrassmannElement.dot((self, other))
+
+    @staticmethod
+    def dot(*pairs) -> "GrassmannElement":
+        """Sum of x * y over the pairs (x, y), one pair or more.
+
+        Every product is accumulated into one dict in pair order and the sum
+        is pruned once, so no product is built, copied or pruned on its own.
+        The one-pair case is ``x * y``, bit for bit.
+        """
+        n = pairs[0][0].n
         terms: dict[int, complex] = {}
-        get = terms.get
-        sign = _merge_sign
-        pairs = other.terms.items()
-        for ma, ca in self.terms.items():
-            if not ma:
-                # the body meets every monomial without overlap or reordering
-                for mb, cb in pairs:
-                    terms[mb] = get(mb, 0j) + ca * cb
-                continue
-            for mb, cb in pairs:
-                if ma & mb:
-                    continue
-                m = ma | mb
-                terms[m] = get(m, 0j) + (ca * cb * sign(ma, mb) if mb else ca * cb)
-        return _element(self.n, terms)
+        for x, y in pairs:
+            if x.n != n or y.n != n:
+                raise ValueError("generator counts differ: %d vs %d"
+                                 % (n, x.n if x.n != n else y.n))
+            _accumulate(terms, x, y)
+        return _element(n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):

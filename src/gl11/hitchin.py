@@ -27,6 +27,8 @@ from __future__ import annotations
 from .grassmann import (
     ConjugationTable,
     GrassmannElement,
+    _accumulate,
+    _element,
     json_at,
     json_count,
     json_int,
@@ -42,7 +44,9 @@ from .supergroup import SuperMatrix11, block_inverse
 class LocalFunction:
     """Polynomial in z, zbar with GrassmannElement coefficients.
 
-    ``terms`` maps (z_degree, zbar_degree) to a coefficient on n generators.
+    ``terms`` maps (z_degree, zbar_degree) to a coefficient on n generators
+    and holds no empty coefficient.  A product, and any sum of products
+    (``dot``), keeps one Grassmann term dict per degree and prunes each once.
     Parity is GrassmannElement's contract, read from the coefficients when
     asked: ``is_even()`` and ``is_odd()`` hold when every coefficient is even
     or odd, and ``parity()`` is 'even', 'odd' or 'mixed' (zero is even).
@@ -155,15 +159,31 @@ class LocalFunction:
             return LocalFunction(self.n, {k: c * other for k, c in self.terms.items()})
         if isinstance(other, GrassmannElement):
             other = LocalFunction.constant(other)
-        acc: dict[tuple, GrassmannElement] = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                key = (p1 + p2, q1 + q2)
-                prod = c1 * c2
-                if not prod.terms:
-                    continue
-                acc[key] = acc[key] + prod if key in acc else prod
-        return LocalFunction(self.n, acc)
+        return LocalFunction.dot((self, other))
+
+    @staticmethod
+    def dot(*pairs) -> "LocalFunction":
+        """Sum of f * g over the pairs (f, g), one pair or more.
+
+        Each (z, zbar) degree of the sum keeps one dict of Grassmann terms;
+        every coefficient product is accumulated into it in pair order
+        (``grassmann._accumulate``) and the dict is pruned once at the end.
+        A degree whose terms all prune away is not stored.
+        """
+        n = pairs[0][0].n
+        acc: dict[tuple, dict] = {}
+        for f, g in pairs:
+            if f.n != n or g.n != n:
+                raise ValueError("generator counts differ: %d vs %d"
+                                 % (n, f.n if f.n != n else g.n))
+            for (p1, q1), c1 in f.terms.items():
+                for (p2, q2), c2 in g.terms.items():
+                    key = (p1 + p2, q1 + q2)
+                    terms = acc.get(key)
+                    if terms is None:
+                        terms = acc[key] = {}
+                    _accumulate(terms, c1, c2)
+        return LocalFunction(n, {key: _element(n, terms) for key, terms in acc.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, GrassmannElement)):

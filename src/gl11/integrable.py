@@ -17,11 +17,13 @@ builds its residue matrices A_i on first use and keeps them; its sites are
 tuples, so the stored matrices cannot go stale.  garnier_hamiltonian takes
 str(A_i A_j) from the diagonal blocks alone (supertrace_product), the same
 floating-point operations as the supertrace of the full product.
-garnier_hamiltonian_expanded, the independent route, builds theta_k, eta_k
-and u_k - 2 theta_k eta_k once per call and uses no residue matrix.
+garnier_hamiltonian_expanded, the independent route, uses no residue matrix:
+its theta_k, eta_k and u_k - 2 theta_k eta_k are built once per system and
+kept in the same way (ParabolicData.expanded).
 odd_gradient takes the 2m derivatives of an observable once, and
 poisson_bracket accepts either observables or their gradients, so a family
-of Hamiltonians is differentiated once and not once per pair.
+of Hamiltonians is differentiated once and not once per pair.  The bracket's
+2m gradient products are summed by one fused GrassmannElement.dot.
 
 Quantization substitutes eta_i -> hbar d_theta_i and u_i -> hbar u_i and
 realizes operators on the 2^m-dimensional module C[theta_1 .. theta_m] with
@@ -45,11 +47,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .grassmann import (GrassmannElement, json_at, json_list, json_number, json_object,
-                        require_parity)
+from .grassmann import (MAX_GENERATORS, GrassmannElement, json_at, json_list, json_number,
+                        json_object, require_parity)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
+# site i carries two generators, theta_i and eta_i
+MAX_SITES = MAX_GENERATORS // 2
 # gaudin_terms builds 2(m - 1) hops of 2^(m-2) entries: about 16 MB at m = 16
 MAX_REALIZED_SITES = 16
 
@@ -108,6 +112,17 @@ class ParabolicData:
                                      self.v[i] * eta,
                                      GrassmannElement.scalar(n, self.b(i)) - te))
         return tuple(out)
+
+    @cached_property
+    def expanded(self) -> tuple:
+        """(theta, eta, w) with w_k = u_k - 2 theta_k eta_k, tuples over the sites,
+        built on first use and kept: garnier_hamiltonian_expanded's operands."""
+        n = self.n
+        theta = tuple(self.theta(k) for k in range(self.m))
+        eta = tuple(self.eta(k) for k in range(self.m))
+        w = tuple(GrassmannElement.scalar(n, u) - 2 * (t * e)
+                  for u, t, e in zip(self.u, theta, eta))
+        return theta, eta, w
 
     def scaled(self, hbar: float) -> "ParabolicData":
         """Same sites with u_i -> hbar u_i (the quantization weight rule)."""
@@ -208,11 +223,8 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
         raise ValueError("Garnier Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
-    n = p.n
-    theta = [p.theta(k) for k in range(p.m)]
-    eta = [p.eta(k) for k in range(p.m)]
-    w = [GrassmannElement.scalar(n, p.u[k]) - 2 * (theta[k] * eta[k]) for k in range(p.m)]
-    acc = GrassmannElement.zero(n)
+    theta, eta, w = p.expanded
+    acc = GrassmannElement.zero(p.n)
     for j in range(p.m):
         if j == i:
             continue
@@ -236,10 +248,10 @@ def poisson_bracket(p: ParabolicData, f, g) -> GrassmannElement:
         f = odd_gradient(p, f)
     if isinstance(g, GrassmannElement):
         g = odd_gradient(p, g)
-    acc = GrassmannElement.zero(p.n)
+    pairs = []
     for (theta_f, eta_f), (theta_g, eta_g) in zip(f, g, strict=True):
-        acc = acc + theta_f * eta_g + eta_f * theta_g
-    return acc
+        pairs += (theta_f, eta_g), (eta_f, theta_g)
+    return GrassmannElement.dot(*pairs)
 
 
 # -- quantum side ---------------------------------------------------------------

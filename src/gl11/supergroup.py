@@ -67,10 +67,12 @@ def block_inverse(a, beta, gamma, d):
 def supertrace_product(x: "SuperMatrix11", y: "SuperMatrix11") -> GrassmannElement:
     """str(x y) from the diagonal blocks of x y alone.
 
-    The same operations, in the same order, as ``(x * y).supertrace()``,
-    without forming the two off-diagonal blocks that the supertrace drops.
+    Each diagonal block is one fused ``dot`` of two pairs, the same
+    operations, in the same order, as ``(x * y).supertrace()``, without
+    forming the two off-diagonal blocks that the supertrace drops.
     """
-    return (x.a * y.a + x.beta * y.gamma) - (x.gamma * y.beta + x.d * y.d)
+    dot = x.element.dot
+    return dot((x.a, y.a), (x.beta, y.gamma)) - dot((x.gamma, y.beta), (x.d, y.d))
 
 
 class SuperMatrix11:
@@ -111,11 +113,12 @@ class SuperMatrix11:
         return (self.a, self.beta, self.gamma, self.d)
 
     def __mul__(self, other: "SuperMatrix11") -> "SuperMatrix11":
-        a = self.a * other.a + self.beta * other.gamma
-        beta = self.a * other.beta + self.beta * other.d
-        gamma = self.gamma * other.a + self.d * other.gamma
-        d = self.gamma * other.beta + self.d * other.d
-        return type(self)(a, beta, gamma, d, check=False)
+        dot = self.element.dot
+        a, beta, gamma, d = self.a, self.beta, self.gamma, self.d
+        return type(self)(dot((a, other.a), (beta, other.gamma)),
+                          dot((a, other.beta), (beta, other.d)),
+                          dot((gamma, other.a), (d, other.gamma)),
+                          dot((gamma, other.beta), (d, other.d)), check=False)
 
     def __add__(self, other: "SuperMatrix11") -> "SuperMatrix11":
         return type(self)(self.a + other.a, self.beta + other.beta,

@@ -628,3 +628,37 @@ def test_two_cocycle_g_matches_two_cocycle_value_bit_for_bit(solid):
             # g_ijk is the quadratic term of h in the group law g_ij g_jk
             quadratic = data.h(i, k) - data.h(i, j) - data.h(j, k)
             assert (quadratic - value).max_abs() <= 1e-12
+
+
+# -- Nerve.lookup: the stored-orientation index against the permutation sign --------
+
+def permutation_lookup(nerve, p, simplex):
+    """(position, sign, stored) from the unordered simplex and the sorting sign."""
+    [(pos, stored)] = [(k, s) for k, s in enumerate(nerve.simplices[p])
+                       if set(s) == set(simplex)]
+    inversions = sum(stored.index(a) > stored.index(b)
+                     for k, a in enumerate(simplex) for b in simplex[k + 1:])
+    return pos, -1 if inversions % 2 else 1, stored
+
+
+@pytest.mark.parametrize("nerve", [
+    tetrahedron_nerve(), tetrahedron_nerve(solid=False),
+    # stored orientations that are not the sorted ones
+    Nerve([4, 3, 2, 1], {1: [(2, 1), (3, 1), (3, 2)], 2: [(3, 2, 1)]}),
+], ids=["solid", "boundary", "reversed"])
+def test_lookup_agrees_with_the_permutation_sign_for_every_ordering(nerve):
+    for p in (0, 1, 2, 3):
+        for stored in nerve.simplices[p]:
+            assert nerve.lookup(p, stored) == (nerve.simplices[p].index(stored), 1, stored)
+            for ordering in permutations(stored):
+                assert nerve.lookup(p, ordering) == permutation_lookup(nerve, p, ordering)
+                assert nerve.lookup(p, list(ordering)) == permutation_lookup(nerve, p, ordering)
+
+
+def test_lookup_of_a_stored_tuple_keeps_its_degree_check():
+    nerve = tetrahedron_nerve()
+    for p, simplex in ((1, (1, 2, 3)), (2, (1, 2)), (0, (1, 2))):
+        with pytest.raises(ValueError, match="is not a %d-simplex" % p):
+            nerve.lookup(p, simplex)
+    with pytest.raises(ValueError, match="not in nerve"):
+        tetrahedron_nerve(solid=False).lookup(3, (1, 2, 3, 4))

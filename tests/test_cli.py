@@ -458,7 +458,8 @@ def test_gaudin_commute_beyond_dense_cap(capsys):
 
 
 def test_gaudin_commute_site_limits_exit_2(capsys):
-    for m, message in (("1", "at least two sites"), ("17", "stops at m = 16")):
+    for m, message in (("1", "argument --m: must be a site count in 2..32"),
+                       ("17", "stops at m = 16")):
         code, out, err = outcome(capsys, ["gaudin-commute", "--m", m])
         assert code == 2
         assert message in err
@@ -560,7 +561,7 @@ def test_quantize_compare_runs_to_the_grassmann_limit(capsys):
     code, out, err = outcome(capsys, ["quantize-compare", "--m", "33"])
     assert code == 2
     assert out == ""
-    assert "need 1 <= n <= 64 generators" in err
+    assert "argument --m: must be a site count in 2..32" in err
 
 
 def test_quantize_compare_forms_no_dense_matrix(capsys, monkeypatch):
@@ -693,6 +694,16 @@ def test_invalid_tolerance_exits_2(capsys, tol):
                                       fx("fatgraph_g1s1.json"), fx("connection_g1s1_flat.json")])
     assert (code, out) == (2, "")
     assert "argument --tol:" in err
+
+
+@pytest.mark.parametrize("m", ["0", "1", "33"])
+@pytest.mark.parametrize("command", ["garnier-check", "gaudin-commute", "quantize-compare"])
+def test_site_count_outside_2_to_32_exits_2(capsys, command, m):
+    # 2m generators must fit in 64, and a Garnier or Gaudin system needs two sites
+    code, out, err = outcome(capsys, [command, "--m", m])
+    assert (code, out) == (2, "")
+    assert "argument --m: must be a site count in 2..32, so that the 2m generators " \
+        "fit in 64, got %s" % m in err
 
 
 @pytest.mark.parametrize("hbar", ["0", "nan", "inf", "-inf", "0x"])

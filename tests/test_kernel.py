@@ -9,10 +9,12 @@ equality of the coefficient maps, not a tolerance.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gl11 import grassmann
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
@@ -22,9 +24,10 @@ from gl11.grassmann import (
     _sort_sign,
     nan_max,
 )
-from gl11.hitchin import LocalFunction
+from gl11.hitchin import LocalFunction, LocalMatrix
+from gl11.integrable import garnier_hamiltonian, odd_gradient, poisson_bracket, random_system
 from gl11.reports import CheckReport
-from gl11.supergroup import SuperMatrix11
+from gl11.supergroup import SuperMatrix11, from_coords, random_coords
 
 N = 6
 NAN = math.nan
@@ -275,3 +278,145 @@ def test_parity_of_zero_odd_and_mixed():
     assert (t1 * t2).is_even() and not (t1 * t2).is_odd()
     mixed = GrassmannElement.one(N) + t1
     assert not mixed.is_even() and not mixed.is_odd() and mixed.parity() == "mixed"
+
+
+# -- the fused sum of products: GrassmannElement.dot and LocalFunction.dot ------
+
+def same_terms(got, expected):
+    """The same keys in the same order and the same floats, signed zeros included."""
+    return list(got) == list(expected) and all(
+        same_float(a.real, b.real) and same_float(a.imag, b.imag)
+        and math.copysign(1, a.real) == math.copysign(1, b.real)
+        and math.copysign(1, a.imag) == math.copysign(1, b.imag)
+        for a, b in zip(got.values(), expected.values()))
+
+
+def reference_dot(pairs):
+    """(sum of reference_product over the pairs, the scale of its terms)."""
+    terms, scale = {}, 1.0
+    for x, y in pairs:
+        for m, c in reference_product(x, y).items():
+            terms[m] = terms.get(m, 0j) + c
+        scale += sum(map(abs, x.terms.values())) * sum(map(abs, y.terms.values()))
+    return terms, scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(residual_operands, residual_operands)
+@example(t1 + t2, t1 + t2)
+@example(GrassmannElement(N, {0: -0.0, 1: 1.0}, prune=0.0), GrassmannElement.one(N))
+def test_dot_of_one_pair_is_the_product_bit_for_bit(x, y):
+    assert same_terms(GrassmannElement.dot((x, y)).terms, (x * y).terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(any_element, any_element), min_size=1, max_size=5))
+@example([(t1, t2), (t2, t1)])                    # cancels exactly
+def test_dot_of_k_pairs_is_the_sum_of_the_products(pairs):
+    got = GrassmannElement.dot(*pairs).terms
+    expected, scale = reference_dot(pairs)
+    # the reference prunes each product, dot only the sum
+    tol = PRUNE_TOL * (scale + len(pairs) + 1)
+    for m in got.keys() | expected.keys():
+        assert abs(got.get(m, 0j) - expected.get(m, 0j)) <= tol
+    assert all(abs(c) > PRUNE_TOL for c in got.values())
+
+
+def test_dot_keeps_nan_and_inf_and_prunes_the_rest():
+    one = GrassmannElement.one(N)
+    small = GrassmannElement.scalar(N, 1e-7)
+    poisoned = GrassmannElement(N, {4: NAN, 8: 1e-7})
+    got = GrassmannElement.dot((poisoned, small), (t1, t2))   # 1e-14 t4 is pruned
+    assert set(got.terms) == {3, 4} and math.isnan(got.terms[4].real)
+    big = GrassmannElement(N, {0: INF, 1: 1.0})
+    got = GrassmannElement.dot((big, one), (-big, one))
+    assert set(got.terms) == {0} and math.isnan(got.max_abs())   # inf - inf stays a NaN
+    got = GrassmannElement.dot((big, t2), (one, t1))
+    assert set(got.terms) == {1, 2, 3} and got.terms[2].real == INF
+
+
+def test_dot_of_different_algebras_raises_as_the_product_does():
+    other = GrassmannElement.one(N + 1)
+    with pytest.raises(ValueError, match="generator counts differ: %d vs %d" % (N, N + 1)):
+        t1 * other
+    with pytest.raises(ValueError, match="generator counts differ: %d vs %d" % (N, N + 1)):
+        GrassmannElement.dot((t1, other))
+    with pytest.raises(ValueError, match="generator counts differ: %d vs %d" % (N, N + 1)):
+        GrassmannElement.dot((t1, t2), (other, other))
+    f = LocalFunction.constant(t1)
+    with pytest.raises(ValueError, match="generator counts differ: %d vs %d" % (N, N + 1)):
+        LocalFunction.dot((f, f), (LocalFunction.one(N + 1), LocalFunction.one(N + 1)))
+
+
+finite_local_functions = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                         any_element, max_size=4).map(
+                                             lambda terms: LocalFunction(N, terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(local_functions, local_functions), min_size=1, max_size=3))
+@example([(LocalFunction.constant(t1), LocalFunction.constant(t1))])   # t1 t1 = 0
+@example([(LocalFunction.constant(t1), LocalFunction.constant(t2)),
+          (LocalFunction.constant(t2), LocalFunction.constant(t1))])   # cancels exactly
+def test_local_function_dot_stores_no_empty_coefficient(pairs):
+    # nilpotent_series stops at the first power whose terms are empty
+    got = LocalFunction.dot(*pairs)
+    assert all(c.terms for c in got.terms.values())
+    assert all(c.terms for c in (pairs[0][0] * pairs[0][1]).terms.values())
+
+
+def test_local_function_dot_of_cancelling_pairs_is_empty():
+    f = LocalFunction(N, {(1, 0): t1 + t2, (0, 2): GrassmannElement.one(N)})
+    g = LocalFunction(N, {(0, 1): t2})
+    assert LocalFunction.dot((f, g), (-f, g)).terms == {}
+    w = LocalFunction(N, {(1, 0): t1})
+    assert (w * w).terms == {}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(finite_local_functions, min_size=8, max_size=8))
+def test_local_matrix_product_is_its_entrywise_formula(entries):
+    x = LocalMatrix(*entries[:4], check=False)
+    y = LocalMatrix(*entries[4:], check=False)
+    product = x * y
+    assert type(product) is LocalMatrix
+    formulas = (x.a * y.a + x.beta * y.gamma, x.a * y.beta + x.beta * y.d,
+                x.gamma * y.a + x.d * y.gamma, x.gamma * y.beta + x.d * y.d)
+    # the formula prunes each of its at most 2 * 9 * 9 coefficient products
+    # and every partial sum; the fused entry only its sum
+    scale = sum(f.max_abs() for f in entries[:4]) * sum(f.max_abs() for f in entries[4:])
+    for got, formula in zip(product.entries(), formulas):
+        assert got.residual(formula) <= PRUNE_TOL * (400 + scale)
+
+
+# -- how many elements a fused sum builds ------------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """A list that grows by one for every element grassmann._element builds."""
+    calls = []
+    real = grassmann._element
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(grassmann, "_element", counting)
+    return calls
+
+
+def test_a_supermatrix_product_builds_one_element_per_entry(built):
+    rng = np.random.default_rng(5)
+    x, y = (from_coords(random_coords(rng, N)) for _ in range(2))
+    built.clear()
+    x * y
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_poisson_bracket_of_gradients_builds_one_element(built, m):
+    p = random_system(np.random.default_rng(6), m)
+    grads = [odd_gradient(p, garnier_hamiltonian(p, i)) for i in range(2)]
+    built.clear()
+    poisson_bracket(p, grads[0], grads[1])
+    assert len(built) == 1
