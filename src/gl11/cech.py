@@ -401,7 +401,7 @@ def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
     """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
     quadratic term of h in the group law g_ij g_jk."""
     c_ij, c_jk = data.coords(i, j), data.coords(j, k)
-    e_s, e_ms = c_ij.s.exp(), (-c_ij.s).exp()
+    e_s, e_ms = c_ij.s.exp_pair()
     return (c_ij.alpha * e_s * c_jk.beta - e_ms * c_jk.alpha * c_ij.beta) * 0.5
 
 
@@ -453,8 +453,7 @@ def _check_higgs_sections(data: TransitionData, higgs: HiggsCechData,
     """delta_j = e^{-s_ij} delta_i and gamma_j = e^{s_ij} gamma_i on overlaps."""
     report = CheckReport()
     for (i, j) in data.nerve.simplices[1]:
-        e_s = data.s(i, j).exp()
-        e_ms = (-data.s(i, j)).exp()
+        e_s, e_ms = data.s(i, j).exp_pair()
         report.add("delta_section[%d%d]" % (i, j),
                    higgs.delta[j].residual(e_ms * higgs.delta[i]), tol)
         report.add("gamma_section[%d%d]" % (i, j),
@@ -509,8 +508,7 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
     for (i, j) in data.nerve.simplices[1]:
         label = "%d%d" % (i, j)
         g_ij = data.coords(i, j)
-        e_s = g_ij.s.exp()
-        e_ms = (-g_ij.s).exp()
+        e_s, e_ms = g_ij.s.exp_pair()
         brel_alpha = g_ij.alpha * higgs.b[i] - (higgs.gamma[i] - e_ms * higgs.gamma[j])
         brel_beta = g_ij.beta * higgs.b[i] - (e_s * higgs.delta[j] - higgs.delta[i])
         report.add("b_global[%s]" % label, higgs.b[i].residual(higgs.b[j]), tol)

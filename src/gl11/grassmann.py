@@ -197,22 +197,46 @@ def _sort_sign(seq) -> int:
     return -1 if swaps & 1 else 1
 
 
-def nilpotent_series(w, coeff):
-    """1 + sum_{k >= 1} coeff(k) w^k for a nilpotent ring element w.
+def nilpotent_series(w, unit, zero, *sums) -> list:
+    """Term maps of (1 + sum_{k >= 1} coeff(k) w^k) * scale, one per (coeff, scale)
+    in ``sums``, from one sequence of powers of a nilpotent w (a GrassmannElement
+    soul or a polynomial with nilpotent coefficients) up to its first zero power.
 
-    The sum stops at the first power of w that is zero, so the result is
-    exact.  ``w`` needs ``one(n)``, ``*``, ``add_scaled`` and ``terms``: a
-    GrassmannElement soul or a polynomial with nilpotent coefficients.  Neither
-    holds a zero term (the kernel prunes every product and a LocalFunction drops
-    empty coefficients), so a power is zero exactly when its terms are empty.
+    ``unit`` is the term map of 1 and ``zero`` an absent term (0j or the zero
+    element).  Each power is added into one map per sum and a term is deleted
+    once |term| <= PRUNE_TOL (``abs`` of an element is its ``max_abs``): the
+    values and key order of an ``add_scaled`` per power, without its element.
+    The map is scaled last, unless scale is None, and the caller's element
+    prunes it again: bit for bit ``series * scale``.
     """
-    acc = type(w).one(w.n)
+    maps = [dict(unit) for _ in sums]
     power, k = w, 1
     while power.terms:
-        acc = acc.add_scaled(power, coeff(k))
+        for terms, (coeff, _) in zip(maps, sums):
+            ck = coeff(k)
+            for m, c in power.terms.items():
+                c = c * ck
+                if not abs(c) <= PRUNE_TOL:
+                    c = terms.get(m, zero) + c
+                    if abs(c) <= PRUNE_TOL:
+                        del terms[m]
+                    else:
+                        terms[m] = c
         power = power * w
         k += 1
-    return acc
+    return [terms if scale is None else {m: c * scale for m, c in terms.items()}
+            for terms, (_, scale) in zip(maps, sums)]
+
+
+_UNIT = {0: 1 + 0j}  # the term map of 1, copied by nilpotent_series
+
+
+def _exp(b: complex) -> complex:
+    """cmath.exp(b); an overflow raises ValueError naming the real part of b."""
+    try:
+        return cmath.exp(b)
+    except OverflowError:
+        raise ValueError("exp overflows: the body has real part %r" % b.real) from None
 
 
 def _accumulate(terms: dict, x, y) -> None:
@@ -338,6 +362,8 @@ class GrassmannElement:
         """Magnitude of the largest coefficient (the residual norm used throughout)."""
         return nan_max(abs(c) for c in self.terms.values())
 
+    __abs__ = max_abs
+
     def residual(self, other: "GrassmannElement") -> float:
         """``(self - other).max_abs()``, without building the difference.
 
@@ -450,28 +476,45 @@ class GrassmannElement:
         return require_parity(self, "even", "the argument of " + op).body()
 
     def _unit_soul(self, op: str, error: str):
-        """(b, soul/b) for an even element with body b away from zero."""
+        """(b, soul/b) for an even element with body b away from zero, in one
+        pass pruned before and after the scaling, as ``soul() * (1/b)``."""
         b = self._even_body(op)
         if abs(b) <= PRUNE_TOL:
             raise NotInvertibleError(error)
-        return b, self.soul() * (1.0 / b)
+        r = 1.0 / b
+        return b, _element(self.n, {m: c * r for m, c in self.terms.items()
+                                    if m and not abs(c) <= PRUNE_TOL})
 
     def exp(self) -> "GrassmannElement":
         """exp of an even element: e^body times the truncating soul series."""
         b = self._even_body("exp")
-        series = nilpotent_series(self.soul(), lambda k: 1.0 / math.factorial(k))
-        return series * cmath.exp(b)
+        (terms,) = nilpotent_series(self.soul(), _UNIT, 0j,
+                                    (lambda k: 1.0 / math.factorial(k), _exp(b)))
+        return _element(self.n, terms)
+
+    def exp_pair(self) -> tuple:
+        """(e^x, e^{-x}) from one sequence of soul powers, bit for bit ``(x.exp(),
+        (-x).exp())``: (-w)^k = (-1)^k w^k, and every sum starts from 0j."""
+        b = self._even_body("exp")
+        plus, minus = nilpotent_series(
+            self.soul(), _UNIT, 0j, (lambda k: 1.0 / math.factorial(k), _exp(b)),
+            (lambda k: (-1.0) ** k / math.factorial(k), _exp(-b)))
+        return _element(self.n, plus), _element(self.n, minus)
 
     def inv(self) -> "GrassmannElement":
         """Multiplicative inverse; needs even parity and nonzero body."""
         b, w = self._unit_soul("inverse", "not invertible: body is zero")
-        return nilpotent_series(w, lambda k: (-1.0) ** k) * (1.0 / b)
+        (terms,) = nilpotent_series(w, _UNIT, 0j, (lambda k: (-1.0) ** k, 1.0 / b))
+        return _element(self.n, terms)
 
     def log(self) -> "GrassmannElement":
         """Principal log of an even invertible element."""
         b, w = self._unit_soul("log", "log undefined: body is zero")
-        # the series is 1 + log(1 + w); subtracting 1 leaves an empty body for log(b)
-        return nilpotent_series(w, lambda k: (-1.0) ** (k + 1) / k) - 1 + cmath.log(b)
+        (terms,) = nilpotent_series(w, _UNIT, 0j, (lambda k: (-1.0) ** (k + 1) / k, None))
+        # 1 + log(1 + w) - 1 + log(b): the body 1 - 1 prunes away and log(b) comes last
+        del terms[0]
+        terms[0] = 0j + cmath.log(b)
+        return _element(self.n, terms)
 
     # -- derivations and conjugation ----------------------------------------
 
@@ -637,12 +680,12 @@ def random_element(rng, n: int, parity: str = "any", max_degree=None,
             mask = 0
             for i in order[:k]:
                 mask |= 1 << i
-            terms[mask] = complex(re, im) * scale
+            terms[mask] = 0j + complex(re, im) * scale  # 0j + stores a -0.0 part as 0.0
     if body is not None:
-        terms[0] = complex(body)
+        terms[0] = 0j + complex(body)
     elif parity == "odd":
         terms.pop(0, None)
-    return GrassmannElement(n, terms)
+    return _element(n, terms)
 
 
 def random_even(rng, n, **kw) -> GrassmannElement:
@@ -652,9 +695,3 @@ def random_even(rng, n, **kw) -> GrassmannElement:
 def random_odd(rng, n, **kw) -> GrassmannElement:
     return random_element(rng, n, parity="odd", **kw)
 
-
-def random_even_invertible(rng, n, **kw) -> GrassmannElement:
-    """Even element whose body stays away from zero."""
-    b = complex(rng.standard_normal(), rng.standard_normal())
-    b += b / abs(b)  # push away from the origin
-    return random_element(rng, n, parity="even", body=b, **kw)

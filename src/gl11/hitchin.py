@@ -144,10 +144,6 @@ class LocalFunction:
             terms[key] = terms.get(key, GrassmannElement.zero(self.n)) + c
         return LocalFunction(self.n, terms)
 
-    def add_scaled(self, other, k):
-        """self + other * k for a number k, as GrassmannElement.add_scaled."""
-        return self + other * k
-
     def __neg__(self):
         return LocalFunction(self.n, {k: -c for k, c in self.terms.items()})
 
@@ -204,7 +200,9 @@ class LocalFunction:
                 raise ValueError(
                     "not invertible in the polynomial model: term z^%d zbar^%d "
                     "has a nonzero body" % (p, q))
-        return nilpotent_series(w, lambda k: (-1.0) ** k) * scale
+        (terms,) = nilpotent_series(w, {(0, 0): GrassmannElement.one(self.n)},
+                                    GrassmannElement.zero(self.n), (lambda k: (-1.0) ** k, scale))
+        return LocalFunction(self.n, terms)
 
     # -- calculus --------------------------------------------------------------
 

@@ -11,13 +11,18 @@ coordinate group law are exact (no logarithm branches); to_coords uses the
 principal branch on bodies, so h and s are canonical representatives of their
 2*pi*i and 4*pi*i classes.
 
-Odd entries square to zero, which gives every formula a closed form:
-(a^{-1} beta d^{-1} gamma)^2 = 0, so
+Odd entries square to zero and even entries are central, which gives every
+formula a short closed form (Berezin, Introduction to Superanalysis, 1987):
 
-    M^{-1} = [[a^{-1} + a^{-1} beta d^{-1} gamma a^{-1}, -a^{-1} beta d^{-1}],
-              [-d^{-1} gamma a^{-1}, d^{-1} + d^{-1} gamma a^{-1} beta d^{-1}]]
-
-needs only a^{-1} and d^{-1}, and sdet(M) = (a - beta d^{-1} gamma) d^{-1}.
+- M^{-1} = [[a^{-1} + a^{-1} t, -a^{-1} d^{-1} beta], [-a^{-1} d^{-1} gamma,
+  d^{-1} - d^{-1} t]] with t = (a^{-1} d^{-1} beta) gamma, exact as t^2 = 0,
+  and sdet(M) = (a - beta d^{-1} gamma) d^{-1}.
+- a = e^{h+s/2}(1 - alpha beta/2) and d = e^{h-s/2}(1 + alpha beta/2), so
+  a d = e^{2h} exactly and h = log(a d)/2, up to an i*pi decided by the sign of
+  a's body against e^{h+s/2}; a^{-1} gamma = (1 + alpha beta/2) alpha = alpha and
+  d^{-1} beta_M = (1 - alpha beta/2) beta = beta, as alpha^2 = beta^2 = 0.
+- from_coords reads 1 -+ alpha beta/2 off the terms of alpha beta in one pass,
+  and e^{+-s} share one sequence of soul powers (``exp_pair``).
 
 On SL(1|1) the twist vanishes: when the stored s has no terms, e^{+-s} is
 exactly one, so the group law reduces to the additive edge-coordinate fold
@@ -38,7 +43,10 @@ from __future__ import annotations
 import cmath
 
 from .grassmann import (
+    PRUNE_TOL,
     GrassmannElement,
+    _accumulate,
+    _element,
     NotInvertibleError,
     nan_max,
     random_even,
@@ -49,19 +57,13 @@ from .reports import CheckReport
 
 
 def block_inverse(a, beta, gamma, d):
-    """Entries of [[a, beta], [gamma, d]]^{-1} from a^{-1} and d^{-1} alone.
-
-    a, d even and invertible, beta, gamma odd: (a^{-1} beta d^{-1} gamma)^2
-    contains beta^2 = 0, so each Schur-complement inverse truncates after one
-    term and the result is exact.  Works for any supercommutative entries
-    with ``inv()``, ``*``, ``+`` and ``-``.
-    """
-    a_inv = a.inv()
-    d_inv = d.inv()
-    upper = a_inv * beta * d_inv
-    lower = d_inv * gamma * a_inv
-    return (a_inv + upper * gamma * a_inv, -upper,
-            -lower, d_inv + lower * beta * d_inv)
+    """Entries of [[a, beta], [gamma, d]]^{-1} in 6 products (module docstring),
+    for any supercommutative entries with ``inv()``, ``*``, ``+`` and ``-``."""
+    a_inv, d_inv = a.inv(), d.inv()
+    ad_inv = a_inv * d_inv
+    upper = ad_inv * beta
+    t = upper * gamma
+    return a_inv + a_inv * t, -upper, -(ad_inv * gamma), d_inv - d_inv * t
 
 
 def supertrace_product(x: "SuperMatrix11", y: "SuperMatrix11") -> GrassmannElement:
@@ -240,36 +242,29 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
     else:
         e_plus = c.h.add_scaled(c.s, 0.5).exp()
         e_minus = c.h.add_scaled(c.s, -0.5).exp()
-    ab_half = c.alpha * c.beta * 0.5
-    one = GrassmannElement.one(c.n)
-    return SuperMatrix11(
-        e_plus * (one - ab_half),
-        e_minus * c.beta,
-        e_plus * c.alpha,
-        e_minus * (one + ab_half),
-        check=False,
-    )
+    # 1 -+ (alpha * beta) * 0.5 bit for bit: halving keeps a term the product's
+    # prune drops below the prune, and 0j -+ x stores a -0.0 part as 0.0
+    ab = {}
+    _accumulate(ab, c.alpha, c.beta)
+    one_minus, one_plus = {0: 1 + 0j}, {0: 1 + 0j}
+    for m, x in ab.items():
+        x = x * 0.5
+        if not abs(x) <= PRUNE_TOL:
+            one_minus[m] = 0j - x
+            one_plus[m] = 0j + x
+    return SuperMatrix11(e_plus * _element(c.n, one_minus), e_minus * c.beta,
+                         e_plus * c.alpha, e_minus * _element(c.n, one_plus), check=False)
 
 
-def to_coords(m: SuperMatrix11) -> GroupCoords:
-    """Invert the parametrization, principal log branch on bodies."""
-    return _coords_from_sdet(m, m.sdet())
-
-
-def _coords_from_sdet(m: SuperMatrix11, sdet: GrassmannElement) -> GroupCoords:
-    """to_coords(m) for a caller that has formed sdet = m.sdet() already."""
-    s = sdet.log()
-    h_minus_s = from_coords(GroupCoords(GrassmannElement.zero(m.n), -s,
-                                        GrassmannElement.zero(m.n),
-                                        GrassmannElement.zero(m.n)))
-    g = m * h_minus_s
-    h = (g.a * g.d).log() * 0.5
-    # the half-log of a*d drops a possible i*pi: after peeling H_s the two
-    # diagonal bodies are equal (sdet = 1), so compare signs against e^h
-    if (g.a.body() / cmath.exp(h.body())).real < 0:
+def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
+    """Invert the parametrization, principal log branch on bodies, by the closed
+    forms of the module docstring; ``sdet`` is m.sdet() if the caller has it."""
+    s = (m.sdet() if sdet is None else sdet).log()
+    h = (m.a * m.d).log() * 0.5
+    # the half-log of a*d drops a possible i*pi: compare a's body against e^{h + s/2}
+    if (m.a.body() / cmath.exp(h.body() + 0.5 * s.body())).real < 0:
         h = h + GrassmannElement.scalar(m.n, 1j * cmath.pi)
-    e_h_inv = h.exp().inv()
-    return GroupCoords(h, s, e_h_inv * g.gamma, e_h_inv * g.beta)
+    return GroupCoords(h, s, m.a.inv() * m.gamma, m.d.inv() * m.beta)
 
 
 def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
@@ -277,12 +272,12 @@ def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
     if c1.is_sl():
         h = c1.h + c2.h + (c1.alpha * c2.beta - c2.alpha * c1.beta) * 0.5
         return GroupCoords(h, c1.s + c2.s, c1.alpha + c2.alpha, c1.beta + c2.beta)
-    e_s1 = c1.s.exp()
-    e_ms1 = (-c1.s).exp()
-    alpha = c1.alpha + e_ms1 * c2.alpha
+    e_s1, e_ms1 = c1.s.exp_pair()
+    alpha2 = e_ms1 * c2.alpha  # also the left factor of the second h term
+    alpha = c1.alpha + alpha2
     beta = c1.beta + e_s1 * c2.beta
     s = c1.s + c2.s
-    h = c1.h + c2.h + (c1.alpha * e_s1 * c2.beta - e_ms1 * c2.alpha * c1.beta) * 0.5
+    h = c1.h + c2.h + (c1.alpha * e_s1 * c2.beta - alpha2 * c1.beta) * 0.5
     return GroupCoords(h, s, alpha, beta)
 
 
@@ -290,7 +285,8 @@ def coords_inverse(c: GroupCoords) -> GroupCoords:
     """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta)."""
     if c.is_sl():
         return GroupCoords(-c.h, -c.s, -c.alpha, -c.beta)
-    return GroupCoords(-c.h, -c.s, -(c.s.exp() * c.alpha), -((-c.s).exp() * c.beta))
+    e_s, e_ms = c.s.exp_pair()
+    return GroupCoords(-c.h, -c.s, -(e_s * c.alpha), -(e_ms * c.beta))
 
 
 class HiggsEigenData:
@@ -323,11 +319,6 @@ def higgs_eigen(phi: SuperMatrix11) -> HiggsEigenData:
     p = SuperMatrix11(GrassmannElement.one(n), -(phi.beta * st_inv),
                       phi.gamma * st_inv, GrassmannElement.one(n))
     return HiggsEigenData(lam_plus, lam_minus, p)
-
-
-def higgs_transform(phi: SuperMatrix11, g: SuperMatrix11) -> SuperMatrix11:
-    """Patch-to-patch Higgs transformation g^{-1} phi g."""
-    return g.inverse() * phi * g
 
 
 # -- random coordinates for property suites ----------------------------------
@@ -379,7 +370,7 @@ def group_law_suite(rng, n: int, count: int, tol: float,
         fold("sdet_exp_s", sdet1, c1.s.exp())
         fold("sdet_homomorphism", m12.sdet(), sdet1 * m2.sdet())
         fold("coords_vs_matrix", from_coords(coords_product(c1, c2)), m12)
-        fold("to_coords_roundtrip", from_coords(_coords_from_sdet(m1, sdet1)), m1)
+        fold("to_coords_roundtrip", from_coords(to_coords(m1, sdet1)), m1)
     if corrupt and count:
         c1, c2 = random_coords(rng, n), random_coords(rng, n)
         bad = coords_product(c1, c2)

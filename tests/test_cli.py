@@ -766,6 +766,39 @@ def test_python_m_gl11_runs_the_cli():
     assert done.stdout.rstrip().endswith("status: FAIL")
 
 
+def test_cech_verify_exp_overflow_exits_2_without_a_traceback(tmp_path):
+    # e^1000 overflows a float: a usage error naming the real part, not a crash
+    data = json.loads((FIXTURES / "cech_tetra_valid.json").read_text())
+    (body,) = [term for term in data["edges"][0]["s"]["terms"] if term["mono"] == []]
+    body["re"] = 1000
+    path = tmp_path / "cech_overflow.json"
+    path.write_text(json.dumps(data))
+    src = str(FIXTURES.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "gl11", "cech-verify",
+                           fx("nerve_tetrahedron.json"), str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: exp overflows: the body has real part 1000.0\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_group_selftest_calls_to_coords_once_per_round(capsys, monkeypatch, count):
+    calls = []
+    real = supergroup.to_coords
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(supergroup, "to_coords", counting)
+    code, _ = run(capsys, "group-selftest", "--count", str(count))
+    assert code == 0
+    assert len(calls) == count
+
+
 @pytest.mark.parametrize("half_edge", [9, -1])
 def test_fatgraph_half_edge_out_of_range_names_file(capsys, tmp_path, half_edge):
     # -1 must not wrap around to the last half-edge

@@ -13,12 +13,18 @@ from gl11.grassmann import (
     ParityError,
     random_element,
     random_even,
-    random_even_invertible,
     random_odd,
 )
 
 N = 8
 TOL = 1e-9
+
+
+def random_even_invertible(rng, n, **kw) -> GrassmannElement:
+    """Even element whose body stays away from zero."""
+    b = complex(rng.standard_normal(), rng.standard_normal())
+    b += b / abs(b)  # push away from the origin
+    return random_element(rng, n, parity="even", body=b, **kw)
 
 
 def t(*indices):

@@ -7,6 +7,7 @@ therefore do the same floating-point operations, and the comparison is exact
 equality of the coefficient maps, not a tolerance.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -420,3 +421,105 @@ def test_a_poisson_bracket_of_gradients_builds_one_element(built, m):
     built.clear()
     poisson_bracket(p, grads[0], grads[1])
     assert len(built) == 1
+
+
+# -- the series of exp, inv and log against the stepwise sum -------------------
+
+def stepwise_series(w, coeff):
+    """1 + sum coeff(k) w^k with one sum, pruned, per power (for elements the
+    sum is add_scaled's, bit for bit, as tested above)."""
+    acc = type(w).one(w.n)
+    power, k = w, 1
+    while power.terms:
+        acc = acc + power * coeff(k)
+        power = power * w
+        k += 1
+    return acc
+
+
+def stepwise_exp(x):
+    return stepwise_series(x.soul(), lambda k: 1.0 / math.factorial(k)) * cmath.exp(x.body())
+
+
+def stepwise_inv(x):
+    r = 1.0 / x.body()
+    return stepwise_series(x.soul() * r, lambda k: (-1.0) ** k) * r
+
+
+def stepwise_log(x):
+    b = x.body()
+    series = stepwise_series(x.soul() * (1.0 / b), lambda k: (-1.0) ** (k + 1) / k)
+    return series - 1 + cmath.log(b)
+
+
+def hex_terms(x):
+    """The stored terms in their order, each part as float.hex: -0.0 and NaN count."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+even_masks = all_masks.filter(lambda m: m.bit_count() % 2 == 0)
+series_coefficients = st.one_of(coefficients, st.sampled_from(
+    [PRUNE_TOL, 3 * PRUNE_TOL, 1j, -1.0, NAN, INF, complex(0.0, -2.0)]))
+even_elements = elements(even_masks, coeffs=series_coefficients)
+# the kernel stores -0.0 parts in results only: a negation makes them
+series_operands = st.one_of(even_elements, even_elements.map(lambda x: -x))
+# soul t12 + t34 + t56 + 0.7 t1..6 + e t1234: the t1..6 term of exp reads 0.7 after
+# w, 0.7 + e ~ 1e-13 after w^2/2 (pruned) and 1 again after w^3/6
+CANCELS_THEN_RETURNS = GrassmannElement(N, {0: 0.5, 0b11: 1.0, 0b1100: 1.0, 0b110000: 1.0,
+                                            0b111111: 0.7, 0b1111: -0.7 + 1e-13})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_operands)
+@example(CANCELS_THEN_RETURNS)
+@example(GrassmannElement(N, {0: 2.0, 0b11: -1.0, 0b1100: 1.0, 0b1111: 1.0 + 1e-13}))
+@example(GrassmannElement(N, {0: 1.0, 0b11: 1.0}) * -1.0)
+def test_exp_inv_and_log_are_the_stepwise_series_bit_for_bit(x):
+    assert hex_terms(x.exp()) == hex_terms(stepwise_exp(x))
+    assert hex_terms(x.exp_pair()[0]) == hex_terms(x.exp())
+    assert hex_terms(x.exp_pair()[1]) == hex_terms((-x).exp())
+    if abs(x.body()) > PRUNE_TOL:
+        assert hex_terms(x.inv()) == hex_terms(stepwise_inv(x))
+        assert hex_terms(x.log()) == hex_terms(stepwise_log(x))
+
+
+def test_the_cancelling_example_is_pruned_mid_series():
+    # the stepwise sum deletes the t1..6 term at w^2 and adds it back at w^3,
+    # so a sum pruned only at the end would read 1 + 1e-13 there
+    w = CANCELS_THEN_RETURNS.soul()
+    after_w2 = stepwise_series(w, lambda k: 1.0 / math.factorial(k) if k <= 2 else 0.0)
+    assert 0b111111 not in after_w2.terms
+    assert list(stepwise_exp(CANCELS_THEN_RETURNS).terms)[-1] == 0b111111
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       elements(all_masks.filter(lambda m: m != 0), max_size=4,
+                                coeffs=series_coefficients), max_size=4),
+       st.sampled_from([1.0, -0.5, 2.0 - 1j, 1j]))
+# the scaled odd powers carry a -0.0 part here, which the stepwise sum stores as 0.0
+@example({(1, 0): GrassmannElement(N, {0b11: -1.0}), (0, 1): GrassmannElement(N, {0b1100: -1.0})},
+         1j)
+def test_local_function_inverse_is_the_stepwise_series_bit_for_bit(souls, body):
+    f = LocalFunction(N, souls) + LocalFunction.constant(GrassmannElement.scalar(N, body))
+    scale = 1.0 / f.body()
+    w = f * scale - LocalFunction.one(N)
+    expected = stepwise_series(w, lambda k: (-1.0) ** k) * scale
+    got = f.inv()
+    assert [(key, hex_terms(c)) for key, c in got.terms.items()] == [
+        (key, hex_terms(c)) for key, c in expected.terms.items()]
+
+
+def test_exp_overflow_raises_value_error_naming_the_real_part():
+    soul = GrassmannElement(N, {0b11: 0.5})
+    for body in (710.0, complex(1000.0, 1.0)):
+        x = soul + body
+        with pytest.raises(ValueError, match="real part %r" % body.real):
+            x.exp()
+        for y in (x, -x):  # either half of the pair overflows
+            with pytest.raises(ValueError, match="real part %r" % abs(body.real)):
+                y.exp_pair()
+    near = (soul + 709.7).exp()
+    assert near.terms == stepwise_exp(soul + 709.7).terms and near.max_abs() < INF
+    # an underflow is no error: e^-1000 is 0, so every term prunes away
+    assert (soul - 1000.0).exp().terms == {} == stepwise_exp(soul - 1000.0).terms

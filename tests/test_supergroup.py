@@ -8,16 +8,17 @@ import pytest
 
 from gl11.grassmann import (GrassmannElement, NotInvertibleError, nan_max, random_even,
                             random_odd)
-from gl11 import supergroup
+from gl11 import grassmann, supergroup
+from gl11.hitchin import LocalFunction, LocalMatrix
 from gl11.supergroup import (
     GroupCoords,
     SuperMatrix11,
+    block_inverse,
     coords_inverse,
     coords_product,
     from_coords,
     group_law_suite,
     higgs_eigen,
-    higgs_transform,
     random_coords,
     to_coords,
 )
@@ -39,6 +40,11 @@ def one():
 
 def scalar(c):
     return GrassmannElement.scalar(N, c)
+
+
+def higgs_transform(phi: SuperMatrix11, g: SuperMatrix11) -> SuperMatrix11:
+    """Patch-to-patch Higgs transformation g^{-1} phi g."""
+    return g.inverse() * phi * g
 
 
 def test_from_coords_identity():
@@ -365,7 +371,7 @@ def test_group_law_suite_equals_the_difference_fold(seed, corrupt):
 def test_group_law_suite_keeps_a_nan_residual(monkeypatch):
     nan = GrassmannElement.scalar(N, math.nan)
     # the suite's round trip is to_coords with the Berezinian it formed already
-    monkeypatch.setattr(supergroup, "_coords_from_sdet",
+    monkeypatch.setattr(supergroup, "to_coords",
                         lambda m, sdet: GroupCoords(nan, zero(), zero(), zero()))
     report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9)
     assert [c.name for c in report.failing()] == ["to_coords_roundtrip"]
@@ -466,3 +472,140 @@ def test_supertrace_product_equals_the_supertrace_of_the_product():
         y = from_coords(random_coords(rng, N))
         for a, b in ((x, y), (y, x), (x, x)):
             assert supergroup.supertrace_product(a, b).terms == (a * b).supertrace().terms
+
+
+# -- the closed forms against the generic routes they replace --------------------
+
+def eight_product_inverse(a, beta, gamma, d):
+    """The block inverse as [[a^-1 + a^-1 beta d^-1 gamma a^-1, ...]], 8 products."""
+    a_inv, d_inv = a.inv(), d.inv()
+    upper = a_inv * beta * d_inv
+    lower = d_inv * gamma * a_inv
+    return (a_inv + upper * gamma * a_inv, -upper, -lower, d_inv + lower * beta * d_inv)
+
+
+def peeling_to_coords(m):
+    """to_coords by peeling H_s off with a full supermatrix product."""
+    s = m.sdet().log()
+    g = m * from_coords(GroupCoords(zero(), -s, zero(), zero()))
+    h = (g.a * g.d).log() * 0.5
+    if (g.a.body() / cmath.exp(h.body())).real < 0:
+        h = h + scalar(1j * cmath.pi)
+    e_h_inv = h.exp().inv()
+    return GroupCoords(h, s, e_h_inv * g.gamma, e_h_inv * g.beta)
+
+
+def random_local_matrix(rng):
+    """A LocalMatrix with invertible constant diagonal bodies and nilpotent rest."""
+    def poly(parity, body=None):
+        terms = {}
+        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            draw = random_even if parity == "even" else random_odd
+            terms[(p, q)] = draw(rng, N, num_terms=3, scale=0.5)
+            if parity == "even":
+                terms[(p, q)] = terms[(p, q)].soul()
+        if body is not None:
+            terms[(0, 0)] = terms[(0, 0)] + scalar(body)
+        return LocalFunction(N, terms)
+    return LocalMatrix(poly("even", 1.3 - 0.4j), poly("odd"), poly("odd"), poly("even", -0.8j))
+
+
+@pytest.mark.parametrize("entries", ["grassmann", "local"])
+def test_block_inverse_matches_the_eight_product_formula(entries):
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        if entries == "grassmann":
+            m = _random_supermatrix(rng)
+            ident = SuperMatrix11.identity(N)
+        else:
+            m = random_local_matrix(rng)
+            ident = LocalMatrix.identity(N)
+        got = block_inverse(*m.entries())
+        expected = eight_product_inverse(*m.entries())
+        scale = 1.0 + max(x.max_abs() for x in expected)
+        assert max(x.residual(y) for x, y in zip(got, expected)) <= 1e-12 * scale
+        inverse = m.inverse()
+        assert type(inverse) is type(m)
+        assert (m * inverse).is_close(ident) and (inverse * m).is_close(ident)
+
+
+@pytest.mark.parametrize("kind", ["gl", "sl", "negative_diagonal"])
+def test_to_coords_matches_the_peeling_route(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        c = random_coords(rng, N, sl=kind == "sl")
+        if kind == "negative_diagonal":
+            c = GroupCoords(c.h + scalar(1j * cmath.pi), c.s, c.alpha, c.beta)
+        m = from_coords(c)
+        got, expected = to_coords(m), peeling_to_coords(m)
+        for x, y in ((got.h, expected.h), (got.s, expected.s), (got.alpha, expected.alpha),
+                     (got.beta, expected.beta)):
+            assert x.residual(y) <= 1e-12 * (1.0 + y.max_abs())
+        # the half-log branch test fires exactly on the shifted inputs
+        assert (abs(got.h.body().imag) > cmath.pi / 2) == (kind == "negative_diagonal")
+    m = SuperMatrix11(scalar(-2.0), zero(), zero(), scalar(-1.0))
+    got, expected = to_coords(m), peeling_to_coords(m)
+    assert got.h.residual(expected.h) <= 1e-15 and got.s.residual(expected.s) <= 1e-15
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counters of the Grassmann products made outside the exp, inv and log
+    series, of the products made inside them, and of the elements built."""
+    counts = {"products": 0, "series_products": 0, "elements": 0}
+    depth = []
+    real_accumulate, real_series = grassmann._accumulate, grassmann.nilpotent_series
+    real_element, real_init = grassmann._element, GrassmannElement.__init__
+
+    def accumulate(terms, x, y):
+        counts["series_products" if depth else "products"] += 1
+        real_accumulate(terms, x, y)
+
+    def series(*args):
+        depth.append(1)
+        try:
+            return real_series(*args)
+        finally:
+            depth.pop()
+
+    def element(*args, **kw):
+        counts["elements"] += 1
+        return real_element(*args, **kw)
+
+    def init(self, *args, **kw):
+        counts["elements"] += 1
+        real_init(self, *args, **kw)
+
+    for module in (grassmann, supergroup):
+        monkeypatch.setattr(module, "_accumulate", accumulate)
+        monkeypatch.setattr(module, "_element", element)
+    monkeypatch.setattr(grassmann, "nilpotent_series", series)
+    monkeypatch.setattr(GrassmannElement, "__init__", init)
+    return counts
+
+
+def test_closed_forms_make_5_6_and_3_products(counted):
+    rng = np.random.default_rng(18)
+    for sl in (False, True):
+        c = random_coords(rng, N, sl=sl)
+        counted["products"] = 0
+        m = from_coords(c)
+        assert counted["products"] == 5
+        counted["products"] = 0
+        block_inverse(*m.entries())
+        assert counted["products"] == 6
+        sdet = m.sdet()
+        counted["products"] = 0
+        to_coords(m, sdet)
+        assert counted["products"] == 3
+
+
+def test_exp_builds_one_element_besides_its_powers(counted):
+    rng = np.random.default_rng(19)
+    for num_terms in (1, 3, 6):
+        x = random_even(rng, N, num_terms=num_terms, body=0.3)
+        for method, results in ((x.exp, 1), (x.exp_pair, 2)):
+            counted.update(series_products=0, elements=0)
+            method()
+            powers = 1 + counted["series_products"]  # the soul, then one product per power
+            assert counted["elements"] == powers + results
