@@ -7,6 +7,8 @@ to all vertex orderings by the alternating rule.  Transition data holds one
 the group inverse, and the SL(1|1) and GL(1|1) cocycle checks compare g_ik
 with the coordinate group law g_ij g_jk (``supergroup.coords_product``).
 ``gl11 cech-verify`` runs the SL check when every s_ij is zero, else the GL one.
+A nerve answers every vertex ordering of a listed simplex from one orientation
+table built with it: position, permutation sign and stored tuple.
 The module also builds the quadratic 2-cochain and cup products, solves
 coboundary equations exactly (least-norm, per Grassmann monomial), and checks
 the Higgs gluing constraints; builders and solvers check nothing themselves.
@@ -15,7 +17,7 @@ the Higgs gluing constraints; builders and solvers check nothing themselves.
 from __future__ import annotations
 
 import cmath
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -26,60 +28,51 @@ from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
 
 TWO_PI_I = 2j * cmath.pi
 
+# (permutation, sign) of the p + 1 vertex positions of a p-simplex, p = 0..3
+_ORDERINGS = [[(perm, _sort_sign(perm)) for perm in permutations(range(p + 1))]
+              for p in range(4)]
+
 
 class ObstructionError(ValueError):
     """Raised when a coboundary equation has no solution on the nerve."""
 
 
 class Nerve:
-    """Vertices plus ordered simplices of dimension 1..3, closed under faces."""
+    """Vertices plus ordered simplices of dimension 1..3, closed under faces.
+
+    Construction builds one orientation table: every vertex ordering of every
+    listed simplex maps to (position, orientation sign, stored tuple), the
+    sign that of the permutation taking the stored tuple to the ordering.
+    """
 
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
         self.simplices = {p: [tuple(s) for s in simplices.get(p, [])] for p in (1, 2, 3)}
         self.simplices[0] = [(v,) for v in self.vertices]
-        self._index = {}
-        self._stored = {}  # stored tuple -> lookup's answer, for every degree
+        self._orientations = {}
         for p in (0, 1, 2, 3):
-            seen = {}
             for pos, s in enumerate(self.simplices[p]):
                 if len(set(s)) != len(s):
                     raise ValueError("simplex %r has repeated vertices" % (s,))
-                key = frozenset(s)
-                if key in seen:
+                if s in self._orientations:  # an ordering of a simplex listed before
                     raise ValueError('"vertices" lists vertex %r twice' % s if p == 0
                                      else "simplex %r listed twice" % (s,))
-                seen[key] = (pos, s)
-                self._stored[s] = (pos, 1, s)
-            self._index[p] = seen
-        self._check_closure()
-
-    def _check_closure(self):
+                for perm, sign in _ORDERINGS[p]:
+                    self._orientations[tuple(s[k] for k in perm)] = (pos, sign, s)
         for p in (1, 2, 3):
             for s in self.simplices[p]:
                 for face in combinations(s, p):
-                    if frozenset(face) not in self._index[p - 1]:
+                    if face not in self._orientations:
                         raise ValueError("face %r of %r missing from nerve" % (face, s))
 
     def lookup(self, p: int, simplex) -> tuple[int, int, tuple]:
-        """(position, orientation sign, stored tuple) for a vertex tuple.
-
-        A simplex in its stored orientation, as in the folds over
-        ``simplices``, is answered from a tuple-keyed index; any other
-        ordering takes the permutation sign of its sorting.
-        """
-        if type(simplex) is tuple:
-            hit = self._stored.get(simplex)
-            if hit is not None and len(simplex) == p + 1:
-                return hit
-        key = frozenset(simplex)
-        if len(simplex) != p + 1 or len(key) != p + 1:
+        """(position, orientation sign, stored tuple) for a vertex ordering."""
+        hit = self._orientations.get(tuple(simplex))
+        if hit is not None and len(simplex) == p + 1:
+            return hit
+        if len(simplex) != p + 1 or len(set(simplex)) != p + 1:
             raise ValueError("%r is not a %d-simplex" % (simplex, p))
-        if key not in self._index[p]:
-            raise ValueError("simplex %r not in nerve" % (simplex,))
-        pos, stored = self._index[p][key]
-        order = [stored.index(v) for v in simplex]
-        return pos, _sort_sign(order), stored
+        raise ValueError("simplex %r not in nerve" % (simplex,))
 
     def num(self, p: int) -> int:
         return len(self.simplices[p])
@@ -379,9 +372,17 @@ def check_gl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
 
 
 def _cocycle_report(data, tol, twisted):
-    """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if twisted."""
+    """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if
+    twisted, e^{s_ij} read by orientation from one ``exp_pair`` per listed edge."""
     report = CheckReport()
-    for (i, j, k) in data.nerve.simplices[2]:
+    nerve = data.nerve
+    pairs = {e: c.s.exp_pair() for e, c in data.edge_data.items()} if twisted else None
+
+    def e_s(i, j):
+        _, sign, stored = nerve.lookup(1, (i, j))
+        return pairs[stored][0 if sign == 1 else 1]
+
+    for (i, j, k) in nerve.simplices[2]:
         label = "%d%d%d" % (i, j, k)
         c_ij, c_jk, c_ik = data.coords(i, j), data.coords(j, k), data.coords(i, k)
         law = coords_product(c_ij, c_jk)
@@ -393,7 +394,7 @@ def _cocycle_report(data, tol, twisted):
         if twisted:
             report.add("s_additivity[%s]" % label, c_ik.s.residual(law.s), tol)
             report.add("sdet_cocycle[%s]" % label,
-                       c_ik.s.exp().residual(c_ij.s.exp() * c_jk.s.exp()), tol)
+                       e_s(i, k).residual(e_s(i, j) * e_s(j, k)), tol)
     return report
 
 

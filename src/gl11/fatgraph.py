@@ -4,6 +4,8 @@ A fatgraph is stored by half-edges: a fixed-point-free pairing involution,
 a partition of the half-edges into trivalent vertices with a cyclic order at
 each vertex, and an orientation (a tail half-edge per edge).  Boundary cycles
 come from the face permutation "partner, then next in the cyclic order".
+Construction builds one half-edge table, half-edge -> (edge, is_tail), and
+walks the faces once; edge lookups, faces and vertex sums all read them.
 
 A graph connection assigns SL(1|1) coordinates (h, alpha, beta) to every
 oriented edge with the reversal rule g_rev = g^{-1}.  Vertex rescalings are
@@ -70,30 +72,27 @@ class FatGraph:
                 seen[h] = True
         if not all(seen):
             raise ValueError('"cyclic_orders": some half-edges missing from vertices')
+        if not self.cyclic_orders:
+            raise ValueError('"cyclic_orders": a fatgraph needs at least one vertex')
         self.vertex_of = [0] * size
         for v, order in enumerate(self.cyclic_orders):
             for h in order:
                 self.vertex_of[h] = v
         # edges in order of their smaller half-edge; orientation = tail half-edge
-        self.edge_halves = []
-        for h in range(size):
-            if h < pairing[h]:
-                self.edge_halves.append((h, pairing[h]))
+        self.edge_halves = [(h, pairing[h]) for h in range(size) if h < pairing[h]]
         if orientation is not None:
             if len(orientation) != len(self.edge_halves):
                 raise ValueError('"orientation": needs one tail half-edge per edge')
-            fixed = []
             for e, tail in enumerate(orientation):
                 lo, hi = self.edge_halves[e]
-                if tail == lo:
-                    fixed.append((lo, hi))
-                elif tail == hi:
-                    fixed.append((hi, lo))
-                else:
+                if tail != lo and tail != hi:
                     raise ValueError('"orientation": half-edge %d is not on edge %d'
                                      % (tail, e))
-            self.edge_halves = fixed
+                self.edge_halves[e] = (lo, hi) if tail == lo else (hi, lo)
+        self._edge_of = {h: (e, h == tail)  # half-edge -> (edge, is_tail)
+                         for e, (tail, head) in enumerate(self.edge_halves) for h in (tail, head)}
         self._check_connected()
+        self._faces = self._walk_faces()
 
     def _check_connected(self):
         reach = {0}
@@ -107,6 +106,24 @@ class FatGraph:
                     frontier.append(w)
         if len(reach) != self.num_vertices:
             raise ValueError("fatgraph is not connected")
+
+    def _walk_faces(self) -> tuple:
+        """Orbits of the face permutation as tuples of (edge, forward) steps."""
+        faces = []
+        visited = set()
+        for start in range(len(self.pairing)):
+            if start in visited:
+                continue
+            cycle = []
+            h = start
+            while True:
+                visited.add(h)
+                cycle.append(self._edge_of[h])
+                h = self.next_at_vertex(self.pairing[h])
+                if h == start:
+                    break
+            faces.append(tuple(cycle))
+        return tuple(faces)
 
     @property
     def num_vertices(self) -> int:
@@ -130,42 +147,24 @@ class FatGraph:
 
     def edge_of_half(self, h: int) -> tuple[int, bool]:
         """(edge index, True when h is the tail) for a half-edge."""
-        for e, (tail, head) in enumerate(self.edge_halves):
-            if h == tail:
-                return e, True
-            if h == head:
-                return e, False
-        raise ValueError("unknown half-edge %r" % h)
+        try:
+            return self._edge_of[h]
+        except KeyError:
+            raise ValueError("unknown half-edge %r" % (h,)) from None
 
     def next_at_vertex(self, h: int) -> int:
         order = self.cyclic_orders[self.vertex_of[h]]
         return order[(order.index(h) + 1) % 3]
 
-    def boundary_cycles(self):
-        """Faces as lists of (edge, forward) steps; each step runs h -> pair(h)."""
-        edge_lookup = {}
-        for e, (tail, head) in enumerate(self.edge_halves):
-            edge_lookup[tail] = (e, True)
-            edge_lookup[head] = (e, False)
-        faces = []
-        visited = set()
-        for start in range(len(self.pairing)):
-            if start in visited:
-                continue
-            cycle = []
-            h = start
-            while True:
-                visited.add(h)
-                cycle.append(edge_lookup[h])
-                h = self.next_at_vertex(self.pairing[h])
-                if h == start:
-                    break
-            faces.append(cycle)
-        return faces
+    def boundary_cycles(self) -> tuple:
+        """Faces as tuples of (edge, forward) steps; each step runs h -> pair(h).
+
+        The faces are walked once, when the graph is built."""
+        return self._faces
 
     @property
     def num_faces(self) -> int:
-        return len(self.boundary_cycles())
+        return len(self._faces)
 
     def genus_punctures(self) -> tuple[int, int]:
         """(g, s) from V - E + s = 2 - 2g."""
@@ -397,15 +396,14 @@ class GraphConnection:
         graph = self.graph
         sums = []
         for v in range(graph.num_vertices):
-            h = GrassmannElement.zero(self.n)
-            alpha = GrassmannElement.zero(self.n)
-            beta = GrassmannElement.zero(self.n)
+            h = alpha = beta = GrassmannElement.zero(self.n)
             for half in graph.cyclic_orders[v]:
                 e, is_tail = graph.edge_of_half(half)
-                sign = -1.0 if is_tail else 1.0
-                h = h + sign * self.coords[e].h
-                alpha = alpha + sign * self.coords[e].alpha
-                beta = beta + sign * self.coords[e].beta
+                c = self.coords[e]
+                if is_tail:
+                    h, alpha, beta = h - c.h, alpha - c.alpha, beta - c.beta
+                else:
+                    h, alpha, beta = h + c.h, alpha + c.alpha, beta + c.beta
             sums.append((h, alpha, beta))
         return sums
 
@@ -424,31 +422,23 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     lap = incidence @ incidence.T  # the graph Laplacian; a self-loop's column is zero
     report = CheckReport()
 
+    # (check name, rescaling kind, vertex-sum slot); in SU mode alpha and beta
+    # sums are conjugate-paired, so one 'odd' move fixes both
+    stages = ([("lower", "odd", 1), ("diag", "diag", 0)] if conn.mode == "su" else
+              [("lower", "lower", 1), ("upper", "upper", 2), ("diag", "diag", 0)])
     out = conn
-    for stage, slot in (("lower", 1), ("upper", 2)):
+    for check, kind, slot in stages:
         params, worst = solve_per_monomial(
             lap, [-sums[slot] for sums in out.vertex_sums()], n)
         if worst > tol:
-            report.add("normalize_solve_%s" % stage, worst, tol)
+            report.add("normalize_solve_%s" % check, worst, tol)
             report.info["singular"] = True
             return out, report
-        # in SU mode alpha and beta sums are conjugate-paired; one 'odd' move fixes both
-        kind = "odd" if conn.mode == "su" else stage
+        if conn.mode == "su" and kind == "diag":
+            # keep the diagonal parameters anti-real so reality is preserved
+            params = [(p - p.conjugate(conn.table)) * 0.5 for p in params]
         out = out._apply_gauge({v: conn._rescaling_coords(kind, p)
                                 for v, p in enumerate(params)})
-        if conn.mode == "su":
-            break
-
-    params, worst = solve_per_monomial(lap, [-sums[0] for sums in out.vertex_sums()], n)
-    if worst > tol:
-        report.add("normalize_solve_diag", worst, tol)
-        report.info["singular"] = True
-        return out, report
-    if conn.mode == "su":
-        # keep the diagonal parameters anti-real so reality is preserved
-        params = [(p - p.conjugate(conn.table)) * 0.5 for p in params]
-    out = out._apply_gauge({v: conn._rescaling_coords("diag", p)
-                            for v, p in enumerate(params)})
 
     for v, (h, alpha, beta) in enumerate(out.vertex_sums()):
         report.add("vertex_h_sum[%d]" % v, h.max_abs(), tol)

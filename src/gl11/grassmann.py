@@ -31,6 +31,7 @@ PRUNE_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 MAX_GENERATORS = 64
+JSON_INT_BOUND = 2 ** 53  # integers up to this size convert to a float exactly
 
 
 class ParityError(ValueError):
@@ -112,11 +113,14 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
 
 
 def json_int(value, field: str) -> int:
-    """value if it is a JSON integer; anything else, including the floats,
-    strings and bools that int() would truncate or convert, raises TypeError
-    naming field."""
+    """value if it is a JSON integer of size at most 2**53, the range in which
+    a float still holds every integer.  The floats, strings and bools that
+    int() would truncate or convert raise TypeError, and a larger integer
+    ValueError, each naming field."""
     if type(value) is not int:  # bool is a subclass of int
         raise TypeError('"%s" holds %r, not an integer' % (field, value))
+    if not -JSON_INT_BOUND <= value <= JSON_INT_BOUND:
+        raise ValueError('"%s" holds an integer outside -2**53..2**53' % field)
     return value
 
 

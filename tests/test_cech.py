@@ -1,12 +1,18 @@
 """Cech cochain tests: coboundaries, cocycle checks, cup products, Higgs gluing."""
 
 import cmath
+import contextlib
+import io
+import json
 import math
+import pathlib
+import re
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from gl11 import cech, grassmann
 from gl11.cech import (
     Cochain,
     HiggsCechData,
@@ -24,10 +30,12 @@ from gl11.cech import (
     solve_coboundary,
     tetrahedron_nerve,
     transition_from_frames,
+    nerve_to_dict,
     triangle_nerve,
     two_cocycle_g,
     two_cocycle_value,
 )
+from gl11.cli import main
 from gl11.grassmann import (
     GrassmannElement,
     ParityError,
@@ -662,3 +670,59 @@ def test_lookup_of_a_stored_tuple_keeps_its_degree_check():
             nerve.lookup(p, simplex)
     with pytest.raises(ValueError, match="not in nerve"):
         tetrahedron_nerve(solid=False).lookup(3, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("p, first, again", [(1, (1, 2), (2, 1)),
+                                             (2, (1, 2, 3), (2, 1, 3)),
+                                             (2, (1, 2, 3), (3, 1, 2))])
+def test_a_simplex_listed_again_in_another_ordering_raises(p, first, again):
+    simplices = {1: [(1, 2), (1, 3), (2, 3)]}
+    simplices[p] = [s for s in simplices.get(p, []) if set(s) != set(first)]
+    simplices[p] += [first, again]
+    with pytest.raises(ValueError, match=re.escape("simplex %r listed twice" % (again,))):
+        Nerve([1, 2, 3], simplices)
+
+
+# -- cech-verify: orientation table and exponential series, counted -----------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main([str(arg) for arg in argv])
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_cech_verify_takes_one_exp_pair_per_edge(monkeypatch):
+    # 4 triangles x (coords_product + two_cocycle_value) + 6 edges for sdet_cocycle
+    series = counting(monkeypatch, grassmann, "nilpotent_series")
+    assert quiet_main(["cech-verify", FIXTURES / "nerve_tetrahedron.json",
+                       FIXTURES / "cech_tetra_valid.json"]) == 0
+    assert len(series) == 14
+
+
+@pytest.mark.parametrize("solid", [True, False])
+def test_cech_verify_resolves_orderings_without_a_permutation_sign(monkeypatch, tmp_path,
+                                                                   solid):
+    # every edge stored reversed, so each triangle reads its edges through the table
+    nerve = edges_reversed(tetrahedron_nerve(solid))
+    data = transition_from_frames(nerve, random_frames(np.random.default_rng(5), nerve))
+    nerve_path, data_path = tmp_path / "nerve.json", tmp_path / "data.json"
+    nerve_path.write_text(json.dumps(nerve_to_dict(nerve)))
+    data_path.write_text(json.dumps(data.to_dict()))
+    signs = counting(monkeypatch, cech, "_sort_sign")
+    assert quiet_main(["cech-verify", nerve_path, data_path]) == 0
+    assert signs == []

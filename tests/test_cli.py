@@ -766,21 +766,36 @@ def test_python_m_gl11_runs_the_cli():
     assert done.stdout.rstrip().endswith("status: FAIL")
 
 
-def test_cech_verify_exp_overflow_exits_2_without_a_traceback(tmp_path):
-    # e^1000 overflows a float: a usage error naming the real part, not a crash
+def cech_verify_with_s_body(tmp_path, edge, real):
+    """cech-verify in a subprocess on cech_tetra_valid.json with the real part
+    of the body of s on the given edge replaced."""
     data = json.loads((FIXTURES / "cech_tetra_valid.json").read_text())
-    (body,) = [term for term in data["edges"][0]["s"]["terms"] if term["mono"] == []]
-    body["re"] = 1000
+    (body,) = [term for term in data["edges"][edge]["s"]["terms"] if term["mono"] == []]
+    body["re"] = real
     path = tmp_path / "cech_overflow.json"
     path.write_text(json.dumps(data))
     src = str(FIXTURES.parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "gl11", "cech-verify",
+    return subprocess.run([sys.executable, "-m", "gl11", "cech-verify",
                            fx("nerve_tetrahedron.json"), str(path)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cech_verify_exp_overflow_exits_2_without_a_traceback(tmp_path):
+    # e^1000 overflows a float: a usage error naming the real part, not a crash
+    done = cech_verify_with_s_body(tmp_path, 0, 1000)
     assert done.returncode == 2
     assert done.stderr == "error: exp overflows: the body has real part 1000.0\n"
+    assert done.stdout == ""
+
+
+def test_cech_verify_overflow_of_e_to_the_minus_s_exits_2(tmp_path):
+    # the check never inverts edge (3, 4), yet it forms e^{+-s} once per listed
+    # edge, so e^{800} of its reversed orientation overflows in the same way
+    done = cech_verify_with_s_body(tmp_path, 5, -800)
+    assert done.returncode == 2
+    assert done.stderr == "error: exp overflows: the body has real part 800.0\n"
     assert done.stdout == ""
 
 
@@ -844,6 +859,18 @@ def test_fatgraph_not_trivalent_names_cyclic_orders(capsys, tmp_path):
 def test_fatgraph_errors_name_their_key(capsys, tmp_path, key, change, problem):
     assert graph_error(capsys, tmp_path, change) == (
         2, 'error: <file>: "%s": %s\n' % (key, problem))
+
+
+@pytest.mark.parametrize("command", [["normalize"], ["holonomy", "--cycle", "0+"],
+                                     ["check-punctures"]])
+def test_fatgraph_with_no_vertex_names_cyclic_orders(capsys, tmp_path, command):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"pairing": [], "cyclic_orders": []}))
+    argv = ["fatgraph", command[0], str(path), fx("connection_g1s1_flat.json")] + command[1:]
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ('error: %s: "cyclic_orders": a fatgraph needs at least one vertex\n'
+                   % path)
 
 
 # -- integer "n" fields and repeated terms ----------------------------------------
@@ -1162,6 +1189,16 @@ MALFORMED = [
      '"n" holds 0, not a generator count in 1..64'),
     (RANDOM, set_at(["n"], 65), ["fatgraph", "check-punctures", fx(GRAPH), "{}"],
      '"n" holds 65, not a generator count in 1..64'),
+    # integers past float range, which TWO_PI_I * n and float(p) cannot convert
+    ("cech_tetra_valid.json", set_at(["triangles", 0, "n"], 10 ** 400),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     'triangle (1, 2, 3): "n" holds an integer outside -2**53..2**53'),
+    ("metric_example.json", set_at(["u", "terms", 0, "z"], 10 ** 400),
+     ["hitchin-residual", "{}", fx("higgs_example.json")],
+     'u: "z" holds an integer outside -2**53..2**53'),
+    ("cech_tetra_valid.json", set_at(["triangles", 0, "n"], -(2 ** 53) - 1),
+     ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
+     'triangle (1, 2, 3): "n" holds an integer outside -2**53..2**53'),
 ]
 
 

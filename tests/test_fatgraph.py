@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gl11 import fatgraph
 from gl11.fatgraph import (
     FatGraph,
     GraphConnection,
@@ -446,3 +447,77 @@ def test_incidence_gram_is_the_graph_laplacian():
     for graph in [fixture_graph(g, s) for g, s in FIXTURES] + [dumbbell_graph()]:
         incidence = random_connection(rng, graph, N)._signed_incidence()
         assert np.array_equal(incidence @ incidence.T, half_edge_laplacian(graph))
+
+
+# -- the half-edge table ------------------------------------------------------------
+
+@pytest.mark.parametrize("genus, punctures", FIXTURES)
+def test_edge_of_half_matches_a_scan_of_edge_halves(genus, punctures):
+    graph = fixture_graph(genus, punctures)
+    for h in range(2 * graph.num_edges):
+        [found] = [(e, h == tail) for e, (tail, head) in enumerate(graph.edge_halves)
+                   if h in (tail, head)]
+        assert graph.edge_of_half(h) == found
+    for h in (-1, 2 * graph.num_edges):
+        with pytest.raises(ValueError, match="unknown half-edge %d" % h):
+            graph.edge_of_half(h)
+
+
+def signed_float_vertex_sums(conn):
+    """Vertex sums as sign * coordinate with a float sign of +-1.0, added up."""
+    graph, sums = conn.graph, []
+    for v in range(graph.num_vertices):
+        acc = [GrassmannElement.zero(conn.n)] * 3
+        for half in graph.cyclic_orders[v]:
+            [(e, is_tail)] = [(e, half == tail) for e, (tail, head)
+                              in enumerate(graph.edge_halves) if half in (tail, head)]
+            sign = -1.0 if is_tail else 1.0
+            c = conn.coords[e]
+            acc = [a + sign * x for a, x in zip(acc, (c.h, c.alpha, c.beta))]
+        sums.append(tuple(acc))
+    return sums
+
+
+def bits(x):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("genus, punctures", FIXTURES)
+@pytest.mark.parametrize("mode", ["sl", "su"])
+def test_vertex_sums_equal_the_signed_float_formula_bit_for_bit(genus, punctures, mode):
+    rng = np.random.default_rng(7 + genus + 3 * punctures + (mode == "su"))
+    graph = fixture_graph(genus, punctures)
+    table = TABLE if mode == "su" else None
+    for _ in range(3):
+        conn = random_connection(rng, graph, N, mode=mode, table=table)
+        for got, expected in zip(conn.vertex_sums(), signed_float_vertex_sums(conn)):
+            assert [bits(x) for x in got] == [bits(x) for x in expected]
+
+
+def test_faces_are_walked_when_the_graph_is_built():
+    graph = fixture_graph(1, 2)
+    assert graph.boundary_cycles() is graph.boundary_cycles()
+    assert graph.num_faces == len(graph.boundary_cycles()) == 2
+
+
+@pytest.mark.parametrize("mode, stages", [("sl", ["lower", "upper", "diag"]),
+                                          ("su", ["lower", "diag"])])
+def test_gauge_normalize_reports_the_stage_whose_solve_fails(monkeypatch, mode, stages):
+    real = fatgraph.solve_per_monomial
+    table = TABLE if mode == "su" else None
+    conn = random_connection(np.random.default_rng(3), theta_graph(), N, mode=mode, table=table)
+    for fail_at, stage in enumerate(stages):
+        calls = []
+
+        def solve(mat, values, n):
+            calls.append(1)
+            sol, worst = real(mat, values, n)
+            return sol, (1.0 if len(calls) == fail_at + 1 else worst)
+
+        monkeypatch.setattr(fatgraph, "solve_per_monomial", solve)
+        _, report = gauge_normalize(conn)
+        assert [c.name for c in report.checks] == ["normalize_solve_%s" % stage]
+        assert report.info["singular"] is True and len(calls) == fail_at + 1
+    monkeypatch.setattr(fatgraph, "solve_per_monomial", real)
+    _, report = gauge_normalize(conn)
+    assert report.ok and report.info["singular"] is False

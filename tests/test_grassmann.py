@@ -11,6 +11,7 @@ from gl11.grassmann import (
     GrassmannElement,
     NotInvertibleError,
     ParityError,
+    json_int,
     random_element,
     random_even,
     random_odd,
@@ -410,3 +411,14 @@ def test_from_dict_checks_the_generator_count_before_any_index(n):
     data = {"n": n, "terms": [{"mono": [max(n, 1)], "re": 1.0}]}
     with pytest.raises(ValueError, match='"n" holds %d, not a generator count in 1..64' % n):
         GrassmannElement.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [0, -7, 2 ** 53, -(2 ** 53)])
+def test_json_int_keeps_integers_a_float_holds_exactly(value):
+    assert json_int(value, "z") == value and float(value) == value
+
+
+@pytest.mark.parametrize("value", [2 ** 53 + 1, -(2 ** 53) - 1, 10 ** 400, -(10 ** 400)])
+def test_json_int_rejects_integers_past_2_to_the_53(value):
+    with pytest.raises(ValueError, match=r'^"z" holds an integer outside -2\*\*53\.\.2\*\*53$'):
+        json_int(value, "z")

@@ -5,15 +5,16 @@ the command that reads it, in process.  The mutations are: delete a key,
 swap a type (an integer to a float, string, bool or null; a list to an
 object and back), put NaN or an infinity in a coefficient, put an index out
 of range (a "mono" index 0 or n + 1, an "edge" -1 or E, a simplex vertex the
-nerve does not have), put an element on the wrong number of generators, or
-repeat a list entry.
+nerve does not have), set an integer to 10**400, past the range of a float,
+put an element on the wrong number of generators, or repeat a list entry.
 
 The oracle: no exception escapes ``main``.  The run exits 0 or 1 with a JSON
 report, or exits 2 with one line "error: <file>: ..." naming an input file.
 A mutation that breaks the input contract -- a required key deleted, a type
 swapped in a field that is read, a coefficient that is not finite, an index
-out of range, a wrong generator count -- must exit 2 with the message
-starting at the mutated file and naming the mutated key.  Deleting a key
+out of range, an integer past float range, a wrong generator count -- must
+exit 2 with the message starting at the mutated file and naming the mutated
+key.  Deleting a key
 that has a default, repeating an entry and changing a field that no reader
 reads ("half_edges", "parity") may leave a valid file, so any of the
 outcomes above is allowed for them.
@@ -104,8 +105,8 @@ def mutations(doc, argv):
     says that the result breaks the input contract, and key is the field
     its message must name.
     """
-    out = {kind: [] for kind in ("delete", "swap", "nonfinite", "range", "generators",
-                                 "repeat")}
+    out = {kind: [] for kind in ("delete", "swap", "nonfinite", "range", "huge",
+                                 "generators", "repeat")}
     edges = edge_count(argv)
     for path, value in nodes(doc):
         key, last = nearest_key(path), path[-1] if path else None
@@ -116,6 +117,7 @@ def mutations(doc, argv):
             number = key in ("re", "im")
             out["swap"].append((path, [(float(value), not number), (str(value), True),
                                        (not value, True), (None, True)], key))
+            out["huge"].append((path, [(10 ** 400, True)], key))
         if isinstance(value, (list, dict)) and read:
             flipped = ({str(i): x for i, x in enumerate(value)} if isinstance(value, list)
                        else list(value.values()))
