@@ -6,6 +6,8 @@ to all vertex orderings by the alternating rule.  Transition data holds one
 ``supergroup.GroupCoords`` g_ij per listed edge; the reversed orientation is
 the group inverse, and the SL(1|1) and GL(1|1) cocycle checks compare g_ik
 with the coordinate group law g_ij g_jk (``supergroup.coords_product``).
+Every e^{+-s_ij} is read from ``GroupCoords.twist``, formed as each GL edge
+is read; a reversed edge reads the swapped pair its inverse inherits.
 ``gl11 cech-verify`` runs the SL check when every s_ij is zero, else the GL one.
 A nerve answers every vertex ordering of a listed simplex from one orientation
 table built with it: position, permutation sign and stored tuple.
@@ -24,7 +26,7 @@ import numpy as np
 from .grassmann import (PRUNE_TOL, GrassmannElement, _sort_sign, json_at, json_count,
                         json_element, json_int, json_list, json_object, nan_max, require_parity)
 from .reports import CheckReport
-from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords
+from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords, quadratic_term
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -57,13 +59,12 @@ class Nerve:
                 if s in self._orientations:  # an ordering of a simplex listed before
                     raise ValueError('"vertices" lists vertex %r twice' % s if p == 0
                                      else "simplex %r listed twice" % (s,))
+                for face in combinations(s, p) if p else ():  # lower degrees are in the table
+                    if face not in self._orientations:
+                        raise ValueError('"simplices": %r has the %s, which is not listed' % (
+                            s, "vertex %r" % face if p == 1 else "face %r" % (face,)))
                 for perm, sign in _ORDERINGS[p]:
                     self._orientations[tuple(s[k] for k in perm)] = (pos, sign, s)
-        for p in (1, 2, 3):
-            for s in self.simplices[p]:
-                for face in combinations(s, p):
-                    if face not in self._orientations:
-                        raise ValueError("face %r of %r missing from nerve" % (face, s))
 
     def lookup(self, p: int, simplex) -> tuple[int, int, tuple]:
         """(position, orientation sign, stored tuple) for a vertex ordering."""
@@ -286,10 +287,12 @@ class TransitionData:
         if sign != 1:
             raise ValueError("set edge data on the listed orientation only")
         old = self.edge_data[stored]
-        self.edge_data[stored] = json_at(
-            ("edge %r", stored), GroupCoords,
-            old.h if h is None else h, old.s if s is None else s,
-            old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
+        c = json_at(("edge %r", stored), GroupCoords,
+                    old.h if h is None else h, old.s if s is None else s,
+                    old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
+        if not c.is_sl():  # e^{+-s} now, so that an overflow names the edge
+            json_at(("edge %r", stored), c.twist)
+        self.edge_data[stored] = c
 
     def is_sl(self) -> bool:
         return all(c.is_sl() for c in self.edge_data.values())
@@ -373,16 +376,9 @@ def check_gl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
 
 def _cocycle_report(data, tol, twisted):
     """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if
-    twisted, e^{s_ij} read by orientation from one ``exp_pair`` per listed edge."""
+    twisted, e^{s_ij} the ``twist`` of each oriented g_ij."""
     report = CheckReport()
-    nerve = data.nerve
-    pairs = {e: c.s.exp_pair() for e, c in data.edge_data.items()} if twisted else None
-
-    def e_s(i, j):
-        _, sign, stored = nerve.lookup(1, (i, j))
-        return pairs[stored][0 if sign == 1 else 1]
-
-    for (i, j, k) in nerve.simplices[2]:
+    for (i, j, k) in data.nerve.simplices[2]:
         label = "%d%d%d" % (i, j, k)
         c_ij, c_jk, c_ik = data.coords(i, j), data.coords(j, k), data.coords(i, k)
         law = coords_product(c_ij, c_jk)
@@ -394,16 +390,14 @@ def _cocycle_report(data, tol, twisted):
         if twisted:
             report.add("s_additivity[%s]" % label, c_ik.s.residual(law.s), tol)
             report.add("sdet_cocycle[%s]" % label,
-                       e_s(i, k).residual(e_s(i, j) * e_s(j, k)), tol)
+                       c_ik.twist()[0].residual(c_ij.twist()[0] * c_jk.twist()[0]), tol)
     return report
 
 
 def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
     """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
-    quadratic term of h in the group law g_ij g_jk."""
-    c_ij, c_jk = data.coords(i, j), data.coords(j, k)
-    e_s, e_ms = c_ij.s.exp_pair()
-    return (c_ij.alpha * e_s * c_jk.beta - e_ms * c_jk.alpha * c_ij.beta) * 0.5
+    quadratic term of h in the group law g_ij g_jk (``supergroup.quadratic_term``)."""
+    return quadratic_term(data.coords(i, j), data.coords(j, k))[1]
 
 
 def two_cocycle_g(data: TransitionData) -> Cochain:
@@ -454,7 +448,7 @@ def _check_higgs_sections(data: TransitionData, higgs: HiggsCechData,
     """delta_j = e^{-s_ij} delta_i and gamma_j = e^{s_ij} gamma_i on overlaps."""
     report = CheckReport()
     for (i, j) in data.nerve.simplices[1]:
-        e_s, e_ms = data.s(i, j).exp_pair()
+        e_s, e_ms = data.coords(i, j).twist()
         report.add("delta_section[%d%d]" % (i, j),
                    higgs.delta[j].residual(e_ms * higgs.delta[i]), tol)
         report.add("gamma_section[%d%d]" % (i, j),
@@ -509,7 +503,7 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
     for (i, j) in data.nerve.simplices[1]:
         label = "%d%d" % (i, j)
         g_ij = data.coords(i, j)
-        e_s, e_ms = g_ij.s.exp_pair()
+        e_s, e_ms = g_ij.twist()
         brel_alpha = g_ij.alpha * higgs.b[i] - (higgs.gamma[i] - e_ms * higgs.gamma[j])
         brel_beta = g_ij.beta * higgs.b[i] - (e_s * higgs.delta[j] - higgs.delta[i])
         report.add("b_global[%s]" % label, higgs.b[i].residual(higgs.b[j]), tol)

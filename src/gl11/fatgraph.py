@@ -487,8 +487,8 @@ def check_puncture_constraints(conn: GraphConnection, tol: float = 1e-9) -> Chec
 def moduli_dims(genus: int, punctures: int, constrained: bool = False,
                 su: bool = False) -> tuple[int, int]:
     """Closed-form chart dimensions of the flat-connection moduli."""
-    if punctures < 1 or 2 * genus - 2 + punctures <= 0:
-        raise ValueError("need s >= 1 and 2g - 2 + s > 0, got (g, s) = (%d, %d)"
+    if genus < 0 or punctures < 1 or 2 * genus - 2 + punctures <= 0:
+        raise ValueError("need g >= 0, s >= 1 and 2g - 2 + s > 0, got (g, s) = (%d, %d)"
                          % (genus, punctures))
     if constrained:
         return (2 * genus, 2 * genus if su else 4 * genus)

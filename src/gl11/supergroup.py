@@ -21,11 +21,21 @@ formula a short closed form (Berezin, Introduction to Superanalysis, 1987):
   a d = e^{2h} exactly and h = log(a d)/2, up to an i*pi decided by the sign of
   a's body against e^{h+s/2}; a^{-1} gamma = (1 + alpha beta/2) alpha = alpha and
   d^{-1} beta_M = (1 - alpha beta/2) beta = beta, as alpha^2 = beta^2 = 0.
-- from_coords reads 1 -+ alpha beta/2 off the terms of alpha beta in one pass,
-  and e^{+-s} share one sequence of soul powers (``exp_pair``).
+- from_coords reads 1 -+ alpha beta/2 off the terms of alpha beta in one pass.
 
-On SL(1|1) the twist vanishes: when the stored s has no terms, e^{+-s} is
-exactly one, so the group law reduces to the additive edge-coordinate fold
+The twist e^{+-s} is all that separates the GL(1|1) law from SL(1|1), and it
+belongs to the element: ``GroupCoords.twist()`` forms (e^s, e^{-s}) from one
+sequence of soul powers (``exp_pair``) on first use and keeps it, and the
+inverse, whose s is -s, inherits the swapped pair.  The product is
+
+    alpha = alpha_1 + e^{-s_1} alpha_2,  beta = beta_1 + e^{s_1} beta_2,
+    h = h_1 + h_2 + (alpha_1 e^{s_1} beta_2 - e^{-s_1} alpha_2 beta_1) / 2,
+
+and ``quadratic_term`` is the one copy of the last term, which is also the
+Cech 2-cochain g_ijk of gl11.cech.
+
+On SL(1|1) the twist is not formed: when the stored s has no terms, e^{+-s}
+is exactly one, so the group law reduces to the additive edge-coordinate fold
 
     alpha = alpha_1 + alpha_2,  beta = beta_1 + beta_2,
     h = h_1 + h_2 + (alpha_1 beta_2 - alpha_2 beta_1) / 2,
@@ -192,7 +202,7 @@ class GroupCoords:
     additive representatives.
     """
 
-    __slots__ = ("h", "s", "alpha", "beta", "n")
+    __slots__ = ("h", "s", "alpha", "beta", "n", "_twist")
 
     def __init__(self, h, s, alpha, beta):
         ns = {h.n, s.n, alpha.n, beta.n}
@@ -204,6 +214,7 @@ class GroupCoords:
         require_parity(beta, "odd", "beta")
         self.h, self.s, self.alpha, self.beta = h, s, alpha, beta
         self.n = h.n
+        self._twist = None
 
     @classmethod
     def identity(cls, n: int) -> "GroupCoords":
@@ -218,6 +229,16 @@ class GroupCoords:
     def is_sl(self) -> bool:
         """s has no stored terms: exactly SL(1|1), the test of the group-law shortcuts."""
         return not self.s.terms
+
+    def twist(self) -> tuple:
+        """(e^s, e^{-s}) from one ``exp_pair``, formed on first use and kept.
+
+        The one place e^{+-s} is formed; ``coords_inverse`` hands its result
+        the swapped pair, bit for bit that of -s.
+        """
+        if self._twist is None:
+            self._twist = self.s.exp_pair()
+        return self._twist
 
     def __repr__(self):
         return ("GroupCoords(h=%r, s=%r, alpha=%r, beta=%r)"
@@ -267,26 +288,33 @@ def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
     return GroupCoords(h, s, m.a.inv() * m.gamma, m.d.inv() * m.beta)
 
 
-def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
-    """Exact group law in coordinates (no branch ambiguity)."""
+def quadratic_term(c1: GroupCoords, c2: GroupCoords) -> tuple:
+    """(e^{-s_1} alpha_2, q) for the product c1 c2: the alpha_2 term of its alpha
+    and q = (alpha_1 e^{s_1} beta_2 - e^{-s_1} alpha_2 beta_1) / 2, the quadratic
+    term of its h; on SL both twist factors are one and are not formed."""
     if c1.is_sl():
-        h = c1.h + c2.h + (c1.alpha * c2.beta - c2.alpha * c1.beta) * 0.5
-        return GroupCoords(h, c1.s + c2.s, c1.alpha + c2.alpha, c1.beta + c2.beta)
-    e_s1, e_ms1 = c1.s.exp_pair()
-    alpha2 = e_ms1 * c2.alpha  # also the left factor of the second h term
-    alpha = c1.alpha + alpha2
-    beta = c1.beta + e_s1 * c2.beta
-    s = c1.s + c2.s
-    h = c1.h + c2.h + (c1.alpha * e_s1 * c2.beta - alpha2 * c1.beta) * 0.5
-    return GroupCoords(h, s, alpha, beta)
+        alpha1, alpha2 = c1.alpha, c2.alpha
+    else:
+        alpha1, alpha2 = c1.alpha * c1.twist()[0], c1.twist()[1] * c2.alpha
+    return alpha2, (alpha1 * c2.beta - alpha2 * c1.beta) * 0.5
+
+
+def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
+    """Exact group law in coordinates (module docstring), no branch ambiguity."""
+    alpha2, q = quadratic_term(c1, c2)
+    beta2 = c2.beta if c1.is_sl() else c1.twist()[0] * c2.beta
+    return GroupCoords(c1.h + c2.h + q, c1.s + c2.s, c1.alpha + alpha2, c1.beta + beta2)
 
 
 def coords_inverse(c: GroupCoords) -> GroupCoords:
-    """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta)."""
+    """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta), carrying
+    c's twist swapped, (e^{-s}, e^s)."""
     if c.is_sl():
         return GroupCoords(-c.h, -c.s, -c.alpha, -c.beta)
-    e_s, e_ms = c.s.exp_pair()
-    return GroupCoords(-c.h, -c.s, -(e_s * c.alpha), -(e_ms * c.beta))
+    e_s, e_ms = c.twist()
+    inv = GroupCoords(-c.h, -c.s, -(e_s * c.alpha), -(e_ms * c.beta))
+    inv._twist = e_ms, e_s
+    return inv
 
 
 class HiggsEigenData:
@@ -367,7 +395,7 @@ def group_law_suite(rng, n: int, count: int, tol: float,
         fold("associativity", m12 * m3, m1 * (m2 * m3))
         fold("identity", m1 * ident, m1)
         fold("inverse_formula", m1.inverse(), from_coords(coords_inverse(c1)))
-        fold("sdet_exp_s", sdet1, c1.s.exp())
+        fold("sdet_exp_s", sdet1, c1.twist()[0])
         fold("sdet_homomorphism", m12.sdet(), sdet1 * m2.sdet())
         fold("coords_vs_matrix", from_coords(coords_product(c1, c2)), m12)
         fold("to_coords_roundtrip", from_coords(to_coords(m1, sdet1)), m1)

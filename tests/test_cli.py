@@ -266,6 +266,16 @@ def test_fatgraph_dims_constrained_su(capsys):
     assert payload["info"]["even"] == 4 and payload["info"]["odd"] == 4
 
 
+@pytest.mark.parametrize("genus, punctures, flags", [(-1, 5, []), (-3, 9, ["--constrained"])])
+def test_fatgraph_dims_refuses_a_negative_genus(capsys, genus, punctures, flags):
+    # 2g - 2 + s > 0 holds for both, and the closed forms would give -6 and -12
+    code, out, err = outcome(capsys, ["fatgraph", "dims", "--genus", str(genus),
+                                      "--punctures", str(punctures)] + flags)
+    assert (code, out) == (2, "")
+    assert err == ("error: need g >= 0, s >= 1 and 2g - 2 + s > 0, got (g, s) = (%d, %d)\n"
+                   % (genus, punctures))
+
+
 def test_fatgraph_holonomy_bad_cycle(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
@@ -783,19 +793,22 @@ def cech_verify_with_s_body(tmp_path, edge, real):
 
 
 def test_cech_verify_exp_overflow_exits_2_without_a_traceback(tmp_path):
-    # e^1000 overflows a float: a usage error naming the real part, not a crash
+    # e^1000 overflows a float: a usage error naming the file, the edge and the
+    # real part, not a crash
     done = cech_verify_with_s_body(tmp_path, 0, 1000)
     assert done.returncode == 2
-    assert done.stderr == "error: exp overflows: the body has real part 1000.0\n"
+    assert done.stderr == ("error: %s: edge (1, 2): exp overflows: the body has real "
+                           "part 1000.0\n" % (tmp_path / "cech_overflow.json"))
     assert done.stdout == ""
 
 
 def test_cech_verify_overflow_of_e_to_the_minus_s_exits_2(tmp_path):
-    # the check never inverts edge (3, 4), yet it forms e^{+-s} once per listed
-    # edge, so e^{800} of its reversed orientation overflows in the same way
+    # the check never inverts edge (3, 4), yet the reader forms e^{+-s} of every
+    # listed edge, so e^{800} of its reversed orientation overflows in the same way
     done = cech_verify_with_s_body(tmp_path, 5, -800)
     assert done.returncode == 2
-    assert done.stderr == "error: exp overflows: the body has real part 800.0\n"
+    assert done.stderr == ("error: %s: edge (3, 4): exp overflows: the body has real "
+                           "part 800.0\n" % (tmp_path / "cech_overflow.json"))
     assert done.stdout == ""
 
 
@@ -1199,6 +1212,9 @@ MALFORMED = [
     ("cech_tetra_valid.json", set_at(["triangles", 0, "n"], -(2 ** 53) - 1),
      ["cech-verify", fx("nerve_tetrahedron.json"), "{}"],
      'triangle (1, 2, 3): "n" holds an integer outside -2**53..2**53'),
+    ("nerve_tetrahedron.json", set_at(["vertices", 0], 99),
+     ["cech-verify", "{}", fx("cech_tetra_valid.json")],
+     '"simplices": (1, 2) has the vertex 1, which is not listed'),
 ]
 
 

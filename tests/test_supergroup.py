@@ -1,7 +1,9 @@
 """GL(1|1)/SL(1|1) supermatrix tests: group law, Berezinian, diagonalization."""
 
+import ast
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -462,6 +464,72 @@ def test_is_sl_is_the_exact_test_of_the_shortcuts():
     assert c.is_sl()
     tiny = GrassmannElement(N, {0: 1e-13}, prune=0.0)
     assert not GroupCoords(c.h, tiny, c.alpha, c.beta).is_sl()
+
+
+# -- the twist e^{+-s} carried by a group element -------------------------------
+
+def hex_terms(x):
+    """The stored terms in their order, each part as float.hex: -0.0 and NaN count."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_inverse_carries_the_swapped_twist_bit_for_bit(seed):
+    c = random_coords(np.random.default_rng(seed), N, num_terms=5)
+    inverse = coords_inverse(c)
+    fresh = (-c.s).exp_pair()
+    assert [hex_terms(x) for x in inverse.twist()] == [hex_terms(x) for x in fresh]
+    twice = coords_inverse(inverse)
+    assert all(x is y for x, y in zip(twice.twist(), c.twist()))
+
+
+@pytest.mark.parametrize("count, corrupt", [(1, False), (4, False), (4, True)])
+def test_group_law_suite_takes_one_exp_pair_per_round(monkeypatch, count, corrupt):
+    # coords_inverse, sdet_exp_s and coords_product all read c1's twist
+    calls = []
+    real = GrassmannElement.exp_pair
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(GrassmannElement, "exp_pair", counting)
+    group_law_suite(np.random.default_rng(2), N, count, 1e-9, corrupt=corrupt)
+    assert len(calls) == count + corrupt
+
+
+class TwistForms(ast.NodeVisitor):
+    """(file, enclosing class and function, method) of every call ``x.exp_pair()``
+    and ``x.s.exp()`` or ``(-x.s).exp()`` in a module."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            operand = func.value.operand if isinstance(func.value, ast.UnaryOp) else func.value
+            if func.attr == "exp_pair" or (func.attr == "exp" and isinstance(
+                    operand, ast.Attribute) and operand.attr == "s"):
+                self.found.append((self.name, ".".join(self.scope), func.attr))
+        self.generic_visit(node)
+
+
+def test_only_the_twist_forms_e_to_the_s():
+    # one owner of e^{+-s}: a second exp_pair caller or an s.exp() fails here
+    found = []
+    for path in sorted(pathlib.Path(supergroup.__file__).parent.glob("*.py")):
+        scan = TwistForms(path.name)
+        scan.visit(ast.parse(path.read_text()))
+        found += scan.found
+    assert found == [("supergroup.py", "GroupCoords.twist", "exp_pair")]
 
 
 def test_supertrace_product_equals_the_supertrace_of_the_product():
