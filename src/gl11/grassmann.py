@@ -11,6 +11,11 @@ Every product goes through one monomial pair loop, ``_accumulate``, which adds
 x * y into a dict in place.  ``GrassmannElement.dot`` sums x * y over several
 pairs into one such dict and prunes it once, and ``x * y`` is its one-pair
 case; a sum of products therefore builds one element, not one per product.
+Likewise every chain of scaled sums goes through one loop, ``_combine``,
+which adds y * k for each pair (y, k) into a dict in place:
+``x.add_combination((y_1, k_1), ...)`` forms x + sum k_i y_i in one dict,
+``x.add_scaled(y, k)`` is its one-pair case, and ``nilpotent_series`` sums
+its powers with it.
 
 Every input file is read through the readers here: ``json_int``,
 ``json_count`` (a generator count), ``json_number``, ``json_list``,
@@ -207,29 +212,23 @@ def nilpotent_series(w, unit, zero, *sums) -> list:
     soul or a polynomial with nilpotent coefficients) up to its first zero power.
 
     ``unit`` is the term map of 1 and ``zero`` an absent term (0j or the zero
-    element).  Each power is added into one map per sum and a term is deleted
-    once |term| <= PRUNE_TOL (``abs`` of an element is its ``max_abs``): the
+    element).  The powers are added into one map per sum by ``_combine``
+    (``abs`` of an element is its ``max_abs``), in increasing order: the
     values and key order of an ``add_scaled`` per power, without its element.
     The map is scaled last, unless scale is None, and the caller's element
     prunes it again: bit for bit ``series * scale``.
     """
-    maps = [dict(unit) for _ in sums]
-    power, k = w, 1
+    powers = []
+    power = w
     while power.terms:
-        for terms, (coeff, _) in zip(maps, sums):
-            ck = coeff(k)
-            for m, c in power.terms.items():
-                c = c * ck
-                if not abs(c) <= PRUNE_TOL:
-                    c = terms.get(m, zero) + c
-                    if abs(c) <= PRUNE_TOL:
-                        del terms[m]
-                    else:
-                        terms[m] = c
+        powers.append(power)
         power = power * w
-        k += 1
-    return [terms if scale is None else {m: c * scale for m, c in terms.items()}
-            for terms, (_, scale) in zip(maps, sums)]
+    maps = []
+    for coeff, scale in sums:
+        terms = dict(unit)
+        _combine(terms, [(power, coeff(k)) for k, power in enumerate(powers, 1)], zero)
+        maps.append(terms if scale is None else {m: c * scale for m, c in terms.items()})
+    return maps
 
 
 _UNIT = {0: 1 + 0j}  # the term map of 1, copied by nilpotent_series
@@ -241,6 +240,27 @@ def _exp(b: complex) -> complex:
         return cmath.exp(b)
     except OverflowError:
         raise ValueError("exp overflows: the body has real part %r" % b.real) from None
+
+
+def _combine(terms: dict, pairs, zero=0j) -> None:
+    """Add y * k into ``terms`` for each (y, k) in ``pairs``, k a number, in
+    place, as the chain ``(x + y_1 * k_1) + y_2 * k_2 ...`` would.
+
+    A scaled term that the product's prune would delete is left out, and an
+    entry whose sum is at or below PRUNE_TOL is deleted at once, so a later
+    pair that brings it back appends it, as a pruned element would.  ``zero``
+    is the absent entry (0j, or the zero element for nested term maps).
+    """
+    get = terms.get
+    for y, k in pairs:
+        for m, c in y.terms.items():
+            c = c * k
+            if not abs(c) <= PRUNE_TOL:
+                c = get(m, zero) + c
+                if abs(c) <= PRUNE_TOL:
+                    del terms[m]
+                else:
+                    terms[m] = c
 
 
 def _accumulate(terms: dict, x, y) -> None:
@@ -414,20 +434,35 @@ class GrassmannElement:
     __radd__ = __add__
 
     def add_scaled(self, other: "GrassmannElement", k) -> "GrassmannElement":
-        """``self + other * k`` for a number k, without the element other * k.
-
-        The same values, operation for operation: a scaled term that the
-        product's prune would delete is left out of the sum.
-        """
+        """``self + other * k`` for a number k: ``add_combination`` of one pair."""
         if self.n != other.n:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
         terms = dict(self.terms)
-        get = terms.get
-        for m, c in other.terms.items():
-            c = c * k
-            if not abs(c) <= PRUNE_TOL:
-                terms[m] = get(m, 0j) + c
+        _combine(terms, ((other, k),))
         return _element(self.n, terms)
+
+    def add_combination(self, *pairs) -> "GrassmannElement":
+        """``self + y_1 * k_1 + y_2 * k_2 + ...`` over the pairs (y, k), one
+        pair or more, k a number, summed into one dict: one element, not two
+        per pair.
+
+        Bit for bit the chain ``self.add_scaled(y_1, k_1).add_scaled(y_2, k_2)
+        ...``, itself ``(self + y_1 * k_1) + y_2 * k_2 ...``: a scaled term
+        that the product's prune would delete is left out, and a running sum
+        that prunes is deleted at once (``_combine``), so the values and the
+        key order are the chain's.  The first sum's prune, which also drops
+        self's own entries at or below PRUNE_TOL, is kept before the second.
+        """
+        n = self.n
+        for y, _ in pairs:
+            if y.n != n:
+                raise ValueError("generator counts differ: %d vs %d" % (n, y.n))
+        terms = dict(self.terms)
+        _combine(terms, pairs[:1])
+        if len(pairs) > 1:
+            _prune(terms, PRUNE_TOL)
+            _combine(terms, pairs[1:])
+        return _element(n, terms)
 
     def __neg__(self):
         return _element(self.n, {m: -c for m, c in self.terms.items()}, prune=0.0)

@@ -37,8 +37,14 @@ commutators of m x m matrices.  Quantization reads the same form off a
 Garnier H_i = c + sum_kl A_kl theta_k eta_l (quantized_one_body).
 one_body_terms realizes any (c, A) on the 2^m states by index arithmetic: the
 diagonal c + sum_k A_kk n_k plus one signed Jordan-Wigner hop per nonzero
-A_ab.  one_body_matrix scatters them densely and gaudin_apply applies them
-matrix-free, so no 2^m x 2^m product enters either.
+A_ab, computed once per site pair {a, b}: theta_b d_theta_a is the hop of
+theta_a d_theta_b with rows and cols swapped.  one_body_matrix scatters them
+densely and gaudin_apply applies them matrix-free, so no 2^m x 2^m product
+enters either.
+
+A Garnier H_i, each term of its closed form and a sum of Hamiltonians are
+linear combinations with number coefficients, each summed into one element
+by GrassmannElement.add_combination, not one element per sum and per term.
 """
 
 from __future__ import annotations
@@ -204,13 +210,10 @@ def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
     """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j)."""
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
-    acc = GrassmannElement.zero(p.n)
     a_i = residue_matrix(p, i)  # raises on a site index out of range
-    for j, a_j in enumerate(p.residues):
-        if j == i:
-            continue
-        acc = acc + supertrace_product(a_i, a_j) * (1.0 / (p.z[i] - p.z[j]))
-    return acc
+    return GrassmannElement.zero(p.n).add_combination(*[
+        (supertrace_product(a_i, a_j), 1.0 / (p.z[i] - p.z[j]))
+        for j, a_j in enumerate(p.residues) if j != i])
 
 
 def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
@@ -218,22 +221,22 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
 
     sum_{j != i} [ (u_i - 2 theta_i eta_i) v_j / 2 + v_i (u_j - 2 theta_j eta_j) / 2
                    + theta_i v_j eta_j - v_i eta_i theta_j ] / (z_i - z_j).
+
+    Each bracket is one add_combination of its four terms from zero: the
+    values of the written sum term by term (a part that is zero may differ
+    in its sign), and the sum over j is one more.
     """
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
     theta, eta, w = p.expanded
-    acc = GrassmannElement.zero(p.n)
-    for j in range(p.m):
-        if j == i:
-            continue
-        term = (0.5 * p.v[j] * w[i]
-                + 0.5 * p.v[i] * w[j]
-                + p.v[j] * (theta[i] * eta[j])
-                - p.v[i] * (eta[i] * theta[j]))
-        acc = acc + term * (1.0 / (p.z[i] - p.z[j]))
-    return acc
+    zero = GrassmannElement.zero(p.n)
+    return zero.add_combination(*[
+        (zero.add_combination((w[i], 0.5 * p.v[j]), (w[j], 0.5 * p.v[i]),
+                              (theta[i] * eta[j], p.v[j]), (eta[i] * theta[j], -p.v[i])),
+         1.0 / (p.z[i] - p.z[j]))
+        for j in range(p.m) if j != i])
 
 
 def odd_gradient(p: ParabolicData, f: GrassmannElement):
@@ -285,19 +288,6 @@ def deriv_matrix(m: int, i: int) -> np.ndarray:
 def number_matrix(m: int) -> np.ndarray:
     """Total fermion number sum_i theta_i d_theta_i (diagonal)."""
     return np.diag(occupations(m).sum(axis=0)).astype(complex)
-
-
-def operator_parity(mat: np.ndarray, tol: float = 1e-12) -> str:
-    """'even' / 'odd' / 'mixed' with respect to monomial-length parity."""
-    par = occupations(mat.shape[0].bit_length() - 1).sum(axis=0) & 1
-    same = par[:, None] == par[None, :]
-    even_part = np.abs(mat[~same]).max() if (~same).any() else 0.0
-    odd_part = np.abs(mat[same]).max() if same.any() else 0.0
-    if even_part <= tol:
-        return "even"
-    if odd_part <= tol:
-        return "odd"
-    return "mixed"
 
 
 def gaudin_generators(p: ParabolicData, i: int):
@@ -364,6 +354,12 @@ def one_body_terms(c, a):
     Returns (diag, hops): the diagonal c + sum_k A_kk n_k as a 2^m vector and,
     for each nonzero off-diagonal A_ab, one hop theta_a d_theta_b as
     (rows, cols, values), a term with distinct rows and distinct cols.
+
+    _hop runs once per site pair {a, b}: theta_b d_theta_a is (cols, rows)
+    of theta_a d_theta_b with the same signs, since the string counts the
+    same sites strictly between a and b, and rows = cols + 2^a - 2^b is a
+    constant shift, so both stay increasing.  The two hops share their index
+    arrays; a hop waits in ``mirrors`` only until its mirror reads it.
     """
     if len(a) > MAX_REALIZED_SITES:
         raise ValueError("the 2^m-state realization stops at m = %d"
@@ -371,9 +367,14 @@ def one_body_terms(c, a):
     occ = occupations(len(a))
     diag = c + np.diagonal(a) @ occ
     hops = []
+    mirrors = {}  # (b, a): the hop of theta_a d_theta_b, for theta_b d_theta_a
     for x, y in zip(*np.nonzero(a)):
         if x != y:
-            rows, cols, signs = _hop(occ, x, y)
+            mirror = mirrors.pop((x, y), None)
+            if mirror is None:
+                rows, cols, signs = mirrors[y, x] = _hop(occ, x, y)
+            else:
+                cols, rows, signs = mirror
             hops.append((rows, cols, a[x, y] * signs))
     return diag, hops
 

@@ -186,13 +186,6 @@ class SuperMatrix11:
         return {"a": self.a.to_dict(), "beta": self.beta.to_dict(),
                 "gamma": self.gamma.to_dict(), "d": self.d.to_dict()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuperMatrix11":
-        return cls(GrassmannElement.from_dict(data["a"]),
-                   GrassmannElement.from_dict(data["beta"]),
-                   GrassmannElement.from_dict(data["gamma"]),
-                   GrassmannElement.from_dict(data["d"]))
-
 
 class GroupCoords:
     """Gaussian-decomposition coordinates (h, s, alpha, beta) of a GL(1|1) element.
@@ -247,13 +240,6 @@ class GroupCoords:
     def to_dict(self) -> dict:
         return {"h": self.h.to_dict(), "s": self.s.to_dict(),
                 "alpha": self.alpha.to_dict(), "beta": self.beta.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroupCoords":
-        return cls(GrassmannElement.from_dict(data["h"]),
-                   GrassmannElement.from_dict(data["s"]),
-                   GrassmannElement.from_dict(data["alpha"]),
-                   GrassmannElement.from_dict(data["beta"]))
 
 
 def from_coords(c: GroupCoords) -> SuperMatrix11:

@@ -716,6 +716,25 @@ def test_site_count_outside_2_to_32_exits_2(capsys, command, m):
         "fit in 64, got %s" % m in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "x"])
+@pytest.mark.parametrize("command", ["group-selftest", "garnier-check", "gaudin-commute",
+                                     "quantize-compare"])
+def test_invalid_seed_exits_2_naming_the_flag(capsys, command, seed):
+    # numpy's default_rng refuses a negative seed with a message naming no flag
+    code, out, err = outcome(capsys, ["--seed", seed, command])
+    assert (code, out) == (2, "")
+    message = ("must be a non-negative int, got %s" % seed if seed.startswith("-")
+               else "invalid int value: %r" % seed)
+    assert "argument --seed: %s" % message in err
+
+
+@pytest.mark.parametrize("command", ["group-selftest --count 2", "garnier-check --count 2",
+                                     "gaudin-commute", "quantize-compare"])
+def test_a_seed_beyond_64_bits_runs(capsys, command):
+    code, _, err = outcome(capsys, ["--seed", str(2 ** 64)] + command.split())
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("hbar", ["0", "nan", "inf", "-inf", "0x"])
 @pytest.mark.parametrize("command", ["gaudin-commute", "quantize-compare"])
 def test_invalid_hbar_exits_2(capsys, command, hbar):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gl11.grassmann import GrassmannElement, ParityError
+from gl11 import cli, integrable
 from gl11.integrable import (
     ParabolicData,
+    _hop,
     deriv_matrix,
     flag_frame,
     garnier_hamiltonian,
@@ -18,7 +20,7 @@ from gl11.integrable import (
     number_matrix,
     occupations,
     one_body,
-    operator_parity,
+    one_body_terms,
     poisson_bracket,
     quantize,
     quantize_observable,
@@ -28,6 +30,19 @@ from gl11.integrable import (
     theta_matrix,
 )
 from gl11.supergroup import SuperMatrix11
+
+
+def operator_parity(mat, tol=1e-12):
+    """'even' / 'odd' / 'mixed' with respect to monomial-length parity."""
+    par = occupations(mat.shape[0].bit_length() - 1).sum(axis=0) & 1
+    same = par[:, None] == par[None, :]
+    even_part = np.abs(mat[~same]).max() if (~same).any() else 0.0
+    odd_part = np.abs(mat[same]).max() if same.any() else 0.0
+    if even_part <= tol:
+        return "even"
+    if odd_part <= tol:
+        return "odd"
+    return "mixed"
 
 
 def comm(a, b):
@@ -382,6 +397,38 @@ def test_gaudin_terms_are_one_entry_per_column_hops():
             # each hop moves one fermion: fermion number is unchanged
             assert np.array_equal(occupations(m)[:, rows].sum(axis=0),
                                   occupations(m)[:, cols].sum(axis=0))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_each_hop_equals_its_jordan_wigner_hop_computed_directly(m, hbar):
+    # theta_b d_a reuses the hop of theta_a d_b with rows and cols swapped
+    p = random_system(np.random.default_rng(60 + m), m)
+    occ = occupations(m)
+    for i in range(m):
+        c, a = one_body(p, i, hbar)
+        pairs = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
+        diag, hops = one_body_terms(c, a)
+        assert len(pairs) == len(hops) == 2 * (m - 1)
+        for (x, y), (rows, cols, values) in zip(pairs, hops):
+            direct_rows, direct_cols, signs = _hop(occ, x, y)
+            assert rows.dtype == direct_rows.dtype and cols.dtype == direct_cols.dtype
+            assert np.array_equal(rows, direct_rows) and np.array_equal(cols, direct_cols)
+            assert values.dtype == complex and np.array_equal(values, a[x, y] * signs)
+
+
+def test_gaudin_commute_m8_realizes_each_site_pair_once_per_hamiltonian(monkeypatch):
+    # 112 with one _hop per nonzero off-diagonal entry, 56 = 8 * 7 site pairs
+    calls = []
+    real = integrable._hop
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(integrable, "_hop", counting)
+    assert cli.main(["gaudin-commute", "--m", "8"]) == 0
+    assert len(calls) == 56
 
 
 def test_matrix_free_application_matches_dense_m8():

@@ -8,6 +8,8 @@ equality of the coefficient maps, not a tolerance.
 """
 
 import cmath
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11 import grassmann
+from gl11 import cli, grassmann
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
@@ -26,7 +28,8 @@ from gl11.grassmann import (
     nan_max,
 )
 from gl11.hitchin import LocalFunction, LocalMatrix
-from gl11.integrable import garnier_hamiltonian, odd_gradient, poisson_bracket, random_system
+from gl11.integrable import (garnier_hamiltonian, garnier_hamiltonian_expanded, odd_gradient,
+                             poisson_bracket, random_system)
 from gl11.reports import CheckReport
 from gl11.supergroup import SuperMatrix11, from_coords, random_coords
 
@@ -390,6 +393,58 @@ def test_local_matrix_product_is_its_entrywise_formula(entries):
         assert got.residual(formula) <= PRUNE_TOL * (400 + scale)
 
 
+# -- the fused linear combination: GrassmannElement.add_combination ---------------
+
+def chained(x, pairs):
+    """x + y_1 * k_1 + y_2 * k_2 + ...: one scaled element and one sum per pair."""
+    for y, k in pairs:
+        x = x + y * k
+    return x
+
+
+# -x carries the -0.0 parts that a negation makes; the scales hit the prune
+# (1e-13, PRUNE_TOL) and carry NaN, inf and signed zeros
+combination_operands = st.one_of(residual_operands, residual_operands.map(lambda x: -x))
+combination_scales = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, -1.0, 1e-13, PRUNE_TOL, 0.5, 1j, 1e300,
+                     NAN, INF, complex(-0.0, 1.0)]),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+UNPRUNED_SMALL = GrassmannElement(N, {1: 1e-13, 2: 1.0}, prune=0.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(combination_operands,
+       st.lists(st.tuples(combination_operands, combination_scales), min_size=1, max_size=5))
+@example(t1 + t2, [(t1, -1.0), (t1, 2.0)])                 # t1 cancels, then comes back
+@example(t1 + t2, [(t1, -1.0 + 1e-13), (t2, 1.0), (t1, 1.0)])   # prunes, then comes back
+@example(t1, [(t2, PRUNE_TOL), (t1 + t2, 1e-13)])          # every scaled term at the prune
+@example(UNPRUNED_SMALL, [(t2, 1.0), (t1, 1.0)])           # the first sum drops x's 1e-13
+@example(-t1, [(-t1, 1.0), (t2, -0.0)])                    # -0.0 parts
+@example(GrassmannElement(N, {0: NAN, 1: INF}), [(t1, -1.0), (t1, INF)])
+def test_add_combination_is_bitwise_the_chain_of_scaled_sums(x, pairs):
+    assert hex_terms(x.add_combination(*pairs)) == hex_terms(chained(x, pairs))
+    y, k = pairs[0]
+    assert hex_terms(x.add_scaled(y, k)) == hex_terms(x.add_combination((y, k)))
+
+
+def test_a_running_sum_that_prunes_is_appended_again():
+    assert list((t1 + t2).add_combination((t1, -1.0), (t1, 2.0)).terms) == [2, 1]
+    assert list(UNPRUNED_SMALL.add_combination((t2, 1.0), (t1, 1.0)).terms) == [2, 1]
+    assert UNPRUNED_SMALL.add_combination((t2, 1.0), (t1, 1.0)).terms[1] == 1.0
+
+
+def test_add_combination_of_different_algebras_raises_as_the_sum_does():
+    other = GrassmannElement.one(N + 1)
+    message = "generator counts differ: %d vs %d" % (N, N + 1)
+    for pairs in ([(other, 1.0)], [(t1, 1.0), (other, 2.0)], [(t1, 1.0), (t2, 0.5), (other, 0)]):
+        with pytest.raises(ValueError, match=message):
+            chained(t1, pairs)
+        with pytest.raises(ValueError, match=message):
+            t1.add_combination(*pairs)
+    with pytest.raises(ValueError, match=message):
+        t1.add_scaled(other, 1.0)
+
+
 # -- how many elements a fused sum builds ------------------------------------------
 
 @pytest.fixture
@@ -421,6 +476,24 @@ def test_a_poisson_bracket_of_gradients_builds_one_element(built, m):
     built.clear()
     poisson_bracket(p, grads[0], grads[1])
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("route", [garnier_hamiltonian, garnier_hamiltonian_expanded])
+def test_a_garnier_hamiltonian_builds_three_elements_per_term_and_one_sum(built, route):
+    # a supertrace product is two dots and a difference; an expanded term is
+    # theta_i eta_j, eta_i theta_j and their combination with w_i and w_j
+    p = random_system(np.random.default_rng(7), 5)
+    route(p, 1)  # builds the residues or the expanded operands, which are kept
+    built.clear()
+    route(p, 0)
+    assert len(built) == 3 * (p.m - 1) + 1
+
+
+def test_garnier_check_m5_count10_builds_at_most_2260_elements(built):
+    # 4,200 when every + and scalar * built an element of its own
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["garnier-check", "--m", "5", "--count", "10"]) == 0
+    assert len(built) <= 2260
 
 
 # -- the series of exp, inv and log against the stepwise sum -------------------
