@@ -5,9 +5,11 @@
 
 Runs every operation of the three benchmark pools (built by
 ``perfbench/workloads.py``) at each seed, then every command on the shipped
-fixtures in text and in JSON.  Each call prints one line: its argv, its exit
-status and the SHA-256 of its stdout plus stderr (plus the file it wrote,
-for ``fatgraph normalize -o``).  The work directory reads as ``<work>`` and
+fixtures in text and in JSON, then, at each seed, the JSON reports of
+``gaudin-commute`` at m = 12 and m = 16, whose realizations are larger than
+any the pools draw (they stop at m = 8).  Each call prints one line: its
+argv, its exit status and the SHA-256 of its stdout plus stderr (plus the
+file it wrote, for ``fatgraph normalize -o``).  The work directory reads as ``<work>`` and
 the checkout as ``<root>``, in the argv and in the hashed output, so the
 digests of two checkouts are equal line for line exactly when their reports
 are byte-identical:
@@ -69,6 +71,12 @@ def fixture_commands(workdir):
         dims = ["fatgraph", "dims", "--genus", genus, "--punctures", punctures]
         commands += [dims, dims + ["--constrained", "--su"]]
     return commands
+
+
+def large_commands(seed):
+    """argv of the seeded gaudin-commute runs past the pools' m <= 8."""
+    head = ["--format", "json", "--seed", str(seed), "gaudin-commute"]
+    return [head + ["--m", "12"], head + ["--m", "16", "--hbar", "0.5"]]
 
 
 def call(argv):
@@ -138,6 +146,9 @@ def main(argv=None):
         for command in fixture_commands(workdir):
             for fmt in ("text", "json"):
                 print(digest_line(["--format", fmt] + command, workdir, args.outcomes))
+        for seed in args.seeds:
+            for argv in large_commands(seed):
+                print(digest_line(argv, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -9,9 +9,11 @@ GL) and names it in the report's info.
 gaudin-commute and quantize-compare check their identities on the m x m
 one-body forms of integrable.one_body and integrable.quantized_one_body and
 on the sparse Jordan-Wigner entries of integrable.gaudin_terms, so neither
-forms a 2^m x 2^m array.  The three integrable commands read --m as a site
-count in 2..32, so that the 2m generators fit in 64; gaudin-commute realizes its
-states only up to m = 16 and says so beyond.
+forms a 2^m x 2^m array.  gaudin-commute takes all products A_i A_j in one
+matmul call and each norm |A_i| once, and checks the hops of each H_i as one
+array, which it drops before it realizes the next H_i.  The three integrable
+commands read --m as a site count in 2..32, so that the 2m generators fit in
+64; gaudin-commute realizes its states only up to m = 16 and says so beyond.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
@@ -203,27 +205,42 @@ def cmd_garnier_check(args) -> RunReport:
     return report
 
 
+def _realized_maxima(diag, hops):
+    """(max |entry|, max |entry * (n_col - n_row)|) of a realized operator.
+
+    The second is the largest entry of [H, N] for the diagonal fermion number
+    N, n a state's popcount.  The hops are checked as one array, which is
+    freed when the call returns.
+    """
+    if not hops:  # a diagonal operator moves no fermion
+        return np.abs(diag).max(), 0.0
+    rows, cols, values = zip(*hops)
+    values = np.concatenate(values)
+    entry = nan_max([np.abs(diag).max(), np.abs(values).max()])
+    values *= (np.bitwise_count(np.concatenate(cols)).astype(np.int8)
+               - np.bitwise_count(np.concatenate(rows)))
+    return entry, np.abs(values).max()
+
+
 def cmd_gaudin_commute(args) -> RunReport:
     """[H_i, H_j] = theta [A_i, A_j] d: checks on m x m matrices and sparse entries."""
     report = RunReport("gaudin-commute")
     [p] = _systems(args)
     forms = [integrable.one_body(p, i, hbar=args.hbar) for i in range(p.m)]
+    mats = np.array([a for _, a in forms])
+    products = mats[:, None] @ mats  # products[i, j] = A_i A_j, one matmul call
+    norms = [np.linalg.norm(a) for a in mats]
     for i in range(p.m):
         for j in range(i + 1, p.m):
-            a_i, a_j = forms[i][1], forms[j][1]
-            norm = (np.linalg.norm(a_i @ a_j - a_j @ a_i)
-                    / max(np.linalg.norm(a_i) * np.linalg.norm(a_j), 1e-30))
+            norm = (np.linalg.norm(products[i, j] - products[j, i])
+                    / max(norms[i] * norms[j], 1e-30))
             report.checks.add("commutator[%d,%d]" % (i, j), norm, args.tol)
-    # [H, N] for the diagonal fermion number N is H * (n_col - n_row) entrywise;
     # scale is the largest |entry| of any realized H_i, as max|H_i| densely
-    n = integrable.occupations(p.m).sum(axis=0)
     entries, moved = [], []
     for i in range(p.m):
-        diag, hops = integrable.gaudin_terms(p, i, hbar=args.hbar)
-        entries.append(np.abs(diag).max())
-        for rows, cols, values in hops:
-            entries.append(np.abs(values).max())
-            moved.append(np.abs(values * (n[cols] - n[rows])).max())
+        entry, moves = _realized_maxima(*integrable.gaudin_terms(p, i, hbar=args.hbar))
+        entries.append(entry)
+        moved.append(moves)
     scale = max(nan_max(entries), 1.0)
     total_c = sum(c for c, _ in forms)
     total_a = sum(a for _, a in forms)

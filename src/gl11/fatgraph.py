@@ -391,20 +391,21 @@ class GraphConnection:
             mat[graph.source(e), e] -= 1.0
         return mat
 
-    def vertex_sums(self):
-        """Signed sums (h, alpha, beta) at each vertex; toward-v terms count +."""
+    def vertex_sums(self, parts=("h", "alpha", "beta")):
+        """Signed sums of the coordinate parts named in ``parts`` at each vertex,
+        a tuple per vertex; toward-v terms count +."""
         graph = self.graph
+        zero = GrassmannElement.zero(self.n)
         sums = []
         for v in range(graph.num_vertices):
-            h = alpha = beta = GrassmannElement.zero(self.n)
+            acc = [zero] * len(parts)
             for half in graph.cyclic_orders[v]:
                 e, is_tail = graph.edge_of_half(half)
                 c = self.coords[e]
-                if is_tail:
-                    h, alpha, beta = h - c.h, alpha - c.alpha, beta - c.beta
-                else:
-                    h, alpha, beta = h + c.h, alpha + c.alpha, beta + c.beta
-            sums.append((h, alpha, beta))
+                for k, part in enumerate(parts):
+                    x = getattr(c, part)
+                    acc[k] = acc[k] - x if is_tail else acc[k] + x
+            sums.append(tuple(acc))
         return sums
 
 
@@ -422,14 +423,14 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     lap = incidence @ incidence.T  # the graph Laplacian; a self-loop's column is zero
     report = CheckReport()
 
-    # (check name, rescaling kind, vertex-sum slot); in SU mode alpha and beta
+    # (check name, rescaling kind, summed part); in SU mode alpha and beta
     # sums are conjugate-paired, so one 'odd' move fixes both
-    stages = ([("lower", "odd", 1), ("diag", "diag", 0)] if conn.mode == "su" else
-              [("lower", "lower", 1), ("upper", "upper", 2), ("diag", "diag", 0)])
+    stages = ([("lower", "odd", "alpha"), ("diag", "diag", "h")] if conn.mode == "su" else
+              [("lower", "lower", "alpha"), ("upper", "upper", "beta"), ("diag", "diag", "h")])
     out = conn
-    for check, kind, slot in stages:
+    for check, kind, part in stages:
         params, worst = solve_per_monomial(
-            lap, [-sums[slot] for sums in out.vertex_sums()], n)
+            lap, [-total for (total,) in out.vertex_sums((part,))], n)
         if worst > tol:
             report.add("normalize_solve_%s" % check, worst, tol)
             report.info["singular"] = True

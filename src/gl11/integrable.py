@@ -37,10 +37,11 @@ commutators of m x m matrices.  Quantization reads the same form off a
 Garnier H_i = c + sum_kl A_kl theta_k eta_l (quantized_one_body).
 one_body_terms realizes any (c, A) on the 2^m states by index arithmetic: the
 diagonal c + sum_k A_kk n_k plus one signed Jordan-Wigner hop per nonzero
-A_ab, computed once per site pair {a, b}: theta_b d_theta_a is the hop of
-theta_a d_theta_b with rows and cols swapped.  one_body_matrix scatters them
-densely and gaudin_apply applies them matrix-free, so no 2^m x 2^m product
-enters either.
+A_ab.  The hops of one operator come from one vectorized pass (_hops) over
+all its site pairs {a, b} at once, as (pairs, 2^(m-2)) arrays of bit
+arithmetic; theta_b d_theta_a is the hop of theta_a d_theta_b with rows and
+cols swapped.  one_body_matrix scatters them densely and gaudin_apply
+applies them matrix-free, so no 2^m x 2^m product enters either.
 
 A Garnier H_i, each term of its closed form and a sum of Hamiltonians are
 linear combinations with number coefficients, each summed into one element
@@ -182,30 +183,6 @@ def residue_matrix(p: ParabolicData, i: int) -> SuperMatrix11:
     return p.residues[i]
 
 
-def flag_frame(p: ParabolicData, i: int):
-    """(A'_i, g_i) with A_i = g_i A'_i g_i^{-1}: the unconjugated flag form."""
-    n = p.n
-    zero = GrassmannElement.zero(n)
-    one = GrassmannElement.one(n)
-    upper = SuperMatrix11(GrassmannElement.scalar(n, p.a(i)), p.theta(i),
-                          zero, GrassmannElement.scalar(n, p.b(i)))
-    lower = SuperMatrix11(one, zero, p.eta(i), one)
-    return upper, lower
-
-
-def higgs_value(p: ParabolicData, z: complex) -> SuperMatrix11:
-    """Phi(z) = sum_i A_i / (z - z_i) (coefficient of dz)."""
-    z = complex(z)
-    for i, zi in enumerate(p.z):
-        if abs(z - zi) < MIN_SEPARATION:
-            raise ValueError("evaluation at (or too close to) the pole z_%d" % i)
-    acc = SuperMatrix11.zero(p.n)
-    for i in range(p.m):
-        acc = acc + residue_matrix(p, i).scale(
-            GrassmannElement.scalar(p.n, 1.0 / (z - p.z[i])))
-    return acc
-
-
 def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
     """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j)."""
     if p.m < 2:
@@ -304,15 +281,22 @@ def gaudin_generators(p: ParabolicData, i: int):
     return n_op, e_op, psi_plus, psi_minus
 
 
-def _hop(occ: np.ndarray, a: int, b: int):
-    """theta_a d_theta_b for a != b as (rows, cols, signs), one entry per column.
+def _hops(m: int, lo: np.ndarray, hi: np.ndarray):
+    """theta_lo d_theta_hi for the site pairs lo[k] < hi[k] as (rows, cols, signs),
+    each a (K, 2^(m-2)) array whose row k is the hop of pair k.
 
-    d_theta_b empties site b and theta_a fills site a; the sign counts the
-    occupied sites strictly between a and b (the Jordan-Wigner string).
+    d_theta_hi empties site hi and theta_lo fills site lo.  Row k of cols
+    lists the states with hi filled and lo empty, increasing: the states of
+    the other m - 2 sites with a zero bit inserted at lo and at hi, then bit
+    hi set.  The sign counts the occupied sites strictly between lo and hi
+    (the Jordan-Wigner string).
     """
-    cols = np.flatnonzero((occ[b] == 1) & (occ[a] == 0))
-    lo, hi = min(a, b), max(a, b)
-    return cols ^ ((1 << a) | (1 << b)), cols, _string_signs(occ, lo + 1, hi, cols)
+    bit_lo, bit_hi = 1 << lo[:, None], 1 << hi[:, None]
+    free = np.arange((1 << m) // 4)  # no pair exists at m = 1
+    free = free + (free & -bit_lo)  # x + (x & -2^p) shifts the bits from p up by one
+    free += free & -bit_hi
+    string = np.bitwise_count(free & (bit_hi - 2 * bit_lo))  # the sites lo < k < hi
+    return free | bit_lo, free | bit_hi, np.where(string & 1, -1.0, 1.0)
 
 
 def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
@@ -352,31 +336,31 @@ def one_body_terms(c, a):
     """The Jordan-Wigner realization of c + sum_kl A_kl theta_k d_theta_l.
 
     Returns (diag, hops): the diagonal c + sum_k A_kk n_k as a 2^m vector and,
-    for each nonzero off-diagonal A_ab, one hop theta_a d_theta_b as
-    (rows, cols, values), a term with distinct rows and distinct cols.
+    for each nonzero off-diagonal A_ab in row-major order, one hop
+    theta_a d_theta_b as (rows, cols, values), a term with distinct rows and
+    distinct cols.
 
-    _hop runs once per site pair {a, b}: theta_b d_theta_a is (cols, rows)
-    of theta_a d_theta_b with the same signs, since the string counts the
-    same sites strictly between a and b, and rows = cols + 2^a - 2^b is a
-    constant shift, so both stay increasing.  The two hops share their index
-    arrays; a hop waits in ``mirrors`` only until its mirror reads it.
+    One _hops call builds theta_lo d_hi for every site pair lo < hi that A
+    couples.  theta_hi d_lo is (cols, rows) of that hop with the same signs,
+    since the string counts the same sites strictly between lo and hi, and
+    rows = cols + 2^lo - 2^hi is a constant shift, so both stay increasing.
+    The values a[x, y] * signs of all hops are one array too; each hop is a
+    row of these arrays.
     """
-    if len(a) > MAX_REALIZED_SITES:
+    m = len(a)
+    if m > MAX_REALIZED_SITES:
         raise ValueError("the 2^m-state realization stops at m = %d"
                          % MAX_REALIZED_SITES)
-    occ = occupations(len(a))
-    diag = c + np.diagonal(a) @ occ
-    hops = []
-    mirrors = {}  # (b, a): the hop of theta_a d_theta_b, for theta_b d_theta_a
-    for x, y in zip(*np.nonzero(a)):
-        if x != y:
-            mirror = mirrors.pop((x, y), None)
-            if mirror is None:
-                rows, cols, signs = mirrors[y, x] = _hop(occ, x, y)
-            else:
-                cols, rows, signs = mirror
-            hops.append((rows, cols, a[x, y] * signs))
-    return diag, hops
+    diag = c + np.diagonal(a) @ occupations(m)
+    xs, ys = np.nonzero(a)
+    off = xs != ys
+    xs, ys = xs[off], ys[off]
+    pairs, pair_of = np.unique(np.minimum(xs, ys) * m + np.maximum(xs, ys),
+                               return_inverse=True)
+    rows, cols, signs = _hops(m, *np.divmod(pairs, m))
+    values = a[xs, ys][:, None] * signs[pair_of]
+    return diag, [(rows[k], cols[k], v) if lo_first else (cols[k], rows[k], v)
+                  for k, lo_first, v in zip(pair_of.tolist(), (xs < ys).tolist(), values)]
 
 
 def one_body_matrix(c, a) -> np.ndarray:

@@ -526,6 +526,24 @@ def test_gaudin_commute_sees_a_hop_that_moves_fermion_number(capsys, monkeypatch
     assert failing == ["fermion_number_conserved"]
 
 
+@pytest.mark.parametrize("zero_v", [[1], [0, 1, 2]], ids=["one_site", "all_sites"])
+def test_gaudin_commute_on_a_system_with_zero_weights_v(capsys, tmp_path, zero_v):
+    # v_k = 0 leaves the pairs {i, k} one hop each; with every v = 0 no H_i hops
+    def change(data):
+        for k in zero_v:
+            data["sites"][k]["v"] = [0.0, 0.0]
+
+    path = rewritten(tmp_path, "system.json", "gaudin_m3.json", change)
+    code, payload = gaudin_report(capsys, "--system", path)
+    assert code == 0
+    residuals = {c["name"]: c["residual"] for c in payload["checks"]}
+    assert sorted(residuals) == ["commutator[0,1]", "commutator[0,2]", "commutator[1,2]",
+                                 "fermion_number_conserved", "sum_zero"]
+    assert residuals["fermion_number_conserved"] == 0.0
+    if len(zero_v) == 3:
+        assert set(residuals.values()) == {0.0}
+
+
 def test_cech_verify_generator_count_mismatch_names_file_edge_and_field(capsys, tmp_path):
     data = json.loads(pathlib.Path(fx("cech_tetra_valid.json")).read_text())
     data["n"] = 4

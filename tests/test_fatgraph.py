@@ -494,6 +494,20 @@ def test_vertex_sums_equal_the_signed_float_formula_bit_for_bit(genus, punctures
             assert [bits(x) for x in got] == [bits(x) for x in expected]
 
 
+@pytest.mark.parametrize("genus, punctures", FIXTURES)
+@pytest.mark.parametrize("mode", ["sl", "su"])
+def test_vertex_sums_of_one_part_equal_that_slot_of_all_three_bit_for_bit(genus, punctures,
+                                                                          mode):
+    rng = np.random.default_rng(11 + genus + 3 * punctures + (mode == "su"))
+    graph = fixture_graph(genus, punctures)
+    conn = random_connection(rng, graph, N, mode=mode, table=TABLE if mode == "su" else None)
+    full = conn.vertex_sums()
+    for slot, part in enumerate(("h", "alpha", "beta")):
+        alone = conn.vertex_sums((part,))
+        assert [[bits(x) for x in sums] for sums in alone] == [
+            [bits(sums[slot])] for sums in full]
+
+
 def test_faces_are_walked_when_the_graph_is_built():
     graph = fixture_graph(1, 2)
     assert graph.boundary_cycles() is graph.boundary_cycles()

@@ -6,17 +6,16 @@ import pytest
 from gl11.grassmann import GrassmannElement, ParityError
 from gl11 import cli, integrable
 from gl11.integrable import (
+    MIN_SEPARATION,
     ParabolicData,
-    _hop,
+    _string_signs,
     deriv_matrix,
-    flag_frame,
     garnier_hamiltonian,
     garnier_hamiltonian_expanded,
     gaudin_apply,
     gaudin_generators,
     gaudin_hamiltonian,
     gaudin_terms,
-    higgs_value,
     number_matrix,
     occupations,
     one_body,
@@ -43,6 +42,41 @@ def operator_parity(mat, tol=1e-12):
     if odd_part <= tol:
         return "odd"
     return "mixed"
+
+
+def flag_frame(p: ParabolicData, i: int):
+    """(A'_i, g_i) with A_i = g_i A'_i g_i^{-1}: the unconjugated flag form."""
+    n = p.n
+    zero = GrassmannElement.zero(n)
+    one = GrassmannElement.one(n)
+    upper = SuperMatrix11(GrassmannElement.scalar(n, p.a(i)), p.theta(i),
+                          zero, GrassmannElement.scalar(n, p.b(i)))
+    lower = SuperMatrix11(one, zero, p.eta(i), one)
+    return upper, lower
+
+
+def higgs_value(p: ParabolicData, z: complex) -> SuperMatrix11:
+    """Phi(z) = sum_i A_i / (z - z_i) (coefficient of dz)."""
+    z = complex(z)
+    for i, zi in enumerate(p.z):
+        if abs(z - zi) < MIN_SEPARATION:
+            raise ValueError("evaluation at (or too close to) the pole z_%d" % i)
+    acc = SuperMatrix11.zero(p.n)
+    for i in range(p.m):
+        acc = acc + residue_matrix(p, i).scale(
+            GrassmannElement.scalar(p.n, 1.0 / (z - p.z[i])))
+    return acc
+
+
+def _hop(occ: np.ndarray, a: int, b: int):
+    """theta_a d_theta_b for a != b as (rows, cols, signs), one entry per column.
+
+    d_theta_b empties site b and theta_a fills site a; the sign counts the
+    occupied sites strictly between a and b (the Jordan-Wigner string).
+    """
+    cols = np.flatnonzero((occ[b] == 1) & (occ[a] == 0))
+    lo, hi = min(a, b), max(a, b)
+    return cols ^ ((1 << a) | (1 << b)), cols, _string_signs(occ, lo + 1, hi, cols)
 
 
 def comm(a, b):
@@ -399,6 +433,14 @@ def test_gaudin_terms_are_one_entry_per_column_hops():
                                   occupations(m)[:, cols].sum(axis=0))
 
 
+def assert_each_hop_is_its_oracle(a, pairs, hops, occ):
+    for (x, y), (rows, cols, values) in zip(pairs, hops, strict=True):
+        direct_rows, direct_cols, signs = _hop(occ, x, y)
+        assert rows.dtype == direct_rows.dtype and cols.dtype == direct_cols.dtype
+        assert np.array_equal(rows, direct_rows) and np.array_equal(cols, direct_cols)
+        assert values.dtype == complex and np.array_equal(values, a[x, y] * signs)
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("m", range(2, 9))
 def test_each_hop_equals_its_jordan_wigner_hop_computed_directly(m, hbar):
@@ -410,25 +452,43 @@ def test_each_hop_equals_its_jordan_wigner_hop_computed_directly(m, hbar):
         pairs = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
         diag, hops = one_body_terms(c, a)
         assert len(pairs) == len(hops) == 2 * (m - 1)
-        for (x, y), (rows, cols, values) in zip(pairs, hops):
-            direct_rows, direct_cols, signs = _hop(occ, x, y)
-            assert rows.dtype == direct_rows.dtype and cols.dtype == direct_cols.dtype
-            assert np.array_equal(rows, direct_rows) and np.array_equal(cols, direct_cols)
-            assert values.dtype == complex and np.array_equal(values, a[x, y] * signs)
+        assert_each_hop_is_its_oracle(a, pairs, hops, occ)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("zero_v", [[2], range(5)], ids=["one_site", "all_sites"])
+def test_each_hop_equals_its_oracle_when_a_has_zero_entries(zero_v, hbar):
+    # v_k = 0 zeroes A_ik for every i != k (as +-0), so the pair {i, k} keeps
+    # only theta_k d_i; with every v_k = 0 each A_i is diagonal and has no hop
+    p = random_system(np.random.default_rng(67), 5)
+    p = ParabolicData(p.z, p.u, [0j if k in zero_v else v for k, v in enumerate(p.v)])
+    occ = occupations(5)
+    for i in range(5):
+        c, a = one_body(p, i, hbar)
+        pairs = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
+        diag, hops = gaudin_terms(p, i, hbar)
+        if len(zero_v) == 5:
+            assert hops == []
+        else:
+            assert len(pairs) == (4 if i == 2 else 7)
+        assert_each_hop_is_its_oracle(a, pairs, hops, occ)
 
 
 def test_gaudin_commute_m8_realizes_each_site_pair_once_per_hamiltonian(monkeypatch):
-    # 112 with one _hop per nonzero off-diagonal entry, 56 = 8 * 7 site pairs
+    # one _hops call per Hamiltonian, building its 7 site pairs once each: 56
+    # pairs, where one hop per nonzero off-diagonal entry would build 112
     calls = []
-    real = integrable._hop
+    real = integrable._hops
 
-    def counting(*args):
-        calls.append(args[1:])
-        return real(*args)
+    def counting(m, lo, hi):
+        calls.append(list(zip(lo.tolist(), hi.tolist())))
+        return real(m, lo, hi)
 
-    monkeypatch.setattr(integrable, "_hop", counting)
+    monkeypatch.setattr(integrable, "_hops", counting)
     assert cli.main(["gaudin-commute", "--m", "8"]) == 0
-    assert len(calls) == 56
+    assert len(calls) == 8
+    for pairs in calls:
+        assert len(set(pairs)) == len(pairs) == 7 and all(x < y for x, y in pairs)
 
 
 def test_matrix_free_application_matches_dense_m8():
