@@ -7,12 +7,14 @@ Runs every operation of the three benchmark pools (built by
 ``perfbench/workloads.py``) at each seed, then every command on the shipped
 fixtures in text and in JSON, then, at each seed, the JSON reports of
 ``gaudin-commute`` at m = 12 and m = 16, whose realizations are larger than
-any the pools draw (they stop at m = 8).  Each call prints one line: its
-argv, its exit status and the SHA-256 of its stdout plus stderr (plus the
-file it wrote, for ``fatgraph normalize -o``).  The work directory reads as ``<work>`` and
-the checkout as ``<root>``, in the argv and in the hashed output, so the
-digests of two checkouts are equal line for line exactly when their reports
-are byte-identical:
+any the pools draw (they stop at m = 8), and last ``gaudin-commute`` in text
+and in JSON on ``gaudin_m3.json`` rewritten with v_1 = 0 (pairs coupled one
+way only) and with every v = 0 (operators with no pair).  Each call prints
+one line: its argv, its exit status and the SHA-256 of its stdout plus
+stderr (plus the file it wrote, for ``fatgraph normalize -o``).  The work
+directory reads as ``<work>`` and the checkout as ``<root>``, in the argv
+and in the hashed output, so the digests of two checkouts are equal line
+for line exactly when their reports are byte-identical:
 
     diff <(python3 a/scripts/report_digest.py) <(python3 b/scripts/report_digest.py)
 
@@ -77,6 +79,22 @@ def large_commands(seed):
     """argv of the seeded gaudin-commute runs past the pools' m <= 8."""
     head = ["--format", "json", "--seed", str(seed), "gaudin-commute"]
     return [head + ["--m", "12"], head + ["--m", "16", "--hbar", "0.5"]]
+
+
+def zero_v_commands(workdir):
+    """argv of gaudin-commute on gaudin_m3.json written into workdir with
+    v_1 = 0 and with every v = 0."""
+    data = json.loads((FIXTURES / "gaudin_m3.json").read_text())
+    commands = []
+    for name, zero in (("gaudin_m3_v1_zero.json", [1]),
+                       ("gaudin_m3_v_zero.json", range(len(data["sites"])))):
+        sites = [dict(site, v=[0.0, 0.0]) if k in zero else site
+                 for k, site in enumerate(data["sites"])]
+        path = os.path.join(workdir, name)
+        pathlib.Path(path).write_text(json.dumps(dict(data, sites=sites)))
+        commands += [["--format", fmt, "gaudin-commute", "--system", path]
+                     for fmt in ("text", "json")]
+    return commands
 
 
 def call(argv):
@@ -149,6 +167,8 @@ def main(argv=None):
         for seed in args.seeds:
             for argv in large_commands(seed):
                 print(digest_line(argv, workdir, args.outcomes))
+        for argv in zero_v_commands(workdir):
+            print(digest_line(argv, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -7,13 +7,14 @@ below 1 is a usage error (exit 2), since an empty suite proves nothing.
 cech-verify takes its mode from the data (SL when every s_ij is zero, else
 GL) and names it in the report's info.
 gaudin-commute and quantize-compare check their identities on the m x m
-one-body forms of integrable.one_body and integrable.quantized_one_body and
-on the sparse Jordan-Wigner entries of integrable.gaudin_terms, so neither
-forms a 2^m x 2^m array.  gaudin-commute takes all products A_i A_j in one
-matmul call and each norm |A_i| once, and checks the hops of each H_i as one
-array, which it drops before it realizes the next H_i.  The three integrable
-commands read --m as a site count in 2..32, so that the 2m generators fit in
-64; gaudin-commute realizes its states only up to m = 16 and says so beyond.
+one-body forms of integrable.one_body and integrable.quantized_one_body, and
+gaudin-commute also on the Jordan-Wigner arrays that integrable.one_body_terms
+makes of each form, so neither forms a 2^m x 2^m array.  gaudin-commute
+takes all products A_i A_j in one matmul call and each norm |A_i| once, and
+checks the arrays of each H_i whole, dropping them before it realizes the
+next H_i.  The three integrable commands read --m as a site count in 2..32,
+so that the 2m generators fit in 64; gaudin-commute realizes its states only
+up to m = 16 and says so beyond.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
@@ -205,21 +206,18 @@ def cmd_garnier_check(args) -> RunReport:
     return report
 
 
-def _realized_maxima(diag, hops):
-    """(max |entry|, max |entry * (n_col - n_row)|) of a realized operator.
+def _realized_maxima(diag, rows, cols, forward, backward):
+    """(max |entry|, max |entry * (n_col - n_row)|) of integrable.one_body_terms.
 
     The second is the largest entry of [H, N] for the diagonal fermion number
-    N, n a state's popcount.  The hops are checked as one array, which is
-    freed when the call returns.
+    N, n a state's popcount; backward sits at (cols, rows), so its factor is
+    the negated one, with the same absolute value.
     """
-    if not hops:  # a diagonal operator moves no fermion
+    if not len(rows):  # a diagonal operator moves no fermion
         return np.abs(diag).max(), 0.0
-    rows, cols, values = zip(*hops)
-    values = np.concatenate(values)
-    entry = nan_max([np.abs(diag).max(), np.abs(values).max()])
-    values *= (np.bitwise_count(np.concatenate(cols)).astype(np.int8)
-               - np.bitwise_count(np.concatenate(rows)))
-    return entry, np.abs(values).max()
+    entry = nan_max([np.abs(diag).max(), np.abs(forward).max(), np.abs(backward).max()])
+    moved = np.bitwise_count(cols).astype(np.int8) - np.bitwise_count(rows)
+    return entry, nan_max([np.abs(forward * moved).max(), np.abs(backward * moved).max()])
 
 
 def cmd_gaudin_commute(args) -> RunReport:
@@ -235,10 +233,11 @@ def cmd_gaudin_commute(args) -> RunReport:
             norm = (np.linalg.norm(products[i, j] - products[j, i])
                     / max(norms[i] * norms[j], 1e-30))
             report.checks.add("commutator[%d,%d]" % (i, j), norm, args.tol)
-    # scale is the largest |entry| of any realized H_i, as max|H_i| densely
+    # scale is the largest |entry| of any realized H_i, as max|H_i| densely; each
+    # realization is freed before the next is made
     entries, moved = [], []
-    for i in range(p.m):
-        entry, moves = _realized_maxima(*integrable.gaudin_terms(p, i, hbar=args.hbar))
+    for c, a in forms:
+        entry, moves = _realized_maxima(*integrable.one_body_terms(c, a))
         entries.append(entry)
         moved.append(moves)
     scale = max(nan_max(entries), 1.0)

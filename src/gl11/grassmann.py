@@ -13,9 +13,8 @@ pairs into one such dict and prunes it once, and ``x * y`` is its one-pair
 case; a sum of products therefore builds one element, not one per product.
 Likewise every chain of scaled sums goes through one loop, ``_combine``,
 which adds y * k for each pair (y, k) into a dict in place:
-``x.add_combination((y_1, k_1), ...)`` forms x + sum k_i y_i in one dict,
-``x.add_scaled(y, k)`` is its one-pair case, and ``nilpotent_series`` sums
-its powers with it.
+``x.add_combination((y_1, k_1), ...)`` forms x + sum k_i y_i in one dict
+(one pair or more), and ``nilpotent_series`` sums its powers with it.
 
 Every input file is read through the readers here: ``json_int``,
 ``json_count`` (a generator count), ``json_number``, ``json_list``,
@@ -214,7 +213,8 @@ def nilpotent_series(w, unit, zero, *sums) -> list:
     ``unit`` is the term map of 1 and ``zero`` an absent term (0j or the zero
     element).  The powers are added into one map per sum by ``_combine``
     (``abs`` of an element is its ``max_abs``), in increasing order: the
-    values and key order of an ``add_scaled`` per power, without its element.
+    values and key order of a one-pair ``add_combination`` per power, without
+    its element.
     The map is scaled last, unless scale is None, and the caller's element
     prunes it again: bit for bit ``series * scale``.
     """
@@ -433,25 +433,17 @@ class GrassmannElement:
 
     __radd__ = __add__
 
-    def add_scaled(self, other: "GrassmannElement", k) -> "GrassmannElement":
-        """``self + other * k`` for a number k: ``add_combination`` of one pair."""
-        if self.n != other.n:
-            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
-        terms = dict(self.terms)
-        _combine(terms, ((other, k),))
-        return _element(self.n, terms)
-
     def add_combination(self, *pairs) -> "GrassmannElement":
         """``self + y_1 * k_1 + y_2 * k_2 + ...`` over the pairs (y, k), one
         pair or more, k a number, summed into one dict: one element, not two
         per pair.
 
-        Bit for bit the chain ``self.add_scaled(y_1, k_1).add_scaled(y_2, k_2)
-        ...``, itself ``(self + y_1 * k_1) + y_2 * k_2 ...``: a scaled term
-        that the product's prune would delete is left out, and a running sum
-        that prunes is deleted at once (``_combine``), so the values and the
-        key order are the chain's.  The first sum's prune, which also drops
-        self's own entries at or below PRUNE_TOL, is kept before the second.
+        Bit for bit the chain ``(self + y_1 * k_1) + y_2 * k_2 ...``, and
+        ``self + y * k`` for one pair: a scaled term that the product's prune
+        would delete is left out, and a running sum that prunes is deleted at
+        once (``_combine``), so the values and the key order are the chain's.
+        The first sum's prune, which also drops self's own entries at or below
+        PRUNE_TOL, is kept before the second.
         """
         n = self.n
         for y, _ in pairs:
@@ -676,27 +668,24 @@ def json_element(value, n: int, field: str) -> GrassmannElement:
 
 # -- random elements (used by tests and the CLI self-test) -------------------
 
-def random_element(rng, n: int, parity: str = "any", max_degree=None,
+def random_element(rng, n: int, parity: str = "any",
                    num_terms: int = 3, scale: float = 1.0,
                    body: complex | None = None) -> GrassmannElement:
     """Random element with ``num_terms`` monomials of the requested parity.
 
     ``body`` forces the empty-monomial coefficient (only sensible for even
-    parity); ``max_degree`` caps monomial length.
+    parity).
 
     Candidates come in batches, one for each monomial still missing, and a
     batch of b costs two numpy calls: ``rng.random((b, n + 1))`` and
     ``rng.standard_normal(2 * b)``.  In each row the last column u gives the
-    degree k = int(u * (max_degree + 1)), uniform on 0..max_degree and then
-    moved to the requested parity, the first k indices of the argsort of the
-    other n columns give a uniform k-subset of the generators, and two
-    normals give the coefficient, times ``scale``.  A candidate whose
-    monomial is already drawn replaces it, and one whose degree is out of
-    range is dropped; both leave a monomial missing for the next batch.  At
-    most 50 * num_terms candidates are drawn.
+    degree k = int(u * (n + 1)), uniform on 0..n and then moved to the
+    requested parity, the first k indices of the argsort of the other n
+    columns give a uniform k-subset of the generators, and two normals give
+    the coefficient, times ``scale``.  A candidate whose
+    monomial is already drawn replaces it and leaves a monomial missing for
+    the next batch.  At most 50 * num_terms candidates are drawn.
     """
-    if max_degree is None:
-        max_degree = n
     terms: dict[int, complex] = {}
     budget = 50 * num_terms
     while len(terms) < num_terms and budget > 0:
@@ -706,16 +695,11 @@ def random_element(rng, n: int, parity: str = "any", max_degree=None,
         z = rng.standard_normal(2 * b).tolist()
         for order, key, re, im in zip(u[:, :n].argsort(axis=1).tolist(), u[:, n].tolist(),
                                       z[::2], z[1::2]):
-            k = int(key * (max_degree + 1))
+            k = int(key * (n + 1))
             if parity == "even" and k % 2:
-                k += 1 if k + 1 <= max_degree else -1
-            if parity == "odd":
-                if k % 2 == 0:
-                    k = k + 1 if k + 1 <= max_degree else k - 1
-                if k < 1:
-                    continue
-            if k > n:
-                continue
+                k += 1 if k + 1 <= n else -1
+            if parity == "odd" and k % 2 == 0:
+                k = k + 1 if k + 1 <= n else k - 1
             mask = 0
             for i in order[:k]:
                 mask |= 1 << i

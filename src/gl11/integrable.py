@@ -36,12 +36,15 @@ place the Hamiltonian formula is written.  Bilinears close under commutation,
 commutators of m x m matrices.  Quantization reads the same form off a
 Garnier H_i = c + sum_kl A_kl theta_k eta_l (quantized_one_body).
 one_body_terms realizes any (c, A) on the 2^m states by index arithmetic: the
-diagonal c + sum_k A_kk n_k plus one signed Jordan-Wigner hop per nonzero
-A_ab.  The hops of one operator come from one vectorized pass (_hops) over
-all its site pairs {a, b} at once, as (pairs, 2^(m-2)) arrays of bit
-arithmetic; theta_b d_theta_a is the hop of theta_a d_theta_b with rows and
-cols swapped.  one_body_matrix scatters them densely and gaudin_apply
-applies them matrix-free, so no 2^m x 2^m product enters either.
+diagonal c + sum_k A_kk n_k plus, for each site pair lo < hi that A couples,
+the signed Jordan-Wigner hops theta_lo d_theta_hi and theta_hi d_theta_lo.
+All pairs of one operator come from one vectorized pass (_hops) as
+(pairs, 2^(m-2)) arrays of bit arithmetic, and one_body_terms returns those
+arrays as they are; theta_hi d_theta_lo is theta_lo d_theta_hi with rows and
+cols swapped.  Occupations and Jordan-Wigner strings are read from the bits
+of the state index (np.bitwise_count), here and in theta_matrix.
+one_body_matrix scatters the arrays densely, and gaudin-commute checks them
+without forming a 2^m x 2^m array.
 
 A Garnier H_i, each term of its closed form and a sum of Hamiltonians are
 linear combinations with number coefficients, each summed into one element
@@ -61,7 +64,8 @@ from .supergroup import SuperMatrix11, supertrace_product
 MIN_SEPARATION = 1e-8
 # site i carries two generators, theta_i and eta_i
 MAX_SITES = MAX_GENERATORS // 2
-# gaudin_terms builds 2(m - 1) hops of 2^(m-2) entries: about 16 MB at m = 16
+# one_body_terms of a Gaudin H_i holds m - 1 pairs of 2^(m-2) states, 56 bytes
+# each: about 14 MB at m = 16
 MAX_REALIZED_SITES = 16
 
 
@@ -236,24 +240,14 @@ def poisson_bracket(p: ParabolicData, f, g) -> GrassmannElement:
 
 # -- quantum side ---------------------------------------------------------------
 
-def occupations(m: int) -> np.ndarray:
-    """Occupation n_k of site k in every basis state: an (m, 2^m) 0/1 array."""
-    states = np.arange(1 << m)
-    return ((states >> np.arange(m)[:, None]) & 1).astype(np.int8)
-
-
-def _string_signs(occ: np.ndarray, lo: int, hi: int, cols: np.ndarray) -> np.ndarray:
-    """(-1)^(occupied sites lo <= k < hi) in the states cols."""
-    return np.where(occ[lo:hi, cols].sum(axis=0) & 1, -1.0, 1.0)
-
-
 def theta_matrix(m: int, i: int) -> np.ndarray:
     """Left multiplication by theta_i on C[theta_1..theta_m], bitmask basis."""
     dim = 1 << m
-    occ = occupations(m)
-    empty = np.flatnonzero(occ[i] == 0)
+    free = np.arange(dim // 2)
+    empty = free + (free & -(1 << i))  # the states with site i empty, as in _hops
     out = np.zeros((dim, dim), dtype=complex)
-    out[empty | (1 << i), empty] = _string_signs(occ, 0, i, empty)
+    out[empty | (1 << i), empty] = np.where(np.bitwise_count(empty & ((1 << i) - 1)) & 1,
+                                            -1.0, 1.0)
     return out
 
 
@@ -264,7 +258,7 @@ def deriv_matrix(m: int, i: int) -> np.ndarray:
 
 def number_matrix(m: int) -> np.ndarray:
     """Total fermion number sum_i theta_i d_theta_i (diagonal)."""
-    return np.diag(occupations(m).sum(axis=0)).astype(complex)
+    return np.diag(np.bitwise_count(np.arange(1 << m))).astype(complex)
 
 
 def gaudin_generators(p: ParabolicData, i: int):
@@ -274,7 +268,7 @@ def gaudin_generators(p: ParabolicData, i: int):
     m = p.m
     dim = 1 << m
     theta = theta_matrix(m, i)
-    n_op = 0.5 * p.u[i] * np.eye(dim, dtype=complex) - np.diag(occupations(m)[i])
+    n_op = 0.5 * p.u[i] * np.eye(dim, dtype=complex) - np.diag(np.arange(dim) >> i & 1)
     e_op = p.v[i] * np.eye(dim, dtype=complex)
     psi_plus = p.v[i] * theta.T
     psi_minus = theta
@@ -335,72 +329,42 @@ def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
 def one_body_terms(c, a):
     """The Jordan-Wigner realization of c + sum_kl A_kl theta_k d_theta_l.
 
-    Returns (diag, hops): the diagonal c + sum_k A_kk n_k as a 2^m vector and,
-    for each nonzero off-diagonal A_ab in row-major order, one hop
-    theta_a d_theta_b as (rows, cols, values), a term with distinct rows and
-    distinct cols.
-
-    One _hops call builds theta_lo d_hi for every site pair lo < hi that A
-    couples.  theta_hi d_lo is (cols, rows) of that hop with the same signs,
-    since the string counts the same sites strictly between lo and hi, and
-    rows = cols + 2^lo - 2^hi is a constant shift, so both stay increasing.
-    The values a[x, y] * signs of all hops are one array too; each hop is a
-    row of these arrays.
+    Returns (diag, rows, cols, forward, backward).  diag is the diagonal
+    c + sum_k A_kk n_k as a 2^m vector, n_k bit k of the state.  rows and
+    cols are _hops's (K, 2^(m-2)) arrays for the K site pairs lo < hi that A
+    couples in either direction, in increasing order: forward = A_lo,hi signs
+    is theta_lo d_hi on (rows, cols), and backward = A_hi,lo signs is
+    theta_hi d_lo on (cols, rows), since the string counts the same sites
+    strictly between lo and hi.  Within one array no (row, col) repeats,
+    and a pair that A couples one way only has zeros in the other.
     """
     m = len(a)
     if m > MAX_REALIZED_SITES:
         raise ValueError("the 2^m-state realization stops at m = %d"
                          % MAX_REALIZED_SITES)
-    diag = c + np.diagonal(a) @ occupations(m)
-    xs, ys = np.nonzero(a)
-    off = xs != ys
-    xs, ys = xs[off], ys[off]
-    pairs, pair_of = np.unique(np.minimum(xs, ys) * m + np.maximum(xs, ys),
-                               return_inverse=True)
-    rows, cols, signs = _hops(m, *np.divmod(pairs, m))
-    values = a[xs, ys][:, None] * signs[pair_of]
-    return diag, [(rows[k], cols[k], v) if lo_first else (cols[k], rows[k], v)
-                  for k, lo_first, v in zip(pair_of.tolist(), (xs < ys).tolist(), values)]
+    # int8, since the matmul casts the (m, 2^m) table to complex anyway
+    bits = (np.arange(1 << m) >> np.arange(m)[:, None] & 1).astype(np.int8)
+    diag = c + np.diagonal(a) @ bits
+    lo, hi = np.nonzero(np.triu((a != 0) | (a.T != 0), 1))
+    rows, cols, signs = _hops(m, lo, hi)
+    return diag, rows, cols, a[lo, hi][:, None] * signs, a[hi, lo][:, None] * signs
 
 
 def one_body_matrix(c, a) -> np.ndarray:
     """one_body_terms scattered into a dense 2^m x 2^m matrix."""
     if len(a) > 10:
-        raise ValueError("dense matrices stop at m = 10; use gaudin_apply beyond")
-    diag, hops = one_body_terms(c, a)
+        raise ValueError("dense matrices stop at m = 10; one_body_terms realizes beyond")
+    diag, rows, cols, forward, backward = one_body_terms(c, a)
     out = np.diag(diag)
-    for rows, cols, values in hops:
-        out[rows, cols] += values
+    out[rows, cols] += forward
+    out[cols, rows] += backward
     return out
-
-
-def gaudin_terms(p: ParabolicData, i: int, hbar: float = 1.0):
-    """one_body_terms of H_i, one_body(p, i, hbar)."""
-    return one_body_terms(*one_body(p, i, hbar))
 
 
 def gaudin_hamiltonian(p: ParabolicData, i: int, hbar: float = 1.0) -> np.ndarray:
     """H_i = hbar sum_{j!=i} (E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j)
     / (z_i - z_j) as a dense matrix."""
     return one_body_matrix(*one_body(p, i, hbar))
-
-
-def gaudin_apply(p: ParabolicData, i: int, vec: np.ndarray,
-                 hbar: float = 1.0) -> np.ndarray:
-    """Matrix-free application of the Gaudin Hamiltonian to a state vector.
-
-    Intended for site counts where the dense 2^m x 2^m matrix is too large;
-    agrees entrywise with gaudin_hamiltonian @ vec.
-    """
-    dim = 1 << p.m
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (dim,):
-        raise ValueError("state vector must have length 2^m = %d" % dim)
-    diag, hops = gaudin_terms(p, i, hbar)
-    out = diag * vec
-    for rows, cols, values in hops:
-        out[rows] += values * vec[cols]
-    return out
 
 
 def quantized_one_body(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0):

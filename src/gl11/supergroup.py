@@ -247,8 +247,8 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
     if c.is_sl():
         e_plus = e_minus = c.h.exp()
     else:
-        e_plus = c.h.add_scaled(c.s, 0.5).exp()
-        e_minus = c.h.add_scaled(c.s, -0.5).exp()
+        e_plus = c.h.add_combination((c.s, 0.5)).exp()
+        e_minus = c.h.add_combination((c.s, -0.5)).exp()
     # 1 -+ (alpha * beta) * 0.5 bit for bit: halving keeps a term the product's
     # prune drops below the prune, and 0j -+ x stores a -0.0 part as 0.0
     ab = {}

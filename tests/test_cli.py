@@ -511,15 +511,36 @@ def test_gaudin_commute_perturbed_one_body_fails(capsys, monkeypatch, part):
 
 
 def test_gaudin_commute_sees_a_hop_that_moves_fermion_number(capsys, monkeypatch):
-    real = integrable.gaudin_terms
+    real = integrable.one_body_terms
 
-    def moved(p, i, hbar=1.0):
-        diag, hops = real(p, i, hbar)
-        rows, cols, values = hops[0]
-        # filling site 0 on top of the hop changes the row's fermion number
-        return diag, [(rows ^ 1, cols, values)] + hops[1:]
+    def moved(c, a):
+        diag, rows, cols, forward, backward = real(c, a)
+        # filling site 0 on top of the first pair's hops changes the fermion
+        # number of its rows
+        rows = rows.copy()
+        rows[0] ^= 1
+        return diag, rows, cols, forward, backward
 
-    monkeypatch.setattr(integrable, "gaudin_terms", moved)
+    monkeypatch.setattr(integrable, "one_body_terms", moved)
+    code, payload = gaudin_report(capsys, "--m", "4")
+    assert code == 1
+    failing = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failing == ["fermion_number_conserved"]
+
+
+def test_gaudin_commute_sees_a_backward_hop_that_moves_fermion_number(capsys, monkeypatch):
+    real = integrable.one_body_terms
+
+    def moved(c, a):
+        diag, rows, cols, forward, backward = real(c, a)
+        # as above, with the first pair's forward hop emptied: only theta_hi d_lo,
+        # read at (cols, rows), moves a fermion
+        rows, forward = rows.copy(), forward.copy()
+        rows[0] ^= 1
+        forward[0] = 0
+        return diag, rows, cols, forward, backward
+
+    monkeypatch.setattr(integrable, "one_body_terms", moved)
     code, payload = gaudin_report(capsys, "--m", "4")
     assert code == 1
     failing = [c["name"] for c in payload["checks"] if not c["passed"]]
@@ -597,7 +618,7 @@ def test_quantize_compare_forms_no_dense_matrix(capsys, monkeypatch):
         raise AssertionError("a 2^m-state operator was requested")
 
     for name in ("gaudin_hamiltonian", "theta_matrix", "deriv_matrix",
-                 "quantize_observable", "gaudin_terms"):
+                 "quantize_observable", "one_body_terms"):
         monkeypatch.setattr(integrable, name, refuse)
     code, payload = quantize_report(capsys, "--m", "6", "--hbar", "0.7")
     assert code == 0

@@ -290,8 +290,8 @@ def test_random_odd_has_odd_parity():
 DEGREES = {"any": lambda k: True, "even": lambda k: k % 2 == 0, "odd": lambda k: k % 2 == 1}
 
 
-def available_monomials(n, parity, max_degree):
-    return sum(math.comb(n, k) for k in range(min(n, max_degree) + 1) if DEGREES[parity](k))
+def available_monomials(n, parity):
+    return sum(math.comb(n, k) for k in range(n + 1) if DEGREES[parity](k))
 
 
 class CountingRng:
@@ -323,23 +323,20 @@ class CountingRng:
 @pytest.mark.parametrize("parity", ["any", "even", "odd"])
 def test_random_element_keeps_parity_degree_cap_and_term_count(n, parity):
     rng = np.random.default_rng(40 + n)
-    for max_degree in sorted({None, 1, 2, n // 2, n}, key=lambda d: -1 if d is None else d):
-        cap = n if max_degree is None else max_degree
-        want = min(4, available_monomials(n, parity, cap))
-        for _ in range(10):
-            x = random_element(rng, n, parity, max_degree=max_degree, num_terms=4, scale=0.5)
-            assert x.n == n
-            assert len(x.terms) == want
-            assert all(DEGREES[parity](m.bit_count()) and m.bit_count() <= cap
-                       for m in x.terms)
-            if parity == "odd":
-                assert 0 not in x.terms
-            else:
-                y = random_element(rng, n, parity, max_degree=max_degree, num_terms=4,
-                                   body=0.25 - 2j)
-                assert y.terms[0] == 0.25 - 2j
-                assert len(y.terms) in (want, want + 1)
-                assert all(DEGREES[parity](m.bit_count()) for m in y.terms)
+    want = min(4, available_monomials(n, parity))
+    for _ in range(10):
+        x = random_element(rng, n, parity, num_terms=4, scale=0.5)
+        assert x.n == n
+        assert len(x.terms) == want
+        # the degree is capped at n: every monomial lies on the n generators
+        assert all(DEGREES[parity](m.bit_count()) and m >> n == 0 for m in x.terms)
+        if parity == "odd":
+            assert 0 not in x.terms
+        else:
+            y = random_element(rng, n, parity, num_terms=4, body=0.25 - 2j)
+            assert y.terms[0] == 0.25 - 2j
+            assert len(y.terms) in (want, want + 1)
+            assert all(DEGREES[parity](m.bit_count()) for m in y.terms)
 
 
 def test_random_element_ends_when_too_few_monomials_exist():

@@ -8,16 +8,12 @@ from gl11 import cli, integrable
 from gl11.integrable import (
     MIN_SEPARATION,
     ParabolicData,
-    _string_signs,
     deriv_matrix,
     garnier_hamiltonian,
     garnier_hamiltonian_expanded,
-    gaudin_apply,
     gaudin_generators,
     gaudin_hamiltonian,
-    gaudin_terms,
     number_matrix,
-    occupations,
     one_body,
     one_body_terms,
     poisson_bracket,
@@ -33,7 +29,7 @@ from gl11.supergroup import SuperMatrix11
 
 def operator_parity(mat, tol=1e-12):
     """'even' / 'odd' / 'mixed' with respect to monomial-length parity."""
-    par = occupations(mat.shape[0].bit_length() - 1).sum(axis=0) & 1
+    par = np.bitwise_count(np.arange(mat.shape[0])) & 1
     same = par[:, None] == par[None, :]
     even_part = np.abs(mat[~same]).max() if (~same).any() else 0.0
     odd_part = np.abs(mat[same]).max() if same.any() else 0.0
@@ -68,15 +64,27 @@ def higgs_value(p: ParabolicData, z: complex) -> SuperMatrix11:
     return acc
 
 
-def _hop(occ: np.ndarray, a: int, b: int):
+def _hop(m: int, a: int, b: int):
     """theta_a d_theta_b for a != b as (rows, cols, signs), one entry per column.
 
     d_theta_b empties site b and theta_a fills site a; the sign counts the
-    occupied sites strictly between a and b (the Jordan-Wigner string).
+    occupied sites strictly between a and b (the Jordan-Wigner string),
+    state by state.
     """
-    cols = np.flatnonzero((occ[b] == 1) & (occ[a] == 0))
-    lo, hi = min(a, b), max(a, b)
-    return cols ^ ((1 << a) | (1 << b)), cols, _string_signs(occ, lo + 1, hi, cols)
+    cols = np.array([s for s in range(1 << m) if s >> b & 1 and not s >> a & 1], dtype=np.intp)
+    between = range(min(a, b) + 1, max(a, b))
+    signs = np.array([(-1.0) ** sum(s >> k & 1 for k in between) for s in cols.tolist()])
+    return cols ^ ((1 << a) | (1 << b)), cols, signs
+
+
+def apply(c, a, vec):
+    """c + sum_kl a_kl theta_k d_theta_l on a state vector, from the arrays of
+    one_body_terms: no 2^m x 2^m matrix."""
+    diag, rows, cols, forward, backward = one_body_terms(c, a)
+    out = diag * vec
+    np.add.at(out, rows, forward * vec[cols])  # a row index repeats across pairs
+    np.add.at(out, cols, backward * vec[rows])
+    return out
 
 
 def comm(a, b):
@@ -332,7 +340,7 @@ def test_matrix_free_application_matches_dense():
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     for i in (0, 3, 5):
         dense = gaudin_hamiltonian(p, i, hbar=0.9) @ vec
-        free = gaudin_apply(p, i, vec, hbar=0.9)
+        free = apply(*one_body(p, i, hbar=0.9), vec)
         assert np.abs(dense - free).max() < 1e-10 * max(np.abs(dense).max(), 1.0)
 
 
@@ -421,24 +429,36 @@ def test_gaudin_terms_are_one_entry_per_column_hops():
     m = 5
     p = random_system(rng, m)
     for i in range(m):
-        diag, hops = gaudin_terms(p, i)
+        diag, rows, cols, forward, backward = one_body_terms(*one_body(p, i))
         assert diag.shape == (1 << m,)
-        assert len(hops) == 2 * (m - 1)
-        for rows, cols, values in hops:
-            assert len(cols) == 1 << (m - 2)
-            assert len(set(cols.tolist())) == len(cols)
-            assert len(set(rows.tolist())) == len(rows)
+        # one row per pair {i, j}, both hops of the pair on it
+        for array in (rows, cols, forward, backward):
+            assert array.shape == (m - 1, 1 << (m - 2))
+        for pair_rows, pair_cols in zip(rows, cols):
+            assert len(set(pair_cols.tolist())) == len(pair_cols)
+            assert len(set(pair_rows.tolist())) == len(pair_rows)
             # each hop moves one fermion: fermion number is unchanged
-            assert np.array_equal(occupations(m)[:, rows].sum(axis=0),
-                                  occupations(m)[:, cols].sum(axis=0))
+            assert [bin(s).count("1") for s in pair_rows.tolist()] == \
+                [bin(s).count("1") for s in pair_cols.tolist()]
 
 
-def assert_each_hop_is_its_oracle(a, pairs, hops, occ):
-    for (x, y), (rows, cols, values) in zip(pairs, hops, strict=True):
-        direct_rows, direct_cols, signs = _hop(occ, x, y)
-        assert rows.dtype == direct_rows.dtype and cols.dtype == direct_cols.dtype
-        assert np.array_equal(rows, direct_rows) and np.array_equal(cols, direct_cols)
-        assert values.dtype == complex and np.array_equal(values, a[x, y] * signs)
+def assert_each_hop_is_its_oracle(a, terms):
+    """Both hops of each pair lo < hi that a couples equal _hop exactly, dtype
+    included: theta_lo d_hi on (rows, cols) and theta_hi d_lo on (cols, rows)."""
+    m = len(a)
+    diag, rows, cols, forward, backward = terms
+    pairs = [(lo, hi) for lo in range(m) for hi in range(lo + 1, m)
+             if a[lo, hi] != 0 or a[hi, lo] != 0]
+    for array in (rows, cols, forward, backward):
+        assert array.shape == (len(pairs), 1 << (m - 2))
+    for k, (lo, hi) in enumerate(pairs):
+        for (x, y), hop_rows, hop_cols, values in (((lo, hi), rows[k], cols[k], forward[k]),
+                                                   ((hi, lo), cols[k], rows[k], backward[k])):
+            direct_rows, direct_cols, signs = _hop(m, x, y)
+            assert hop_rows.dtype == direct_rows.dtype and hop_cols.dtype == direct_cols.dtype
+            assert np.array_equal(hop_rows, direct_rows)
+            assert np.array_equal(hop_cols, direct_cols)
+            assert values.dtype == complex and np.array_equal(values, a[x, y] * signs)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
@@ -446,32 +466,44 @@ def assert_each_hop_is_its_oracle(a, pairs, hops, occ):
 def test_each_hop_equals_its_jordan_wigner_hop_computed_directly(m, hbar):
     # theta_b d_a reuses the hop of theta_a d_b with rows and cols swapped
     p = random_system(np.random.default_rng(60 + m), m)
-    occ = occupations(m)
     for i in range(m):
         c, a = one_body(p, i, hbar)
-        pairs = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
-        diag, hops = one_body_terms(c, a)
-        assert len(pairs) == len(hops) == 2 * (m - 1)
-        assert_each_hop_is_its_oracle(a, pairs, hops, occ)
+        terms = one_body_terms(c, a)
+        assert len(terms[1]) == m - 1  # the pairs {i, j}, j != i
+        assert_each_hop_is_its_oracle(a, terms)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("zero_v", [[2], range(5)], ids=["one_site", "all_sites"])
 def test_each_hop_equals_its_oracle_when_a_has_zero_entries(zero_v, hbar):
     # v_k = 0 zeroes A_ik for every i != k (as +-0), so the pair {i, k} keeps
-    # only theta_k d_i; with every v_k = 0 each A_i is diagonal and has no hop
+    # only theta_k d_i; with every v_k = 0 each A_i is diagonal and has no pair
     p = random_system(np.random.default_rng(67), 5)
     p = ParabolicData(p.z, p.u, [0j if k in zero_v else v for k, v in enumerate(p.v)])
-    occ = occupations(5)
     for i in range(5):
         c, a = one_body(p, i, hbar)
-        pairs = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
-        diag, hops = gaudin_terms(p, i, hbar)
+        entries = [(x, y) for x, y in zip(*np.nonzero(a)) if x != y]
+        terms = one_body_terms(c, a)
         if len(zero_v) == 5:
-            assert hops == []
+            assert entries == [] and terms[1].shape == (0, 1 << 3)
         else:
-            assert len(pairs) == (4 if i == 2 else 7)
-        assert_each_hop_is_its_oracle(a, pairs, hops, occ)
+            # H_2 and the pair {i, 2} of every other H_i couple one way only
+            assert len(entries) == (4 if i == 2 else 7) and len(terms[1]) == 4
+        assert_each_hop_is_its_oracle(a, terms)
+
+
+def test_gaudin_commute_m8_makes_one_one_body_form_per_hamiltonian(monkeypatch):
+    # the command realizes the forms it checks, not a second one_body per H_i
+    calls = []
+    real = integrable.one_body
+
+    def counting(p, i, hbar=1.0):
+        calls.append(i)
+        return real(p, i, hbar)
+
+    monkeypatch.setattr(integrable, "one_body", counting)
+    assert cli.main(["gaudin-commute", "--m", "8"]) == 0
+    assert sorted(calls) == list(range(8))
 
 
 def test_gaudin_commute_m8_realizes_each_site_pair_once_per_hamiltonian(monkeypatch):
@@ -498,7 +530,7 @@ def test_matrix_free_application_matches_dense_m8():
     vec = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
     for i in range(m):
         dense = gaudin_hamiltonian(p, i, hbar=0.8) @ vec
-        free = gaudin_apply(p, i, vec, hbar=0.8)
+        free = apply(*one_body(p, i, hbar=0.8), vec)
         assert np.abs(dense - free).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)
 
 
@@ -509,7 +541,7 @@ def test_matrix_free_sum_annihilates_beyond_dense_cap():
     with pytest.raises(ValueError):
         gaudin_hamiltonian(p, 0)
     vec = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
-    images = [gaudin_apply(p, i, vec) for i in range(m)]
+    images = [apply(*one_body(p, i), vec) for i in range(m)]
     scale = max(np.abs(image).max() for image in images)
     assert scale > 1.0
     assert np.abs(sum(images)).max() <= 1e-12 * scale
@@ -527,7 +559,6 @@ def test_basis_matrices_match_per_state_definition():
             assert np.array_equal(theta_matrix(m, i), expected)
         counts = [bin(state).count("1") for state in range(dim)]
         assert np.array_equal(number_matrix(m), np.diag(counts).astype(complex))
-        assert np.array_equal(occupations(m).sum(axis=0), counts)
 
 
 def bilinears(m):
@@ -537,7 +568,7 @@ def bilinears(m):
 
 
 def realize(c, a, pairs):
-    """c + sum_kl a_kl theta_k d_theta_l as a dense matrix (no gaudin_terms)."""
+    """c + sum_kl a_kl theta_k d_theta_l as a dense matrix (no one_body_terms)."""
     m = a.shape[0]
     out = c * np.eye(1 << m, dtype=complex)
     for k in range(m):
@@ -611,7 +642,7 @@ def test_one_body_and_realization_site_limits():
     c, a = one_body(p, 3)
     assert a.shape == (17, 17)
     with pytest.raises(ValueError, match="stops at m = 16"):
-        gaudin_terms(p, 3)
+        one_body_terms(c, a)
 
 
 def word_product_quantize(p, f, hbar):

@@ -158,7 +158,7 @@ def test_check_report_worst_keeps_nan():
     assert report.worst("beta") == 2.0
 
 
-# -- the fused residual, add_scaled, the prune scan and the parity tests -------
+# -- the fused residual, the one-pair combination, the prune scan and parity --
 
 def same_float(a, b):
     """a and b are the same float, NaN included."""
@@ -252,7 +252,7 @@ def test_residual_of_different_algebras_raises():
 @example(t1 + t2, t1, 1e-13)               # every scaled term below the prune
 def test_add_scaled_is_bitwise_the_sum_with_a_scaled_element(x, other, k):
     expected = x + other * k
-    got = x.add_scaled(other, k)
+    got = x.add_combination((other, k))
     assert list(got.terms) == list(expected.terms)   # the same keys in the same order
     assert all(same_float(a.real, b.real) and same_float(a.imag, b.imag)
                and math.copysign(1, a.real) == math.copysign(1, b.real)
@@ -423,8 +423,7 @@ UNPRUNED_SMALL = GrassmannElement(N, {1: 1e-13, 2: 1.0}, prune=0.0)
 @example(GrassmannElement(N, {0: NAN, 1: INF}), [(t1, -1.0), (t1, INF)])
 def test_add_combination_is_bitwise_the_chain_of_scaled_sums(x, pairs):
     assert hex_terms(x.add_combination(*pairs)) == hex_terms(chained(x, pairs))
-    y, k = pairs[0]
-    assert hex_terms(x.add_scaled(y, k)) == hex_terms(x.add_combination((y, k)))
+    assert hex_terms(x.add_combination(*pairs[:1])) == hex_terms(chained(x, pairs[:1]))
 
 
 def test_a_running_sum_that_prunes_is_appended_again():
@@ -441,8 +440,6 @@ def test_add_combination_of_different_algebras_raises_as_the_sum_does():
             chained(t1, pairs)
         with pytest.raises(ValueError, match=message):
             t1.add_combination(*pairs)
-    with pytest.raises(ValueError, match=message):
-        t1.add_scaled(other, 1.0)
 
 
 # -- how many elements a fused sum builds ------------------------------------------
@@ -500,7 +497,7 @@ def test_garnier_check_m5_count10_builds_at_most_2260_elements(built):
 
 def stepwise_series(w, coeff):
     """1 + sum coeff(k) w^k with one sum, pruned, per power (for elements the
-    sum is add_scaled's, bit for bit, as tested above)."""
+    sum is a one-pair add_combination's, bit for bit, as tested above)."""
     acc = type(w).one(w.n)
     power, k = w, 1
     while power.terms:
