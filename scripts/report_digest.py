@@ -9,7 +9,10 @@ fixtures in text and in JSON, then, at each seed, the JSON reports of
 ``gaudin-commute`` at m = 12 and m = 16, whose realizations are larger than
 any the pools draw (they stop at m = 8), and last ``gaudin-commute`` in text
 and in JSON on ``gaudin_m3.json`` rewritten with v_1 = 0 (pairs coupled one
-way only) and with every v = 0 (operators with no pair).  Each call prints
+way only) and with every v = 0 (operators with no pair), and then
+``cech-verify`` in text and in JSON on the two small shipped nerves: the
+triangle with SL and with GL cocycle data (a one-row coboundary solve), and
+the genus-1 cycle, which has no triangle and so no cocycle check.  Each call prints
 one line: its argv, its exit status and the SHA-256 of its stdout plus
 stderr (plus the file it wrote, for ``fatgraph normalize -o``).  The work
 directory reads as ``<work>`` and the checkout as ``<root>``, in the argv
@@ -97,6 +100,27 @@ def zero_v_commands(workdir):
     return commands
 
 
+def small_nerve_commands(workdir):
+    """argv of cech-verify on nerve_triangle.json with SL and with GL data and on
+    nerve_genus1.json, the data exact cocycles from seeded frames written into workdir."""
+    import numpy as np
+    from gl11 import cech, supergroup
+
+    rng = np.random.default_rng(0)
+    commands = []
+    for nerve_name, mode in (("nerve_triangle.json", "sl"), ("nerve_triangle.json", "gl"),
+                             ("nerve_genus1.json", "gl")):
+        nerve_path = FIXTURES / nerve_name
+        nerve = cech.nerve_from_dict(json.loads(nerve_path.read_text()))
+        frames = {v: supergroup.random_coords(rng, 8, sl=mode == "sl") for v in nerve.vertices}
+        path = os.path.join(workdir, "cech_%s_%s" % (mode, nerve_name))
+        pathlib.Path(path).write_text(json.dumps(cech.transition_from_frames(nerve, frames)
+                                                 .to_dict()))
+        commands += [["--format", fmt, "cech-verify", str(nerve_path), path]
+                     for fmt in ("text", "json")]
+    return commands
+
+
 def call(argv):
     """(exit status, stdout, stderr) of cli.main(argv), run in this process."""
     from gl11 import cli
@@ -167,7 +191,7 @@ def main(argv=None):
         for seed in args.seeds:
             for argv in large_commands(seed):
                 print(digest_line(argv, workdir, args.outcomes))
-        for argv in zero_v_commands(workdir):
+        for argv in zero_v_commands(workdir) + small_nerve_commands(workdir):
             print(digest_line(argv, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

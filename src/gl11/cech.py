@@ -10,10 +10,12 @@ Every e^{+-s_ij} is read from ``GroupCoords.twist``, formed as each GL edge
 is read; a reversed edge reads the swapped pair its inverse inherits.
 ``gl11 cech-verify`` runs the SL check when every s_ij is zero, else the GL one.
 A nerve answers every vertex ordering of a listed simplex from one orientation
-table built with it: position, permutation sign and stored tuple.
-The module also builds the quadratic 2-cochain and cup products, solves
-coboundary equations exactly (least-norm, per Grassmann monomial), and checks
-the Higgs gluing constraints; builders and solvers check nothing themselves.
+table built with it: position, permutation sign and stored tuple.  From it the
+nerve also builds ``faces``, the one table of delta that every coboundary here
+reads; a cochain holds one value per listed simplex, in the nerve's order.
+The module also builds the quadratic 2-cochain, solves coboundary equations
+exactly (least-norm, per Grassmann monomial), and checks the Higgs gluing
+constraints; builders and solvers check nothing themselves.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class Nerve:
     Construction builds one orientation table: every vertex ordering of every
     listed simplex maps to (position, orientation sign, stored tuple), the
     sign that of the permutation taking the stored tuple to the ordering.
+    From it, ``faces[p]`` holds the coboundary for p = 1..3: per listed
+    p-simplex s, the (position, sign) of each face s[:k] + s[k+1:] in k
+    order, the sign (-1)^k times the face's orientation sign.
     """
 
     def __init__(self, vertices, simplices):
@@ -52,6 +57,7 @@ class Nerve:
         self.simplices = {p: [tuple(s) for s in simplices.get(p, [])] for p in (1, 2, 3)}
         self.simplices[0] = [(v,) for v in self.vertices]
         self._orientations = {}
+        self.faces = {1: [], 2: [], 3: []}
         for p in (0, 1, 2, 3):
             for pos, s in enumerate(self.simplices[p]):
                 if len(set(s)) != len(s):
@@ -59,12 +65,24 @@ class Nerve:
                 if s in self._orientations:  # an ordering of a simplex listed before
                     raise ValueError('"vertices" lists vertex %r twice' % s if p == 0
                                      else "simplex %r listed twice" % (s,))
-                for face in combinations(s, p) if p else ():  # lower degrees are in the table
-                    if face not in self._orientations:
-                        raise ValueError('"simplices": %r has the %s, which is not listed' % (
-                            s, "vertex %r" % face if p == 1 else "face %r" % (face,)))
+                if p:
+                    self.faces[p].append(self._face_row(s))
                 for perm, sign in _ORDERINGS[p]:
                     self._orientations[tuple(s[k] for k in perm)] = (pos, sign, s)
+
+    def _face_row(self, s) -> list:
+        """(position, sign) of each face of s, in k order; lower degrees are in the table.
+        The lookups run from the last k down, so that an error names the first missing
+        face in combinations order."""
+        row = []
+        for k in reversed(range(len(s))):
+            face = s[:k] + s[k + 1:]
+            hit = self._orientations.get(face)
+            if hit is None:
+                raise ValueError('"simplices": %r has the %s, which is not listed' % (
+                    s, "vertex %r" % face if len(s) == 2 else "face %r" % (face,)))
+            row.append((hit[0], -hit[1] if k % 2 else hit[1]))
+        return row[::-1]
 
     def lookup(self, p: int, simplex) -> tuple[int, int, tuple]:
         """(position, orientation sign, stored tuple) for a vertex ordering."""
@@ -123,7 +141,11 @@ def genus1_nerve() -> Nerve:
 
 
 class Cochain:
-    """Degree-p cochain with Grassmann values, alternating in the vertices."""
+    """Degree-p cochain with Grassmann values, alternating in the vertices.
+
+    ``values`` is a list aligned with ``nerve.simplices[degree]``; the constructor
+    takes a dict that may name any vertex ordering, and unnamed simplices read zero.
+    """
 
     def __init__(self, nerve: Nerve, degree: int, n: int, values=None):
         if degree not in (0, 1, 2, 3):
@@ -131,91 +153,59 @@ class Cochain:
         self.nerve = nerve
         self.degree = degree
         self.n = n
-        self.values = {}
-        if values:
-            for simplex, val in values.items():
-                pos, sign, stored = nerve.lookup(degree, tuple(simplex))
-                self.values[stored] = (val if sign == 1 else -val)
+        self.values = [GrassmannElement.zero(n)] * nerve.num(degree)
+        for simplex, val in (values or {}).items():
+            pos, sign, _ = nerve.lookup(degree, tuple(simplex))
+            self.values[pos] = val if sign == 1 else -val
 
-    @classmethod
-    def zero(cls, nerve, degree, n):
-        c = cls(nerve, degree, n)
-        for s in nerve.simplices[degree]:
-            c.values[s] = GrassmannElement.zero(n)
-        return c
+    def _with(self, degree: int, values: list) -> "Cochain":
+        """A cochain on the same nerve from values aligned with simplices[degree]."""
+        out = Cochain(self.nerve, degree, self.n)
+        out.values = values
+        return out
 
     def value(self, simplex) -> GrassmannElement:
         """Oriented value on any vertex ordering of a listed simplex."""
-        _, sign, stored = self.nerve.lookup(self.degree, tuple(simplex))
-        val = self.values.get(stored, GrassmannElement.zero(self.n))
+        pos, sign, _ = self.nerve.lookup(self.degree, tuple(simplex))
+        val = self.values[pos]
         return val if sign == 1 else -val
 
     def coboundary(self) -> "Cochain":
-        """Alternating-sum differential; raises above degree 3."""
+        """Alternating-sum differential, read from ``Nerve.faces``; raises above degree 3."""
         if self.degree >= 3:
             raise ValueError("coboundary would exceed nerve dimension 3")
-        out = Cochain(self.nerve, self.degree + 1, self.n)
-        for s in self.nerve.simplices[self.degree + 1]:
-            acc = GrassmannElement.zero(self.n)
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1:]
-                term = self.value(face)
-                acc = acc + (term if k % 2 == 0 else -term)
-            out.values[s] = acc
-        return out
+        zero, values = GrassmannElement.zero(self.n), self.values
+        out = []
+        for row in self.nerve.faces[self.degree + 1]:
+            acc = zero
+            for pos, sign in row:
+                acc = acc + values[pos] if sign == 1 else acc - values[pos]
+            out.append(acc)
+        return self._with(self.degree + 1, out)
 
     def __add__(self, other):
-        out = Cochain(self.nerve, self.degree, self.n)
-        for s in self.nerve.simplices[self.degree]:
-            out.values[s] = self.value(s) + other.value(s)
-        return out
+        return self._with(self.degree, [x + y for x, y in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        out = Cochain(self.nerve, self.degree, self.n)
-        for s in self.nerve.simplices[self.degree]:
-            out.values[s] = self.value(s) - other.value(s)
-        return out
+        return self._with(self.degree, [x - y for x, y in zip(self.values, other.values)])
 
     def __neg__(self):
-        out = Cochain(self.nerve, self.degree, self.n)
-        for s in self.nerve.simplices[self.degree]:
-            out.values[s] = -self.value(s)
-        return out
+        return self._with(self.degree, [-x for x in self.values])
 
     def max_abs(self) -> float:
-        return nan_max(v.max_abs() for v in self.values.values())
+        return nan_max(v.max_abs() for v in self.values)
 
     def residual(self, other: "Cochain") -> float:
         """(self - other).max_abs() as a fold of GrassmannElement.residual, no difference built."""
-        return nan_max(self.value(s).residual(other.value(s))
-                       for s in self.nerve.simplices[self.degree])
-
-
-def cup_product(u: Cochain, v: Cochain) -> Cochain:
-    """(u cup v) on the front and back faces, with Grassmann multiplication.
-
-    Degrees up to the nerve dimension 3 are supported; the extra degree is
-    needed to state the Leibniz identity for p + q = 2.
-    """
-    p, q = u.degree, v.degree
-    if p + q > 3:
-        raise ValueError("cup product degree %d exceeds the nerve dimension" % (p + q))
-    out = Cochain(u.nerve, p + q, u.n)
-    for s in u.nerve.simplices[p + q]:
-        out.values[s] = u.value(s[:p + 1]) * v.value(s[p:])
-    return out
+        return nan_max(x.residual(y) for x, y in zip(self.values, other.values))
 
 
 def _coboundary_matrix(nerve: Nerve, degree_from: int) -> np.ndarray:
     """Matrix of delta: C^{degree_from} -> C^{degree_from+1} in the listed bases."""
-    rows = nerve.simplices[degree_from + 1]
-    cols = {s: i for i, s in enumerate(nerve.simplices[degree_from])}
-    mat = np.zeros((len(rows), len(cols)))
-    for r, s in enumerate(rows):
-        for k in range(len(s)):
-            face = s[:k] + s[k + 1:]
-            _, sign, stored = nerve.lookup(degree_from, face)
-            mat[r, cols[stored]] += ((-1) ** k) * sign
+    mat = np.zeros((nerve.num(degree_from + 1), nerve.num(degree_from)))
+    for r, row in enumerate(nerve.faces[degree_from + 1]):
+        for pos, sign in row:
+            mat[r, pos] += sign
     return mat
 
 
@@ -248,14 +238,11 @@ def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
     """
     if g.degree == 0:
         raise ValueError("cannot solve delta f = g for a 0-cochain g")
-    mat = _coboundary_matrix(g.nerve, g.degree - 1)
-    sol, worst = solve_per_monomial(
-        mat, [g.value(s) for s in g.nerve.simplices[g.degree]], g.n)
+    sol, worst = solve_per_monomial(_coboundary_matrix(g.nerve, g.degree - 1), g.values, g.n)
     if worst > tol:
         raise ObstructionError(
             "obstruction class nonzero on this nerve (residual %.3e)" % worst)
-    return Cochain(g.nerve, g.degree - 1, g.n,
-                   dict(zip(g.nerve.simplices[g.degree - 1], sol)))
+    return g._with(g.degree - 1, sol)
 
 
 def coboundary_solution_dim(nerve: Nerve, degree_from: int) -> int:
@@ -410,20 +397,6 @@ def two_cocycle_g(data: TransitionData) -> Cochain:
                                            for tri in data.nerve.simplices[2]})
 
 
-def multiplicative_class(data: TransitionData, tol: float = 1e-9) -> Cochain:
-    """k_ij = h_ij + f_ij with delta f = g: e^{k} is a multiplicative cocycle.
-
-    delta(k) = -2 pi i n_ijk on every triangle, so exp(k_ik) equals
-    exp(k_ij) exp(k_jk) exactly.  The representative depends on the
-    least-norm choice of f.
-    """
-    f = solve_coboundary(two_cocycle_g(data), tol)
-    k = Cochain(data.nerve, 1, data.n)
-    for (i, j) in data.nerve.simplices[1]:
-        k.values[(i, j)] = data.h(i, j) + f.value((i, j))
-    return k
-
-
 class HiggsCechData:
     """Per-chart Higgs entries (a_i, b_i even; delta_i, gamma_i odd)."""
 
@@ -471,10 +444,9 @@ def sl_higgs_obstruction(data: TransitionData, higgs: HiggsCechData,
     if not report.ok:
         raise ValueError("delta/gamma do not transform as sections: %s"
                          % [c.name for c in report.failing()])
-    t = Cochain(data.nerve, 1, data.n)
-    for (i, j) in data.nerve.simplices[1]:
-        t.values[(i, j)] = (higgs.delta[i] * data.alpha(i, j)
-                            - data.beta(i, j) * higgs.gamma[i])
+    t = Cochain(data.nerve, 1, data.n, {(i, j): higgs.delta[i] * data.alpha(i, j)
+                                        - data.beta(i, j) * higgs.gamma[i]
+                                        for (i, j) in data.nerve.simplices[1]})
     if data.nerve.simplices[2]:
         report.add("t_cocycle", t.coboundary().max_abs(), tol)
     eta = None
@@ -498,8 +470,7 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
                          tol: float = 1e-9) -> CheckReport:
     """General supertrace constraints: the two b-relations and the c-cocycle."""
     report = CheckReport()
-    n = data.n
-    c = Cochain(data.nerve, 1, n)
+    c_listed = {}
     for (i, j) in data.nerve.simplices[1]:
         label = "%d%d" % (i, j)
         g_ij = data.coords(i, j)
@@ -509,13 +480,12 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
         report.add("b_global[%s]" % label, higgs.b[i].residual(higgs.b[j]), tol)
         report.add("brel_alpha[%s]" % label, brel_alpha.max_abs(), tol)
         report.add("brel_beta[%s]" % label, brel_beta.max_abs(), tol)
-        c_ij = _c_value(g_ij, higgs, i)
-        c.values[(i, j)] = c_ij
+        c_ij = c_listed[(i, j)] = _c_value(g_ij, higgs, i)
         # alternation c_ji = -c_ij recomputed from base-j data (uses brel)
         c_ji = _c_value(data.coords(j, i), higgs, j)
         report.add("c_alternating[%s]" % label, (c_ji + c_ij).max_abs(), tol)
-    for (i, j, k) in data.nerve.simplices[2]:
-        res = c.value((i, j)) + c.value((j, k)) + c.value((k, i))
+    c = Cochain(data.nerve, 1, data.n, c_listed)
+    for (i, j, k), res in zip(data.nerve.simplices[2], c.coboundary().values):
         report.add("c_cocycle[%d%d%d]" % (i, j, k), res.max_abs(), tol)
     # solve c_ij = a_i - a_j, i.e. delta(a) = -c, and compare the given a
     try:
@@ -525,9 +495,8 @@ def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
     except ObstructionError as err:
         report.info["c_exact"] = False
         report.info["obstruction"] = str(err)
-    a_difference = Cochain(data.nerve, 1, n, {(i, j): higgs.a[i] - higgs.a[j]
-                                              for (i, j) in data.nerve.simplices[1]})
-    report.add("c_equals_a_difference", c.residual(a_difference), tol)
+    a = Cochain(data.nerve, 0, data.n, {(v,): higgs.a[v] for v in data.nerve.vertices})
+    report.add("c_equals_a_difference", c.residual(-a.coboundary()), tol)
     return report
 
 

@@ -324,8 +324,8 @@ def _hbar(text: str) -> float:
 def _cycle(text: str):
     """Cycle steps from a comma list like '0+,2-,1+': [(edge, forward), ...].
 
-    Only the form is checked here; whether each edge exists is checked by
-    ``GraphConnection.holonomy``, which knows the graph.
+    Only the form is checked here, and that some step is named; whether each
+    edge exists is checked by ``GraphConnection.holonomy``, which knows the graph.
     """
     steps = []
     for token in text.split(","):
@@ -339,6 +339,8 @@ def _cycle(text: str):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "cycle steps look like '3+' or '2-', got %r" % token) from None
+    if not steps:
+        raise argparse.ArgumentTypeError("%r names no step" % text)
     return steps
 
 

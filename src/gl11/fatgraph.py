@@ -5,7 +5,10 @@ a partition of the half-edges into trivalent vertices with a cyclic order at
 each vertex, and an orientation (a tail half-edge per edge).  Boundary cycles
 come from the face permutation "partner, then next in the cyclic order".
 Construction builds one half-edge table, half-edge -> (edge, is_tail), and
-walks the faces once; edge lookups, faces and vertex sums all read them.
+from it ``incident`` (each vertex's (edge, is_tail) in cyclic order) and the
+signed incidence matrix ``incidence`` (+1 at the target, -1 at the source);
+faces are walked once from the same table, and vertex sums, gauge
+normalization and the puncture counts all read these.
 
 A graph connection assigns SL(1|1) coordinates (h, alpha, beta) to every
 oriented edge with the reversal rule g_rev = g^{-1}.  Vertex rescalings are
@@ -91,6 +94,13 @@ class FatGraph:
                 self.edge_halves[e] = (lo, hi) if tail == lo else (hi, lo)
         self._edge_of = {h: (e, h == tail)  # half-edge -> (edge, is_tail)
                          for e, (tail, head) in enumerate(self.edge_halves) for h in (tail, head)}
+        self.incident = tuple(tuple(self._edge_of[h] for h in order)
+                              for order in self.cyclic_orders)
+        self.incidence = np.zeros((self.num_vertices, self.num_edges))
+        for v, row in enumerate(self.incident):
+            for e, is_tail in row:
+                self.incidence[v, e] += -1.0 if is_tail else 1.0
+        self.incidence.flags.writeable = False
         self._check_connected()
         self._faces = self._walk_faces()
 
@@ -145,13 +155,6 @@ class FatGraph:
     def target(self, e: int) -> int:
         return self.vertex_of[self.head(e)]
 
-    def edge_of_half(self, h: int) -> tuple[int, bool]:
-        """(edge index, True when h is the tail) for a half-edge."""
-        try:
-            return self._edge_of[h]
-        except KeyError:
-            raise ValueError("unknown half-edge %r" % (h,)) from None
-
     def next_at_vertex(self, h: int) -> int:
         order = self.cyclic_orders[self.vertex_of[h]]
         return order[(order.index(h) + 1) % 3]
@@ -202,12 +205,6 @@ def theta_graph(genus_one: bool = True) -> FatGraph:
     pairing = [1, 0, 3, 2, 5, 4]
     orders = [(0, 2, 4), (1, 3, 5)] if genus_one else [(0, 2, 4), (1, 5, 3)]
     return FatGraph(pairing, orders, orientation=[0, 2, 4])
-
-
-def dumbbell_graph() -> FatGraph:
-    """Two loops joined by a bridge."""
-    # edge 0: loop at A (halves 0,1); edge 1: loop at B (2,3); bridge (4,5)
-    return FatGraph([1, 0, 3, 2, 5, 4], [(0, 1, 4), (2, 3, 5)], orientation=[0, 2, 4])
 
 
 def _complete_graph_edges(pairs):
@@ -382,25 +379,14 @@ class GraphConnection:
 
     # -- gauge constraints ----------------------------------------------------
 
-    def _signed_incidence(self) -> np.ndarray:
-        """Rows: vertices; columns: edges; +1 at the head, -1 at the tail."""
-        graph = self.graph
-        mat = np.zeros((graph.num_vertices, graph.num_edges))
-        for e in range(graph.num_edges):
-            mat[graph.target(e), e] += 1.0
-            mat[graph.source(e), e] -= 1.0
-        return mat
-
     def vertex_sums(self, parts=("h", "alpha", "beta")):
         """Signed sums of the coordinate parts named in ``parts`` at each vertex,
         a tuple per vertex; toward-v terms count +."""
-        graph = self.graph
         zero = GrassmannElement.zero(self.n)
         sums = []
-        for v in range(graph.num_vertices):
+        for row in self.graph.incident:
             acc = [zero] * len(parts)
-            for half in graph.cyclic_orders[v]:
-                e, is_tail = graph.edge_of_half(half)
+            for e, is_tail in row:
                 c = self.coords[e]
                 for k, part in enumerate(parts):
                     x = getattr(c, part)
@@ -419,7 +405,7 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     """
     graph = conn.graph
     n = conn.n
-    incidence = conn._signed_incidence()
+    incidence = graph.incidence
     lap = incidence @ incidence.T  # the graph Laplacian; a self-loop's column is zero
     report = CheckReport()
 
@@ -468,7 +454,7 @@ def check_puncture_constraints(conn: GraphConnection, tol: float = 1e-9) -> Chec
         hol = conn.holonomy(face)
         report.add("puncture[%d]" % k, hol.residual(ident), tol)
     # measured free parameters once the linearized face constraints are added
-    incidence = conn._signed_incidence()
+    incidence = graph.incidence
     face_rows = np.zeros((len(faces), graph.num_edges))
     for k, face in enumerate(faces):
         for (e, forward) in face:

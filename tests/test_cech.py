@@ -22,10 +22,10 @@ from gl11.cech import (
     check_gl_cocycle,
     check_sl_cocycle,
     coboundary_solution_dim,
-    cup_product,
     genus1_nerve,
     gl_higgs_constraints,
     higgs_from_global,
+    nerve_from_dict,
     sl_higgs_obstruction,
     solve_coboundary,
     tetrahedron_nerve,
@@ -59,10 +59,31 @@ def scalar(c):
 
 
 def random_cochain(rng, nerve, degree, parity="any"):
-    c = Cochain(nerve, degree, N)
-    for s in nerve.simplices[degree]:
-        c.values[s] = random_element(rng, N, parity=parity, num_terms=3)
-    return c
+    return Cochain(nerve, degree, N, {s: random_element(rng, N, parity=parity, num_terms=3)
+                                      for s in nerve.simplices[degree]})
+
+
+def cup_product(u, v):
+    """(u cup v) on the front and back faces, with Grassmann multiplication.
+
+    Degrees up to the nerve dimension 3 are supported; the extra degree is
+    needed to state the Leibniz identity for p + q = 2.
+    """
+    p, q = u.degree, v.degree
+    return Cochain(u.nerve, p + q, u.n, {s: u.value(s[:p + 1]) * v.value(s[p:])
+                                         for s in u.nerve.simplices[p + q]})
+
+
+def multiplicative_class(data, tol=1e-9):
+    """k_ij = h_ij + f_ij with delta f = g: e^{k} is a multiplicative cocycle.
+
+    delta(k) = -2 pi i n_ijk on every triangle, so exp(k_ik) equals
+    exp(k_ij) exp(k_jk) exactly.  The representative depends on the
+    least-norm choice of f.
+    """
+    f = solve_coboundary(two_cocycle_g(data), tol)
+    return Cochain(data.nerve, 1, data.n, {(i, j): data.h(i, j) + f.value((i, j))
+                                           for (i, j) in data.nerve.simplices[1]})
 
 
 def random_frames(rng, nerve, sl=False):
@@ -85,7 +106,7 @@ def test_nerve_face_closure_enforced():
 
 def test_coboundary_of_zero_cochain():
     nerve = triangle_nerve()
-    f = Cochain.zero(nerve, 0, N)
+    f = Cochain(nerve, 0, N)
     assert f.coboundary().max_abs() == 0.0
 
 
@@ -221,7 +242,7 @@ def test_solve_coboundary_roundtrip():
 
 
 def test_solve_coboundary_zero_gives_zero():
-    g = Cochain.zero(tetrahedron_nerve(), 2, N)
+    g = Cochain(tetrahedron_nerve(), 2, N)
     f = solve_coboundary(g)
     assert f.max_abs() == 0.0
 
@@ -230,8 +251,7 @@ def test_solve_coboundary_obstruction_on_sphere():
     # the boundary of the tetrahedron has H^2 nonzero: a 2-cochain with
     # nonvanishing total alternating sum is not a coboundary
     nerve = tetrahedron_nerve(solid=False)
-    g = Cochain.zero(nerve, 2, N)
-    g.values[(1, 2, 3)] = scalar(1.0)
+    g = Cochain(nerve, 2, N, {(1, 2, 3): scalar(1.0)})
     with pytest.raises(ObstructionError):
         solve_coboundary(g)
 
@@ -242,7 +262,7 @@ def test_cup_product_examples():
     alpha = Cochain(nerve, 1, N, {(1, 2): t(1), (2, 3): t(2), (1, 3): t(1) + t(2)})
     cup = cup_product(delta, alpha)
     assert cup.value((1, 2)).is_close(t(3) * t(1))
-    zero = Cochain.zero(nerve, 1, N)
+    zero = Cochain(nerve, 1, N)
     assert cup_product(delta, zero).max_abs() == 0.0
 
 
@@ -357,6 +377,49 @@ def test_gl_higgs_all_even_data_passes_trivially():
     assert report.ok and report.max_residual == 0.0
 
 
+def corrupted_higgs(higgs, field, vertex, bump):
+    """Higgs chart data with ``bump`` added to ``field`` at one vertex."""
+    fields = {name: dict(getattr(higgs, name)) for name in ("a", "b", "delta", "gamma")}
+    fields[field][vertex] = fields[field][vertex] + bump
+    return HiggsCechData(higgs.nerve, higgs.n, **fields)
+
+
+# family -> corruption: (Higgs field, vertex, bump), or "alpha": alpha_12 moved by t(8)
+HIGGS_CORRUPTIONS = {
+    "b_global": ("b", 2, scalar(1.0)),
+    "brel_alpha": ("gamma", 2, t(7)),
+    "brel_beta": ("delta", 2, t(7)),
+    "c_alternating": ("gamma", 1, t(7)),
+    "c_cocycle": "alpha",
+    "c_equals_a_difference": ("a", 2, scalar(1.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(HIGGS_CORRUPTIONS))
+@pytest.mark.parametrize("nerve", [triangle_nerve(), tetrahedron_nerve()],
+                         ids=["triangle", "tetrahedron"])
+def test_gl_higgs_constraints_each_family_fails_on_corrupted_data(nerve, family):
+    # global-Higgs data passes; one corruption makes the named family fail
+    rng = np.random.default_rng(40)
+    frames = random_frames(rng, nerve)
+    data = transition_from_frames(nerve, frames)
+    a, b = random_even(rng, N, num_terms=2), random_even(rng, N, num_terms=2)
+    phi = SuperMatrix11(a + 0.5 * b, random_odd(rng, N, num_terms=2),
+                        random_odd(rng, N, num_terms=2), a - 0.5 * b)
+    higgs = higgs_from_global(nerve, frames, phi)
+    assert gl_higgs_constraints(data, higgs).ok
+    corruption = HIGGS_CORRUPTIONS[family]
+    if corruption == "alpha":
+        data.set_edge((1, 2), alpha=data.alpha(1, 2) + t(8))
+    else:
+        higgs = corrupted_higgs(higgs, *corruption)
+    report = gl_higgs_constraints(data, higgs)
+    failing = {c.name.split("[")[0] for c in report.failing()}
+    assert family in failing, report.format_text()
+    if family == "c_equals_a_difference":  # a enters no other check
+        assert failing == {family}
+
+
 def test_solution_space_dimension():
     # connected nerves: constants are the kernel of delta on 0-cochains
     assert coboundary_solution_dim(triangle_nerve(), 0) == 1
@@ -399,8 +462,6 @@ def test_equivalence_preserves_odd_classes_on_genus1():
 
 
 def test_equivalence_preserves_k_class_on_tetrahedron():
-    from gl11.cech import multiplicative_class
-
     rng = np.random.default_rng(13)
     nerve = tetrahedron_nerve()
     base_frames = random_frames(rng, nerve, sl=True)
@@ -416,8 +477,6 @@ def test_equivalence_preserves_k_class_on_tetrahedron():
 
 
 def test_multiplicative_class_is_exp_cocycle():
-    from gl11.cech import multiplicative_class
-
     rng = np.random.default_rng(10)
     for nerve in (triangle_nerve(), tetrahedron_nerve()):
         for _ in range(10):
@@ -630,9 +689,9 @@ def test_two_cocycle_g_matches_two_cocycle_value_bit_for_bit(solid):
         data = transition_from_frames(nerve, random_frames(rng, nerve))
         assert not data.is_sl()
         g = two_cocycle_g(data)
-        for (i, j, k) in nerve.simplices[2]:
+        for pos, (i, j, k) in enumerate(nerve.simplices[2]):
             value = two_cocycle_value(data, i, j, k)
-            assert list(g.values[(i, j, k)].terms.items()) == list(value.terms.items())
+            assert list(g.values[pos].terms.items()) == list(value.terms.items())
             # g_ijk is the quadratic term of h in the group law g_ij g_jk
             quadratic = data.h(i, k) - data.h(i, j) - data.h(j, k)
             assert (quadratic - value).max_abs() <= 1e-12
@@ -683,9 +742,70 @@ def test_a_simplex_listed_again_in_another_ordering_raises(p, first, again):
         Nerve([1, 2, 3], simplices)
 
 
-# -- cech-verify: orientation table and exponential series, counted -----------------
+# -- Nerve.faces and Cochain.coboundary against the face lookups written out -------
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
+SHIPPED_NERVES = ["nerve_triangle.json", "nerve_tetrahedron.json",
+                  "nerve_tetrahedron_boundary.json", "nerve_genus1.json"]
+
+
+def face_nerves():
+    nerves = [nerve_from_dict(json.loads((FIXTURES / name).read_text()))
+              for name in SHIPPED_NERVES]
+    return nerves + [edges_reversed(tetrahedron_nerve(solid)) for solid in (True, False)]
+
+
+@pytest.mark.parametrize("nerve", face_nerves(),
+                         ids=SHIPPED_NERVES + ["solid_reversed", "boundary_reversed"])
+def test_faces_match_lookup_of_each_face(nerve):
+    # the matrix of delta is the same table scattered, row by row
+    for p in (1, 2, 3):
+        assert len(nerve.faces[p]) == nerve.num(p)
+        mat = cech._coboundary_matrix(nerve, p - 1)
+        assert mat.shape == (nerve.num(p), nerve.num(p - 1))
+        for s, row, mat_row in zip(nerve.simplices[p], nerve.faces[p], mat):
+            want, want_row = [], np.zeros(nerve.num(p - 1))
+            for k in range(p + 1):
+                pos, sign, _ = nerve.lookup(p - 1, s[:k] + s[k + 1:])
+                want.append((pos, (-1) ** k * sign))
+                want_row[pos] += (-1) ** k * sign
+            assert row == want, s
+            assert np.array_equal(mat_row, want_row), s
+
+
+def written_out_coboundary(c):
+    """delta c per listed simplex: the alternating sum of c on its faces, each
+    face sliced out and read through Cochain.value, summed from zero."""
+    out = []
+    for s in c.nerve.simplices[c.degree + 1]:
+        acc = GrassmannElement.zero(c.n)
+        for k in range(len(s)):
+            term = c.value(s[:k] + s[k + 1:])
+            acc = acc + (term if k % 2 == 0 else -term)
+        out.append(acc)
+    return out
+
+
+def term_bits(x):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_coboundary_is_the_written_out_fold_bit_for_bit(reverse):
+    rng = np.random.default_rng(44 + reverse)
+    nerve = tetrahedron_nerve()
+    if reverse:
+        nerve = edges_reversed(nerve)
+    for degree in (0, 1, 2):
+        for _ in range(5):
+            c = random_cochain(rng, nerve, degree)
+            got = c.coboundary()
+            assert len(got.values) == nerve.num(degree + 1)
+            for x, y in zip(got.values, written_out_coboundary(c)):
+                assert term_bits(x) == term_bits(y)
+
+
+# -- cech-verify: orientation table and exponential series, counted -----------------
 
 
 def quiet_main(argv):

@@ -708,6 +708,15 @@ def test_fatgraph_holonomy_unknown_edge_exits_2(capsys, cycle, step, edge):
     assert "cycle step %d: edge %d is not in 0..2" % (step, edge) in err
 
 
+@pytest.mark.parametrize("cycle", ["", ",", " , "])
+def test_fatgraph_holonomy_of_a_cycle_with_no_step_exits_2(capsys, cycle):
+    # an empty cycle would print the identity holonomy and pass
+    code, out, err = outcome(capsys, ["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                                      fx("connection_g1s1_random.json"), "--cycle=" + cycle])
+    assert (code, out) == (2, "")
+    assert "argument --cycle: %r names no step" % cycle in err
+
+
 def connection_with(tmp_path, change):
     data = json.loads((FIXTURES / "connection_g1s1_flat.json").read_text())
     change(data["edges"])

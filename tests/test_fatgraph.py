@@ -10,7 +10,6 @@ from gl11.fatgraph import (
     check_puncture_constraints,
     connection_from_dict,
     connection_to_dict,
-    dumbbell_graph,
     fixture_graph,
     flat_torus_connection,
     gauge_normalize,
@@ -32,6 +31,12 @@ def t(*indices):
 
 def scalar(c):
     return GrassmannElement.scalar(N, c)
+
+
+def dumbbell_graph() -> FatGraph:
+    """Two loops joined by a bridge."""
+    # edge 0: loop at A (halves 0,1); edge 1: loop at B (2,3); bridge (4,5)
+    return FatGraph([1, 0, 3, 2, 5, 4], [(0, 1, 4), (2, 3, 5)], orientation=[0, 2, 4])
 
 
 def test_theta_graph_variants():
@@ -145,8 +150,7 @@ def test_rescale_conjugates_based_holonomy():
     graph = fixture_graph(1, 2)
     conn = random_connection(rng, graph, N)
     for v in range(graph.num_vertices):
-        edges_at_v = {conn.graph.edge_of_half(h)[0]
-                      for h in graph.cyclic_orders[v]}
+        edges_at_v = {e for e, _ in graph.incident[v]}
         loop = None
         for e in range(graph.num_edges):
             if e not in edges_at_v:
@@ -441,26 +445,50 @@ def half_edge_laplacian(graph):
     return lap
 
 
+def incidence_graphs():
+    return [fixture_graph(g, s) for g, s in FIXTURES] + [dumbbell_graph()]
+
+
 def test_incidence_gram_is_the_graph_laplacian():
     # gauge_normalize solves with B B^T of the signed incidence B; the dumbbell has self-loops
-    rng = np.random.default_rng(31)
-    for graph in [fixture_graph(g, s) for g, s in FIXTURES] + [dumbbell_graph()]:
-        incidence = random_connection(rng, graph, N)._signed_incidence()
+    for graph in incidence_graphs():
+        incidence = graph.incidence
         assert np.array_equal(incidence @ incidence.T, half_edge_laplacian(graph))
+
+
+def edge_loop_incidence(graph):
+    """The signed incidence edge by edge: +1 at the target, -1 at the source."""
+    mat = np.zeros((graph.num_vertices, graph.num_edges))
+    for e in range(graph.num_edges):
+        mat[graph.target(e), e] += 1.0
+        mat[graph.source(e), e] -= 1.0
+    return mat
+
+
+def test_incidence_is_the_edge_loop_and_read_only():
+    for graph in incidence_graphs():
+        want = edge_loop_incidence(graph)
+        assert np.array_equal(graph.incidence, want)
+        assert graph.incidence.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            graph.incidence[0, 0] = 1.0
+    loops = dumbbell_graph().incidence[:, :2]  # edges 0 and 1 are self-loops
+    assert not loops.any() and not np.signbit(loops).any()
 
 
 # -- the half-edge table ------------------------------------------------------------
 
 @pytest.mark.parametrize("genus, punctures", FIXTURES)
-def test_edge_of_half_matches_a_scan_of_edge_halves(genus, punctures):
+def test_incident_matches_a_scan_of_edge_halves(genus, punctures):
     graph = fixture_graph(genus, punctures)
-    for h in range(2 * graph.num_edges):
-        [found] = [(e, h == tail) for e, (tail, head) in enumerate(graph.edge_halves)
-                   if h in (tail, head)]
-        assert graph.edge_of_half(h) == found
-    for h in (-1, 2 * graph.num_edges):
-        with pytest.raises(ValueError, match="unknown half-edge %d" % h):
-            graph.edge_of_half(h)
+    assert len(graph.incident) == graph.num_vertices
+    for order, row in zip(graph.cyclic_orders, graph.incident):
+        found = []
+        for h in order:
+            [step] = [(e, h == tail) for e, (tail, head) in enumerate(graph.edge_halves)
+                      if h in (tail, head)]
+            found.append(step)
+        assert list(row) == found
 
 
 def signed_float_vertex_sums(conn):
