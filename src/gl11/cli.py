@@ -1,9 +1,14 @@
 """Command-line front end binding all modules to file-based workflows.
 
-Every subcommand emits a deterministic run report (text or JSON, checks
-sorted by name) and exits 0 exactly when all checks pass at the requested
-tolerance.  Random suites are seeded through --seed; a suite size --count
-below 1 is a usage error (exit 2), since an empty suite proves nothing.
+Every subcommand has one report path.  Its ``cmd_*`` function returns a
+CheckReport: the module's own report where a module builds one
+(group_law_suite, the cocycle checks, gauge_normalize,
+check_puncture_constraints), else one it fills itself.  ``main`` names the
+report once, from the parsed subcommand path (``command_name``), wraps it in
+a RunReport, prints it (text or JSON, checks sorted by name) and exits 0
+exactly when all checks pass at the requested tolerance, 1 when one fails
+and 2 on a usage error.  Random suites are seeded through --seed; a suite
+size --count below 1 is a usage error, since an empty suite proves nothing.
 cech-verify takes its mode from the data (SL when every s_ij is zero, else
 GL) and names it in the report's info.
 gaudin-commute and quantize-compare check their identities on the m x m
@@ -27,7 +32,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -42,10 +47,10 @@ SELFTEST_GENERATORS = 8
 
 @dataclass
 class RunReport:
-    """Per-command outcome: named residual checks plus info fields."""
+    """A command's CheckReport under the command's name, with its exit status."""
 
     command: str
-    checks: CheckReport = field(default_factory=CheckReport)
+    checks: CheckReport
 
     @property
     def exit_status(self) -> int:
@@ -84,46 +89,43 @@ def _parse(path: str, parse):
 
 # -- group-selftest -------------------------------------------------------------
 
-def cmd_group_selftest(args) -> RunReport:
-    return RunReport("group-selftest", group_law_suite(
-        np.random.default_rng(args.seed), SELFTEST_GENERATORS, args.count, args.tol,
-        args.corrupt))
+def cmd_group_selftest(args) -> CheckReport:
+    return group_law_suite(np.random.default_rng(args.seed), SELFTEST_GENERATORS,
+                           args.count, args.tol, args.corrupt)
 
 
 # -- cech-verify -----------------------------------------------------------------
 
-def cmd_cech_verify(args) -> RunReport:
-    report = RunReport("cech-verify")
+def cmd_cech_verify(args) -> CheckReport:
     nerve = _parse(args.nerve, cech.nerve_from_dict)
     data = _parse(args.data, lambda d: cech.TransitionData.from_dict(nerve, d))
     mode = "sl" if data.is_sl() else "gl"
     check = cech.check_sl_cocycle if mode == "sl" else cech.check_gl_cocycle
-    report.checks.extend(check(data, tol=args.tol))
-    if report.checks.ok and nerve.simplices[2]:
+    report = check(data, tol=args.tol)
+    if report.ok and nerve.simplices[2]:
         g = cech.two_cocycle_g(data)
         if nerve.simplices[3]:
-            report.checks.add("two_cocycle_closed", g.coboundary().max_abs(), args.tol)
+            report.add("two_cocycle_closed", g.coboundary().max_abs(), args.tol)
         try:
             f = cech.solve_coboundary(g, tol=args.tol)
-            report.checks.add("two_cocycle_split", f.coboundary().residual(g), args.tol)
+            report.add("two_cocycle_split", f.coboundary().residual(g), args.tol)
         except cech.ObstructionError as err:
-            report.checks.info["two_cocycle_split"] = str(err)
-    report.checks.info["mode"] = mode
+            report.info["two_cocycle_split"] = str(err)
+    report.info["mode"] = mode
     return report
 
 
 # -- hitchin-residual -------------------------------------------------------------
 
-def cmd_hitchin_residual(args) -> RunReport:
-    report = RunReport("hitchin-residual")
+def cmd_hitchin_residual(args) -> CheckReport:
+    report = CheckReport()
     metric = _parse(args.metric, hitchin.MetricData.from_dict)
     phi = _parse(args.higgs, lambda d: hitchin.higgs_from_dict(metric.n, d))
     residual = hitchin.hitchin_residual(metric, phi, tol=args.tol)
     for i in (0, 1):
         for j in (0, 1):
-            report.checks.add("residual[%d][%d]" % (i, j),
-                              residual[i, j].max_abs(), args.tol)
-    report.checks.add("chern_form_routes_agree", hitchin.chern_form(metric).residual(
+            report.add("residual[%d][%d]" % (i, j), residual[i, j].max_abs(), args.tol)
+    report.add("chern_form_routes_agree", hitchin.chern_form(metric).residual(
         hitchin.chern_form_via_inverse(metric)), args.tol)
     return report
 
@@ -132,15 +134,11 @@ def cmd_hitchin_residual(args) -> RunReport:
 
 def _load_graph_connection(args):
     graph = _parse(args.graph, fatgraph.FatGraph.from_dict)
-    conn = _parse(args.connection, lambda d: fatgraph.connection_from_dict(graph, d))
-    return graph, conn
+    return _parse(args.connection, lambda d: fatgraph.connection_from_dict(graph, d))
 
 
-def cmd_fatgraph_normalize(args) -> RunReport:
-    report = RunReport("fatgraph-normalize")
-    _, conn = _load_graph_connection(args)
-    normalized, check = fatgraph.gauge_normalize(conn, tol=args.tol)
-    report.checks.extend(check)
+def cmd_fatgraph_normalize(args) -> CheckReport:
+    normalized, report = fatgraph.gauge_normalize(_load_graph_connection(args), tol=args.tol)
     if args.output:
         try:
             with open(args.output, "w") as handle:
@@ -150,30 +148,21 @@ def cmd_fatgraph_normalize(args) -> RunReport:
     return report
 
 
-def cmd_fatgraph_holonomy(args) -> RunReport:
-    report = RunReport("fatgraph-holonomy")
-    _, conn = _load_graph_connection(args)
-    hol = conn.holonomy(args.cycle)
-    report.checks.info["holonomy"] = hol.to_dict()
-    report.checks.info["supertrace"] = hol.supertrace().to_dict()
-    report.checks.info["sdet"] = hol.sdet().to_dict()
-    return report
+def cmd_fatgraph_holonomy(args) -> CheckReport:
+    hol = _load_graph_connection(args).holonomy(args.cycle)
+    return CheckReport(info={"holonomy": hol.to_dict(),
+                             "supertrace": hol.supertrace().to_dict(),
+                             "sdet": hol.sdet().to_dict()})
 
 
-def cmd_fatgraph_punctures(args) -> RunReport:
-    report = RunReport("fatgraph-check-punctures")
-    _, conn = _load_graph_connection(args)
-    report.checks.extend(fatgraph.check_puncture_constraints(conn, tol=args.tol))
-    return report
+def cmd_fatgraph_punctures(args) -> CheckReport:
+    return fatgraph.check_puncture_constraints(_load_graph_connection(args), tol=args.tol)
 
 
-def cmd_fatgraph_dims(args) -> RunReport:
-    report = RunReport("fatgraph-dims")
+def cmd_fatgraph_dims(args) -> CheckReport:
     even, odd = fatgraph.moduli_dims(args.genus, args.punctures,
                                      constrained=args.constrained, su=args.su)
-    report.checks.info["even"] = even
-    report.checks.info["odd"] = odd
-    return report
+    return CheckReport(info={"even": even, "odd": odd})
 
 
 # -- integrable ----------------------------------------------------------------------
@@ -186,8 +175,8 @@ def _systems(args, count=1):
     return [integrable.random_system(rng, args.m) for _ in range(count)]
 
 
-def cmd_garnier_check(args) -> RunReport:
-    report = RunReport("garnier-check")
+def cmd_garnier_check(args) -> CheckReport:
+    report = CheckReport()
     routes, brackets, sums = [], [], []
     for p in _systems(args, args.count):
         hams = [integrable.garnier_hamiltonian(p, i) for i in range(p.m)]
@@ -200,9 +189,9 @@ def cmd_garnier_check(args) -> RunReport:
         for i in range(p.m):
             for j in range(i + 1, p.m):
                 brackets.append(integrable.poisson_bracket(p, grads[i], grads[j]).max_abs())
-    report.checks.add("two_routes_agree", nan_max(routes), args.tol)
-    report.checks.add("poisson_commutativity", nan_max(brackets), args.tol)
-    report.checks.add("hamiltonians_sum_to_zero", nan_max(sums), args.tol)
+    report.add("two_routes_agree", nan_max(routes), args.tol)
+    report.add("poisson_commutativity", nan_max(brackets), args.tol)
+    report.add("hamiltonians_sum_to_zero", nan_max(sums), args.tol)
     return report
 
 
@@ -220,9 +209,9 @@ def _realized_maxima(diag, rows, cols, forward, backward):
     return entry, nan_max([np.abs(forward * moved).max(), np.abs(backward * moved).max()])
 
 
-def cmd_gaudin_commute(args) -> RunReport:
+def cmd_gaudin_commute(args) -> CheckReport:
     """[H_i, H_j] = theta [A_i, A_j] d: checks on m x m matrices and sparse entries."""
-    report = RunReport("gaudin-commute")
+    report = CheckReport()
     [p] = _systems(args)
     forms = [integrable.one_body(p, i, hbar=args.hbar) for i in range(p.m)]
     mats = np.array([a for _, a in forms])
@@ -232,7 +221,7 @@ def cmd_gaudin_commute(args) -> RunReport:
         for j in range(i + 1, p.m):
             norm = (np.linalg.norm(products[i, j] - products[j, i])
                     / max(norms[i] * norms[j], 1e-30))
-            report.checks.add("commutator[%d,%d]" % (i, j), norm, args.tol)
+            report.add("commutator[%d,%d]" % (i, j), norm, args.tol)
     # scale is the largest |entry| of any realized H_i, as max|H_i| densely; each
     # realization is freed before the next is made
     entries, moved = [], []
@@ -243,25 +232,24 @@ def cmd_gaudin_commute(args) -> RunReport:
     scale = max(nan_max(entries), 1.0)
     total_c = sum(c for c, _ in forms)
     total_a = sum(a for _, a in forms)
-    report.checks.add("sum_zero", nan_max([abs(total_c), np.abs(total_a).max()]) / scale,
-                      args.tol)
-    report.checks.add("fermion_number_conserved", nan_max(moved) / scale, args.tol)
-    report.checks.info["m"] = p.m
+    report.add("sum_zero", nan_max([abs(total_c), np.abs(total_a).max()]) / scale, args.tol)
+    report.add("fermion_number_conserved", nan_max(moved) / scale, args.tol)
+    report.info["m"] = p.m
     return report
 
 
-def cmd_quantize_compare(args) -> RunReport:
+def cmd_quantize_compare(args) -> CheckReport:
     """Quantized Garnier H_i against Gaudin H_i as (c, A) pairs: no 2^m array."""
-    report = RunReport("quantize-compare")
+    report = CheckReport()
     [p] = _systems(args)
     scaled = p.scaled(args.hbar)
     for i in range(p.m):
         c_q, a_q = integrable.quantized_one_body(
             p, integrable.garnier_hamiltonian(scaled, i), args.hbar)
         c, a = integrable.one_body(p, i, hbar=args.hbar)
-        report.checks.add("quantize_matches_gaudin[%d]" % i,
-                          nan_max([abs(c_q - c), np.abs(a_q - a).max()]), args.tol)
-    report.checks.info["m"] = p.m
+        report.add("quantize_matches_gaudin[%d]" % i,
+                   nan_max([abs(c_q - c), np.abs(a_q - a).max()]), args.tol)
+    report.info["m"] = p.m
     return report
 
 
@@ -425,10 +413,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def command_name(args) -> str:
+    """The parsed subcommand path as one name: 'cech-verify', 'fatgraph-dims'."""
+    if args.command == "fatgraph":
+        return "fatgraph-" + args.fatgraph_command
+    return args.command
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = args.func(args)
+        report = RunReport(command_name(args), args.func(args))
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

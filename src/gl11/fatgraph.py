@@ -433,14 +433,12 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
         report.add("vertex_beta_sum[%d]" % v, beta.max_abs(), tol)
 
     rank = int(np.linalg.matrix_rank(incidence, tol=1e-9))
-    e_count = graph.num_edges
+    odd = odd_per_even(conn.mode == "su")
     report.info["singular"] = False
-    report.info["free_even"] = e_count - rank
-    report.info["free_odd"] = 2 * (e_count - rank)
-    if conn.mode == "su":
-        report.info["free_odd"] = e_count - rank
+    report.info["free_even"] = graph.num_edges - rank
+    report.info["free_odd"] = odd * (graph.num_edges - rank)
     report.info["residual_gauge_even"] = graph.num_vertices - rank
-    report.info["residual_gauge_odd"] = 2 * (graph.num_vertices - rank)
+    report.info["residual_gauge_odd"] = odd * (graph.num_vertices - rank)
     return out, report
 
 
@@ -463,12 +461,18 @@ def check_puncture_constraints(conn: GraphConnection, tol: float = 1e-9) -> Chec
     rank = int(np.linalg.matrix_rank(combined, tol=1e-9))
     e_count = graph.num_edges
     report.info["constrained_free_even"] = e_count - rank
-    report.info["constrained_free_odd"] = (2 if conn.mode == "sl" else 1) * (e_count - rank)
+    report.info["constrained_free_odd"] = odd_per_even(conn.mode == "su") * (e_count - rank)
     report.info["num_punctures"] = len(faces)
     genus, s = graph.genus_punctures()
     report.info["closed_form_constrained"] = moduli_dims(
         genus, s, constrained=True, su=conn.mode == "su")
     return report
+
+
+def odd_per_even(su: bool) -> int:
+    """Odd directions per even one: alpha and beta on SL; on SU beta is alpha's
+    conjugate, so one."""
+    return 1 if su else 2
 
 
 def moduli_dims(genus: int, punctures: int, constrained: bool = False,
@@ -478,10 +482,8 @@ def moduli_dims(genus: int, punctures: int, constrained: bool = False,
         raise ValueError("need g >= 0, s >= 1 and 2g - 2 + s > 0, got (g, s) = (%d, %d)"
                          % (genus, punctures))
     if constrained:
-        return (2 * genus, 2 * genus if su else 4 * genus)
-    even = 2 * genus + 2 * punctures - 1
-    odd = (2 * genus + punctures - 1) if su else (4 * genus + 2 * punctures - 2)
-    return even, odd
+        return 2 * genus, odd_per_even(su) * 2 * genus
+    return 2 * genus + 2 * punctures - 1, odd_per_even(su) * (2 * genus + punctures - 1)
 
 
 # -- random and file-backed connections ---------------------------------------

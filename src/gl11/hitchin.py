@@ -25,8 +25,10 @@ entry, d - a in the lower) is conjugated and multiplied.
 from __future__ import annotations
 
 from .grassmann import (
+    PRUNE_TOL,
     ConjugationTable,
     GrassmannElement,
+    NotInvertibleError,
     _accumulate,
     _element,
     json_at,
@@ -137,8 +139,6 @@ class LocalFunction:
     # -- algebra --------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, GrassmannElement):
-            other = LocalFunction.constant(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, GrassmannElement.zero(self.n)) + c
@@ -153,8 +153,6 @@ class LocalFunction:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return LocalFunction(self.n, {k: c * other for k, c in self.terms.items()})
-        if isinstance(other, GrassmannElement):
-            other = LocalFunction.constant(other)
         return LocalFunction.dot((self, other))
 
     @staticmethod
@@ -182,22 +180,20 @@ class LocalFunction:
         return LocalFunction(n, {key: _element(n, terms) for key, terms in acc.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, GrassmannElement)):
-            if isinstance(other, GrassmannElement):
-                return LocalFunction.constant(other) * self
+        if isinstance(other, (int, float, complex)):
             return self * other
         return NotImplemented
 
     def inv(self) -> "LocalFunction":
         """Inverse of c(1 + w) with w nilpotent (all non-body content soul)."""
         body = self.body()
-        if abs(body) <= 1e-12:
-            raise ValueError("not invertible: constant-term body is zero")
+        if abs(body) <= PRUNE_TOL:
+            raise NotInvertibleError("not invertible: constant-term body is zero")
         scale = 1.0 / body
         w = self * scale - LocalFunction.one(self.n)
         for (p, q), c in w.terms.items():
-            if abs(c.body()) > 1e-12:
-                raise ValueError(
+            if abs(c.body()) > PRUNE_TOL:
+                raise NotInvertibleError(
                     "not invertible in the polynomial model: term z^%d zbar^%d "
                     "has a nonzero body" % (p, q))
         (terms,) = nilpotent_series(w, {(0, 0): GrassmannElement.one(self.n)},

@@ -89,10 +89,6 @@ class CheckReport:
     def add(self, name: str, residual: float, tol: float) -> None:
         self.checks.append(Check(name, float(residual), float(tol)))
 
-    def extend(self, other: "CheckReport") -> None:
-        self.checks.extend(other.checks)
-        self.info.update(other.info)
-
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)

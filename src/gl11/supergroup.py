@@ -145,8 +145,8 @@ class SuperMatrix11:
         return type(self)(c * self.a, c * self.beta, c * self.gamma, c * self.d,
                           check=False)
 
-    def is_invertible(self, tol: float = 1e-12) -> bool:
-        return abs(self.a.body()) > tol and abs(self.d.body()) > tol
+    def is_invertible(self) -> bool:
+        return abs(self.a.body()) > PRUNE_TOL and abs(self.d.body()) > PRUNE_TOL
 
     def inverse(self) -> "SuperMatrix11":
         """Closed-form block inverse; needs invertible a and d bodies."""
@@ -323,7 +323,7 @@ def higgs_eigen(phi: SuperMatrix11) -> HiggsEigenData:
     1]] conjugates phi to diag(lambda_+, lambda_-).
     """
     st = phi.supertrace()
-    if abs(st.body()) <= 1e-12:
+    if abs(st.body()) <= PRUNE_TOL:
         raise NotInvertibleError("non-diagonalizable: supertrace not invertible")
     st_inv = st.inv()
     correction = phi.beta * phi.gamma * st_inv

@@ -225,6 +225,23 @@ def test_two_cocycle_example_and_closedness():
         assert g.coboundary().max_abs() < 1e-10
 
 
+@pytest.mark.parametrize("nerve", [triangle_nerve(), tetrahedron_nerve(solid=True),
+                                   tetrahedron_nerve(solid=False)])
+@pytest.mark.parametrize("sl", [True, False])
+def test_two_cocycle_g_of_cocycle_data_is_the_coboundary_of_the_h_souls(nerve, sl):
+    # g = delta f with f_ij = -soul(h_ij) on data that pass the cocycle checks, so
+    # cech-verify's two_cocycle_closed and two_cocycle_split cannot fail on such data
+    rng = np.random.default_rng(5)
+    check = check_sl_cocycle if sl else check_gl_cocycle
+    for _ in range(5):
+        data = transition_from_frames(nerve, random_frames(rng, nerve, sl=sl))
+        assert check(data).ok
+        g = two_cocycle_g(data)
+        f = Cochain(nerve, 1, N, {(i, j): -data.h(i, j).soul() for (i, j) in nerve.simplices[1]})
+        assert g.max_abs() > 0.01
+        assert f.coboundary().residual(g) == 0.0
+
+
 def test_two_cocycle_zero_for_zero_alpha():
     data = TransitionData(triangle_nerve(), N)
     g = two_cocycle_g(data)

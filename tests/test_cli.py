@@ -113,6 +113,32 @@ def test_cech_verify_reports_an_open_two_cocycle(capsys, tmp_path):
     assert failing_checks(out) == ["two_cocycle_closed"]
 
 
+@pytest.mark.parametrize("solid", [True, False])
+def test_cech_verify_reports_a_shifted_two_cocycle(capsys, monkeypatch, tmp_path, solid):
+    # frame data pass every cocycle check, and their g is exact (test_cech); a
+    # constant added to g on one triangle is not closed on the solid tetrahedron
+    # and has a nonzero class on its boundary, a sphere
+    nerve = cech.tetrahedron_nerve(solid)
+    frames = {v: supergroup.random_coords(np.random.default_rng(5), 8) for v in nerve.vertices}
+    paths = [tmp_path / "nerve.json", tmp_path / "data.json"]
+    paths[0].write_text(json.dumps(cech.nerve_to_dict(nerve)))
+    paths[1].write_text(json.dumps(cech.transition_from_frames(nerve, frames).to_dict()))
+    value, first = cech.two_cocycle_value, nerve.simplices[2][0]
+    monkeypatch.setattr(cech, "two_cocycle_value", lambda data, *tri: (
+        value(data, *tri) + 1.0 if tri == first else value(data, *tri)))
+    code, out, err = outcome(capsys, ["--format", "json", "cech-verify", *map(str, paths)])
+    payload = json.loads(out)
+    names = {c["name"] for c in payload["checks"]}
+    assert err == ""
+    assert payload["info"]["two_cocycle_split"].startswith("obstruction class nonzero")
+    assert "two_cocycle_split" not in names
+    if solid:
+        assert (code, failing_checks(out)) == (1, ["two_cocycle_closed"])
+    else:  # the obstruction is info only: no check fails
+        assert (code, failing_checks(out)) == (0, [])
+        assert "two_cocycle_closed" not in names
+
+
 def test_exact_solves_pass_at_tol_0(capsys):
     # the rounding of an exact least-norm solve is neither an obstruction nor a singular system
     code, out, _ = outcome(capsys, ["--format", "json", "--tol", "0", "cech-verify",
@@ -1029,7 +1055,8 @@ def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
     for command in commands:
         argv = ["--format", "json"] + command
         args = cli.build_parser().parse_args(argv)
-        expected = json.dumps(args.func(args).to_dict(), indent=2, sort_keys=True)
+        report = cli.RunReport(cli.command_name(args), args.func(args))
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         main(argv)
         assert capsys.readouterr().out == expected + "\n", command
     written = (tmp_path / "normalized.json").read_text()

@@ -339,6 +339,19 @@ def test_su_gauge_normalize():
     assert report.info["free_odd"] == report.info["free_even"] * 1
 
 
+def test_su_gauge_normalize_counts_one_odd_move_per_even_one():
+    # SU has one odd gauge move per vertex ('odd') where SL has two
+    rng = np.random.default_rng(1)
+    for (genus, s) in FIXTURES:
+        graph = fixture_graph(genus, s)
+        _, su = gauge_normalize(random_connection(rng, graph, N, mode="su", table=TABLE))
+        _, sl = gauge_normalize(random_connection(rng, graph, N))
+        assert su.ok and sl.ok
+        assert su.info["residual_gauge_odd"] == su.info["residual_gauge_even"] == 1
+        assert su.info["free_odd"] == su.info["free_even"]
+        assert sl.info["residual_gauge_odd"] == 2 * sl.info["residual_gauge_even"] == 2
+
+
 def test_edge_reversal_equivalence():
     # reversing every edge and inverting every assignment preserves holonomy
     # supertraces of boundary cycles

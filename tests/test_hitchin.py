@@ -132,6 +132,26 @@ def test_local_function_inverse():
         assert (f * f_inv).is_close(LocalFunction.one(N))
 
 
+def test_local_function_inverse_rejects_a_zero_constant_body():
+    f = const(t(1, 2)) + mono(scalar(1.0), 1, 0)
+    with pytest.raises(NotInvertibleError, match="constant-term body is zero"):
+        f.inv()
+
+
+def test_local_function_inverse_rejects_a_non_constant_term_with_a_body():
+    f = LocalFunction.one(N) + mono(scalar(2.0) + t(1, 2), 0, 1)
+    with pytest.raises(NotInvertibleError, match=r"term z\^0 zbar\^1 has a nonzero body"):
+        f.inv()
+
+
+def test_local_function_takes_no_grassmann_operand():
+    # a constant function is LocalFunction.constant(x); a bare element is refused
+    f, x = LocalFunction.one(N) + mono(scalar(1.0), 1, 0), scalar(2.0) + t(1)
+    for op in (lambda: f * x, lambda: x * f, lambda: f + x):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_degree_9_metric_round_trips_and_inverts():
     rng = np.random.default_rng(9)
     u = random_poly(rng, "even") + mono(scalar(0.5) + t(1, 5), 9, 9)
