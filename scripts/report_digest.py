@@ -7,13 +7,15 @@ Runs every operation of the three benchmark pools (built by
 ``perfbench/workloads.py``) at each seed, then every command on the shipped
 fixtures in text and in JSON, then, at each seed, the JSON reports of
 ``gaudin-commute`` at m = 12 and m = 16, whose realizations are larger than
-any the pools draw (they stop at m = 8), and last ``gaudin-commute`` in text
+any the pools draw (they stop at m = 8), then ``gaudin-commute`` in text
 and in JSON on ``gaudin_m3.json`` rewritten with v_1 = 0 (pairs coupled one
-way only) and with every v = 0 (operators with no pair), and then
+way only) and with every v = 0 (operators with no pair), then
 ``cech-verify`` in text and in JSON on the two small shipped nerves: the
 triangle with SL and with GL cocycle data (a one-row coboundary solve), and
-the genus-1 cycle, which has no triangle and so no cocycle check.  Each call prints
-one line: its argv, its exit status and the SHA-256 of its stdout plus
+the genus-1 cycle, which has no triangle and so no cocycle check, and last, at
+each seed, the JSON reports of ``garnier-check`` at m = 2 (one site pair) and
+at m = 8 with two systems (28 pairs), outside the pools' m 3..5.  Each call
+prints one line: its argv, its exit status and the SHA-256 of its stdout plus
 stderr (plus the file it wrote, for ``fatgraph normalize -o``).  The work
 directory reads as ``<work>`` and the checkout as ``<root>``, in the argv
 and in the hashed output, so the digests of two checkouts are equal line
@@ -82,6 +84,12 @@ def large_commands(seed):
     """argv of the seeded gaudin-commute runs past the pools' m <= 8."""
     head = ["--format", "json", "--seed", str(seed), "gaudin-commute"]
     return [head + ["--m", "12"], head + ["--m", "16", "--hbar", "0.5"]]
+
+
+def garnier_commands(seed):
+    """argv of the seeded garnier-check runs at one site pair and at 28."""
+    head = ["--format", "json", "--seed", str(seed), "garnier-check"]
+    return [head + ["--m", "2"], head + ["--m", "8", "--count", "2"]]
 
 
 def zero_v_commands(workdir):
@@ -193,6 +201,9 @@ def main(argv=None):
                 print(digest_line(argv, workdir, args.outcomes))
         for argv in zero_v_commands(workdir) + small_nerve_commands(workdir):
             print(digest_line(argv, workdir, args.outcomes))
+        for seed in args.seeds:
+            for argv in garnier_commands(seed):
+                print(digest_line(argv, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -11,6 +11,10 @@ and 2 on a usage error.  Random suites are seeded through --seed; a suite
 size --count below 1 is a usage error, since an empty suite proves nothing.
 cech-verify takes its mode from the data (SL when every s_ij is zero, else
 GL) and names it in the report's info.
+garnier-check compares each Garnier H_i of the supertrace route, formed from
+one str(A_i A_j) per site pair, with the closed-form route, brackets the
+former and takes hamiltonians_sum_to_zero over the latter, where the sum
+does not vanish by construction.
 gaudin-commute and quantize-compare check their identities on the m x m
 one-body forms of integrable.one_body and integrable.quantized_one_body, and
 gaudin-commute also on the Jordan-Wigner arrays that integrable.one_body_terms
@@ -180,11 +184,13 @@ def cmd_garnier_check(args) -> CheckReport:
     routes, brackets, sums = [], [], []
     for p in _systems(args, args.count):
         hams = [integrable.garnier_hamiltonian(p, i) for i in range(p.m)]
-        for i, h in enumerate(hams):
-            routes.append(h.residual(integrable.garnier_hamiltonian_expanded(p, i)))
-        # k = 1.0 leaves every finite coefficient's value, so this is the sum's max_abs
+        expanded = [integrable.garnier_hamiltonian_expanded(p, i) for i in range(p.m)]
+        routes += [h.residual(e) for h, e in zip(hams, expanded)]
+        # over the expanded route: the supertrace route shares str(A_i A_j) between
+        # H_i and H_j, so its sum vanishes by construction.  k = 1.0 leaves every
+        # finite coefficient's value, so this is the sum's max_abs
         sums.append(GrassmannElement.zero(p.n).add_combination(
-            *[(h, 1.0) for h in hams]).max_abs())
+            *[(e, 1.0) for e in expanded]).max_abs())
         grads = [integrable.odd_gradient(p, h) for h in hams]
         for i in range(p.m):
             for j in range(i + 1, p.m):

@@ -373,10 +373,6 @@ class GraphConnection:
         """
         return self._apply_gauge({v: self._rescaling_coords(kind, param)})
 
-    def rescaling_element(self, kind: str, param: GrassmannElement) -> SuperMatrix11:
-        """Matrix R such that a holonomy based at v maps to R^{-1} Hol R."""
-        return from_coords(self._rescaling_coords(kind, param))
-
     # -- gauge constraints ----------------------------------------------------
 
     def vertex_sums(self, parts=("h", "alpha", "beta")):

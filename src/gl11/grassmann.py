@@ -305,6 +305,8 @@ class GrassmannElement:
 
     ``terms`` is a dict from monomial bitmask to complex coefficient.  It is
     copied at construction, and entries of magnitude <= ``prune`` are removed.
+    ``+``, ``-`` and ``*`` take a GrassmannElement or a number; any other
+    operand returns NotImplemented, so Python raises TypeError.
     """
 
     __slots__ = ("n", "terms")
@@ -421,7 +423,9 @@ class GrassmannElement:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if type(other) is not GrassmannElement:
+            if not isinstance(other, (int, float, complex)):
+                return NotImplemented
             other = GrassmannElement.scalar(self.n, other)
         if self.n != other.n:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
@@ -460,7 +464,9 @@ class GrassmannElement:
         return _element(self.n, {m: -c for m, c in self.terms.items()}, prune=0.0)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if type(other) is not GrassmannElement:
+            if not isinstance(other, (int, float, complex)):
+                return NotImplemented
             return self + (-other)
         if self.n != other.n:
             raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
@@ -474,9 +480,11 @@ class GrassmannElement:
         return GrassmannElement.scalar(self.n, other) - self
 
     def __mul__(self, other):
+        if type(other) is GrassmannElement:
+            return GrassmannElement.dot((self, other))
         if isinstance(other, (int, float, complex)):
             return _element(self.n, {m: c * other for m, c in self.terms.items()})
-        return GrassmannElement.dot((self, other))
+        return NotImplemented
 
     @staticmethod
     def dot(*pairs) -> "GrassmannElement":

@@ -220,12 +220,6 @@ class LocalFunction:
         return LocalFunction(self.n, {(q, p): c.conjugate(table)
                                       for (p, q), c in self.terms.items()})
 
-    def evaluate(self, z: complex, zbar: complex) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for (p, q), c in self.terms.items():
-            out = out + c * (z ** p * zbar ** q)
-        return out
-
     def __repr__(self):
         return "LocalFunction(n=%d, %d terms, parity=%s)" % (
             self.n, len(self.terms), self.parity())

@@ -12,14 +12,21 @@ with left derivatives (this is the unique super-antisymmetric sign choice
 for the two-term form; validated by {H_i, H_j} = 0 and by matching operator
 commutators after quantization).
 
-The classical side computes each quantity once per system.  ParabolicData
-builds its residue matrices A_i on first use and keeps them; its sites are
-tuples, so the stored matrices cannot go stale.  garnier_hamiltonian takes
-str(A_i A_j) from the diagonal blocks alone (supertrace_product), the same
-floating-point operations as the supertrace of the full product.
+The classical side computes each quantity once.  The generators theta_k,
+eta_k and their products theta_i eta_j and eta_i theta_j depend on m alone:
+site_products builds them once per site count, writing each product as the
+one term x * y stores.  ParabolicData builds its residue matrices A_i from
+them on first use and keeps them; its sites are tuples, so the stored
+matrices cannot go stale.  It keeps its Garnier Hamiltonians in the same way
+(ParabolicData.hamiltonians): S_ij = str(A_i A_j) is taken from the diagonal
+blocks alone (supertrace_product), the same floating-point operations as the
+supertrace of the full product, once per pair i < j, since str(A_j A_i)
+equals it bit for bit; garnier_hamiltonian reads H_i from there.
 garnier_hamiltonian_expanded, the independent route, uses no residue matrix:
-its theta_k, eta_k and u_k - 2 theta_k eta_k are built once per system and
-kept in the same way (ParabolicData.expanded).
+its u_k - 2 theta_k eta_k are built once per system and kept
+(ParabolicData.expanded), and its cross terms are read from site_products.
+Sharing S_ij makes sum_i H_i vanish by construction on the supertrace route,
+so garnier-check sums the expanded Hamiltonians.
 odd_gradient takes the 2m derivatives of an observable once, and
 poisson_bracket accepts either observables or their gradients, so a family
 of Hamiltonians is differentiated once and not once per pair.  The bracket's
@@ -53,12 +60,12 @@ by GrassmannElement.add_combination, not one element per sum and per term.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grassmann import (MAX_GENERATORS, GrassmannElement, json_at, json_list, json_number,
-                        json_object, require_parity)
+from .grassmann import (MAX_GENERATORS, GrassmannElement, _merge_sign, json_at, json_list,
+                        json_number, json_object, require_parity)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
@@ -67,6 +74,29 @@ MAX_SITES = MAX_GENERATORS // 2
 # one_body_terms of a Gaudin H_i holds m - 1 pairs of 2^(m-2) states, 56 bytes
 # each: about 14 MB at m = 16
 MAX_REALIZED_SITES = 16
+
+
+@lru_cache(maxsize=MAX_SITES)
+def site_products(m: int) -> tuple:
+    """(theta, eta, theta_eta, eta_theta) on the 2m generators of m sites, built
+    once per site count: theta[k] and eta[k] the generators, theta_eta[i][j] =
+    theta_i eta_j and eta_theta[i][j] = eta_i theta_j, all tuples.
+
+    A product of two generators is the one term that x * y stores, written
+    directly: the monomial a | b with 0j + 1 * 1 * _merge_sign(a, b).
+    """
+    n = 2 * m
+    theta = [1 << 2 * k for k in range(m)]  # theta_k is generator 2k + 1
+    eta = [1 << 2 * k + 1 for k in range(m)]
+
+    def elements(masks):
+        return tuple(GrassmannElement(n, {a: 1.0}) for a in masks)
+
+    def products(left, right):
+        return tuple(tuple(GrassmannElement(n, {a | b: (1 + 0j) * (1 + 0j) * _merge_sign(a, b)})
+                           for b in right) for a in left)
+
+    return elements(theta), elements(eta), products(theta, eta), products(eta, theta)
 
 
 class ParabolicData:
@@ -114,26 +144,45 @@ class ParabolicData:
     def residues(self) -> tuple:
         """(A_0, ..., A_{m-1}), built on first use and kept (see residue_matrix)."""
         n = self.n
+        theta, eta, theta_eta, _ = site_products(self.m)
         out = []
         for i in range(self.m):
-            theta, eta = self.theta(i), self.eta(i)
-            te = theta * eta
+            te = theta_eta[i][i]
             out.append(SuperMatrix11(GrassmannElement.scalar(n, self.a(i)) - te,
-                                     theta,
-                                     self.v[i] * eta,
+                                     theta[i],
+                                     self.v[i] * eta[i],
                                      GrassmannElement.scalar(n, self.b(i)) - te))
         return tuple(out)
 
     @cached_property
+    def hamiltonians(self) -> tuple:
+        """(H_0, ..., H_{m-1}) of garnier_hamiltonian, built on first use and kept.
+
+        S_ij = str(A_i A_j) is formed once per pair i < j: the two fused dots
+        of supertrace_product give each monomial exactly one product, and
+        complex products commute, so str(A_j A_i) is S_ij bit for bit.  Each
+        H_i is one add_combination of its S_ij / (z_i - z_j) in j order.
+        """
+        a, z, m = self.residues, self.z, self.m
+        s = {}
+        for i in range(m):
+            for j in range(i + 1, m):
+                s[i, j] = s[j, i] = supertrace_product(a[i], a[j])
+        zero = GrassmannElement.zero(self.n)
+        return tuple(zero.add_combination(*[(s[i, j], 1.0 / (z[i] - z[j]))
+                                            for j in range(m) if j != i])
+                     for i in range(m))
+
+    @cached_property
     def expanded(self) -> tuple:
-        """(theta, eta, w) with w_k = u_k - 2 theta_k eta_k, tuples over the sites,
-        built on first use and kept: garnier_hamiltonian_expanded's operands."""
+        """(theta_eta, eta_theta, w): the site_products tables and the tuple of
+        w_k = u_k - 2 theta_k eta_k, built on first use and kept:
+        garnier_hamiltonian_expanded's operands."""
         n = self.n
-        theta = tuple(self.theta(k) for k in range(self.m))
-        eta = tuple(self.eta(k) for k in range(self.m))
-        w = tuple(GrassmannElement.scalar(n, u) - 2 * (t * e)
-                  for u, t, e in zip(self.u, theta, eta))
-        return theta, eta, w
+        _, _, theta_eta, eta_theta = site_products(self.m)
+        w = tuple(GrassmannElement.scalar(n, u) - 2 * theta_eta[k][k]
+                  for k, u in enumerate(self.u))
+        return theta_eta, eta_theta, w
 
     def scaled(self, hbar: float) -> "ParabolicData":
         """Same sites with u_i -> hbar u_i (the quantization weight rule)."""
@@ -188,13 +237,12 @@ def residue_matrix(p: ParabolicData, i: int) -> SuperMatrix11:
 
 
 def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
-    """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j)."""
+    """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j), read from p.hamiltonians."""
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
-    a_i = residue_matrix(p, i)  # raises on a site index out of range
-    return GrassmannElement.zero(p.n).add_combination(*[
-        (supertrace_product(a_i, a_j), 1.0 / (p.z[i] - p.z[j]))
-        for j, a_j in enumerate(p.residues) if j != i])
+    if not 0 <= i < p.m:
+        raise ValueError("site index %r out of range" % i)
+    return p.hamiltonians[i]
 
 
 def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
@@ -211,11 +259,11 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
         raise ValueError("Garnier Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
-    theta, eta, w = p.expanded
+    theta_eta, eta_theta, w = p.expanded
     zero = GrassmannElement.zero(p.n)
     return zero.add_combination(*[
         (zero.add_combination((w[i], 0.5 * p.v[j]), (w[j], 0.5 * p.v[i]),
-                              (theta[i] * eta[j], p.v[j]), (eta[i] * theta[j], -p.v[i])),
+                              (theta_eta[i][j], p.v[j]), (eta_theta[i][j], -p.v[i])),
          1.0 / (p.z[i] - p.z[j]))
         for j in range(p.m) if j != i])
 

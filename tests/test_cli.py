@@ -448,7 +448,7 @@ def test_hitchin_residual_generator_count_names_field_and_term(capsys, tmp_path)
 @pytest.mark.parametrize("target, check", [
     ("garnier_hamiltonian_expanded", "two_routes_agree"),
     ("poisson_bracket", "poisson_commutativity"),
-    ("garnier_hamiltonian", "hamiltonians_sum_to_zero"),
+    ("garnier_hamiltonian_expanded", "hamiltonians_sum_to_zero"),
 ])
 def test_garnier_check_folds_keep_nan(capsys, monkeypatch, target, check):
     real = getattr(integrable, target)
@@ -1102,6 +1102,43 @@ def test_garnier_check_computes_each_quantity_once(capsys, monkeypatch, m):
         "garnier_hamiltonian_expanded": m,
         "poisson_bracket": m * (m - 1) // 2,
     }
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_garnier_check_forms_one_supertrace_per_pair(capsys, monkeypatch, m):
+    # str(A_j A_i) equals str(A_i A_j) bit for bit, so it is formed for i < j only
+    real = integrable.supertrace_product
+    pairs = []
+
+    def recording(x, y):
+        pairs.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(integrable, "supertrace_product", recording)
+    code, _, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "1"])
+    assert (code, err) == (0, "")
+    assert all(x is not y for x, y in pairs)
+    assert len({frozenset((id(x), id(y))) for x, y in pairs}) == len(pairs) == m * (m - 1) // 2
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_garnier_check_sum_fails_with_a_flipped_cross_term(capsys, monkeypatch, m):
+    # the sum is taken on the expanded route, where it does not vanish by
+    # construction: with eta_i theta_j entering H_i with the wrong sign, the
+    # cross terms of H_i and H_j add up instead of cancelling
+    real = integrable.site_products
+
+    def flipped(sites):
+        theta, eta, theta_eta, eta_theta = real(sites)
+        return theta, eta, theta_eta, tuple(tuple(-x for x in row) for row in eta_theta)
+
+    monkeypatch.setattr(integrable, "site_products", flipped)
+    code, out = run(capsys, "--format", "json", "garnier-check", "--m", str(m))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["hamiltonians_sum_to_zero"]["passed"]
+    assert checks["hamiltonians_sum_to_zero"]["residual"] > 1.0
+    assert checks["poisson_commutativity"]["passed"]  # the residue route is untouched
 
 
 def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, monkeypatch):

@@ -33,6 +33,12 @@ def scalar(c):
     return GrassmannElement.scalar(N, c)
 
 
+def rescaling_element(conn, kind, param) -> SuperMatrix11:
+    """Matrix R such that conn.vertex_rescale(v, kind, param) maps a holonomy
+    based at v to R^{-1} Hol R."""
+    return from_coords(conn._rescaling_coords(kind, param))
+
+
 def dumbbell_graph() -> FatGraph:
     """Two loops joined by a bridge."""
     # edge 0: loop at A (halves 0,1); edge 1: loop at B (2,3); bridge (4,5)
@@ -138,7 +144,7 @@ def test_rescale_conjugates_based_holonomy():
                             ("lower", random_odd(rng, N, num_terms=2)),
                             ("upper", random_odd(rng, N, num_terms=2))):
             out = conn.vertex_rescale(base, kind, param)
-            r = conn.rescaling_element(kind, param)
+            r = rescaling_element(conn, kind, param)
             expected = r.inverse() * hol * r
             assert out.holonomy(cycle).is_close(expected)
             # based away from the rescaled vertex: conjugation at the midpoint

@@ -54,6 +54,14 @@ def zero_fn():
     return LocalFunction.zero(N)
 
 
+def evaluate(f, z, zbar):
+    """The local function f at the point (z, zbar), as one Grassmann element."""
+    out = GrassmannElement.zero(f.n)
+    for (p, q), c in f.terms.items():
+        out = out + c * (z ** p * zbar ** q)
+    return out
+
+
 def random_poly(rng, parity, max_deg=2, holo=False, anti=False, num_terms=3):
     terms = {}
     for _ in range(num_terms):
@@ -150,6 +158,18 @@ def test_local_function_takes_no_grassmann_operand():
     for op in (lambda: f * x, lambda: x * f, lambda: f + x):
         with pytest.raises(TypeError):
             op()
+
+
+def test_a_grassmann_element_takes_no_local_function_operand():
+    f, x, b = LocalFunction.one(N) + mono(scalar(1.0), 1, 0), scalar(2.0) + t(1), scalar(3.0)
+    for op in (lambda: x + f, lambda: x - f, lambda: b * f):
+        with pytest.raises(TypeError):
+            op()
+    # numbers are taken as before
+    assert (x + 1).terms == {0: 3 + 0j, 1: 1 + 0j}
+    assert (1 - x).terms == {0: -1 + 0j, 1: -1 + 0j}
+    assert (2 * x).terms == {0: 4 + 0j, 1: 2 + 0j}
+    assert (x * 0.5j).terms == {0: 1j, 1: 0.5j}
 
 
 def test_degree_9_metric_round_trips_and_inverts():
@@ -361,15 +381,15 @@ def test_metric_gauge_law_at_evaluated_points():
         beta_fn = random_poly(rng, "odd", max_deg=2)
         z = complex(rng.standard_normal(), rng.standard_normal()) * 0.5
         zbar = z.conjugate()
-        u = u_fn.evaluate(z, zbar)
-        rho = rho_fn.evaluate(z, zbar)
-        h = h_fn.evaluate(z, zbar)
-        alpha = alpha_fn.evaluate(z, zbar)
-        beta = beta_fn.evaluate(z, zbar)
-        rhobar = rho_fn.conjugate(TABLE).evaluate(z, zbar)
-        hbar_ = h_fn.conjugate(TABLE).evaluate(z, zbar)
-        alphabar = alpha_fn.conjugate(TABLE).evaluate(z, zbar)
-        betabar = beta_fn.conjugate(TABLE).evaluate(z, zbar)
+        u = evaluate(u_fn, z, zbar)
+        rho = evaluate(rho_fn, z, zbar)
+        h = evaluate(h_fn, z, zbar)
+        alpha = evaluate(alpha_fn, z, zbar)
+        beta = evaluate(beta_fn, z, zbar)
+        rhobar = evaluate(rho_fn.conjugate(TABLE), z, zbar)
+        hbar_ = evaluate(h_fn.conjugate(TABLE), z, zbar)
+        alphabar = evaluate(alpha_fn.conjugate(TABLE), z, zbar)
+        betabar = evaluate(beta_fn.conjugate(TABLE), z, zbar)
         zero = GrassmannElement.zero(N)
         out = coords_product(
             coords_product(GroupCoords(hbar_, zero, betabar, alphabar),

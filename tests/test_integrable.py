@@ -22,6 +22,7 @@ from gl11.integrable import (
     quantized_one_body,
     random_system,
     residue_matrix,
+    site_products,
     theta_matrix,
 )
 from gl11.supergroup import SuperMatrix11
@@ -817,6 +818,40 @@ def test_supertrace_product_of_residues_equals_the_full_product():
         for x in p.residues:
             for y in p.residues:
                 assert supertrace_product(x, y).terms == (x * y).supertrace().terms
+
+
+def hex_terms(x):
+    """The coefficients of x by float.hex of each part, signed zeros included."""
+    return {m: (c.real.hex(), c.imag.hex()) for m, c in x.terms.items()}
+
+
+def test_supertrace_product_is_symmetric_bit_for_bit():
+    for p in oracle_systems():
+        for i, x in enumerate(p.residues):
+            for y in p.residues[i + 1:]:
+                assert hex_terms(supertrace_product(x, y)) == hex_terms(supertrace_product(y, x))
+
+
+def test_site_products_are_the_generator_products_they_replace():
+    for m in (1, 2, 3, 5):
+        theta, eta, theta_eta, eta_theta = site_products(m)
+        assert site_products(m) is site_products(m)
+        n = 2 * m
+        assert [x.terms for x in theta] == [GrassmannElement.generator(n, 2 * k + 1).terms
+                                            for k in range(m)]
+        assert [x.terms for x in eta] == [GrassmannElement.generator(n, 2 * k + 2).terms
+                                          for k in range(m)]
+        for i in range(m):
+            for j in range(m):
+                assert theta_eta[i][j].n == eta_theta[i][j].n == n
+                assert hex_terms(theta_eta[i][j]) == hex_terms(theta[i] * eta[j])
+                assert hex_terms(eta_theta[i][j]) == hex_terms(eta[i] * theta[j])
+
+
+def test_hamiltonians_are_kept_and_read_by_garnier_hamiltonian():
+    p = random_system(np.random.default_rng(45), 4)
+    assert p.hamiltonians is p.hamiltonians
+    assert all(garnier_hamiltonian(p, i) is h for i, h in enumerate(p.hamiltonians))
 
 
 def test_garnier_routes_equal_their_oracles_in_every_coefficient():

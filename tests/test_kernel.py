@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11 import cli, grassmann
+from gl11 import cli, grassmann, integrable
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
@@ -475,22 +475,45 @@ def test_a_poisson_bracket_of_gradients_builds_one_element(built, m):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("route", [garnier_hamiltonian, garnier_hamiltonian_expanded])
-def test_a_garnier_hamiltonian_builds_three_elements_per_term_and_one_sum(built, route):
-    # a supertrace product is two dots and a difference; an expanded term is
-    # theta_i eta_j, eta_i theta_j and their combination with w_i and w_j
+def test_garnier_hamiltonians_build_three_elements_per_pair_and_one_sum_each(built):
+    # one supertrace product per pair i < j is two dots and a difference, and
+    # each H_i is one combination of its m - 1 supertraces
     p = random_system(np.random.default_rng(7), 5)
-    route(p, 1)  # builds the residues or the expanded operands, which are kept
+    p.residues  # kept, and built before the count
     built.clear()
-    route(p, 0)
-    assert len(built) == 3 * (p.m - 1) + 1
+    p.hamiltonians
+    assert len(built) == 3 * p.m * (p.m - 1) // 2 + p.m
 
 
-def test_garnier_check_m5_count10_builds_at_most_2260_elements(built):
-    # 4,200 when every + and scalar * built an element of its own
+def test_an_expanded_hamiltonian_builds_one_element_per_term_and_one_sum(built):
+    # theta_i eta_j and eta_i theta_j are read from the tables of site_products,
+    # so a term is only the combination of its four parts
+    p = random_system(np.random.default_rng(7), 5)
+    garnier_hamiltonian_expanded(p, 1)  # builds the expanded operands, which are kept
+    built.clear()
+    garnier_hamiltonian_expanded(p, 0)
+    assert len(built) == (p.m - 1) + 1
+
+
+def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1460_elements(
+        built, monkeypatch):
+    # 200 supertraces, 2,300 products and 2,260 elements when str(A_i A_j) was
+    # formed for both orders of a pair and theta_i eta_j, eta_i theta_j were
+    # multiplied for every system; 4,200 elements when every + and scalar *
+    # built an element of its own
+    counts = {"supertrace_product": 0, "_accumulate": 0}
+    for module, name in ((integrable, "supertrace_product"), (grassmann, "_accumulate")):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["garnier-check", "--m", "5", "--count", "10"]) == 0
-    assert len(built) <= 2260
+    assert counts == {"supertrace_product": 100, "_accumulate": 1400}
+    assert len(built) == 1460
 
 
 # -- the series of exp, inv and log against the stepwise sum -------------------
