@@ -12,9 +12,12 @@ and in JSON on ``gaudin_m3.json`` rewritten with v_1 = 0 (pairs coupled one
 way only) and with every v = 0 (operators with no pair), then
 ``cech-verify`` in text and in JSON on the two small shipped nerves: the
 triangle with SL and with GL cocycle data (a one-row coboundary solve), and
-the genus-1 cycle, which has no triangle and so no cocycle check, and last, at
+the genus-1 cycle, which has no triangle and so no cocycle check, then, at
 each seed, the JSON reports of ``garnier-check`` at m = 2 (one site pair) and
-at m = 8 with two systems (28 pairs), outside the pools' m 3..5.  Each call
+at m = 8 with two systems (28 pairs), outside the pools' m 3..5, and last, at
+each seed, the JSON reports of ``cech-verify`` on the solid tetrahedron and on
+its boundary with every edge listed reversed, so that each triangle's kept
+quadratic term is formed from ``coords_inverse`` coordinates.  Each call
 prints one line: its argv, its exit status and the SHA-256 of its stdout plus
 stderr (plus the file it wrote, for ``fatgraph normalize -o``).  The work
 directory reads as ``<work>`` and the checkout as ``<root>``, in the argv
@@ -129,6 +132,29 @@ def small_nerve_commands(workdir):
     return commands
 
 
+def reversed_edge_commands(seed, workdir):
+    """argv of cech-verify on the solid tetrahedron and on its boundary, every
+    edge listed reversed, the data exact cocycles from frames seeded by seed,
+    nerve and data written into workdir."""
+    import numpy as np
+    from gl11 import cech, supergroup
+
+    rng = np.random.default_rng(seed)
+    commands = []
+    for solid in (True, False):
+        listed = cech.tetrahedron_nerve(solid).simplices
+        nerve = cech.Nerve([1, 2, 3, 4], {1: [e[::-1] for e in listed[1]], 2: listed[2],
+                                          3: listed[3]})
+        frames = {v: supergroup.random_coords(rng, 8) for v in nerve.vertices}
+        paths = [os.path.join(workdir, "%s_reversed_%s_%d.json" % (
+            kind, "solid" if solid else "boundary", seed)) for kind in ("nerve", "cech")]
+        pathlib.Path(paths[0]).write_text(json.dumps(cech.nerve_to_dict(nerve)))
+        pathlib.Path(paths[1]).write_text(json.dumps(cech.transition_from_frames(nerve, frames)
+                                                     .to_dict()))
+        commands.append(["--format", "json", "cech-verify"] + paths)
+    return commands
+
+
 def call(argv):
     """(exit status, stdout, stderr) of cli.main(argv), run in this process."""
     from gl11 import cli
@@ -203,6 +229,9 @@ def main(argv=None):
             print(digest_line(argv, workdir, args.outcomes))
         for seed in args.seeds:
             for argv in garnier_commands(seed):
+                print(digest_line(argv, workdir, args.outcomes))
+        for seed in args.seeds:
+            for argv in reversed_edge_commands(seed, workdir):
                 print(digest_line(argv, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

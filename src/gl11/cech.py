@@ -9,6 +9,10 @@ with the coordinate group law g_ij g_jk (``supergroup.coords_product``).
 Every e^{+-s_ij} is read from ``GroupCoords.twist``, formed as each GL edge
 is read; a reversed edge reads the swapped pair its inverse inherits.
 ``gl11 cech-verify`` runs the SL check when every s_ij is zero, else the GL one.
+The data keep each listed triangle's ``quadratic_term`` (alpha_2, q) of
+g_ij g_jk, formed on first use: the cocycle report assembles g_ij g_jk from
+it (``supergroup.product_from_term``) and ``two_cocycle_value`` returns its q,
+so each g_ijk is formed once.  ``set_edge`` drops every kept term.
 A nerve answers every vertex ordering of a listed simplex from one orientation
 table built with it: position, permutation sign and stored tuple.  From it the
 nerve also builds ``faces``, the one table of delta that every coboundary here
@@ -28,7 +32,8 @@ import numpy as np
 from .grassmann import (PRUNE_TOL, GrassmannElement, _sort_sign, json_at, json_count,
                         json_element, json_int, json_list, json_object, nan_max, require_parity)
 from .reports import CheckReport
-from .supergroup import GroupCoords, coords_inverse, coords_product, from_coords, quadratic_term
+from .supergroup import (GroupCoords, coords_inverse, coords_product, from_coords,
+                         product_from_term, quadratic_term)
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -258,7 +263,9 @@ class TransitionData:
     Stores one ``GroupCoords`` g_ij on each listed 1-simplex (i, j) and the
     branch integer n on each listed 2-simplex.  The reversed orientation is
     the group inverse, g_ji = coords_inverse(g_ij); the accessors h, s,
-    alpha and beta read the fields of ``coords``.
+    alpha and beta read the fields of ``coords``.  The data keep the
+    ``quadratic_term`` of each listed triangle, formed on first use, until
+    ``set_edge`` drops them all.
     """
 
     def __init__(self, nerve: Nerve, n: int):
@@ -267,6 +274,7 @@ class TransitionData:
         identity = GroupCoords.identity(n)
         self.edge_data = {e: identity for e in nerve.simplices[1]}
         self.integers = {tri: 0 for tri in nerve.simplices[2]}
+        self._terms = {}
 
     def set_edge(self, simplex, h=None, s=None, alpha=None, beta=None):
         """Replace the given fields of g_ij; the others keep their values."""
@@ -280,6 +288,7 @@ class TransitionData:
         if not c.is_sl():  # e^{+-s} now, so that an overflow names the edge
             json_at(("edge %r", stored), c.twist)
         self.edge_data[stored] = c
+        self._terms.clear()
 
     def is_sl(self) -> bool:
         return all(c.is_sl() for c in self.edge_data.values())
@@ -289,6 +298,17 @@ class TransitionData:
         _, sign, stored = self.nerve.lookup(1, (i, j))
         c = self.edge_data[stored]
         return c if sign == 1 else coords_inverse(c)
+
+    def quadratic_term(self, i, j, k) -> tuple:
+        """``supergroup.quadratic_term(g_ij, g_jk)``; kept when (i, j, k) is a
+        listed triangle in its listed order, formed afresh on any other ordering."""
+        tri = (i, j, k)
+        term = self._terms.get(tri)
+        if term is None:
+            term = quadratic_term(self.coords(i, j), self.coords(j, k))
+            if tri in self.integers:
+                self._terms[tri] = term
+        return term
 
     def h(self, i, j) -> GrassmannElement:
         return self.coords(i, j).h
@@ -362,13 +382,13 @@ def check_gl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
 
 
 def _cocycle_report(data, tol, twisted):
-    """g_ik against coords_product(g_ij, g_jk), h_ik less 2 pi i n_ijk; s and e^s if
-    twisted, e^{s_ij} the ``twist`` of each oriented g_ij."""
+    """g_ik against g_ij g_jk, assembled from the kept quadratic term, h_ik less
+    2 pi i n_ijk; s and e^s if twisted, e^{s_ij} the ``twist`` of each oriented g_ij."""
     report = CheckReport()
     for (i, j, k) in data.nerve.simplices[2]:
         label = "%d%d%d" % (i, j, k)
         c_ij, c_jk, c_ik = data.coords(i, j), data.coords(j, k), data.coords(i, k)
-        law = coords_product(c_ij, c_jk)
+        law = product_from_term(c_ij, c_jk, data.quadratic_term(i, j, k))
         res_h = (c_ik.h - GrassmannElement.scalar(data.n, TWO_PI_I * data.integer(i, j, k))
                  - law.h)
         report.add("alpha_cocycle[%s]" % label, c_ik.alpha.residual(law.alpha), tol)
@@ -383,8 +403,8 @@ def _cocycle_report(data, tol, twisted):
 
 def two_cocycle_value(data: TransitionData, i, j, k) -> GrassmannElement:
     """g_ijk = (alpha_ij e^{s_ij} beta_jk - e^{-s_ij} alpha_jk beta_ij) / 2, the
-    quadratic term of h in the group law g_ij g_jk (``supergroup.quadratic_term``)."""
-    return quadratic_term(data.coords(i, j), data.coords(j, k))[1]
+    quadratic term of h in the group law g_ij g_jk (``TransitionData.quadratic_term``)."""
+    return data.quadratic_term(i, j, k)[1]
 
 
 def two_cocycle_g(data: TransitionData) -> Cochain:

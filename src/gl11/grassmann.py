@@ -609,10 +609,17 @@ class GrassmannElement:
     @classmethod
     def from_dict(cls, data) -> "GrassmannElement":
         """{"n": n, "terms": [{"mono": [...], "re": x, "im": y}, ...]}: each "mono"
-        increasing in 1..n, "re" and "im" finite numbers (0 when left out)."""
+        increasing in 1..n, "re" and "im" finite numbers (0 when left out).
+
+        One pass: every term is checked here, so the dict goes to ``_element``
+        as it is.  0j + a complex stores a -0.0 part as 0.0, as the constructor
+        would; finite floats skip ``json_number``, which reads everything else.
+        """
         data = json_object(data)
         n = json_count(data["n"])  # bounds every 1 << (i - 1) below
         terms = {}
+        get = terms.get
+        isfinite = math.isfinite
         for entry in json_list(data.get("terms", []), "terms"):
             mono = json_list(json_object(entry, "terms")["mono"], "mono")
             mask = last = 0
@@ -623,10 +630,11 @@ class GrassmannElement:
                                      % (mono, n))
                 mask |= 1 << (i - 1)
                 last = i
-            terms[mask] = terms.get(mask, 0j) + complex(
-                json_number(entry.get("re", 0.0), "re"),
-                json_number(entry.get("im", 0.0), "im"))
-        return cls(n, terms)
+            re, im = entry.get("re", 0.0), entry.get("im", 0.0)
+            if not (type(re) is float and type(im) is float and isfinite(re) and isfinite(im)):
+                re, im = json_number(re, "re"), json_number(im, "im")
+            terms[mask] = get(mask, 0j) + complex(re, im)
+        return _element(n, terms)
 
 
 class ConjugationTable:

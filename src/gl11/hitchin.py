@@ -14,7 +14,13 @@ inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
 of w: w has body-free coefficients, so w^(n+1) = 0.
 A LocalMatrix is a SuperMatrix11 with LocalFunction entries; its inverse is
 gl11.supergroup.block_inverse, built from the two diagonal inverses alone,
-because its odd entries square to zero.
+because its odd entries square to zero, and it keeps those two inverses.
+
+A MetricData keeps rhobar, G, G^{-1} and the Chern form H^{-1} d_z H, each
+formed on first use and alive as long as the metric, whose fields are never
+reassigned: ``hitchin_residual``, ``curvature``, ``chern_form_via_inverse``
+and the CLI read one copy of each.  The two Chern-form routes that the CLI
+compares stay independent: the closed form against G^{-1} d_z G.
 
 The Hitchin commutator [Phi, Phi^dagger_H] drops the central part of Phi
 before any product: for Phi = [[a, delta], [gamma, d]] with a even, a I
@@ -274,13 +280,18 @@ class LocalMatrix(SuperMatrix11):
 
     def inverse(self) -> "LocalMatrix":
         """Closed-form block inverse; LocalFunction.inv decides invertibility."""
-        return LocalMatrix(*block_inverse(*self.entries()), check=False)
+        return LocalMatrix(*block_inverse(self), check=False)
 
 
 class MetricData:
-    """Hermitian metric data H = g(u, rho, rhobar): u even, rho odd."""
+    """Hermitian metric data H = g(u, rho, rhobar): u even, rho odd.
 
-    __slots__ = ("u", "rho", "table")
+    The metric keeps rhobar, G, G^{-1} and the Chern form, each formed on
+    first use (``rhobar``, ``reduced_matrix``, ``reduced_inverse``,
+    ``chern_form``); u, rho and the table are never reassigned.
+    """
+
+    __slots__ = ("u", "rho", "table", "_rhobar", "_g", "_g_inv", "_chern")
 
     def __init__(self, u: LocalFunction, rho: LocalFunction, table: ConjugationTable):
         require_parity(u, "even", "u")
@@ -290,21 +301,33 @@ class MetricData:
         self.u = u
         self.rho = rho
         self.table = table
+        self._rhobar = self._g = self._g_inv = self._chern = None
 
     @property
     def n(self):
         return self.u.n
 
     def rhobar(self) -> LocalFunction:
-        return self.rho.conjugate(self.table)
+        """The conjugate of rho, formed on first use and kept."""
+        if self._rhobar is None:
+            self._rhobar = self.rho.conjugate(self.table)
+        return self._rhobar
 
     def reduced_matrix(self) -> LocalMatrix:
-        """G with H = e^u G; the e^u factor cancels in every curvature formula."""
-        n = self.n
-        rho, rhobar = self.rho, self.rhobar()
-        m = rho * rhobar * 0.5
-        one = LocalFunction.one(n)
-        return LocalMatrix(one - m, rhobar, rho, one + m, check=False)
+        """G with H = e^u G, formed on first use and kept; the e^u factor cancels
+        in every curvature formula."""
+        if self._g is None:
+            rho, rhobar = self.rho, self.rhobar()
+            m = rho * rhobar * 0.5
+            one = LocalFunction.one(self.n)
+            self._g = LocalMatrix(one - m, rhobar, rho, one + m, check=False)
+        return self._g
+
+    def reduced_inverse(self) -> LocalMatrix:
+        """G^{-1}, formed on first use and kept."""
+        if self._g_inv is None:
+            self._g_inv = self.reduced_matrix().inverse()
+        return self._g_inv
 
     def to_dict(self) -> dict:
         return {"n": self.n, "u": self.u.to_dict(), "rho": self.rho.to_dict(),
@@ -319,22 +342,24 @@ class MetricData:
 
 
 def chern_form(m: MetricData) -> LocalMatrix:
-    """H^{-1} d_z H in closed form.
+    """H^{-1} d_z H in closed form, formed on first use and kept by m.
 
     Diagonal d_z u - (rhobar d_z rho + rho d_z rhobar)/2; off-diagonals
     d_z rhobar (upper) and d_z rho (lower).
     """
-    rho, rhobar = m.rho, m.rhobar()
-    diag = m.u.d_z() - (rhobar * rho.d_z() + rho * rhobar.d_z()) * 0.5
-    return LocalMatrix(diag, rhobar.d_z(), rho.d_z(), diag, check=False)
+    if m._chern is None:
+        rho, rhobar = m.rho, m.rhobar()
+        diag = m.u.d_z() - (rhobar * rho.d_z() + rho * rhobar.d_z()) * 0.5
+        m._chern = LocalMatrix(diag, rhobar.d_z(), rho.d_z(), diag, check=False)
+    return m._chern
 
 
 def chern_form_via_inverse(m: MetricData) -> LocalMatrix:
     """Independent route: d_z u * I + G^{-1} d_z G by matrix inversion."""
-    g = m.reduced_matrix()
     du = m.u.d_z()
     zero = LocalFunction.zero(m.n)
-    return g.inverse() * g.d_z() + LocalMatrix(du, zero, zero, du, check=False)
+    return (m.reduced_inverse() * m.reduced_matrix().d_z()
+            + LocalMatrix(du, zero, zero, du, check=False))
 
 
 def curvature(m: MetricData) -> LocalMatrix:
@@ -416,7 +441,6 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
                          % phi.supertrace().max_abs())
     shifted = LocalMatrix(LocalFunction.zero(m.n), phi.beta, phi.gamma, phi.d - phi.a,
                           check=False)
-    g = m.reduced_matrix()
-    adj_h = g.inverse() * shifted.adjoint(m.table) * g
+    adj_h = m.reduced_inverse() * shifted.adjoint(m.table) * m.reduced_matrix()
     commutator = shifted * adj_h - adj_h * shifted
     return curvature(m) - commutator

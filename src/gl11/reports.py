@@ -93,10 +93,6 @@ class CheckReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return nan_max(c.residual for c in self.checks)
-
     def failing(self) -> list:
         return [c for c in self.checks if not c.passed]
 

@@ -32,7 +32,15 @@ inverse, whose s is -s, inherits the swapped pair.  The product is
     h = h_1 + h_2 + (alpha_1 e^{s_1} beta_2 - e^{-s_1} alpha_2 beta_1) / 2,
 
 and ``quadratic_term`` is the one copy of the last term, which is also the
-Cech 2-cochain g_ijk of gl11.cech.
+Cech 2-cochain g_ijk of gl11.cech; ``product_from_term`` assembles c1 c2 from
+it, so a caller that keeps the term (``cech.TransitionData``) forms it once.
+
+A supermatrix likewise keeps a^{-1} and d^{-1}: each is formed on its first
+read (``SuperMatrix11.a_inv``, ``d_inv``) and lives as long as the matrix,
+whose entries are never reassigned.  ``sdet`` reads d^{-1} alone, and
+``inverse`` (through ``block_inverse(m)``) and ``to_coords`` read both, so a
+matrix whose Berezinian, inverse and coordinates are all taken forms each
+inverse once.
 
 On SL(1|1) the twist is not formed: when the stored s has no terms, e^{+-s}
 is exactly one, so the group law reduces to the additive edge-coordinate fold
@@ -66,14 +74,14 @@ from .grassmann import (
 from .reports import CheckReport
 
 
-def block_inverse(a, beta, gamma, d):
-    """Entries of [[a, beta], [gamma, d]]^{-1} in 6 products (module docstring),
-    for any supercommutative entries with ``inv()``, ``*``, ``+`` and ``-``."""
-    a_inv, d_inv = a.inv(), d.inv()
+def block_inverse(m: "SuperMatrix11") -> tuple:
+    """Entries of m^{-1} in 6 products (module docstring) from m's kept a^{-1} and
+    d^{-1}, for any supercommutative entries with ``inv()``, ``*``, ``+`` and ``-``."""
+    a_inv, d_inv = m.a_inv(), m.d_inv()
     ad_inv = a_inv * d_inv
-    upper = ad_inv * beta
-    t = upper * gamma
-    return a_inv + a_inv * t, -upper, -(ad_inv * gamma), d_inv - d_inv * t
+    upper = ad_inv * m.beta
+    t = upper * m.gamma
+    return a_inv + a_inv * t, -upper, -(ad_inv * m.gamma), d_inv - d_inv * t
 
 
 def supertrace_product(x: "SuperMatrix11", y: "SuperMatrix11") -> GrassmannElement:
@@ -93,9 +101,11 @@ class SuperMatrix11:
     ``*``, ``+``, ``-`` and ``scale`` build the operand's own class, and
     ``identity`` and ``zero`` build entries of its ``element`` type, so a
     subclass with other graded entries (gl11.hitchin.LocalMatrix) shares them.
+    The matrix keeps a^{-1} and d^{-1}, each formed on its first read
+    (``a_inv``, ``d_inv``); ``sdet``, ``inverse`` and ``to_coords`` read them.
     """
 
-    __slots__ = ("a", "beta", "gamma", "d", "n")
+    __slots__ = ("a", "beta", "gamma", "d", "n", "_a_inv", "_d_inv")
     element = GrassmannElement
 
     def __init__(self, a, beta, gamma, d, check: bool = True):
@@ -109,6 +119,7 @@ class SuperMatrix11:
             require_parity(gamma, "odd", "gamma")
         self.a, self.beta, self.gamma, self.d = a, beta, gamma, d
         self.n = a.n
+        self._a_inv = self._d_inv = None
 
     @classmethod
     def identity(cls, n: int) -> "SuperMatrix11":
@@ -148,13 +159,25 @@ class SuperMatrix11:
     def is_invertible(self) -> bool:
         return abs(self.a.body()) > PRUNE_TOL and abs(self.d.body()) > PRUNE_TOL
 
+    def a_inv(self):
+        """a^{-1}, formed on first use and kept."""
+        if self._a_inv is None:
+            self._a_inv = self.a.inv()
+        return self._a_inv
+
+    def d_inv(self):
+        """d^{-1}, formed on first use and kept."""
+        if self._d_inv is None:
+            self._d_inv = self.d.inv()
+        return self._d_inv
+
     def inverse(self) -> "SuperMatrix11":
         """Closed-form block inverse; needs invertible a and d bodies."""
         if not self.is_invertible():
             raise NotInvertibleError(
                 "supermatrix not invertible: body(a)=%r body(d)=%r"
                 % (self.a.body(), self.d.body()))
-        return SuperMatrix11(*block_inverse(*self.entries()), check=False)
+        return SuperMatrix11(*block_inverse(self), check=False)
 
     def supertrace(self) -> GrassmannElement:
         """str(M) = a - d."""
@@ -164,7 +187,7 @@ class SuperMatrix11:
         """Berezinian (a - beta d^{-1} gamma) d^{-1}."""
         if not self.is_invertible():
             raise NotInvertibleError("sdet needs invertible a and d bodies")
-        d_inv = self.d.inv()
+        d_inv = self.d_inv()
         return (self.a - self.beta * self.gamma * d_inv) * d_inv
 
     def max_abs(self) -> float:
@@ -271,7 +294,7 @@ def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
     # the half-log of a*d drops a possible i*pi: compare a's body against e^{h + s/2}
     if (m.a.body() / cmath.exp(h.body() + 0.5 * s.body())).real < 0:
         h = h + GrassmannElement.scalar(m.n, 1j * cmath.pi)
-    return GroupCoords(h, s, m.a.inv() * m.gamma, m.d.inv() * m.beta)
+    return GroupCoords(h, s, m.a_inv() * m.gamma, m.d_inv() * m.beta)
 
 
 def quadratic_term(c1: GroupCoords, c2: GroupCoords) -> tuple:
@@ -287,7 +310,13 @@ def quadratic_term(c1: GroupCoords, c2: GroupCoords) -> tuple:
 
 def coords_product(c1: GroupCoords, c2: GroupCoords) -> GroupCoords:
     """Exact group law in coordinates (module docstring), no branch ambiguity."""
-    alpha2, q = quadratic_term(c1, c2)
+    return product_from_term(c1, c2, quadratic_term(c1, c2))
+
+
+def product_from_term(c1: GroupCoords, c2: GroupCoords, term: tuple) -> GroupCoords:
+    """c1 c2 assembled from term = ``quadratic_term(c1, c2)``, which a caller
+    that keeps it (gl11.cech.TransitionData) passes in."""
+    alpha2, q = term
     beta2 = c2.beta if c1.is_sl() else c1.twist()[0] * c2.beta
     return GroupCoords(c1.h + c2.h + q, c1.s + c2.s, c1.alpha + alpha2, c1.beta + beta2)
 

@@ -82,10 +82,10 @@ def test_criterion_2_cocycle_suite():
             frames = {v: random_coords(rng, N) for v in nerve.vertices}
             data = cech.transition_from_frames(nerve, frames)
             report = cech.check_gl_cocycle(data, tol=TOL)
-            worst = max(worst, report.max_residual)
+            worst = max(worst, report.worst())
             sl_frames = {v: random_coords(rng, N, sl=True) for v in nerve.vertices}
             sl_data = cech.transition_from_frames(nerve, sl_frames)
-            worst = max(worst, cech.check_sl_cocycle(sl_data, tol=TOL).max_residual)
+            worst = max(worst, cech.check_sl_cocycle(sl_data, tol=TOL).worst())
             # g alternates on every vertex ordering; delta-closedness is
             # measurable on the solid tetrahedron
             g = cech.two_cocycle_g(data)
@@ -143,7 +143,7 @@ def test_criterion_3_higgs_constraints():
                             random_odd(rng, N, num_terms=2), a - 0.5 * b)
         higgs = cech.higgs_from_global(tetra, frames, phi)
         report = cech.gl_higgs_constraints(data, higgs, tol=TOL)
-        worst = max(worst, report.max_residual)
+        worst = max(worst, report.worst())
     runtime = time.time() - start
     _report("criterion 3: Higgs gluing", worst, TOL, runtime, 5.0)
     assert obstructed_case and solvable_case
@@ -239,7 +239,7 @@ def test_criterion_6a_gauge_normalization():
         conn = fatgraph.random_connection(rng, graph, N)
         _, report = fatgraph.gauge_normalize(conn, tol=TOL)
         assert not report.info["singular"]
-        worst = max(worst, report.max_residual)
+        worst = max(worst, report.worst())
     _report("criterion 6a: vertex sums after normalization", worst, TOL)
     assert worst <= TOL
 

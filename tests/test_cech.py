@@ -44,7 +44,7 @@ from gl11.grassmann import (
     random_even,
     random_odd,
 )
-from gl11.supergroup import GroupCoords, SuperMatrix11, random_coords
+from gl11.supergroup import GroupCoords, SuperMatrix11, quadratic_term, random_coords
 
 N = 8
 TOL = 1e-9
@@ -131,7 +131,7 @@ def test_sl_cocycle_checks():
     nerve = triangle_nerve()
     data = TransitionData(nerve, N)
     report = check_sl_cocycle(data)
-    assert report.ok and report.max_residual == 0.0
+    assert report.ok and report.worst() == 0.0
 
     # alpha_13 = t1 + t2 closes the cocycle alpha_12 = t1, alpha_23 = t2
     data = TransitionData(nerve, N)
@@ -176,7 +176,7 @@ def test_gl_cocycle_frame_construction():
             data = transition_from_frames(nerve, random_frames(rng, nerve))
             report = check_gl_cocycle(data)
             assert report.ok
-            assert report.max_residual < 1e-12
+            assert report.worst() < 1e-12
 
 
 def test_gl_cocycle_twist_example():
@@ -391,7 +391,7 @@ def test_gl_higgs_all_even_data_passes_trivially():
     data = TransitionData(nerve, N)
     higgs = HiggsCechData(nerve, N, b={v: scalar(2.0) for v in (1, 2, 3)})
     report = gl_higgs_constraints(data, higgs)
-    assert report.ok and report.max_residual == 0.0
+    assert report.ok and report.worst() == 0.0
 
 
 def corrupted_higgs(higgs, field, vertex, bump):
@@ -866,3 +866,39 @@ def test_cech_verify_resolves_orderings_without_a_permutation_sign(monkeypatch, 
     signs = counting(monkeypatch, cech, "_sort_sign")
     assert quiet_main(["cech-verify", nerve_path, data_path]) == 0
     assert signs == []
+
+
+def bits(elements):
+    """The coefficients of each element as float.hex pairs, in key order."""
+    return [[(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()] for x in elements]
+
+
+@pytest.mark.parametrize("solid", [True, False])
+def test_transition_data_keeps_each_listed_triangle_term(solid):
+    # every edge stored reversed, so each kept term is read through coords_inverse
+    nerve = edges_reversed(tetrahedron_nerve(solid))
+    data = transition_from_frames(nerve, random_frames(np.random.default_rng(22), nerve))
+    assert check_gl_cocycle(data).ok
+    g = two_cocycle_g(data)
+    for pos, (i, j, k) in enumerate(nerve.simplices[2]):
+        term = data.quadratic_term(i, j, k)
+        assert data.quadratic_term(i, j, k) is term
+        assert two_cocycle_value(data, i, j, k) is term[1] and g.values[pos] is term[1]
+        assert bits(term) == bits(quadratic_term(data.coords(i, j), data.coords(j, k)))
+
+
+def test_set_edge_after_a_check_changes_the_next_report():
+    # set_edge drops the kept terms: the next report is that of the same edges set afresh
+    nerve = tetrahedron_nerve()
+    data = transition_from_frames(nerve, random_frames(np.random.default_rng(23), nerve))
+    before = check_gl_cocycle(data).to_dict()
+    two_cocycle_g(data)
+    data.set_edge((1, 2), beta=data.beta(1, 2) + t(3))
+    fresh = TransitionData(nerve, N)
+    for edge, c in data.edge_data.items():
+        fresh.set_edge(edge, h=c.h, s=c.s, alpha=c.alpha, beta=c.beta)
+    after = check_gl_cocycle(data).to_dict()
+    assert after == check_gl_cocycle(fresh).to_dict() and after != before
+    assert [c["name"] for c in after["checks"] if not c["passed"]] == [
+        "beta_cocycle[123]", "beta_cocycle[124]", "h_cocycle[123]", "h_cocycle[124]"]
+    assert bits(two_cocycle_g(data).values) == bits(two_cocycle_g(fresh).values)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gl11 import cech, cli, fatgraph, hitchin, integrable, supergroup
+from gl11 import cech, cli, fatgraph, grassmann, hitchin, integrable, supergroup
 from gl11.cli import main
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
 
@@ -1061,6 +1061,48 @@ def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
         assert capsys.readouterr().out == expected + "\n", command
     written = (tmp_path / "normalized.json").read_text()
     assert written == json.dumps(json.loads(written), indent=2, sort_keys=True)
+
+
+# -- each derived value formed once, by its owner ------------------------------------
+
+def counted_calls(monkeypatch, names):
+    """Counts of calls to each named method ("Class.name") or module function,
+    the function wrapped under every gl11 module name that binds it."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        if owner:
+            targets = [getattr(hitchin, owner)]
+        else:
+            real = getattr(grassmann, attr, None) or getattr(supergroup, attr)
+            targets = [module for module in (grassmann, supergroup, hitchin, cech)
+                       if getattr(module, attr, None) is real]
+
+        def wrapper(*args, _name=name, _real=getattr(targets[0], attr), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        for target in targets:
+            monkeypatch.setattr(target, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # m1's a^{-1} and d^{-1} once per round, read by sdet, inverse and to_coords
+    (["--seed", "1", "group-selftest", "--count", "10"],
+     {"GrassmannElement.inv": 40, "nilpotent_series": 191, "_accumulate": 1242}),
+    # rhobar, G, G^{-1} and the Chern form once per metric
+    (["hitchin-residual", fx("metric_example.json"), fx("higgs_example.json")],
+     {"LocalFunction.inv": 2, "GrassmannElement.conjugate": 4, "_accumulate": 214}),
+    # g_ijk once per triangle, read by the cocycle report and by two_cocycle_g
+    (["cech-verify", fx("nerve_tetrahedron.json"), fx("cech_tetra_valid.json")],
+     {"quadratic_term": 4, "_accumulate": 31}),
+])
+def test_commands_form_each_derived_value_once(capsys, monkeypatch, argv, expected):
+    counts = counted_calls(monkeypatch, list(expected))
+    code, _, err = outcome(capsys, argv)
+    assert (code, err) == (0, "")
+    assert counts == expected
 
 
 # -- garnier-check on its exact structure --------------------------------------------

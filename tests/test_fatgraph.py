@@ -221,7 +221,7 @@ def test_gauge_normalize_zeroes_vertex_sums():
         normalized, report = gauge_normalize(conn)
         assert not report.info["singular"]
         assert report.ok
-        assert report.max_residual < 1e-9
+        assert report.worst() < 1e-9
         # idempotent: renormalizing changes nothing beyond roundoff
         again, report2 = gauge_normalize(normalized)
         for c1, c2 in zip(normalized.coords, again.coords):

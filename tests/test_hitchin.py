@@ -515,6 +515,33 @@ def test_hitchin_products_are_supermatrix_products(monkeypatch):
     assert len(products) == 5 and set(products) == {LocalMatrix}
 
 
+def bits(x):
+    """Every coefficient of a LocalFunction or LocalMatrix as float.hex pairs, in key order."""
+    if isinstance(x, LocalMatrix):
+        return [bits(e) for e in x.entries()]
+    return [(key, [(m, v.real.hex(), v.imag.hex()) for m, v in c.terms.items()])
+            for key, c in x.terms.items()]
+
+
+def test_metric_keeps_rhobar_g_its_inverse_and_the_chern_form():
+    rng = np.random.default_rng(73)
+    delta = random_poly(rng, "odd", holo=True)
+    m = hitchin_solution(random_poly(rng, "odd", holo=True), random_poly(rng, "odd", anti=True),
+                         zero_fn(), zero_fn(), delta, zero_fn(), TABLE)
+    hitchin_residual(m, higgs_matrix(const(scalar(1.0)), delta, zero_fn()))
+    chern_form_via_inverse(m)
+
+    def kept():
+        return m.rhobar(), m.reduced_matrix(), m.reduced_inverse(), chern_form(m)
+
+    first = kept()
+    assert all(x is y for x, y in zip(first, kept()))
+    fresh = MetricData(m.u, m.rho, TABLE)  # forms each value anew
+    anew = (m.rho.conjugate(TABLE), fresh.reduced_matrix(), fresh.reduced_matrix().inverse(),
+            chern_form(fresh))
+    assert [bits(x) for x in first] == [bits(x) for x in anew]
+
+
 def test_local_matrix_adds_only_the_chart_calculus():
     defined = {name for name, value in vars(LocalMatrix).items()
                if isinstance(value, (types.FunctionType, classmethod))}

@@ -142,13 +142,6 @@ def test_nan_max():
     assert nan_max([1.0, INF]) == INF
 
 
-def test_check_report_max_residual_keeps_nan():
-    report = CheckReport()
-    report.add("finite", 1.0, 1e-9)
-    report.add("blown_up", NAN, 1e-9)
-    assert math.isnan(report.max_residual)
-
-
 def test_check_report_worst_keeps_nan():
     report = CheckReport()
     report.add("alpha[1]", 1.0, 1e-9)
@@ -156,6 +149,7 @@ def test_check_report_worst_keeps_nan():
     report.add("beta[1]", 2.0, 1e-9)
     assert math.isnan(report.worst("alpha"))
     assert report.worst("beta") == 2.0
+    assert math.isnan(report.worst())  # no prefix: every check
 
 
 # -- the fused residual, the one-pair combination, the prune scan and parity --

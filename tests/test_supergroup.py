@@ -600,13 +600,49 @@ def test_block_inverse_matches_the_eight_product_formula(entries):
         else:
             m = random_local_matrix(rng)
             ident = LocalMatrix.identity(N)
-        got = block_inverse(*m.entries())
+        got = block_inverse(m)
         expected = eight_product_inverse(*m.entries())
         scale = 1.0 + max(x.max_abs() for x in expected)
         assert max(x.residual(y) for x, y in zip(got, expected)) <= 1e-12 * scale
         inverse = m.inverse()
         assert type(inverse) is type(m)
         assert (m * inverse).is_close(ident) and (inverse * m).is_close(ident)
+
+
+def bits(x):
+    """Every coefficient of x, an element, a local function or a supermatrix of
+    either, as float.hex pairs in key order."""
+    if isinstance(x, SuperMatrix11):
+        return [bits(e) for e in x.entries()]
+    if isinstance(x, LocalFunction):
+        return [(key, bits(c)) for key, c in x.terms.items()]
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("entries", ["grassmann", "local"])
+def test_supermatrix_keeps_each_diagonal_inverse(monkeypatch, entries):
+    # sdet forms d^{-1} alone; inverse adds a^{-1}; later reads form nothing
+    rng = np.random.default_rng(20)
+    m = _random_supermatrix(rng) if entries == "grassmann" else random_local_matrix(rng)
+    fresh = bits(m.a.inv()), bits(m.d.inv())
+    inverted = []
+    real = type(m.a).inv
+    monkeypatch.setattr(type(m.a), "inv", lambda x: inverted.append(x) or real(x))
+    m.sdet()
+    assert len(inverted) == 1 and inverted[0] is m.d
+    m.inverse()
+    m.sdet()
+    block_inverse(m)
+    assert len(inverted) == 2 and inverted[1] is m.a
+    assert m.a_inv() is m.a_inv() and m.d_inv() is m.d_inv()
+    assert (bits(m.a_inv()), bits(m.d_inv())) == fresh
+
+
+def test_block_inverse_takes_the_matrix():
+    # the entries alone carry no kept inverse: the old four-entry call fails loudly
+    m = _random_supermatrix(np.random.default_rng(21))
+    with pytest.raises(TypeError):
+        block_inverse(*m.entries())
 
 
 @pytest.mark.parametrize("kind", ["gl", "sl", "negative_diagonal"])
@@ -672,7 +708,7 @@ def test_closed_forms_make_5_6_and_3_products(counted):
         m = from_coords(c)
         assert counted["products"] == 5
         counted["products"] = 0
-        block_inverse(*m.entries())
+        block_inverse(m)
         assert counted["products"] == 6
         sdet = m.sdet()
         counted["products"] = 0
