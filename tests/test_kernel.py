@@ -142,6 +142,14 @@ def test_nan_max():
     assert nan_max([1.0, INF]) == INF
 
 
+def test_check_report_max_residual_keeps_nan():
+    # the report-wide maximum residual is worst() with no prefix
+    report = CheckReport()
+    report.add("finite", 1.0, 1e-9)
+    report.add("blown_up", NAN, 1e-9)
+    assert math.isnan(report.worst())
+
+
 def test_check_report_worst_keeps_nan():
     report = CheckReport()
     report.add("alpha[1]", 1.0, 1e-9)
