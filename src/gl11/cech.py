@@ -265,7 +265,8 @@ class TransitionData:
     the group inverse, g_ji = coords_inverse(g_ij); the accessors h, s,
     alpha and beta read the fields of ``coords``.  The data keep the
     ``quadratic_term`` of each listed triangle, formed on first use, until
-    ``set_edge`` drops them all.
+    ``set_edge`` drops them all; after construction ``set_edge`` is the only
+    writer of ``edge_data``.
     """
 
     def __init__(self, nerve: Nerve, n: int):
@@ -275,6 +276,15 @@ class TransitionData:
         self.edge_data = {e: identity for e in nerve.simplices[1]}
         self.integers = {tri: 0 for tri in nerve.simplices[2]}
         self._terms = {}
+
+    @classmethod
+    def _from_edges(cls, nerve: Nerve, n: int, edges: dict) -> "TransitionData":
+        """Data holding ``edges``, one g_ij on every listed 1-simplex, as they
+        are: the group law built them, so no part is checked and no e^{+-s}
+        is formed."""
+        td = cls(nerve, n)
+        td.edge_data = edges
+        return td
 
     def set_edge(self, simplex, h=None, s=None, alpha=None, beta=None):
         """Replace the given fields of g_ij; the others keep their values."""
@@ -529,10 +539,9 @@ def transition_from_frames(nerve: Nerve, frames: dict) -> TransitionData:
     the returned data has n_ijk = 0.
     """
     first = next(iter(frames.values()))
-    td = TransitionData(nerve, first.n)
-    for (i, j) in nerve.simplices[1]:
-        td.edge_data[(i, j)] = coords_product(coords_inverse(frames[i]), frames[j])
-    return td
+    return TransitionData._from_edges(nerve, first.n, {
+        (i, j): coords_product(coords_inverse(frames[i]), frames[j])
+        for (i, j) in nerve.simplices[1]})
 
 
 def higgs_from_global(nerve: Nerve, frames: dict, phi) -> HiggsCechData:

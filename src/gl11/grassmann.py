@@ -16,6 +16,17 @@ which adds y * k for each pair (y, k) into a dict in place:
 ``x.add_combination((y_1, k_1), ...)`` forms x + sum k_i y_i in one dict
 (one pair or more), and ``nilpotent_series`` sums its powers with it.
 
+No element stores a coefficient of magnitude <= PRUNE_TOL (NaN and inf stay,
+so that a blown-up value reaches the residual).  The invariant is checked,
+by one ``_prune`` scan, only where a small coefficient can arise: in the
+constructor and in ``_element``, which builds products, scalar multiples,
+the series (exp, inv, log), parsed and random input.  Every other producer
+keeps it by construction and hands its dict to ``_pruned``, which does not
+scan: ``+`` and ``-`` test only the keys both operands hold, ``_combine``
+only a sum with an entry already there, and ``soul``, negation,
+``derivative`` and ``conjugate`` map stored coefficients to ones of the same
+magnitude.
+
 Every input file is read through the readers here: ``json_int``,
 ``json_count`` (a generator count), ``json_number``, ``json_list``,
 ``json_object`` and ``json_element`` (an element on exactly n generators),
@@ -249,18 +260,24 @@ def _combine(terms: dict, pairs, zero=0j) -> None:
     A scaled term that the product's prune would delete is left out, and an
     entry whose sum is at or below PRUNE_TOL is deleted at once, so a later
     pair that brings it back appends it, as a pruned element would.  ``zero``
-    is the absent entry (0j, or the zero element for nested term maps).
+    is the absent entry (0j, or the zero element for nested term maps).  A
+    map without entries at or below PRUNE_TOL keeps none: only a sum with an
+    entry already there can fall to the prune, so only that one is tested.
     """
     get = terms.get
     for y, k in pairs:
         for m, c in y.terms.items():
             c = c * k
             if not abs(c) <= PRUNE_TOL:
-                c = get(m, zero) + c
-                if abs(c) <= PRUNE_TOL:
-                    del terms[m]
+                old = get(m)
+                if old is None:
+                    terms[m] = zero + c
                 else:
-                    terms[m] = c
+                    c = old + c
+                    if abs(c) <= PRUNE_TOL:
+                        del terms[m]
+                    else:
+                        terms[m] = c
 
 
 def _accumulate(terms: dict, x, y) -> None:
@@ -288,15 +305,27 @@ def _accumulate(terms: dict, x, y) -> None:
 _new = object.__new__
 
 
-def _element(n: int, terms: dict, prune: float = PRUNE_TOL) -> "GrassmannElement":
-    """The element on n generators that owns ``terms``, pruned in place.
+def _pruned(n: int, terms: dict) -> "GrassmannElement":
+    """The element on n generators that owns ``terms``, which already hold no
+    coefficient of magnitude <= PRUNE_TOL: no scan.
 
     ``terms`` must be merged and within range already, and the caller must
-    not use it afterwards.  Every result of the kernel is built here.
+    not use it afterwards.  Every result of the kernel is built here or in
+    ``_element``.
     """
     x = _new(GrassmannElement)
     x.n = n
-    x.terms = _prune(terms, prune)
+    x.terms = terms
+    return x
+
+
+def _element(n: int, terms: dict) -> "GrassmannElement":
+    """``_pruned(n, terms)`` after one ``_prune`` scan of ``terms``: the
+    constructor of the producers that can make a small coefficient (products,
+    scalar multiples, the series, parsed and random input)."""
+    x = _new(GrassmannElement)
+    x.n = n
+    x.terms = _prune(terms, PRUNE_TOL)
     return x
 
 
@@ -304,14 +333,15 @@ class GrassmannElement:
     """Element of the Grassmann algebra on ``n`` generators.
 
     ``terms`` is a dict from monomial bitmask to complex coefficient.  It is
-    copied at construction, and entries of magnitude <= ``prune`` are removed.
+    copied at construction, and entries of magnitude <= PRUNE_TOL are removed
+    (NaN and inf stay), so no element stores such an entry.
     ``+``, ``-`` and ``*`` take a GrassmannElement or a number; any other
     operand returns NotImplemented, so Python raises TypeError.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, prune: float = PRUNE_TOL):
+    def __init__(self, n: int, terms=None):
         if not 1 <= n <= MAX_GENERATORS:
             raise ValueError("need 1 <= n <= %d generators, got %r" % (MAX_GENERATORS, n))
         merged: dict[int, complex] = {}
@@ -322,7 +352,7 @@ class GrassmannElement:
                     raise ValueError("monomial %s outside generator range 1..%d"
                                      % (_mask_to_indices(mask), n))
                 merged[mask] = 0j + complex(coeff)  # a -0.0 part is stored as 0.0
-            _prune(merged, prune)
+            _prune(merged, PRUNE_TOL)
         self.n = n
         self.terms = merged
 
@@ -362,7 +392,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part x - body(x)."""
-        return _element(self.n, {m: c for m, c in self.terms.items() if m})
+        return _pruned(self.n, {m: c for m, c in self.terms.items() if m})
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
@@ -432,8 +462,16 @@ class GrassmannElement:
         terms = dict(self.terms)
         get = terms.get
         for m, c in other.terms.items():
-            terms[m] = get(m, 0j) + c
-        return _element(self.n, terms)
+            old = get(m)
+            if old is None:
+                terms[m] = 0j + c
+            else:
+                c = old + c
+                if abs(c) <= PRUNE_TOL:
+                    del terms[m]
+                else:
+                    terms[m] = c
+        return _pruned(self.n, terms)
 
     __radd__ = __add__
 
@@ -445,23 +483,19 @@ class GrassmannElement:
         Bit for bit the chain ``(self + y_1 * k_1) + y_2 * k_2 ...``, and
         ``self + y * k`` for one pair: a scaled term that the product's prune
         would delete is left out, and a running sum that prunes is deleted at
-        once (``_combine``), so the values and the key order are the chain's.
-        The first sum's prune, which also drops self's own entries at or below
-        PRUNE_TOL, is kept before the second.
+        once (``_combine``), so the values and the key order are the chain's
+        and nothing is left for a scan to delete.
         """
         n = self.n
         for y, _ in pairs:
             if y.n != n:
                 raise ValueError("generator counts differ: %d vs %d" % (n, y.n))
         terms = dict(self.terms)
-        _combine(terms, pairs[:1])
-        if len(pairs) > 1:
-            _prune(terms, PRUNE_TOL)
-            _combine(terms, pairs[1:])
-        return _element(n, terms)
+        _combine(terms, pairs)
+        return _pruned(n, terms)
 
     def __neg__(self):
-        return _element(self.n, {m: -c for m, c in self.terms.items()}, prune=0.0)
+        return _pruned(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not GrassmannElement:
@@ -473,8 +507,16 @@ class GrassmannElement:
         terms = dict(self.terms)
         get = terms.get
         for m, c in other.terms.items():
-            terms[m] = get(m, 0j) - c
-        return _element(self.n, terms)
+            old = get(m)
+            if old is None:
+                terms[m] = 0j - c
+            else:
+                c = old - c
+                if abs(c) <= PRUNE_TOL:
+                    del terms[m]
+                else:
+                    terms[m] = c
+        return _pruned(self.n, terms)
 
     def __rsub__(self, other):
         return GrassmannElement.scalar(self.n, other) - self
@@ -516,13 +558,12 @@ class GrassmannElement:
 
     def _unit_soul(self, op: str, error: str):
         """(b, soul/b) for an even element with body b away from zero, in one
-        pass pruned before and after the scaling, as ``soul() * (1/b)``."""
+        pass pruned after the scaling, as ``soul() * (1/b)``."""
         b = self._even_body(op)
         if abs(b) <= PRUNE_TOL:
             raise NotInvertibleError(error)
         r = 1.0 / b
-        return b, _element(self.n, {m: c * r for m, c in self.terms.items()
-                                    if m and not abs(c) <= PRUNE_TOL})
+        return b, _element(self.n, {m: c * r for m, c in self.terms.items() if m})
 
     def exp(self) -> "GrassmannElement":
         """exp of an even element: e^body times the truncating soul series."""
@@ -569,7 +610,7 @@ class GrassmannElement:
                 continue
             sign = -1.0 if (m & below).bit_count() & 1 else 1.0
             terms[m ^ bit] = sign * c
-        return _element(self.n, terms, prune=0.0)
+        return _pruned(self.n, terms)
 
     def conjugate(self, table: "ConjugationTable") -> "GrassmannElement":
         """Antilinear conjugation: bar(uv) = bar(v) bar(u), generators by table."""
@@ -582,7 +623,7 @@ class GrassmannElement:
             mapped = [table.pairing[i - 1] for i in reversed(idx)]
             sign = _sort_sign(mapped)
             terms[_indices_to_mask(mapped)] = sign * c.conjugate()
-        return _element(self.n, terms, prune=0.0)
+        return _pruned(self.n, terms)
 
     # -- presentation and serialization --------------------------------------
 

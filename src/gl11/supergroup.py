@@ -54,6 +54,16 @@ zero and not a tolerance, so a GL
 element whose s is merely small keeps its twist factors.  Every product the
 shortcut skips is a multiplication by e^0 = 1 + 0j, which is exact on finite
 coefficients, so the results are the same floating-point values.
+
+Parity is checked where a caller supplies the parts: ``GroupCoords(...)``
+(files, ``set_edge``, fatgraph rescaling moves) and ``SuperMatrix11(...)``
+require h, s, a, d even and alpha, beta odd.  The group law's results are
+graded by construction (an even by even or odd by odd product is even, an
+even by odd one odd), so ``product_from_term`` (and ``coords_product``),
+``coords_inverse``, ``to_coords`` and ``random_coords`` build them with
+``GroupCoords._graded``, which does not scan, as the matrix products already
+pass ``check=False``.  ``from_coords`` hands its 1 -+ alpha beta/2 maps,
+filtered as they are built, to ``grassmann._pruned`` unscanned.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ from .grassmann import (
     PRUNE_TOL,
     GrassmannElement,
     _accumulate,
-    _element,
+    _pruned,
     NotInvertibleError,
     nan_max,
     random_even,
@@ -72,6 +82,8 @@ from .grassmann import (
     require_parity,
 )
 from .reports import CheckReport
+
+_new = object.__new__
 
 
 def block_inverse(m: "SuperMatrix11") -> tuple:
@@ -256,6 +268,16 @@ class GroupCoords:
             self._twist = self.s.exp_pair()
         return self._twist
 
+    @classmethod
+    def _graded(cls, h, s, alpha, beta) -> "GroupCoords":
+        """Coordinates whose parts are even, even, odd and odd on one algebra by
+        construction (the group law's results): no parity scan."""
+        c = _new(cls)
+        c.h, c.s, c.alpha, c.beta = h, s, alpha, beta
+        c.n = h.n
+        c._twist = None
+        return c
+
     def __repr__(self):
         return ("GroupCoords(h=%r, s=%r, alpha=%r, beta=%r)"
                 % (self.h, self.s, self.alpha, self.beta))
@@ -282,8 +304,8 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
         if not abs(x) <= PRUNE_TOL:
             one_minus[m] = 0j - x
             one_plus[m] = 0j + x
-    return SuperMatrix11(e_plus * _element(c.n, one_minus), e_minus * c.beta,
-                         e_plus * c.alpha, e_minus * _element(c.n, one_plus), check=False)
+    return SuperMatrix11(e_plus * _pruned(c.n, one_minus), e_minus * c.beta,
+                         e_plus * c.alpha, e_minus * _pruned(c.n, one_plus), check=False)
 
 
 def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
@@ -294,7 +316,7 @@ def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
     # the half-log of a*d drops a possible i*pi: compare a's body against e^{h + s/2}
     if (m.a.body() / cmath.exp(h.body() + 0.5 * s.body())).real < 0:
         h = h + GrassmannElement.scalar(m.n, 1j * cmath.pi)
-    return GroupCoords(h, s, m.a_inv() * m.gamma, m.d_inv() * m.beta)
+    return GroupCoords._graded(h, s, m.a_inv() * m.gamma, m.d_inv() * m.beta)
 
 
 def quadratic_term(c1: GroupCoords, c2: GroupCoords) -> tuple:
@@ -318,16 +340,17 @@ def product_from_term(c1: GroupCoords, c2: GroupCoords, term: tuple) -> GroupCoo
     that keeps it (gl11.cech.TransitionData) passes in."""
     alpha2, q = term
     beta2 = c2.beta if c1.is_sl() else c1.twist()[0] * c2.beta
-    return GroupCoords(c1.h + c2.h + q, c1.s + c2.s, c1.alpha + alpha2, c1.beta + beta2)
+    return GroupCoords._graded(c1.h + c2.h + q, c1.s + c2.s, c1.alpha + alpha2,
+                               c1.beta + beta2)
 
 
 def coords_inverse(c: GroupCoords) -> GroupCoords:
     """g~(h,s,alpha,beta)^{-1} = g~(-h, -s, -e^s alpha, -e^{-s} beta), carrying
     c's twist swapped, (e^{-s}, e^s)."""
     if c.is_sl():
-        return GroupCoords(-c.h, -c.s, -c.alpha, -c.beta)
+        return GroupCoords._graded(-c.h, -c.s, -c.alpha, -c.beta)
     e_s, e_ms = c.twist()
-    inv = GroupCoords(-c.h, -c.s, -(e_s * c.alpha), -(e_ms * c.beta))
+    inv = GroupCoords._graded(-c.h, -c.s, -(e_s * c.alpha), -(e_ms * c.beta))
     inv._twist = e_ms, e_s
     return inv
 
@@ -378,7 +401,7 @@ def random_coords(rng, n: int, sl: bool = False, scale: float = 0.4,
             rng.standard_normal(), rng.standard_normal()), **kw)
     alpha = random_odd(rng, n, scale=scale, **kw)
     beta = random_odd(rng, n, scale=scale, **kw)
-    return GroupCoords(h, s, alpha, beta)
+    return GroupCoords._graded(h, s, alpha, beta)
 
 
 # -- the group-law suite -------------------------------------------------------

@@ -44,7 +44,8 @@ from gl11.grassmann import (
     random_even,
     random_odd,
 )
-from gl11.supergroup import GroupCoords, SuperMatrix11, quadratic_term, random_coords
+from gl11.supergroup import (GroupCoords, SuperMatrix11, coords_inverse, coords_product,
+                             quadratic_term, random_coords)
 
 N = 8
 TOL = 1e-9
@@ -445,8 +446,6 @@ def test_solution_space_dimension():
 
 def frame_change(data, frames):
     """g'_ij = r_i g_ij r_j^{-1}: the transition data of changed local frames."""
-    from gl11.supergroup import coords_inverse, coords_product
-
     out = TransitionData(data.nerve, data.n)
     for (i, j) in data.nerve.simplices[1]:
         c = GroupCoords(data.h(i, j), data.s(i, j), data.alpha(i, j),
@@ -902,3 +901,22 @@ def test_set_edge_after_a_check_changes_the_next_report():
     assert [c["name"] for c in after["checks"] if not c["passed"]] == [
         "beta_cocycle[123]", "beta_cocycle[124]", "h_cocycle[123]", "h_cocycle[124]"]
     assert bits(two_cocycle_g(data).values) == bits(two_cocycle_g(fresh).values)
+
+
+def test_frames_hand_their_edges_to_the_data_at_construction(monkeypatch):
+    # no set_edge and no write into edge_data afterwards: the law's g_ij = R_i^{-1} R_j,
+    # as the same edges set one by one would store them
+    nerve = tetrahedron_nerve()
+    frames = random_frames(np.random.default_rng(24), nerve)
+    fresh = TransitionData(nerve, N)
+    for i, j in nerve.simplices[1]:
+        c = coords_product(coords_inverse(frames[i]), frames[j])
+        fresh.set_edge((i, j), h=c.h, s=c.s, alpha=c.alpha, beta=c.beta)
+
+    def refuse(self, *args, **kw):
+        raise AssertionError("set_edge called while building from frames")
+
+    monkeypatch.setattr(TransitionData, "set_edge", refuse)
+    data = transition_from_frames(nerve, frames)
+    assert list(data.edge_data) == list(fresh.edge_data)
+    assert json.dumps(data.to_dict()) == json.dumps(fresh.to_dict())

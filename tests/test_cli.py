@@ -1105,6 +1105,30 @@ def test_commands_form_each_derived_value_once(capsys, monkeypatch, argv, expect
     assert counts == expected
 
 
+@pytest.mark.parametrize("argv, most", [
+    # sums, negations, souls, derivatives and conjugates build pruned maps
+    # unscanned, and the group law's results skip GroupCoords' parity checks;
+    # a scan on every element read 1,925 / 244, 1,980 / 200 and 255 / 156
+    (["--seed", "1", "group-selftest", "--count", "10"], (1382, 4)),
+    (["--seed", "1", "garnier-check", "--m", "5", "--count", "10"], (610, 200)),
+    (["fatgraph", "normalize", fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")],
+     (69, 48)),
+])
+def test_commands_scan_only_what_a_producer_cannot_vouch_for(capsys, monkeypatch, argv, most):
+    counts = counted_calls(monkeypatch, ["_prune"])
+    real = supergroup.require_parity
+
+    def parity(*args):
+        counts["require_parity"] += 1
+        return real(*args)
+
+    counts["require_parity"] = 0
+    monkeypatch.setattr(supergroup, "require_parity", parity)
+    code, _, err = outcome(capsys, argv)
+    assert (code, err) == (0, "")
+    assert counts["_prune"] <= most[0] and counts["require_parity"] <= most[1], counts
+
+
 # -- garnier-check on its exact structure --------------------------------------------
 
 @pytest.mark.parametrize("m", [3, 4, 5])

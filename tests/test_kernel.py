@@ -17,21 +17,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11 import cli, grassmann, integrable
+from gl11 import cli, grassmann, integrable, supergroup
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
+    ConjugationTable,
     GrassmannElement,
     _indices_to_mask,
     _mask_to_indices,
     _sort_sign,
     nan_max,
+    random_element,
 )
 from gl11.hitchin import LocalFunction, LocalMatrix
 from gl11.integrable import (garnier_hamiltonian, garnier_hamiltonian_expanded, odd_gradient,
                              poisson_bracket, random_system)
 from gl11.reports import CheckReport
-from gl11.supergroup import SuperMatrix11, from_coords, random_coords
+from gl11.supergroup import (GroupCoords, SuperMatrix11, coords_inverse, coords_product,
+                             from_coords, random_coords)
 
 N = 6
 NAN = math.nan
@@ -167,19 +170,23 @@ def same_float(a, b):
     return a == b or (a != a and b != b)
 
 
-edge_coefficients = st.sampled_from([PRUNE_TOL, -PRUNE_TOL, 1j * PRUNE_TOL, 2 * PRUNE_TOL,
+# the smallest magnitude an element stores: every coefficient at or below
+# PRUNE_TOL is pruned at construction
+SMALLEST = math.nextafter(PRUNE_TOL, 1.0)
+edge_coefficients = st.sampled_from([SMALLEST, -SMALLEST, 1j * SMALLEST, PRUNE_TOL, 2 * PRUNE_TOL,
                                      NAN, INF, -INF, complex(0.0, INF), 0.5])
-unpruned = st.dictionaries(all_masks, st.one_of(coefficients, edge_coefficients),
-                           max_size=6).map(lambda terms: GrassmannElement(N, terms, prune=0.0))
-residual_operands = st.one_of(any_element, unpruned, st.just(GrassmannElement.zero(N)))
+edge_elements = st.dictionaries(all_masks, st.one_of(coefficients, edge_coefficients),
+                                max_size=6).map(lambda terms: GrassmannElement(N, terms))
+residual_operands = st.one_of(any_element, edge_elements, st.just(GrassmannElement.zero(N)))
+SMALLEST_T1 = GrassmannElement(N, {1: SMALLEST, 2: 1.0})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(residual_operands, residual_operands)
 @example(t1, t2)                                             # disjoint supports
 @example(GrassmannElement.zero(N), GrassmannElement.zero(N))
-@example(GrassmannElement(N, {1: PRUNE_TOL}, prune=0.0), GrassmannElement.zero(N))
-@example(GrassmannElement(N, {0: 1.0, 1: PRUNE_TOL}, prune=0.0), GrassmannElement.one(N))
+@example(GrassmannElement(N, {1: SMALLEST}), GrassmannElement.zero(N))
+@example(GrassmannElement(N, {0: 1.0, 1: SMALLEST}), GrassmannElement.one(N))
 @example(GrassmannElement(N, {3: NAN}), t1)
 @example(t1, GrassmannElement(N, {1: INF}))
 def test_residual_is_the_max_abs_of_the_difference(x, y):
@@ -198,9 +205,7 @@ def test_supermatrix_residual_is_the_max_abs_of_the_difference(entries):
 
 # LocalFunction coefficients as the kernel and the readers store them: pruned,
 # NaN and inf kept
-stored_coefficients = st.one_of(any_element, st.dictionaries(
-    all_masks, st.one_of(coefficients, edge_coefficients), max_size=6).map(
-        lambda terms: GrassmannElement(N, terms)))
+stored_coefficients = st.one_of(any_element, edge_elements)
 local_functions = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                   stored_coefficients, max_size=4).map(
                                       lambda terms: LocalFunction(N, terms))
@@ -269,6 +274,66 @@ def test_prune_scan_keeps_nan_and_inf():
     assert set(x.terms) == {0, 2, 3}
 
 
+def stores_no_small_coefficient(terms):
+    """No coefficient of magnitude <= PRUNE_TOL; NaN and inf may stay."""
+    return not any(abs(c) <= PRUNE_TOL for c in terms.values())
+
+
+def graded_part(x, odd):
+    """The monomials of x of odd (odd=1) or even (odd=0) length."""
+    return GrassmannElement(N, {m: c for m, c in x.terms.items() if m.bit_count() % 2 == odd})
+
+
+SWAP = ConjugationTable.swap_halves(N)
+producer_scales = st.one_of(
+    st.sampled_from([1e-13, -1e-13, PRUNE_TOL, SMALLEST, -SMALLEST, 0.0, 1.0, -1.0, 1j,
+                     NAN, INF, -INF]),
+    coefficients)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(residual_operands, residual_operands, producer_scales, st.integers(1, N))
+@example(SMALLEST_T1, -SMALLEST_T1, 1e-13, 1)                    # every sum cancels to 0
+@example(SMALLEST_T1, t1, -SMALLEST, 1)                          # t1 cancels in the combination
+@example(GrassmannElement(N, {0: NAN, 3: SMALLEST}), t1 + t2, INF, 2)
+def test_every_producer_stores_no_coefficient_at_or_below_the_prune(x, y, k, i):
+    # the unscanned producers hand _pruned maps that already hold the invariant,
+    # and every result, scanned or not, holds it; a NaN of x stays in each sum
+    with pytest.MonkeyPatch.context() as patch:
+        real = grassmann._pruned
+
+        def vouched(n, terms):
+            assert stores_no_small_coefficient(terms)
+            return real(n, terms)
+
+        patch.setattr(grassmann, "_pruned", vouched)
+        patch.setattr(supergroup, "_pruned", vouched)
+        keeps_nan = [x + y, x - y, x + k, x - k, k - x, -x, x * k, k * x, x.conjugate(SWAP),
+                     x.add_combination((y, k)), x.add_combination((y, k), (x, -1.0), (y, -k))]
+        results = keeps_nan + [x.soul(), x.derivative(i), x * y,
+                               GrassmannElement.dot((x, y), (y, x))]
+        even = graded_part(x, 0)
+        if cmath.isfinite(even.body()):  # e^inf overflows
+            results += [even.exp(), *even.exp_pair()]
+            if abs(even.body()) > PRUNE_TOL:
+                results += [even.inv(), even.log()]
+        alpha, beta = graded_part(x, 1), graded_part(y, 1) * k
+        for s in (GrassmannElement.zero(N), GrassmannElement.scalar(N, SMALLEST)):
+            c = GroupCoords(GrassmannElement.zero(N), s, alpha, beta)
+            results += from_coords(c).entries()
+            for law in (coords_product(c, c), coords_inverse(c)):
+                results += [law.h, law.s, law.alpha, law.beta]
+        if math.isfinite(x.max_abs()) and math.isfinite((y * k).max_abs()):
+            results.append(GrassmannElement.from_dict(
+                {"n": N, "terms": x.to_dict()["terms"] + (y * k).to_dict()["terms"]}))
+        if cmath.isfinite(k):
+            results.append(random_element(np.random.default_rng(0), N, num_terms=4, scale=abs(k)))
+    for r in results:
+        assert stores_no_small_coefficient(r.terms), r
+    if any(c != c for c in x.terms.values()):
+        assert all(math.isnan(r.max_abs()) for r in keeps_nan)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(any_element)
 def test_parity_tests_match_the_monomial_lengths(x):
@@ -310,7 +375,7 @@ def reference_dot(pairs):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(residual_operands, residual_operands)
 @example(t1 + t2, t1 + t2)
-@example(GrassmannElement(N, {0: -0.0, 1: 1.0}, prune=0.0), GrassmannElement.one(N))
+@example(-GrassmannElement(N, {0: SMALLEST, 1: 1.0}), GrassmannElement.one(N))  # -0.0 parts
 def test_dot_of_one_pair_is_the_product_bit_for_bit(x, y):
     assert same_terms(GrassmannElement.dot((x, y)).terms, (x * y).terms)
 
@@ -405,13 +470,12 @@ def chained(x, pairs):
 
 
 # -x carries the -0.0 parts that a negation makes; the scales hit the prune
-# (1e-13, PRUNE_TOL) and carry NaN, inf and signed zeros
+# (1e-13, PRUNE_TOL, SMALLEST) and carry NaN, inf and signed zeros
 combination_operands = st.one_of(residual_operands, residual_operands.map(lambda x: -x))
 combination_scales = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, 1, 1.0, -1.0, 1e-13, PRUNE_TOL, 0.5, 1j, 1e300,
-                     NAN, INF, complex(-0.0, 1.0)]),
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, -1.0, 1e-13, PRUNE_TOL, SMALLEST, -SMALLEST, 0.5,
+                     1j, 1e300, NAN, INF, complex(-0.0, 1.0)]),
     st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
-UNPRUNED_SMALL = GrassmannElement(N, {1: 1e-13, 2: 1.0}, prune=0.0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -420,7 +484,7 @@ UNPRUNED_SMALL = GrassmannElement(N, {1: 1e-13, 2: 1.0}, prune=0.0)
 @example(t1 + t2, [(t1, -1.0), (t1, 2.0)])                 # t1 cancels, then comes back
 @example(t1 + t2, [(t1, -1.0 + 1e-13), (t2, 1.0), (t1, 1.0)])   # prunes, then comes back
 @example(t1, [(t2, PRUNE_TOL), (t1 + t2, 1e-13)])          # every scaled term at the prune
-@example(UNPRUNED_SMALL, [(t2, 1.0), (t1, 1.0)])           # the first sum drops x's 1e-13
+@example(SMALLEST_T1, [(t1, -SMALLEST), (t2, 1.0), (t1, 1.0)])  # x's t1 cancels, comes back
 @example(-t1, [(-t1, 1.0), (t2, -0.0)])                    # -0.0 parts
 @example(GrassmannElement(N, {0: NAN, 1: INF}), [(t1, -1.0), (t1, INF)])
 def test_add_combination_is_bitwise_the_chain_of_scaled_sums(x, pairs):
@@ -430,8 +494,10 @@ def test_add_combination_is_bitwise_the_chain_of_scaled_sums(x, pairs):
 
 def test_a_running_sum_that_prunes_is_appended_again():
     assert list((t1 + t2).add_combination((t1, -1.0), (t1, 2.0)).terms) == [2, 1]
-    assert list(UNPRUNED_SMALL.add_combination((t2, 1.0), (t1, 1.0)).terms) == [2, 1]
-    assert UNPRUNED_SMALL.add_combination((t2, 1.0), (t1, 1.0)).terms[1] == 1.0
+    # a 1e-13 coefficient is not stored, so the smallest stored one cancels here
+    assert GrassmannElement(N, {1: 1e-13, 2: 1.0}).terms == {2: 1.0}
+    got = SMALLEST_T1.add_combination((t1, -SMALLEST), (t2, 1.0), (t1, 1.0))
+    assert list(got.terms) == [2, 1] and got.terms[1] == 1.0
 
 
 def test_add_combination_of_different_algebras_raises_as_the_sum_does():
@@ -448,15 +514,15 @@ def test_add_combination_of_different_algebras_raises_as_the_sum_does():
 
 @pytest.fixture
 def built(monkeypatch):
-    """A list that grows by one for every element grassmann._element builds."""
+    """A list that grows by one for every element the kernel builds, with a
+    prune scan (grassmann._element) or without one (grassmann._pruned)."""
     calls = []
-    real = grassmann._element
+    for name in ("_element", "_pruned"):
+        def counting(*args, _real=getattr(grassmann, name)):
+            calls.append(args[0])
+            return _real(*args)
 
-    def counting(*args, **kw):
-        calls.append(args[0])
-        return real(*args, **kw)
-
-    monkeypatch.setattr(grassmann, "_element", counting)
+        monkeypatch.setattr(grassmann, name, counting)
     return calls
 
 

@@ -8,8 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from gl11.grassmann import (GrassmannElement, NotInvertibleError, nan_max, random_even,
-                            random_odd)
+from gl11.grassmann import (PRUNE_TOL, GrassmannElement, NotInvertibleError, ParityError,
+                            nan_max, random_even, random_odd)
 from gl11 import grassmann, supergroup
 from gl11.hitchin import LocalFunction, LocalMatrix
 from gl11.supergroup import (
@@ -288,7 +288,6 @@ def test_higgs_transform_identity_and_sl_closed_form():
 
 
 def test_supermatrix_parity_validation():
-    from gl11.grassmann import ParityError
     with pytest.raises(ParityError):
         SuperMatrix11(t(1), zero(), zero(), one())
     with pytest.raises(ParityError):
@@ -458,7 +457,7 @@ def test_sl_group_law_forms_no_exponential(monkeypatch):
 
 @pytest.mark.parametrize("s_term", [
     GrassmannElement(N, {0b11: 1e-11}),
-    GrassmannElement(N, {0: 1e-13}, prune=0.0),  # below the prune tolerance, still stored
+    GrassmannElement(N, {0: math.nextafter(PRUNE_TOL, 1.0)}),  # the smallest s stored
 ])
 def test_tiny_s_keeps_the_twist(s_term):
     rng = np.random.default_rng(5)
@@ -474,8 +473,31 @@ def test_is_sl_is_the_exact_test_of_the_shortcuts():
     # a stored s term, however small, keeps a GL element off the SL(1|1) fold
     c = random_coords(np.random.default_rng(6), N, sl=True)
     assert c.is_sl()
-    tiny = GrassmannElement(N, {0: 1e-13}, prune=0.0)
+    tiny = GrassmannElement(N, {0: math.nextafter(PRUNE_TOL, 1.0)})
     assert not GroupCoords(c.h, tiny, c.alpha, c.beta).is_sl()
+    # an s at or below the prune stores nothing: the element is on SL(1|1)
+    assert GroupCoords(c.h, GrassmannElement(N, {0: 1e-13}), c.alpha, c.beta).is_sl()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_law_results_are_graded_and_supplied_parts_are_checked(seed):
+    # the law builds its results without a parity scan; a caller's parts keep one
+    rng = np.random.default_rng(seed)
+    c1 = random_coords(rng, N, num_terms=5)
+    c2 = random_coords(rng, N, sl=seed % 2 == 1, num_terms=5)
+    m = from_coords(c1)
+    for c in (c1, c2, coords_product(c1, c2), coords_product(c2, c1), coords_inverse(c1),
+              coords_inverse(c2), to_coords(m), to_coords(m, m.sdet())):
+        assert (c.h.parity(), c.s.parity(), c.alpha.parity(), c.beta.parity()) == (
+            "even", "even", "odd", "odd")
+        assert c.alpha.terms and c.beta.terms and c.n == N
+    even = random_even(rng, N, num_terms=3, body=0.3)
+    odd = random_odd(rng, N, num_terms=3)
+    for k, name in enumerate(("h", "s", "alpha", "beta")):
+        parts = [even, even, odd, odd]
+        parts[k] = odd if k < 2 else even
+        with pytest.raises(ParityError, match="^%s must be" % name):
+            GroupCoords(*parts)
 
 
 # -- the twist e^{+-s} carried by a group element -------------------------------
@@ -671,7 +693,7 @@ def counted(monkeypatch):
     counts = {"products": 0, "series_products": 0, "elements": 0}
     depth = []
     real_accumulate, real_series = grassmann._accumulate, grassmann.nilpotent_series
-    real_element, real_init = grassmann._element, GrassmannElement.__init__
+    real_init = GrassmannElement.__init__
 
     def accumulate(terms, x, y):
         counts["series_products" if depth else "products"] += 1
@@ -684,17 +706,21 @@ def counted(monkeypatch):
         finally:
             depth.pop()
 
-    def element(*args, **kw):
-        counts["elements"] += 1
-        return real_element(*args, **kw)
+    def counting(real):
+        def element(*args):
+            counts["elements"] += 1
+            return real(*args)
+        return element
 
     def init(self, *args, **kw):
         counts["elements"] += 1
         real_init(self, *args, **kw)
 
+    pruned = counting(grassmann._pruned)
     for module in (grassmann, supergroup):
         monkeypatch.setattr(module, "_accumulate", accumulate)
-        monkeypatch.setattr(module, "_element", element)
+        monkeypatch.setattr(module, "_pruned", pruned)
+    monkeypatch.setattr(grassmann, "_element", counting(grassmann._element))
     monkeypatch.setattr(grassmann, "nilpotent_series", series)
     monkeypatch.setattr(GrassmannElement, "__init__", init)
     return counts
