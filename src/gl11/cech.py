@@ -43,7 +43,12 @@ _ORDERINGS = [[(perm, _sort_sign(perm)) for perm in permutations(range(p + 1))]
 
 
 class ObstructionError(ValueError):
-    """Raised when a coboundary equation has no solution on the nerve."""
+    """Raised when a coboundary equation has no solution on the nerve;
+    ``residual`` is the least-norm solve's largest gap."""
+
+    def __init__(self, residual: float):
+        super().__init__("obstruction class nonzero on this nerve (residual %.3e)" % residual)
+        self.residual = residual
 
 
 class Nerve:
@@ -245,8 +250,7 @@ def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
         raise ValueError("cannot solve delta f = g for a 0-cochain g")
     sol, worst = solve_per_monomial(_coboundary_matrix(g.nerve, g.degree - 1), g.values, g.n)
     if worst > tol:
-        raise ObstructionError(
-            "obstruction class nonzero on this nerve (residual %.3e)" % worst)
+        raise ObstructionError(worst)
     return g._with(g.degree - 1, sol)
 
 

@@ -10,7 +10,8 @@ exactly when all checks pass at the requested tolerance, 1 when one fails
 and 2 on a usage error.  Random suites are seeded through --seed; a suite
 size --count below 1 is a usage error, since an empty suite proves nothing.
 cech-verify takes its mode from the data (SL when every s_ij is zero, else
-GL) and names it in the report's info.
+GL) and names it in the report's info; a two-cocycle with a nonzero class
+fails two_cocycle_split, whose residual is the least-norm solve's gap.
 garnier-check compares each Garnier H_i of the supertrace route, formed from
 one str(A_i A_j) per site pair, with the closed-form route, brackets the
 former and takes hamiltonians_sum_to_zero over the latter, where the sum
@@ -111,10 +112,10 @@ def cmd_cech_verify(args) -> CheckReport:
         if nerve.simplices[3]:
             report.add("two_cocycle_closed", g.coboundary().max_abs(), args.tol)
         try:
-            f = cech.solve_coboundary(g, tol=args.tol)
-            report.add("two_cocycle_split", f.coboundary().residual(g), args.tol)
-        except cech.ObstructionError as err:
-            report.info["two_cocycle_split"] = str(err)
+            split = cech.solve_coboundary(g, tol=args.tol).coboundary().residual(g)
+        except cech.ObstructionError as err:  # a nonzero class fails the check
+            split = err.residual
+        report.add("two_cocycle_split", split, args.tol)
     report.info["mode"] = mode
     return report
 

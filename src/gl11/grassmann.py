@@ -11,10 +11,17 @@ Every product goes through one monomial pair loop, ``_accumulate``, which adds
 x * y into a dict in place.  ``GrassmannElement.dot`` sums x * y over several
 pairs into one such dict and prunes it once, and ``x * y`` is its one-pair
 case; a sum of products therefore builds one element, not one per product.
+``one_pm_half_product`` reads 1 -+ x y / 2 off one such dict.
 Likewise every chain of scaled sums goes through one loop, ``_combine``,
 which adds y * k for each pair (y, k) into a dict in place:
 ``x.add_combination((y_1, k_1), ...)`` forms x + sum k_i y_i in one dict
-(one pair or more), and ``nilpotent_series`` sums its powers with it.
+(one pair or more), and ``nilpotent_series`` sums the powers of exp, inv and
+log with it.
+
+This module owns the term maps: the pair loop, the sign table
+(``_merge_sign``), ``_combine``, the prune and the series are reached from
+here alone.  The other modules (supergroup, hitchin, integrable, cech,
+fatgraph) build every element through GrassmannElement's public operations.
 
 No element stores a coefficient of magnitude <= PRUNE_TOL (NaN and inf stay,
 so that a blown-up value reaches the residual).  The invariant is checked,
@@ -216,16 +223,14 @@ def _sort_sign(seq) -> int:
     return -1 if swaps & 1 else 1
 
 
-def nilpotent_series(w, unit, zero, *sums) -> list:
+def nilpotent_series(w, *sums) -> list:
     """Term maps of (1 + sum_{k >= 1} coeff(k) w^k) * scale, one per (coeff, scale)
-    in ``sums``, from one sequence of powers of a nilpotent w (a GrassmannElement
-    soul or a polynomial with nilpotent coefficients) up to its first zero power.
+    in ``sums``, from one sequence of powers of a nilpotent element w (a soul)
+    up to its first zero power.
 
-    ``unit`` is the term map of 1 and ``zero`` an absent term (0j or the zero
-    element).  The powers are added into one map per sum by ``_combine``
-    (``abs`` of an element is its ``max_abs``), in increasing order: the
-    values and key order of a one-pair ``add_combination`` per power, without
-    its element.
+    The powers are added into one map per sum by ``_combine``, in increasing
+    order: the values and key order of a one-pair ``add_combination`` per
+    power, without its element.
     The map is scaled last, unless scale is None, and the caller's element
     prunes it again: bit for bit ``series * scale``.
     """
@@ -236,13 +241,10 @@ def nilpotent_series(w, unit, zero, *sums) -> list:
         power = power * w
     maps = []
     for coeff, scale in sums:
-        terms = dict(unit)
-        _combine(terms, [(power, coeff(k)) for k, power in enumerate(powers, 1)], zero)
+        terms = {0: 1 + 0j}
+        _combine(terms, [(power, coeff(k)) for k, power in enumerate(powers, 1)])
         maps.append(terms if scale is None else {m: c * scale for m, c in terms.items()})
     return maps
-
-
-_UNIT = {0: 1 + 0j}  # the term map of 1, copied by nilpotent_series
 
 
 def _exp(b: complex) -> complex:
@@ -253,15 +255,14 @@ def _exp(b: complex) -> complex:
         raise ValueError("exp overflows: the body has real part %r" % b.real) from None
 
 
-def _combine(terms: dict, pairs, zero=0j) -> None:
+def _combine(terms: dict, pairs) -> None:
     """Add y * k into ``terms`` for each (y, k) in ``pairs``, k a number, in
     place, as the chain ``(x + y_1 * k_1) + y_2 * k_2 ...`` would.
 
     A scaled term that the product's prune would delete is left out, and an
     entry whose sum is at or below PRUNE_TOL is deleted at once, so a later
-    pair that brings it back appends it, as a pruned element would.  ``zero``
-    is the absent entry (0j, or the zero element for nested term maps).  A
-    map without entries at or below PRUNE_TOL keeps none: only a sum with an
+    pair that brings it back appends it, as a pruned element would.  A map
+    without entries at or below PRUNE_TOL keeps none: only a sum with an
     entry already there can fall to the prune, so only that one is tested.
     """
     get = terms.get
@@ -271,7 +272,7 @@ def _combine(terms: dict, pairs, zero=0j) -> None:
             if not abs(c) <= PRUNE_TOL:
                 old = get(m)
                 if old is None:
-                    terms[m] = zero + c
+                    terms[m] = 0j + c
                 else:
                     c = old + c
                     if abs(c) <= PRUNE_TOL:
@@ -417,8 +418,6 @@ class GrassmannElement:
     def max_abs(self) -> float:
         """Magnitude of the largest coefficient (the residual norm used throughout)."""
         return nan_max(abs(c) for c in self.terms.values())
-
-    __abs__ = max_abs
 
     def residual(self, other: "GrassmannElement") -> float:
         """``(self - other).max_abs()``, without building the difference.
@@ -568,8 +567,7 @@ class GrassmannElement:
     def exp(self) -> "GrassmannElement":
         """exp of an even element: e^body times the truncating soul series."""
         b = self._even_body("exp")
-        (terms,) = nilpotent_series(self.soul(), _UNIT, 0j,
-                                    (lambda k: 1.0 / math.factorial(k), _exp(b)))
+        (terms,) = nilpotent_series(self.soul(), (lambda k: 1.0 / math.factorial(k), _exp(b)))
         return _element(self.n, terms)
 
     def exp_pair(self) -> tuple:
@@ -577,20 +575,40 @@ class GrassmannElement:
         (-x).exp())``: (-w)^k = (-1)^k w^k, and every sum starts from 0j."""
         b = self._even_body("exp")
         plus, minus = nilpotent_series(
-            self.soul(), _UNIT, 0j, (lambda k: 1.0 / math.factorial(k), _exp(b)),
+            self.soul(), (lambda k: 1.0 / math.factorial(k), _exp(b)),
             (lambda k: (-1.0) ** k / math.factorial(k), _exp(-b)))
         return _element(self.n, plus), _element(self.n, minus)
+
+    def one_pm_half_product(self, other) -> tuple:
+        """(1 - x y / 2, 1 + x y / 2) for x = self and y = other with a body-free
+        product (x and y odd), from one pair loop and no prune scan.
+
+        Bit for bit ``1 -+ (x * y) * 0.5``: halving keeps every term that the
+        product's prune would drop at or below the prune, so one test filters
+        both, and 0j -+ t stores a -0.0 part as 0.0.
+        """
+        if self.n != other.n:
+            raise ValueError("generator counts differ: %d vs %d" % (self.n, other.n))
+        product = {}
+        _accumulate(product, self, other)
+        one_minus, one_plus = {0: 1 + 0j}, {0: 1 + 0j}
+        for m, t in product.items():
+            t = t * 0.5
+            if not abs(t) <= PRUNE_TOL:
+                one_minus[m] = 0j - t
+                one_plus[m] = 0j + t
+        return _pruned(self.n, one_minus), _pruned(self.n, one_plus)
 
     def inv(self) -> "GrassmannElement":
         """Multiplicative inverse; needs even parity and nonzero body."""
         b, w = self._unit_soul("inverse", "not invertible: body is zero")
-        (terms,) = nilpotent_series(w, _UNIT, 0j, (lambda k: (-1.0) ** k, 1.0 / b))
+        (terms,) = nilpotent_series(w, (lambda k: (-1.0) ** k, 1.0 / b))
         return _element(self.n, terms)
 
     def log(self) -> "GrassmannElement":
         """Principal log of an even invertible element."""
         b, w = self._unit_soul("log", "log undefined: body is zero")
-        (terms,) = nilpotent_series(w, _UNIT, 0j, (lambda k: (-1.0) ** (k + 1) / k, None))
+        (terms,) = nilpotent_series(w, (lambda k: (-1.0) ** (k + 1) / k, None))
         # 1 + log(1 + w) - 1 + log(b): the body 1 - 1 prunes away and log(b) comes last
         del terms[0]
         terms[0] = 0j + cmath.log(b)

@@ -11,7 +11,10 @@ no degree bound: sums, products and derivatives never need truncating.
 
 Inverses are closed forms too.  A function c(1 + w) with nilpotent w has
 inverse c^{-1}(1 - w + w^2 - ...), a series that ends at the first zero power
-of w: w has body-free coefficients, so w^(n+1) = 0.
+of w: w has body-free coefficients, so w^(n+1) = 0.  LocalFunction sums it
+with its own ``+`` and scalar ``*``, and forms every product as one
+``GrassmannElement.dot`` per degree: this module never reaches the pair loop,
+the prune or the series of gl11.grassmann.
 A LocalMatrix is a SuperMatrix11 with LocalFunction entries; its inverse is
 gl11.supergroup.block_inverse, built from the two diagonal inverses alone,
 because its odd entries square to zero, and it keeps those two inverses.
@@ -35,15 +38,12 @@ from .grassmann import (
     ConjugationTable,
     GrassmannElement,
     NotInvertibleError,
-    _accumulate,
-    _element,
     json_at,
     json_count,
     json_int,
     json_list,
     json_object,
     nan_max,
-    nilpotent_series,
     require_parity,
 )
 from .supergroup import SuperMatrix11, block_inverse
@@ -54,7 +54,7 @@ class LocalFunction:
 
     ``terms`` maps (z_degree, zbar_degree) to a coefficient on n generators
     and holds no empty coefficient.  A product, and any sum of products
-    (``dot``), keeps one Grassmann term dict per degree and prunes each once.
+    (``dot``), is one fused ``GrassmannElement.dot`` per degree.
     Parity is GrassmannElement's contract, read from the coefficients when
     asked: ``is_even()`` and ``is_odd()`` hold when every coefficient is even
     or odd, and ``parity()`` is 'even', 'odd' or 'mixed' (zero is even).
@@ -165,25 +165,22 @@ class LocalFunction:
     def dot(*pairs) -> "LocalFunction":
         """Sum of f * g over the pairs (f, g), one pair or more.
 
-        Each (z, zbar) degree of the sum keeps one dict of Grassmann terms;
-        every coefficient product is accumulated into it in pair order
-        (``grassmann._accumulate``) and the dict is pruned once at the end.
-        A degree whose terms all prune away is not stored.
+        The coefficient pairs are grouped by the (z, zbar) degree of their
+        product, in pair order, and each degree is one fused
+        ``GrassmannElement.dot``.  A degree whose terms all prune away is not
+        stored.
         """
         n = pairs[0][0].n
-        acc: dict[tuple, dict] = {}
+        by_degree: dict[tuple, list] = {}
         for f, g in pairs:
             if f.n != n or g.n != n:
                 raise ValueError("generator counts differ: %d vs %d"
                                  % (n, f.n if f.n != n else g.n))
             for (p1, q1), c1 in f.terms.items():
                 for (p2, q2), c2 in g.terms.items():
-                    key = (p1 + p2, q1 + q2)
-                    terms = acc.get(key)
-                    if terms is None:
-                        terms = acc[key] = {}
-                    _accumulate(terms, c1, c2)
-        return LocalFunction(n, {key: _element(n, terms) for key, terms in acc.items()})
+                    by_degree.setdefault((p1 + p2, q1 + q2), []).append((c1, c2))
+        return LocalFunction(n, {key: GrassmannElement.dot(*group)
+                                 for key, group in by_degree.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -202,9 +199,12 @@ class LocalFunction:
                 raise NotInvertibleError(
                     "not invertible in the polynomial model: term z^%d zbar^%d "
                     "has a nonzero body" % (p, q))
-        (terms,) = nilpotent_series(w, {(0, 0): GrassmannElement.one(self.n)},
-                                    GrassmannElement.zero(self.n), (lambda k: (-1.0) ** k, scale))
-        return LocalFunction(self.n, terms)
+        # 1 - w + w^2 - ... up to the first zero power, scaled last
+        series, power, sign = LocalFunction.one(self.n), w, -1.0
+        while power.terms:
+            series = series + power * sign
+            power, sign = power * w, -sign
+        return series * scale
 
     # -- calculus --------------------------------------------------------------
 

@@ -14,14 +14,15 @@ commutators after quantization).
 
 The classical side computes each quantity once.  The generators theta_k,
 eta_k and their products theta_i eta_j and eta_i theta_j depend on m alone:
-site_products builds them once per site count, writing each product as the
-one term x * y stores.  ParabolicData builds its residue matrices A_i from
-them on first use and keeps them; its sites are tuples, so the stored
-matrices cannot go stale.  It keeps its Garnier Hamiltonians in the same way
-(ParabolicData.hamiltonians): S_ij = str(A_i A_j) is taken from the diagonal
-blocks alone (supertrace_product), the same floating-point operations as the
-supertrace of the full product, once per pair i < j, since str(A_j A_i)
-equals it bit for bit; garnier_hamiltonian reads H_i from there.
+site_products builds them once per site count, each product as x * y.
+ParabolicData builds its residue matrices A_i from them on first use and
+keeps them, without a parity scan: their entries are graded by construction.
+Its sites are tuples, so the stored matrices cannot go stale.  It keeps its
+Garnier Hamiltonians in the same way (ParabolicData.hamiltonians): S_ij =
+str(A_i A_j) is taken from the diagonal blocks alone (supertrace_product),
+the same floating-point operations as the supertrace of the full product,
+once per pair i < j, since str(A_j A_i) equals it bit for bit;
+garnier_hamiltonian reads H_i from there.
 garnier_hamiltonian_expanded, the independent route, uses no residue matrix:
 its u_k - 2 theta_k eta_k are built once per system and kept
 (ParabolicData.expanded), and its cross terms are read from site_products.
@@ -56,6 +57,8 @@ without forming a 2^m x 2^m array.
 A Garnier H_i, each term of its closed form and a sum of Hamiltonians are
 linear combinations with number coefficients, each summed into one element
 by GrassmannElement.add_combination, not one element per sum and per term.
+Every element here is built by GrassmannElement's public operations: this
+module never reaches the pair loop, the prune or the signs of gl11.grassmann.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grassmann import (MAX_GENERATORS, GrassmannElement, _merge_sign, json_at, json_list,
-                        json_number, json_object, require_parity)
+from .grassmann import (MAX_GENERATORS, GrassmannElement, json_at, json_list, json_number,
+                        json_object, require_parity)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
@@ -81,26 +84,16 @@ def site_products(m: int) -> tuple:
     """(theta, eta, theta_eta, eta_theta) on the 2m generators of m sites, built
     once per site count: theta[k] and eta[k] the generators, theta_eta[i][j] =
     theta_i eta_j and eta_theta[i][j] = eta_i theta_j, all tuples.
-
-    A product of two generators is the one term that x * y stores, written
-    directly: the monomial a | b with 0j + 1 * 1 * _merge_sign(a, b).
     """
-    n = 2 * m
-    theta = [1 << 2 * k for k in range(m)]  # theta_k is generator 2k + 1
-    eta = [1 << 2 * k + 1 for k in range(m)]
-
-    def elements(masks):
-        return tuple(GrassmannElement(n, {a: 1.0}) for a in masks)
-
-    def products(left, right):
-        return tuple(tuple(GrassmannElement(n, {a | b: (1 + 0j) * (1 + 0j) * _merge_sign(a, b)})
-                           for b in right) for a in left)
-
-    return elements(theta), elements(eta), products(theta, eta), products(eta, theta)
+    theta = tuple(GrassmannElement.generator(2 * m, 2 * k + 1) for k in range(m))
+    eta = tuple(GrassmannElement.generator(2 * m, 2 * k + 2) for k in range(m))
+    return (theta, eta, tuple(tuple(x * y for y in eta) for x in theta),
+            tuple(tuple(y * x for x in theta) for y in eta))
 
 
 class ParabolicData:
-    """Sites (z_i, u_i, v_i) with odd generators theta_i, eta_i per site."""
+    """Sites (z_i, u_i, v_i) with odd generators theta_i, eta_i per site
+    (site_products(m))."""
 
     def __init__(self, z, u, v):
         self.z = tuple(complex(x) for x in z)
@@ -134,12 +127,6 @@ class ParabolicData:
     def b(self, i) -> complex:
         return 0.5 * (self.u[i] - self.v[i])
 
-    def theta(self, i) -> GrassmannElement:
-        return GrassmannElement.generator(self.n, 2 * i + 1)
-
-    def eta(self, i) -> GrassmannElement:
-        return GrassmannElement.generator(self.n, 2 * i + 2)
-
     @cached_property
     def residues(self) -> tuple:
         """(A_0, ..., A_{m-1}), built on first use and kept (see residue_matrix)."""
@@ -151,7 +138,8 @@ class ParabolicData:
             out.append(SuperMatrix11(GrassmannElement.scalar(n, self.a(i)) - te,
                                      theta[i],
                                      self.v[i] * eta[i],
-                                     GrassmannElement.scalar(n, self.b(i)) - te))
+                                     GrassmannElement.scalar(n, self.b(i)) - te,
+                                     check=False))
         return tuple(out)
 
     @cached_property

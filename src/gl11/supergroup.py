@@ -21,7 +21,8 @@ formula a short closed form (Berezin, Introduction to Superanalysis, 1987):
   a d = e^{2h} exactly and h = log(a d)/2, up to an i*pi decided by the sign of
   a's body against e^{h+s/2}; a^{-1} gamma = (1 + alpha beta/2) alpha = alpha and
   d^{-1} beta_M = (1 - alpha beta/2) beta = beta, as alpha^2 = beta^2 = 0.
-- from_coords reads 1 -+ alpha beta/2 off the terms of alpha beta in one pass.
+- from_coords takes 1 -+ alpha beta/2 from the kernel in one pass
+  (``GrassmannElement.one_pm_half_product``).
 
 The twist e^{+-s} is all that separates the GL(1|1) law from SL(1|1), and it
 belongs to the element: ``GroupCoords.twist()`` forms (e^s, e^{-s}) from one
@@ -62,8 +63,10 @@ graded by construction (an even by even or odd by odd product is even, an
 even by odd one odd), so ``product_from_term`` (and ``coords_product``),
 ``coords_inverse``, ``to_coords`` and ``random_coords`` build them with
 ``GroupCoords._graded``, which does not scan, as the matrix products already
-pass ``check=False``.  ``from_coords`` hands its 1 -+ alpha beta/2 maps,
-filtered as they are built, to ``grassmann._pruned`` unscanned.
+pass ``check=False``.
+
+This module builds every element through the kernel's public operations:
+it never reaches the pair loop, the prune or the series of gl11.grassmann.
 """
 
 from __future__ import annotations
@@ -73,8 +76,6 @@ import cmath
 from .grassmann import (
     PRUNE_TOL,
     GrassmannElement,
-    _accumulate,
-    _pruned,
     NotInvertibleError,
     nan_max,
     random_even,
@@ -294,18 +295,9 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
     else:
         e_plus = c.h.add_combination((c.s, 0.5)).exp()
         e_minus = c.h.add_combination((c.s, -0.5)).exp()
-    # 1 -+ (alpha * beta) * 0.5 bit for bit: halving keeps a term the product's
-    # prune drops below the prune, and 0j -+ x stores a -0.0 part as 0.0
-    ab = {}
-    _accumulate(ab, c.alpha, c.beta)
-    one_minus, one_plus = {0: 1 + 0j}, {0: 1 + 0j}
-    for m, x in ab.items():
-        x = x * 0.5
-        if not abs(x) <= PRUNE_TOL:
-            one_minus[m] = 0j - x
-            one_plus[m] = 0j + x
-    return SuperMatrix11(e_plus * _pruned(c.n, one_minus), e_minus * c.beta,
-                         e_plus * c.alpha, e_minus * _pruned(c.n, one_plus), check=False)
+    one_minus, one_plus = c.alpha.one_pm_half_product(c.beta)
+    return SuperMatrix11(e_plus * one_minus, e_minus * c.beta,
+                         e_plus * c.alpha, e_minus * one_plus, check=False)
 
 
 def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:

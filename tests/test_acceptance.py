@@ -412,7 +412,8 @@ def test_criterion_9_negative_controls(capsys, tmp_path):
     p = integrable.random_system(rng, 3)
     h0 = integrable.garnier_hamiltonian(p, 0)
     h1 = integrable.garnier_hamiltonian(p, 1)
-    corrupted = h1 + 0.5 * (p.theta(0) * p.eta(1))
+    theta_eta = integrable.site_products(p.m)[2]
+    corrupted = h1 + 0.5 * theta_eta[0][1]  # theta_0 eta_1
     residual = integrable.poisson_bracket(p, h0, corrupted).max_abs()
     assert residual > TOL
     _report("criterion 9: negative controls", 0.0, TOL)

@@ -270,8 +270,11 @@ def test_solve_coboundary_obstruction_on_sphere():
     # nonvanishing total alternating sum is not a coboundary
     nerve = tetrahedron_nerve(solid=False)
     g = Cochain(nerve, 2, N, {(1, 2, 3): scalar(1.0)})
-    with pytest.raises(ObstructionError):
+    with pytest.raises(ObstructionError) as caught:
         solve_coboundary(g)
+    # the least-norm gap is g's part along the alternating sum: 1/4 on each triangle
+    assert caught.value.residual == pytest.approx(0.25)
+    assert str(caught.value) == "obstruction class nonzero on this nerve (residual 2.500e-01)"
 
 
 def test_cup_product_examples():
@@ -829,23 +832,10 @@ def quiet_main(argv):
         return main([str(arg) for arg in argv])
 
 
-def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls; returns the count list."""
-    calls = []
-    real = getattr(module, name)
-
-    def wrapper(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
-def test_cech_verify_takes_one_exp_pair_per_edge(monkeypatch):
+def test_cech_verify_takes_one_exp_pair_per_edge(count_calls):
     # the reader forms the twist e^{+-s} of each of the 6 edges, and the cocycle
     # report, the group law and two_cocycle_value all read it from GroupCoords
-    series = counting(monkeypatch, grassmann, "nilpotent_series")
+    series = count_calls(grassmann, "nilpotent_series")
     for nerve in ("nerve_tetrahedron.json", "nerve_tetrahedron_boundary.json"):
         series.clear()
         assert quiet_main(["cech-verify", FIXTURES / nerve,
@@ -854,7 +844,7 @@ def test_cech_verify_takes_one_exp_pair_per_edge(monkeypatch):
 
 
 @pytest.mark.parametrize("solid", [True, False])
-def test_cech_verify_resolves_orderings_without_a_permutation_sign(monkeypatch, tmp_path,
+def test_cech_verify_resolves_orderings_without_a_permutation_sign(count_calls, tmp_path,
                                                                    solid):
     # every edge stored reversed, so each triangle reads its edges through the table
     nerve = edges_reversed(tetrahedron_nerve(solid))
@@ -862,7 +852,7 @@ def test_cech_verify_resolves_orderings_without_a_permutation_sign(monkeypatch, 
     nerve_path, data_path = tmp_path / "nerve.json", tmp_path / "data.json"
     nerve_path.write_text(json.dumps(nerve_to_dict(nerve)))
     data_path.write_text(json.dumps(data.to_dict()))
-    signs = counting(monkeypatch, cech, "_sort_sign")
+    signs = count_calls(cech, "_sort_sign")
     assert quiet_main(["cech-verify", nerve_path, data_path]) == 0
     assert signs == []
 

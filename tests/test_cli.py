@@ -130,12 +130,14 @@ def test_cech_verify_reports_a_shifted_two_cocycle(capsys, monkeypatch, tmp_path
     payload = json.loads(out)
     names = {c["name"] for c in payload["checks"]}
     assert err == ""
-    assert payload["info"]["two_cocycle_split"].startswith("obstruction class nonzero")
-    assert "two_cocycle_split" not in names
+    assert "two_cocycle_split" not in payload["info"]
+    # the check carries the least-norm gap, 1/4 on each triangle for a unit shift
+    split = [c["residual"] for c in payload["checks"] if c["name"] == "two_cocycle_split"]
+    assert split == [pytest.approx(0.25)]
     if solid:
-        assert (code, failing_checks(out)) == (1, ["two_cocycle_closed"])
-    else:  # the obstruction is info only: no check fails
-        assert (code, failing_checks(out)) == (0, [])
+        assert (code, failing_checks(out)) == (1, ["two_cocycle_closed", "two_cocycle_split"])
+    else:  # the obstruction fails the split check, the only one that fails
+        assert (code, failing_checks(out)) == (1, ["two_cocycle_split"])
         assert "two_cocycle_closed" not in names
 
 
@@ -377,10 +379,8 @@ def test_usage_error_then_valid_call(capsys):
     assert "status: pass" in out
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+def test_parser_built_once_per_process(capsys, count_calls):
+    built = count_calls(cli, "build_parser")
     cli._parser.cache_clear()
     try:
         for argv in (PLAIN, ["--format", "json"] + PLAIN, ["fatgraph", "dims", "--genus",
@@ -388,7 +388,7 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
             outcome(capsys, argv)
     finally:
         cli._parser.cache_clear()
-    assert built == [1]
+    assert len(built) == 1
 
 
 def test_cech_verify_odd_term_in_h_names_file_edge_and_field(capsys, tmp_path):
@@ -906,15 +906,8 @@ def test_cech_verify_overflow_of_e_to_the_minus_s_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_group_selftest_calls_to_coords_once_per_round(capsys, monkeypatch, count):
-    calls = []
-    real = supergroup.to_coords
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(supergroup, "to_coords", counting)
+def test_group_selftest_calls_to_coords_once_per_round(capsys, count_calls, count):
+    calls = count_calls(supergroup, "to_coords")
     code, _ = run(capsys, "group-selftest", "--count", str(count))
     assert code == 0
     assert len(calls) == count
@@ -1065,10 +1058,11 @@ def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
 
 # -- each derived value formed once, by its owner ------------------------------------
 
-def counted_calls(monkeypatch, names):
-    """Counts of calls to each named method ("Class.name") or module function,
-    the function wrapped under every gl11 module name that binds it."""
-    counts = dict.fromkeys(names, 0)
+def counted_calls(count_calls, names):
+    """The calls of each named method ("Class.name", the class as gl11.hitchin
+    binds it) or module function, the function counted under every gl11 module
+    name that binds it (the kernel's names have one binding, in grassmann)."""
+    calls = {}
     for name in names:
         owner, _, attr = name.rpartition(".")
         if owner:
@@ -1077,14 +1071,10 @@ def counted_calls(monkeypatch, names):
             real = getattr(grassmann, attr, None) or getattr(supergroup, attr)
             targets = [module for module in (grassmann, supergroup, hitchin, cech)
                        if getattr(module, attr, None) is real]
-
-        def wrapper(*args, _name=name, _real=getattr(targets[0], attr), **kw):
-            counts[_name] += 1
-            return _real(*args, **kw)
-
+        calls[name] = []
         for target in targets:
-            monkeypatch.setattr(target, attr, wrapper)
-    return counts
+            count_calls(target, attr, calls[name])
+    return calls
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -1098,35 +1088,29 @@ def counted_calls(monkeypatch, names):
     (["cech-verify", fx("nerve_tetrahedron.json"), fx("cech_tetra_valid.json")],
      {"quadratic_term": 4, "_accumulate": 31}),
 ])
-def test_commands_form_each_derived_value_once(capsys, monkeypatch, argv, expected):
-    counts = counted_calls(monkeypatch, list(expected))
+def test_commands_form_each_derived_value_once(capsys, count_calls, argv, expected):
+    calls = counted_calls(count_calls, list(expected))
     code, _, err = outcome(capsys, argv)
     assert (code, err) == (0, "")
-    assert counts == expected
+    assert {name: len(made) for name, made in calls.items()} == expected
 
 
 @pytest.mark.parametrize("argv, most", [
     # sums, negations, souls, derivatives and conjugates build pruned maps
-    # unscanned, and the group law's results skip GroupCoords' parity checks;
-    # a scan on every element read 1,925 / 244, 1,980 / 200 and 255 / 156
+    # unscanned, and the group law's results and the Garnier residues skip
+    # the parity checks; a scan on every element read 1,925 / 244,
+    # 1,980 / 200 and 255 / 156
     (["--seed", "1", "group-selftest", "--count", "10"], (1382, 4)),
-    (["--seed", "1", "garnier-check", "--m", "5", "--count", "10"], (610, 200)),
+    (["--seed", "1", "garnier-check", "--m", "5", "--count", "10"], (610, 0)),
     (["fatgraph", "normalize", fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")],
      (69, 48)),
 ])
-def test_commands_scan_only_what_a_producer_cannot_vouch_for(capsys, monkeypatch, argv, most):
-    counts = counted_calls(monkeypatch, ["_prune"])
-    real = supergroup.require_parity
-
-    def parity(*args):
-        counts["require_parity"] += 1
-        return real(*args)
-
-    counts["require_parity"] = 0
-    monkeypatch.setattr(supergroup, "require_parity", parity)
+def test_commands_scan_only_what_a_producer_cannot_vouch_for(capsys, count_calls, argv, most):
+    prunes = count_calls(grassmann, "_prune")
+    parities = count_calls(supergroup, "require_parity")
     code, _, err = outcome(capsys, argv)
     assert (code, err) == (0, "")
-    assert counts["_prune"] <= most[0] and counts["require_parity"] <= most[1], counts
+    assert len(prunes) <= most[0] and len(parities) <= most[1], (len(prunes), len(parities))
 
 
 # -- garnier-check on its exact structure --------------------------------------------
@@ -1143,25 +1127,14 @@ def test_garnier_check_forms_no_supermatrix_product(capsys, monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_garnier_check_computes_each_quantity_once(capsys, monkeypatch, m):
-    counts = {}
-
-    def counted(owner, name):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kw):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args, **kw)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(GrassmannElement, "derivative")
-    counted(supergroup.SuperMatrix11, "__init__")
-    for name in ("garnier_hamiltonian", "garnier_hamiltonian_expanded", "poisson_bracket"):
-        counted(integrable, name)
+def test_garnier_check_computes_each_quantity_once(capsys, count_calls, m):
+    calls = {name: count_calls(owner, name) for owner, name in (
+        (GrassmannElement, "derivative"), (supergroup.SuperMatrix11, "__init__"),
+        (integrable, "garnier_hamiltonian"), (integrable, "garnier_hamiltonian_expanded"),
+        (integrable, "poisson_bracket"))}
     code, _, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "1"])
     assert (code, err) == (0, "")
-    assert counts == {
+    assert {name: len(made) for name, made in calls.items()} == {
         "derivative": 2 * m * m,     # each H_i's 2m derivatives, once
         "__init__": m,               # each residue matrix, once
         "garnier_hamiltonian": m,
@@ -1171,16 +1144,9 @@ def test_garnier_check_computes_each_quantity_once(capsys, monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_garnier_check_forms_one_supertrace_per_pair(capsys, monkeypatch, m):
+def test_garnier_check_forms_one_supertrace_per_pair(capsys, count_calls, m):
     # str(A_j A_i) equals str(A_i A_j) bit for bit, so it is formed for i < j only
-    real = integrable.supertrace_product
-    pairs = []
-
-    def recording(x, y):
-        pairs.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(integrable, "supertrace_product", recording)
+    pairs = count_calls(integrable, "supertrace_product")
     code, _, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "1"])
     assert (code, err) == (0, "")
     assert all(x is not y for x, y in pairs)
@@ -1207,15 +1173,8 @@ def test_garnier_check_sum_fails_with_a_flipped_cross_term(capsys, monkeypatch, 
     assert checks["poisson_commutativity"]["passed"]  # the residue route is untouched
 
 
-def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, monkeypatch):
-    real = integrable.poisson_bracket
-    seen = []
-
-    def recording(p, f, g):
-        seen.append((p, f, g))
-        return real(p, f, g)
-
-    monkeypatch.setattr(integrable, "poisson_bracket", recording)
+def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, count_calls):
+    seen = count_calls(integrable, "poisson_bracket")
     code, _, err = outcome(capsys, ["garnier-check", "--m", "4", "--count", "2"])
     assert (code, err) == (0, "")
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -28,6 +28,16 @@ from gl11.integrable import (
 from gl11.supergroup import SuperMatrix11
 
 
+def theta(p: ParabolicData, k: int) -> GrassmannElement:
+    """The odd generator theta_k of p's site k, from site_products."""
+    return site_products(p.m)[0][k]
+
+
+def eta(p: ParabolicData, k: int) -> GrassmannElement:
+    """The odd generator eta_k of p's site k, from site_products."""
+    return site_products(p.m)[1][k]
+
+
 def operator_parity(mat, tol=1e-12):
     """'even' / 'odd' / 'mixed' with respect to monomial-length parity."""
     par = np.bitwise_count(np.arange(mat.shape[0])) & 1
@@ -46,9 +56,9 @@ def flag_frame(p: ParabolicData, i: int):
     n = p.n
     zero = GrassmannElement.zero(n)
     one = GrassmannElement.one(n)
-    upper = SuperMatrix11(GrassmannElement.scalar(n, p.a(i)), p.theta(i),
+    upper = SuperMatrix11(GrassmannElement.scalar(n, p.a(i)), theta(p, i),
                           zero, GrassmannElement.scalar(n, p.b(i)))
-    lower = SuperMatrix11(one, zero, p.eta(i), one)
+    lower = SuperMatrix11(one, zero, eta(p, i), one)
     return upper, lower
 
 
@@ -209,15 +219,15 @@ def test_poisson_bracket_basics():
     p = random_system(rng, 3)
     n = p.n
     # disjoint bilinears commute
-    f = p.theta(0) * p.eta(0)
-    g = p.theta(1) * p.eta(1)
+    f = theta(p, 0) * eta(p, 0)
+    g = theta(p, 1) * eta(p, 1)
     assert poisson_bracket(p, f, g).max_abs() == 0.0
     # antisymmetry on even observables
-    f = p.theta(0) * p.eta(1) + 2.0 * p.theta(2) * p.eta(0)
-    g = p.theta(1) * p.eta(2)
+    f = theta(p, 0) * eta(p, 1) + 2.0 * theta(p, 2) * eta(p, 0)
+    g = theta(p, 1) * eta(p, 2)
     assert (poisson_bracket(p, f, g) + poisson_bracket(p, g, f)).max_abs() < 1e-12
     with pytest.raises(ParityError):
-        poisson_bracket(p, p.theta(0), g)
+        poisson_bracket(p, theta(p, 0), g)
 
 
 def test_poisson_bracket_leibniz():
@@ -230,7 +240,7 @@ def test_poisson_bracket_leibniz():
         for i in range(p.m):
             for j in range(p.m):
                 c = complex(rng.standard_normal(), rng.standard_normal())
-                acc = acc + c * (p.theta(i) * p.eta(j))
+                acc = acc + c * (theta(p, i) * eta(p, j))
         return acc
 
     for _ in range(10):
@@ -361,7 +371,7 @@ def test_quantize_rejects_non_garnier():
     rng = np.random.default_rng(16)
     p = random_system(rng, 2)
     with pytest.raises(ValueError):
-        quantize(p, p.theta(0) * p.eta(0))
+        quantize(p, theta(p, 0) * eta(p, 0))
 
 
 def test_quantize_hbar_zero_gives_zero():
@@ -493,34 +503,21 @@ def test_each_hop_equals_its_oracle_when_a_has_zero_entries(zero_v, hbar):
         assert_each_hop_is_its_oracle(a, terms)
 
 
-def test_gaudin_commute_m8_makes_one_one_body_form_per_hamiltonian(monkeypatch):
+def test_gaudin_commute_m8_makes_one_one_body_form_per_hamiltonian(count_calls):
     # the command realizes the forms it checks, not a second one_body per H_i
-    calls = []
-    real = integrable.one_body
-
-    def counting(p, i, hbar=1.0):
-        calls.append(i)
-        return real(p, i, hbar)
-
-    monkeypatch.setattr(integrable, "one_body", counting)
+    calls = count_calls(integrable, "one_body")
     assert cli.main(["gaudin-commute", "--m", "8"]) == 0
-    assert sorted(calls) == list(range(8))
+    assert sorted(args[1] for args in calls) == list(range(8))
 
 
-def test_gaudin_commute_m8_realizes_each_site_pair_once_per_hamiltonian(monkeypatch):
+def test_gaudin_commute_m8_realizes_each_site_pair_once_per_hamiltonian(count_calls):
     # one _hops call per Hamiltonian, building its 7 site pairs once each: 56
     # pairs, where one hop per nonzero off-diagonal entry would build 112
-    calls = []
-    real = integrable._hops
-
-    def counting(m, lo, hi):
-        calls.append(list(zip(lo.tolist(), hi.tolist())))
-        return real(m, lo, hi)
-
-    monkeypatch.setattr(integrable, "_hops", counting)
+    calls = count_calls(integrable, "_hops")
     assert cli.main(["gaudin-commute", "--m", "8"]) == 0
     assert len(calls) == 8
-    for pairs in calls:
+    for _, lo, hi in calls:
+        pairs = list(zip(lo.tolist(), hi.tolist()))
         assert len(set(pairs)) == len(pairs) == 7 and all(x < y for x, y in pairs)
 
 
@@ -685,7 +682,7 @@ def test_quantize_observable_matches_word_products_on_random_bilinears():
         f = GrassmannElement.scalar(p.n, c)
         for k in range(m):
             for l in range(m):
-                f = f + a[k, l] * (p.theta(k) * p.eta(l))
+                f = f + a[k, l] * (theta(p, k) * eta(p, l))
         assert any(mask & 0b10 and mask & 0b100 for mask in f.terms)  # eta_0 theta_1
         for hbar in (1.0, 0.5, 0.0):
             c_q, a_q = quantized_one_body(p, f, hbar)
@@ -697,10 +694,10 @@ def test_quantize_observable_matches_word_products_on_random_bilinears():
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda p: p.theta(0) * p.theta(1), "theta_0 theta_1"),
-    (lambda p: p.eta(0) * p.eta(2), "eta_0 eta_2"),
-    (lambda p: p.theta(1), "theta_1"),
-    (lambda p: p.theta(0) * p.eta(0) * p.theta(1) * p.eta(1),
+    (lambda p: theta(p, 0) * theta(p, 1), "theta_0 theta_1"),
+    (lambda p: eta(p, 0) * eta(p, 2), "eta_0 eta_2"),
+    (lambda p: theta(p, 1), "theta_1"),
+    (lambda p: theta(p, 0) * eta(p, 0) * theta(p, 1) * eta(p, 1),
      "theta_0 eta_0 theta_1 eta_1"),
 ])
 def test_quantized_one_body_rejects_non_bilinears(build, name):
@@ -731,9 +728,9 @@ from gl11.supergroup import supertrace_product  # noqa: E402
 
 def rebuilt_residue(p, i):
     n = p.n
-    theta, eta = p.theta(i), p.eta(i)
-    te = theta * eta
-    return SuperMatrix11(GrassmannElement.scalar(n, p.a(i)) - te, theta, p.v[i] * eta,
+    theta_i, eta_i = theta(p, i), eta(p, i)
+    te = theta_i * eta_i
+    return SuperMatrix11(GrassmannElement.scalar(n, p.a(i)) - te, theta_i, p.v[i] * eta_i,
                          GrassmannElement.scalar(n, p.b(i)) - te)
 
 
@@ -752,12 +749,12 @@ def per_j_expanded(p, i):
     for j in range(p.m):
         if j == i:
             continue
-        te_i = p.theta(i) * p.eta(i)
-        te_j = p.theta(j) * p.eta(j)
+        te_i = theta(p, i) * eta(p, i)
+        te_j = theta(p, j) * eta(p, j)
         term = (0.5 * p.v[j] * (GrassmannElement.scalar(n, p.u[i]) - 2 * te_i)
                 + 0.5 * p.v[i] * (GrassmannElement.scalar(n, p.u[j]) - 2 * te_j)
-                + p.v[j] * (p.theta(i) * p.eta(j))
-                - p.v[i] * (p.eta(i) * p.theta(j)))
+                + p.v[j] * (theta(p, i) * eta(p, j))
+                - p.v[i] * (eta(p, i) * theta(p, j)))
         acc = acc + term * (1.0 / (p.z[i] - p.z[j]))
     return acc
 
@@ -876,8 +873,8 @@ def test_odd_gradient_is_theta_then_eta_derivatives():
     rng = np.random.default_rng(43)
     p = random_system(rng, 3)
     # theta_0 eta_1 + 2 theta_2 eta_0 + 3 theta_1 eta_1: the two halves differ
-    f = (p.theta(0) * p.eta(1) + 2.0 * p.theta(2) * p.eta(0)
-         + 3.0 * p.theta(1) * p.eta(1))
+    f = (theta(p, 0) * eta(p, 1) + 2.0 * theta(p, 2) * eta(p, 0)
+         + 3.0 * theta(p, 1) * eta(p, 1))
     got = [(t.terms, e.terms) for t, e in odd_gradient(p, f)]
     assert got == [(f.derivative(2 * k + 1).terms, f.derivative(2 * k + 2).terms)
                    for k in range(p.m)]
@@ -887,12 +884,12 @@ def test_odd_gradient_is_theta_then_eta_derivatives():
 def test_bracket_elements_and_gradients_agree_and_odd_observables_raise():
     rng = np.random.default_rng(44)
     p = random_system(rng, 3)
-    f = p.theta(0) * p.eta(1) + 2.0 * p.theta(2) * p.eta(0)
-    g = p.theta(1) * p.eta(2) + garnier_hamiltonian(p, 1)
+    f = theta(p, 0) * eta(p, 1) + 2.0 * theta(p, 2) * eta(p, 0)
+    g = theta(p, 1) * eta(p, 2) + garnier_hamiltonian(p, 1)
     expected = poisson_bracket(p, f, g).terms
     assert poisson_bracket(p, odd_gradient(p, f), odd_gradient(p, g)).terms == expected
     assert poisson_bracket(p, f, odd_gradient(p, g)).terms == expected
-    odd = p.theta(0) + p.theta(1) * p.eta(1) * p.eta(2)
+    odd = theta(p, 0) + theta(p, 1) * eta(p, 1) * eta(p, 2)
     with pytest.raises(ParityError):
         odd_gradient(p, odd)
     with pytest.raises(ParityError):

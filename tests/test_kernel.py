@@ -7,17 +7,19 @@ therefore do the same floating-point operations, and the comparison is exact
 equality of the coefficient maps, not a tolerance.
 """
 
+import ast
 import cmath
 import contextlib
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11 import cli, grassmann, integrable, supergroup
+from gl11 import cli, grassmann, integrable
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
     PRUNE_TOL,
@@ -307,7 +309,6 @@ def test_every_producer_stores_no_coefficient_at_or_below_the_prune(x, y, k, i):
             return real(n, terms)
 
         patch.setattr(grassmann, "_pruned", vouched)
-        patch.setattr(supergroup, "_pruned", vouched)
         keeps_nan = [x + y, x - y, x + k, x - k, k - x, -x, x * k, k * x, x.conjugate(SWAP),
                      x.add_combination((y, k)), x.add_combination((y, k), (x, -1.0), (y, -k))]
         results = keeps_nan + [x.soul(), x.derivative(i), x * y,
@@ -513,17 +514,11 @@ def test_add_combination_of_different_algebras_raises_as_the_sum_does():
 # -- how many elements a fused sum builds ------------------------------------------
 
 @pytest.fixture
-def built(monkeypatch):
+def built(count_calls):
     """A list that grows by one for every element the kernel builds, with a
     prune scan (grassmann._element) or without one (grassmann._pruned)."""
-    calls = []
-    for name in ("_element", "_pruned"):
-        def counting(*args, _real=getattr(grassmann, name)):
-            calls.append(args[0])
-            return _real(*args)
-
-        monkeypatch.setattr(grassmann, name, counting)
-    return calls
+    calls = count_calls(grassmann, "_element")
+    return count_calls(grassmann, "_pruned", calls)
 
 
 def test_a_supermatrix_product_builds_one_element_per_entry(built):
@@ -564,23 +559,16 @@ def test_an_expanded_hamiltonian_builds_one_element_per_term_and_one_sum(built):
 
 
 def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1460_elements(
-        built, monkeypatch):
+        built, count_calls):
     # 200 supertraces, 2,300 products and 2,260 elements when str(A_i A_j) was
     # formed for both orders of a pair and theta_i eta_j, eta_i theta_j were
     # multiplied for every system; 4,200 elements when every + and scalar *
     # built an element of its own
-    counts = {"supertrace_product": 0, "_accumulate": 0}
-    for module, name in ((integrable, "supertrace_product"), (grassmann, "_accumulate")):
-        real = getattr(module, name)
-
-        def counting(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counting)
+    supertraces = count_calls(integrable, "supertrace_product")
+    products = count_calls(grassmann, "_accumulate")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["garnier-check", "--m", "5", "--count", "10"]) == 0
-    assert counts == {"supertrace_product": 100, "_accumulate": 1400}
+    assert (len(supertraces), len(products)) == (100, 1400)
     assert len(built) == 1460
 
 
@@ -684,3 +672,28 @@ def test_exp_overflow_raises_value_error_naming_the_real_part():
     assert near.terms == stepwise_exp(soul + 709.7).terms and near.max_abs() < INF
     # an underflow is no error: e^-1000 is 0, so every term prunes away
     assert (soul - 1000.0).exp().terms == {} == stepwise_exp(soul - 1000.0).terms
+
+
+# -- one owner of the term maps ------------------------------------------------------
+
+# the pair loop, its sign table, the scaled-sum loop, the prune and its two
+# element builders, and the series: how a term map is stored, signed and pruned
+TERM_MAP_INTERNALS = {"_accumulate", "_combine", "_element", "_prune", "_pruned",
+                      "_merge_sign", "nilpotent_series"}
+
+
+def test_no_module_but_grassmann_reaches_the_term_map_internals():
+    # neither imported by name nor read as an attribute of the kernel module
+    found = []
+    for path in sorted(pathlib.Path(grassmann.__file__).parent.glob("*.py")):
+        if path.name == "grassmann.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in TERM_MAP_INTERNALS]
+    assert found == []

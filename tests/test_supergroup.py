@@ -518,16 +518,9 @@ def test_the_inverse_carries_the_swapped_twist_bit_for_bit(seed):
 
 
 @pytest.mark.parametrize("count, corrupt", [(1, False), (4, False), (4, True)])
-def test_group_law_suite_takes_one_exp_pair_per_round(monkeypatch, count, corrupt):
+def test_group_law_suite_takes_one_exp_pair_per_round(count_calls, count, corrupt):
     # coords_inverse, sdet_exp_s and coords_product all read c1's twist
-    calls = []
-    real = GrassmannElement.exp_pair
-
-    def counting(self):
-        calls.append(1)
-        return real(self)
-
-    monkeypatch.setattr(GrassmannElement, "exp_pair", counting)
+    calls = count_calls(GrassmannElement, "exp_pair")
     group_law_suite(np.random.default_rng(2), N, count, 1e-9, corrupt=corrupt)
     assert len(calls) == count + corrupt
 
@@ -687,59 +680,43 @@ def test_to_coords_matches_the_peeling_route(kind):
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """Counters of the Grassmann products made outside the exp, inv and log
-    series, of the products made inside them, and of the elements built."""
-    counts = {"products": 0, "series_products": 0, "elements": 0}
-    depth = []
-    real_accumulate, real_series = grassmann._accumulate, grassmann.nilpotent_series
-    real_init = GrassmannElement.__init__
+def counted(count_calls):
+    """The calls of the pair loop ("products"), of the exp, inv and log series
+    ("series") and of the element builders ("elements")."""
+    counted = {"products": count_calls(grassmann, "_accumulate"),
+               "series": count_calls(grassmann, "nilpotent_series"), "elements": []}
+    for owner, name in ((grassmann, "_element"), (grassmann, "_pruned"),
+                        (GrassmannElement, "__init__")):
+        count_calls(owner, name, counted["elements"])
+    return counted
 
-    def accumulate(terms, x, y):
-        counts["series_products" if depth else "products"] += 1
-        real_accumulate(terms, x, y)
 
-    def series(*args):
-        depth.append(1)
-        try:
-            return real_series(*args)
-        finally:
-            depth.pop()
+def series_products(counted):
+    """The counted products made inside a series: those by its w, power * w."""
+    souls = [args[0] for args in counted["series"]]
+    return [args for args in counted["products"] if any(args[2] is w for w in souls)]
 
-    def counting(real):
-        def element(*args):
-            counts["elements"] += 1
-            return real(*args)
-        return element
 
-    def init(self, *args, **kw):
-        counts["elements"] += 1
-        real_init(self, *args, **kw)
-
-    pruned = counting(grassmann._pruned)
-    for module in (grassmann, supergroup):
-        monkeypatch.setattr(module, "_accumulate", accumulate)
-        monkeypatch.setattr(module, "_pruned", pruned)
-    monkeypatch.setattr(grassmann, "_element", counting(grassmann._element))
-    monkeypatch.setattr(grassmann, "nilpotent_series", series)
-    monkeypatch.setattr(GrassmannElement, "__init__", init)
-    return counts
+def outside_products(counted):
+    """The counted products made outside the exp, inv and log series."""
+    return len(counted["products"]) - len(series_products(counted))
 
 
 def test_closed_forms_make_5_6_and_3_products(counted):
     rng = np.random.default_rng(18)
     for sl in (False, True):
         c = random_coords(rng, N, sl=sl)
-        counted["products"] = 0
+        for calls in counted.values():
+            calls.clear()
         m = from_coords(c)
-        assert counted["products"] == 5
-        counted["products"] = 0
+        assert outside_products(counted) == 5
+        counted["products"].clear()
         block_inverse(m)
-        assert counted["products"] == 6
+        assert outside_products(counted) == 6
         sdet = m.sdet()
-        counted["products"] = 0
+        counted["products"].clear()
         to_coords(m, sdet)
-        assert counted["products"] == 3
+        assert outside_products(counted) == 3
 
 
 def test_exp_builds_one_element_besides_its_powers(counted):
@@ -747,7 +724,8 @@ def test_exp_builds_one_element_besides_its_powers(counted):
     for num_terms in (1, 3, 6):
         x = random_even(rng, N, num_terms=num_terms, body=0.3)
         for method, results in ((x.exp, 1), (x.exp_pair, 2)):
-            counted.update(series_products=0, elements=0)
+            for calls in counted.values():
+                calls.clear()
             method()
-            powers = 1 + counted["series_products"]  # the soul, then one product per power
-            assert counted["elements"] == powers + results
+            powers = 1 + len(series_products(counted))  # the soul, then one product per power
+            assert len(counted["elements"]) == powers + results
