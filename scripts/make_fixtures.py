@@ -90,6 +90,14 @@ def graphs():
     dump("connection_g1s1_random.json", fatgraph.connection_to_dict(conn))
 
 
+def su_connection():
+    # its own rng, so that the other fixtures keep their draws
+    rng = np.random.default_rng(13)
+    table = ConjugationTable.swap_halves(N)
+    conn = fatgraph.random_connection(rng, fatgraph.fixture_graph(1, 1), N, table=table)
+    dump("connection_g1s1_su.json", fatgraph.connection_to_dict(conn))
+
+
 def systems():
     rng = np.random.default_rng(11)
     dump("gaudin_m3.json", integrable.random_system(rng, 3).to_dict())
@@ -101,6 +109,7 @@ def main():
     cech_data()
     hitchin_data()
     graphs()
+    su_connection()
     systems()
 
 

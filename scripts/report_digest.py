@@ -17,7 +17,9 @@ each seed, the JSON reports of ``garnier-check`` at m = 2 (one site pair) and
 at m = 8 with two systems (28 pairs), outside the pools' m 3..5, and last, at
 each seed, the JSON reports of ``cech-verify`` on the solid tetrahedron and on
 its boundary with every edge listed reversed, so that each triangle's kept
-quadratic term is formed from ``coords_inverse`` coordinates.  Each call
+quadratic term is formed from ``coords_inverse`` coordinates, and after them
+``fatgraph normalize -o``, ``holonomy`` and ``check-punctures`` in text and
+in JSON on the SU(1|1) connection ``connection_g1s1_su.json``.  Each call
 prints one line: its argv, its exit status and the SHA-256 of its stdout plus
 stderr (plus the file it wrote, for ``fatgraph normalize -o``).  The work
 directory reads as ``<work>`` and the checkout as ``<root>``, in the argv
@@ -155,6 +157,15 @@ def reversed_edge_commands(seed, workdir):
     return commands
 
 
+def su_commands(workdir):
+    """argv (without --format) of the fatgraph commands on the shipped SU(1|1) connection."""
+    graph, su = str(FIXTURES / "fatgraph_g1s1.json"), str(FIXTURES / "connection_g1s1_su.json")
+    return [["fatgraph", "normalize", graph, su,
+             "-o", os.path.join(workdir, "normalized_su.json")],
+            ["fatgraph", "holonomy", graph, su, "--cycle", "0+,1-,2+"],
+            ["fatgraph", "check-punctures", graph, su]]
+
+
 def call(argv):
     """(exit status, stdout, stderr) of cli.main(argv), run in this process."""
     from gl11 import cli
@@ -233,6 +244,9 @@ def main(argv=None):
         for seed in args.seeds:
             for argv in reversed_edge_commands(seed, workdir):
                 print(digest_line(argv, workdir, args.outcomes))
+        for command in su_commands(workdir):
+            for fmt in ("text", "json"):
+                print(digest_line(["--format", fmt] + command, workdir, args.outcomes))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -12,7 +12,9 @@ is read; a reversed edge reads the swapped pair its inverse inherits.
 The data keep each listed triangle's ``quadratic_term`` (alpha_2, q) of
 g_ij g_jk, formed on first use: the cocycle report assembles g_ij g_jk from
 it (``supergroup.product_from_term``) and ``two_cocycle_value`` returns its q,
-so each g_ijk is formed once.  ``set_edge`` drops every kept term.
+so each g_ijk is formed once.  The edge map is private, with two writers:
+``set_edge``, which checks the parts a caller supplies and drops every kept
+term, and ``_from_edges``, which takes the group law's results as they are.
 A nerve answers every vertex ordering of a listed simplex from one orientation
 table built with it: position, permutation sign and stored tuple.  From it the
 nerve also builds ``faces``, the one table of delta that every coboundary here
@@ -270,14 +272,14 @@ class TransitionData:
     alpha and beta read the fields of ``coords``.  The data keep the
     ``quadratic_term`` of each listed triangle, formed on first use, until
     ``set_edge`` drops them all; after construction ``set_edge`` is the only
-    writer of ``edge_data``.
+    writer of the edge map.
     """
 
     def __init__(self, nerve: Nerve, n: int):
         self.nerve = nerve
         self.n = n
         identity = GroupCoords.identity(n)
-        self.edge_data = {e: identity for e in nerve.simplices[1]}
+        self._edges = {e: identity for e in nerve.simplices[1]}
         self.integers = {tri: 0 for tri in nerve.simplices[2]}
         self._terms = {}
 
@@ -287,7 +289,7 @@ class TransitionData:
         are: the group law built them, so no part is checked and no e^{+-s}
         is formed."""
         td = cls(nerve, n)
-        td.edge_data = edges
+        td._edges = edges
         return td
 
     def set_edge(self, simplex, h=None, s=None, alpha=None, beta=None):
@@ -295,22 +297,22 @@ class TransitionData:
         _, sign, stored = self.nerve.lookup(1, tuple(simplex))
         if sign != 1:
             raise ValueError("set edge data on the listed orientation only")
-        old = self.edge_data[stored]
+        old = self._edges[stored]
         c = json_at(("edge %r", stored), GroupCoords,
                     old.h if h is None else h, old.s if s is None else s,
                     old.alpha if alpha is None else alpha, old.beta if beta is None else beta)
         if not c.is_sl():  # e^{+-s} now, so that an overflow names the edge
             json_at(("edge %r", stored), c.twist)
-        self.edge_data[stored] = c
+        self._edges[stored] = c
         self._terms.clear()
 
     def is_sl(self) -> bool:
-        return all(c.is_sl() for c in self.edge_data.values())
+        return all(c.is_sl() for c in self._edges.values())
 
     def coords(self, i, j) -> GroupCoords:
         """g_ij: the stored coordinates, or the inverse of g_ji when (j, i) is listed."""
         _, sign, stored = self.nerve.lookup(1, (i, j))
-        c = self.edge_data[stored]
+        c = self._edges[stored]
         return c if sign == 1 else coords_inverse(c)
 
     def quadratic_term(self, i, j, k) -> tuple:
@@ -346,7 +348,7 @@ class TransitionData:
         return {
             "n": self.n,
             "edges": [{"simplex": list(e), **c.to_dict()}
-                      for e, c in sorted(self.edge_data.items())],
+                      for e, c in sorted(self._edges.items())],
             "triangles": [
                 {"simplex": list(tri), "n": val}
                 for tri, val in sorted(self.integers.items())

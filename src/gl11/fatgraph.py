@@ -19,6 +19,15 @@ Berezinian are exactly invariant.  (In coordinates the odd moves shift h by
 -(gamma beta)/2 resp. -(gamma alpha)/2; a same-coordinate shift h + gamma
 alpha paired with alpha + gamma is not a group action and would break
 holonomy invariance.)
+
+A connection is SU(1|1) exactly when it holds a conjugation table, and
+``mode`` ('sl' or 'su') is read from that; the table's reality conditions
+(h_bar = -h, alpha_bar = -beta) are checked when the connection is built.
+The file format keeps its "mode" key: ``connection_from_dict`` reads the
+table of an "su" file, and ``connection_to_dict`` writes "mode" back.  The
+coordinates a file supplies are checked (``GroupCoords(...)``); a rescaling
+move checks its kind and parameter and then builds its subgroup element
+unscanned (``GroupCoords._graded``).
 """
 
 from __future__ import annotations
@@ -253,36 +262,34 @@ def fixture_graph(genus: int, punctures: int) -> FatGraph:
 # -- graph connections --------------------------------------------------------
 
 class GraphConnection:
-    """SL(1|1) (or SU(1|1)) group coordinates on every oriented edge."""
+    """SL(1|1) group coordinates on every oriented edge; an SU(1|1) connection
+    exactly when it holds a conjugation table, whose reality conditions its
+    coordinates must meet."""
 
-    def __init__(self, graph: FatGraph, coords, mode: str = "sl", table=None):
+    def __init__(self, graph: FatGraph, coords, table=None):
         if len(coords) != graph.num_edges:
             raise ValueError("need one coordinate triple per edge")
-        if mode not in ("sl", "su"):
-            raise ValueError("mode must be 'sl' or 'su'")
-        if mode == "su" and table is None:
-            raise ValueError("SU mode needs a conjugation table")
         for c in coords:
             if not c.is_sl():
                 raise ValueError("graph connections use SL coordinates (s = 0)")
         self.graph = graph
         self.coords = list(coords)
-        self.mode = mode
         self.table = table
         self.n = coords[0].n if coords else 0
-        if mode == "su":
-            report = self.check_reality()
-            if not report.ok:
-                raise ValueError("coordinates violate the SU(1|1) reality conditions")
+        if table is not None and not self.check_reality().ok:
+            raise ValueError("coordinates violate the SU(1|1) reality conditions")
+
+    @property
+    def mode(self) -> str:
+        """'su' when the connection holds a conjugation table, else 'sl'."""
+        return "sl" if self.table is None else "su"
 
     @classmethod
-    def trivial(cls, graph: FatGraph, n: int, mode: str = "sl", table=None):
-        return cls(graph, [GroupCoords.identity(n) for _ in range(graph.num_edges)],
-                   mode=mode, table=table)
+    def trivial(cls, graph: FatGraph, n: int, table=None):
+        return cls(graph, [GroupCoords.identity(n) for _ in range(graph.num_edges)], table)
 
     def copy(self) -> "GraphConnection":
-        return GraphConnection(self.graph, list(self.coords), mode=self.mode,
-                               table=self.table)
+        return GraphConnection(self.graph, list(self.coords), self.table)
 
     def edge_coords(self, e: int, forward: bool = True) -> GroupCoords:
         return self.coords[e] if forward else coords_inverse(self.coords[e])
@@ -342,34 +349,34 @@ class GraphConnection:
             if dst in elements:
                 out = coords_product(out, elements[dst])
             new.append(out)
-        return GraphConnection(graph, new, mode=self.mode, table=self.table)
+        return GraphConnection(graph, new, self.table)
 
     def _rescaling_coords(self, kind: str, param: GrassmannElement) -> GroupCoords:
-        """Coordinates of the subgroup element of a rescaling kind, checked."""
+        """Coordinates of the subgroup element of a rescaling kind, built after
+        the kind and the parameter are checked."""
+        if kind not in (("diag", "odd") if self.mode == "su" else ("diag", "lower", "upper")):
+            raise ValueError("rescaling kind %r: an SL connection takes 'diag', 'lower' or "
+                             "'upper', an SU connection 'diag' or 'odd'" % (kind,))
         zero = GrassmannElement.zero(self.n)
         if kind == "diag":
             require_parity(param, "even", "diag rescaling parameter")
             if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > 1e-9:
                 raise ValueError("SU diag parameter must satisfy bar(c) = -c")
-            return GroupCoords(param, zero, zero, zero)
-        if kind not in ("lower", "upper", "odd"):
-            raise ValueError("unknown rescaling kind %r" % kind)
-        if self.mode == "su" and kind != "odd":
-            raise ValueError("SU mode restricts to 'diag' and 'odd' rescalings")
+            return GroupCoords._graded(param, zero, zero, zero)
         require_parity(param, "odd", "%s rescaling parameter" % kind)
         if kind == "lower":
-            return GroupCoords(zero, zero, param, zero)
+            return GroupCoords._graded(zero, zero, param, zero)
         if kind == "upper":
-            return GroupCoords(zero, zero, zero, param)
-        return GroupCoords(zero, zero, param, -param.conjugate(self.table))
+            return GroupCoords._graded(zero, zero, zero, param)
+        return GroupCoords._graded(zero, zero, param, -param.conjugate(self.table))
 
     def vertex_rescale(self, v: int, kind: str, param: GrassmannElement):
         """Gauge move at one vertex by a one-parameter subgroup element.
 
         kind 'diag' takes an even parameter c (toward-v edges gain h + c);
-        'lower'/'upper' take an odd parameter shifting alpha resp. beta.  In
-        SU mode only 'diag' with anti-real c and the paired move 'odd' are
-        allowed.
+        'lower'/'upper' take an odd parameter shifting alpha resp. beta.  An
+        SU connection takes only 'diag' with anti-real c and the paired move
+        'odd', which needs its conjugation table.
         """
         return self._apply_gauge({v: self._rescaling_coords(kind, param)})
 
@@ -405,7 +412,7 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     lap = incidence @ incidence.T  # the graph Laplacian; a self-loop's column is zero
     report = CheckReport()
 
-    # (check name, rescaling kind, summed part); in SU mode alpha and beta
+    # (check name, rescaling kind, summed part); on an SU connection alpha and beta
     # sums are conjugate-paired, so one 'odd' move fixes both
     stages = ([("lower", "odd", "alpha"), ("diag", "diag", "h")] if conn.mode == "su" else
               [("lower", "lower", "alpha"), ("upper", "upper", "beta"), ("diag", "diag", "h")])
@@ -484,17 +491,17 @@ def moduli_dims(genus: int, punctures: int, constrained: bool = False,
 
 # -- random and file-backed connections ---------------------------------------
 
-def random_connection(rng, graph: FatGraph, n: int, mode: str = "sl",
-                      table=None, scale: float = 0.4) -> GraphConnection:
+def random_connection(rng, graph: FatGraph, n: int, table=None,
+                      scale: float = 0.4) -> GraphConnection:
+    """Random SL connection, or SU (h anti-real, beta = -bar(alpha)) given a table."""
     coords = []
     for _ in range(graph.num_edges):
         c = random_coords(rng, n, sl=True, scale=scale)
-        if mode == "su":
-            h = (c.h - c.h.conjugate(table)) * 0.5
-            beta = -c.alpha.conjugate(table)
-            c = GroupCoords(h, GrassmannElement.zero(n), c.alpha, beta)
+        if table is not None:
+            c = GroupCoords._graded((c.h - c.h.conjugate(table)) * 0.5, c.s, c.alpha,
+                                    -c.alpha.conjugate(table))
         coords.append(c)
-    return GraphConnection(graph, coords, mode=mode, table=table)
+    return GraphConnection(graph, coords, table)
 
 
 def flat_torus_connection(n: int, x: GroupCoords, scale) -> GraphConnection:
@@ -532,9 +539,11 @@ def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
         e, c = json_at(("edges[%d]", k), _edge_coords, entry, graph, n, listed)
         coords[e] = c
     mode = data.get("mode", "sl")
+    if mode not in ("sl", "su"):
+        raise ValueError("mode must be 'sl' or 'su'")
     table = (json_at("conjugation", ConjugationTable.from_dict, data["conjugation"], n)
              if mode == "su" else None)
-    return GraphConnection(graph, coords, mode=mode, table=table)
+    return GraphConnection(graph, coords, table)
 
 
 def _edge_coords(entry, graph: FatGraph, n: int, listed: set):

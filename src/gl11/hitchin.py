@@ -18,6 +18,10 @@ the prune or the series of gl11.grassmann.
 A LocalMatrix is a SuperMatrix11 with LocalFunction entries; its inverse is
 gl11.supergroup.block_inverse, built from the two diagonal inverses alone,
 because its odd entries square to zero, and it keeps those two inverses.
+``LocalMatrix(...)`` checks the parity of a caller's entries; every matrix
+this module builds (derivatives, adjoint, inverse, G, both Chern forms, N
+and the Higgs matrix, after its own named checks) is graded by construction
+and built unscanned with ``LocalMatrix._graded``.
 
 A MetricData keeps rhobar, G, G^{-1} and the Chern form H^{-1} d_z H, each
 formed on first use and alive as long as the metric, whose fields are never
@@ -146,8 +150,9 @@ class LocalFunction:
 
     def __add__(self, other):
         terms = dict(self.terms)
+        zero = GrassmannElement.zero(self.n)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, GrassmannElement.zero(self.n)) + c
+            terms[key] = terms.get(key, zero) + c
         return LocalFunction(self.n, terms)
 
     def __neg__(self):
@@ -268,19 +273,19 @@ class LocalMatrix(SuperMatrix11):
         return self.entries()[2 * i + j]
 
     def d_z(self):
-        return LocalMatrix(*(e.d_z() for e in self.entries()), check=False)
+        return LocalMatrix._graded(*(e.d_z() for e in self.entries()))
 
     def d_zbar(self):
-        return LocalMatrix(*(e.d_zbar() for e in self.entries()), check=False)
+        return LocalMatrix._graded(*(e.d_zbar() for e in self.entries()))
 
     def adjoint(self, table: ConjugationTable) -> "LocalMatrix":
         """Conjugate transpose; an antihomomorphism since bar(uv) = bar(v)bar(u)."""
-        return LocalMatrix(self.a.conjugate(table), self.gamma.conjugate(table),
-                           self.beta.conjugate(table), self.d.conjugate(table), check=False)
+        return LocalMatrix._graded(self.a.conjugate(table), self.gamma.conjugate(table),
+                                   self.beta.conjugate(table), self.d.conjugate(table))
 
     def inverse(self) -> "LocalMatrix":
         """Closed-form block inverse; LocalFunction.inv decides invertibility."""
-        return LocalMatrix(*block_inverse(self), check=False)
+        return LocalMatrix._graded(*block_inverse(self))
 
 
 class MetricData:
@@ -320,7 +325,7 @@ class MetricData:
             rho, rhobar = self.rho, self.rhobar()
             m = rho * rhobar * 0.5
             one = LocalFunction.one(self.n)
-            self._g = LocalMatrix(one - m, rhobar, rho, one + m, check=False)
+            self._g = LocalMatrix._graded(one - m, rhobar, rho, one + m)
         return self._g
 
     def reduced_inverse(self) -> LocalMatrix:
@@ -350,7 +355,7 @@ def chern_form(m: MetricData) -> LocalMatrix:
     if m._chern is None:
         rho, rhobar = m.rho, m.rhobar()
         diag = m.u.d_z() - (rhobar * rho.d_z() + rho * rhobar.d_z()) * 0.5
-        m._chern = LocalMatrix(diag, rhobar.d_z(), rho.d_z(), diag, check=False)
+        m._chern = LocalMatrix._graded(diag, rhobar.d_z(), rho.d_z(), diag)
     return m._chern
 
 
@@ -359,7 +364,7 @@ def chern_form_via_inverse(m: MetricData) -> LocalMatrix:
     du = m.u.d_z()
     zero = LocalFunction.zero(m.n)
     return (m.reduced_inverse() * m.reduced_matrix().d_z()
-            + LocalMatrix(du, zero, zero, du, check=False))
+            + LocalMatrix._graded(du, zero, zero, du))
 
 
 def curvature(m: MetricData) -> LocalMatrix:
@@ -398,7 +403,7 @@ def higgs_matrix(a: LocalFunction, delta: LocalFunction,
     require_parity(a, "even", "a")
     require_parity(delta, "odd", "delta")
     require_parity(gamma, "odd", "gamma")
-    return LocalMatrix(a, delta, gamma, a, check=False)
+    return LocalMatrix._graded(a, delta, gamma, a)
 
 
 def higgs_from_dict(n: int, data: dict) -> LocalMatrix:
@@ -439,8 +444,7 @@ def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> Loca
     if phi.supertrace().max_abs() > tol:
         raise ValueError("hitchin_residual requires str(Phi) = 0; got %.3e"
                          % phi.supertrace().max_abs())
-    shifted = LocalMatrix(LocalFunction.zero(m.n), phi.beta, phi.gamma, phi.d - phi.a,
-                          check=False)
+    shifted = LocalMatrix._graded(LocalFunction.zero(m.n), phi.beta, phi.gamma, phi.d - phi.a)
     adj_h = m.reduced_inverse() * shifted.adjoint(m.table) * m.reduced_matrix()
     commutator = shifted * adj_h - adj_h * shifted
     return curvature(m) - commutator

@@ -135,11 +135,10 @@ class ParabolicData:
         out = []
         for i in range(self.m):
             te = theta_eta[i][i]
-            out.append(SuperMatrix11(GrassmannElement.scalar(n, self.a(i)) - te,
-                                     theta[i],
-                                     self.v[i] * eta[i],
-                                     GrassmannElement.scalar(n, self.b(i)) - te,
-                                     check=False))
+            out.append(SuperMatrix11._graded(GrassmannElement.scalar(n, self.a(i)) - te,
+                                             theta[i],
+                                             self.v[i] * eta[i],
+                                             GrassmannElement.scalar(n, self.b(i)) - te))
         return tuple(out)
 
     @cached_property

@@ -56,14 +56,16 @@ element whose s is merely small keeps its twist factors.  Every product the
 shortcut skips is a multiplication by e^0 = 1 + 0j, which is exact on finite
 coefficients, so the results are the same floating-point values.
 
-Parity is checked where a caller supplies the parts: ``GroupCoords(...)``
-(files, ``set_edge``, fatgraph rescaling moves) and ``SuperMatrix11(...)``
-require h, s, a, d even and alpha, beta odd.  The group law's results are
-graded by construction (an even by even or odd by odd product is even, an
-even by odd one odd), so ``product_from_term`` (and ``coords_product``),
-``coords_inverse``, ``to_coords`` and ``random_coords`` build them with
-``GroupCoords._graded``, which does not scan, as the matrix products already
-pass ``check=False``.
+Parity is checked where a caller supplies the parts, and nowhere else:
+``GroupCoords(...)`` (files, ``set_edge``) and ``SuperMatrix11(...)`` require
+h, s, a and d even, alpha, beta and gamma odd, all on one algebra.  What the
+program builds is graded by construction (an even by even or odd by odd
+product is even, an even by odd one odd, and sums, scalings, conjugates and
+derivatives keep parity), so it goes through the one unchecked path of each
+container, ``GroupCoords._graded`` and ``SuperMatrix11._graded``: the group
+law's coordinates, ``identity``, ``random_coords``, the matrix products, sums,
+``scale``, ``inverse``, ``from_coords``, ``zero`` and ``higgs_eigen``'s P, the
+LocalMatrix results of gl11.hitchin and the Garnier residues of gl11.integrable.
 
 This module builds every element through the kernel's public operations:
 it never reaches the pair loop, the prune or the series of gl11.grassmann.
@@ -121,29 +123,38 @@ class SuperMatrix11:
     __slots__ = ("a", "beta", "gamma", "d", "n", "_a_inv", "_d_inv")
     element = GrassmannElement
 
-    def __init__(self, a, beta, gamma, d, check: bool = True):
+    def __init__(self, a, beta, gamma, d):
         ns = {a.n, beta.n, gamma.n, d.n}
         if len(ns) != 1:
             raise ValueError("entries live in different Grassmann algebras: %r" % ns)
-        if check:
-            require_parity(a, "even", "a")
-            require_parity(d, "even", "d")
-            require_parity(beta, "odd", "beta")
-            require_parity(gamma, "odd", "gamma")
+        require_parity(a, "even", "a")
+        require_parity(d, "even", "d")
+        require_parity(beta, "odd", "beta")
+        require_parity(gamma, "odd", "gamma")
         self.a, self.beta, self.gamma, self.d = a, beta, gamma, d
         self.n = a.n
         self._a_inv = self._d_inv = None
 
     @classmethod
+    def _graded(cls, a, beta, gamma, d) -> "SuperMatrix11":
+        """A matrix whose entries are even, odd, odd and even on one algebra by
+        construction (the program's results): no parity scan."""
+        m = _new(cls)
+        m.a, m.beta, m.gamma, m.d = a, beta, gamma, d
+        m.n = a.n
+        m._a_inv = m._d_inv = None
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "SuperMatrix11":
         one = cls.element.one(n)
         zero = cls.element.zero(n)
-        return cls(one, zero, zero, one)
+        return cls._graded(one, zero, zero, one)
 
     @classmethod
     def zero(cls, n: int) -> "SuperMatrix11":
         z = cls.element.zero(n)
-        return cls(z, z, z, z)
+        return cls._graded(z, z, z, z)
 
     def entries(self):
         return (self.a, self.beta, self.gamma, self.d)
@@ -151,23 +162,22 @@ class SuperMatrix11:
     def __mul__(self, other: "SuperMatrix11") -> "SuperMatrix11":
         dot = self.element.dot
         a, beta, gamma, d = self.a, self.beta, self.gamma, self.d
-        return type(self)(dot((a, other.a), (beta, other.gamma)),
-                          dot((a, other.beta), (beta, other.d)),
-                          dot((gamma, other.a), (d, other.gamma)),
-                          dot((gamma, other.beta), (d, other.d)), check=False)
+        return type(self)._graded(dot((a, other.a), (beta, other.gamma)),
+                                  dot((a, other.beta), (beta, other.d)),
+                                  dot((gamma, other.a), (d, other.gamma)),
+                                  dot((gamma, other.beta), (d, other.d)))
 
     def __add__(self, other: "SuperMatrix11") -> "SuperMatrix11":
-        return type(self)(self.a + other.a, self.beta + other.beta,
-                          self.gamma + other.gamma, self.d + other.d, check=False)
+        return type(self)._graded(self.a + other.a, self.beta + other.beta,
+                                  self.gamma + other.gamma, self.d + other.d)
 
     def __sub__(self, other: "SuperMatrix11") -> "SuperMatrix11":
-        return type(self)(self.a - other.a, self.beta - other.beta,
-                          self.gamma - other.gamma, self.d - other.d, check=False)
+        return type(self)._graded(self.a - other.a, self.beta - other.beta,
+                                  self.gamma - other.gamma, self.d - other.d)
 
     def scale(self, c) -> "SuperMatrix11":
         """Left multiplication of every entry by an even scalar."""
-        return type(self)(c * self.a, c * self.beta, c * self.gamma, c * self.d,
-                          check=False)
+        return type(self)._graded(c * self.a, c * self.beta, c * self.gamma, c * self.d)
 
     def is_invertible(self) -> bool:
         return abs(self.a.body()) > PRUNE_TOL and abs(self.d.body()) > PRUNE_TOL
@@ -190,7 +200,7 @@ class SuperMatrix11:
             raise NotInvertibleError(
                 "supermatrix not invertible: body(a)=%r body(d)=%r"
                 % (self.a.body(), self.d.body()))
-        return SuperMatrix11(*block_inverse(self), check=False)
+        return SuperMatrix11._graded(*block_inverse(self))
 
     def supertrace(self) -> GrassmannElement:
         """str(M) = a - d."""
@@ -248,7 +258,7 @@ class GroupCoords:
     @classmethod
     def identity(cls, n: int) -> "GroupCoords":
         z = GrassmannElement.zero(n)
-        return cls(z, z, z, z)
+        return cls._graded(z, z, z, z)
 
     @classmethod
     def sl(cls, h, alpha, beta) -> "GroupCoords":
@@ -296,8 +306,8 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
         e_plus = c.h.add_combination((c.s, 0.5)).exp()
         e_minus = c.h.add_combination((c.s, -0.5)).exp()
     one_minus, one_plus = c.alpha.one_pm_half_product(c.beta)
-    return SuperMatrix11(e_plus * one_minus, e_minus * c.beta,
-                         e_plus * c.alpha, e_minus * one_plus, check=False)
+    return SuperMatrix11._graded(e_plus * one_minus, e_minus * c.beta,
+                                 e_plus * c.alpha, e_minus * one_plus)
 
 
 def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
@@ -374,8 +384,8 @@ def higgs_eigen(phi: SuperMatrix11) -> HiggsEigenData:
     lam_plus = phi.a + correction
     lam_minus = phi.d + correction
     n = phi.n
-    p = SuperMatrix11(GrassmannElement.one(n), -(phi.beta * st_inv),
-                      phi.gamma * st_inv, GrassmannElement.one(n))
+    p = SuperMatrix11._graded(GrassmannElement.one(n), -(phi.beta * st_inv),
+                              phi.gamma * st_inv, GrassmannElement.one(n))
     return HiggsEigenData(lam_plus, lam_minus, p)
 
 
@@ -432,8 +442,8 @@ def group_law_suite(rng, n: int, count: int, tol: float,
     if corrupt and count:
         c1, c2 = random_coords(rng, n), random_coords(rng, n)
         bad = coords_product(c1, c2)
-        bad = GroupCoords(bad.h + GrassmannElement.scalar(n, 0.5), bad.s,
-                          bad.alpha, bad.beta)
+        bad = GroupCoords._graded(bad.h + GrassmannElement.scalar(n, 0.5), bad.s,
+                                  bad.alpha, bad.beta)
         fold("coords_vs_matrix", from_coords(bad), from_coords(c1) * from_coords(c2))
     report = CheckReport()
     for name in sorted(worst):

@@ -884,7 +884,8 @@ def test_set_edge_after_a_check_changes_the_next_report():
     two_cocycle_g(data)
     data.set_edge((1, 2), beta=data.beta(1, 2) + t(3))
     fresh = TransitionData(nerve, N)
-    for edge, c in data.edge_data.items():
+    for edge in nerve.simplices[1]:
+        c = data.coords(*edge)
         fresh.set_edge(edge, h=c.h, s=c.s, alpha=c.alpha, beta=c.beta)
     after = check_gl_cocycle(data).to_dict()
     assert after == check_gl_cocycle(fresh).to_dict() and after != before
@@ -894,7 +895,7 @@ def test_set_edge_after_a_check_changes_the_next_report():
 
 
 def test_frames_hand_their_edges_to_the_data_at_construction(monkeypatch):
-    # no set_edge and no write into edge_data afterwards: the law's g_ij = R_i^{-1} R_j,
+    # no set_edge and no write into the edge map afterwards: the law's g_ij = R_i^{-1} R_j,
     # as the same edges set one by one would store them
     nerve = tetrahedron_nerve()
     frames = random_frames(np.random.default_rng(24), nerve)
@@ -908,5 +909,5 @@ def test_frames_hand_their_edges_to_the_data_at_construction(monkeypatch):
 
     monkeypatch.setattr(TransitionData, "set_edge", refuse)
     data = transition_from_frames(nerve, frames)
-    assert list(data.edge_data) == list(fresh.edge_data)
+    assert list(data._edges) == list(fresh._edges)
     assert json.dumps(data.to_dict()) == json.dumps(fresh.to_dict())

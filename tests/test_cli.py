@@ -705,7 +705,7 @@ def test_hitchin_residual_degree_8_solution(capsys, tmp_path):
 
 def test_fatgraph_normalize_su_connection(capsys, tmp_path):
     graph = fatgraph.fixture_graph(1, 1)
-    conn = fatgraph.random_connection(np.random.default_rng(5), graph, 8, mode="su",
+    conn = fatgraph.random_connection(np.random.default_rng(5), graph, 8,
                                       table=ConjugationTable.swap_halves(8))
     path, out_path = tmp_path / "su.json", tmp_path / "su_normalized.json"
     path.write_text(json.dumps(fatgraph.connection_to_dict(conn)))
@@ -1095,21 +1095,49 @@ def test_commands_form_each_derived_value_once(capsys, count_calls, argv, expect
     assert {name: len(made) for name, made in calls.items()} == expected
 
 
+def test_hitchin_residual_builds_at_most_one_zero_per_local_function_sum(capsys, monkeypatch,
+                                                                         count_calls):
+    # a zero for every key of the right operand made 45 of the run's 51 zeros
+    zeros = count_calls(GrassmannElement, "zero")
+    per_sum = []
+    real = hitchin.LocalFunction.__add__
+
+    def add(self, other):
+        before = len(zeros)
+        out = real(self, other)
+        per_sum.append(len(zeros) - before)
+        return out
+
+    monkeypatch.setattr(hitchin.LocalFunction, "__add__", add)
+    code, _, err = outcome(capsys, ["hitchin-residual", fx("metric_example.json"),
+                                    fx("higgs_example.json")])
+    assert (code, err) == (0, "")
+    assert len(per_sum) == 24 and max(per_sum) == 1, per_sum
+
+
 @pytest.mark.parametrize("argv, most", [
     # sums, negations, souls, derivatives and conjugates build pruned maps
     # unscanned, and the group law's results and the Garnier residues skip
     # the parity checks; a scan on every element read 1,925 / 244,
-    # 1,980 / 200 and 255 / 156
-    (["--seed", "1", "group-selftest", "--count", "10"], (1382, 4)),
+    # 1,980 / 200 and 255 / 156.  What remains are the parts a file supplies:
+    # 4 per listed edge (h, alpha, beta and the zero s of a connection edge)
+    (["--seed", "1", "group-selftest", "--count", "10"], (1382, 0)),
     (["--seed", "1", "garnier-check", "--m", "5", "--count", "10"], (610, 0)),
     (["fatgraph", "normalize", fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")],
-     (69, 48)),
+     (69, 12)),
+    (["fatgraph", "check-punctures", fx("fatgraph_g1s1.json"),
+      fx("connection_g1s1_random.json")], (31, 12)),
+    (["fatgraph", "holonomy", fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json"),
+      "--cycle", "0+,1-,2+"], (29, 12)),
+    (["cech-verify", fx("nerve_tetrahedron_boundary.json"), fx("cech_tetra_valid.json")],
+     (81, 24)),
 ])
 def test_commands_scan_only_what_a_producer_cannot_vouch_for(capsys, count_calls, argv, most):
     prunes = count_calls(grassmann, "_prune")
     parities = count_calls(supergroup, "require_parity")
     code, _, err = outcome(capsys, argv)
-    assert (code, err) == (0, "")
+    # the random connection is not flat, so its puncture check fails
+    assert (code, err) == (1 if "check-punctures" in argv else 0, "")
     assert len(prunes) <= most[0] and len(parities) <= most[1], (len(prunes), len(parities))
 
 
@@ -1129,14 +1157,14 @@ def test_garnier_check_forms_no_supermatrix_product(capsys, monkeypatch, m):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_garnier_check_computes_each_quantity_once(capsys, count_calls, m):
     calls = {name: count_calls(owner, name) for owner, name in (
-        (GrassmannElement, "derivative"), (supergroup.SuperMatrix11, "__init__"),
+        (GrassmannElement, "derivative"), (supergroup.SuperMatrix11, "_graded"),
         (integrable, "garnier_hamiltonian"), (integrable, "garnier_hamiltonian_expanded"),
         (integrable, "poisson_bracket"))}
     code, _, err = outcome(capsys, ["garnier-check", "--m", str(m), "--count", "1"])
     assert (code, err) == (0, "")
     assert {name: len(made) for name, made in calls.items()} == {
         "derivative": 2 * m * m,     # each H_i's 2m derivatives, once
-        "__init__": m,               # each residue matrix, once
+        "_graded": m,                # each residue matrix, once, unscanned
         "garnier_hamiltonian": m,
         "garnier_hamiltonian_expanded": m,
         "poisson_bracket": m * (m - 1) // 2,

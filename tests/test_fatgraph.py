@@ -1,5 +1,7 @@
 """Fatgraph combinatorics and graph-connection gauge tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gl11.fatgraph import (
     theta_graph,
 )
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
+from gl11.hitchin import LocalMatrix
 from gl11.supergroup import GroupCoords, SuperMatrix11, from_coords, random_coords
 
 N = 8
@@ -318,7 +321,7 @@ def test_moduli_dims_formulas():
 def test_su_mode_reality_preserved():
     rng = np.random.default_rng(13)
     graph = fixture_graph(1, 1)
-    conn = random_connection(rng, graph, N, mode="su", table=TABLE)
+    conn = random_connection(rng, graph, N, table=TABLE)
     assert conn.check_reality().ok
     for _ in range(20):
         v = int(rng.integers(graph.num_vertices))
@@ -335,10 +338,29 @@ def test_su_mode_reality_preserved():
         conn.vertex_rescale(0, "diag", scalar(1.0))  # not anti-real
 
 
+def test_an_sl_connection_refuses_the_odd_move_naming_the_kinds_of_each_mode():
+    # 'odd' pairs alpha with its conjugate, so it needs the table an SL connection lacks
+    kinds = "an SL connection takes 'diag', 'lower' or 'upper', an SU connection 'diag' or 'odd'"
+    sl = random_connection(np.random.default_rng(19), fixture_graph(1, 1), N)
+    su = random_connection(np.random.default_rng(19), fixture_graph(1, 1), N, table=TABLE)
+    for conn, kind in ((sl, "odd"), (su, "lower"), (su, "upper"), (sl, "shear")):
+        with pytest.raises(ValueError, match="^rescaling kind %r: %s$" % (kind, kinds)):
+            conn.vertex_rescale(0, kind, t(1))
+    assert (sl.mode, su.mode) == ("sl", "su")
+    with pytest.raises(AttributeError):
+        su.mode = "sl"
+
+
+def test_no_graded_container_takes_a_check_or_mode_switch():
+    for build in (SuperMatrix11, LocalMatrix, GraphConnection, GraphConnection.trivial,
+                  random_connection):
+        assert not {"check", "mode"} & set(inspect.signature(build).parameters), build
+
+
 def test_su_gauge_normalize():
     rng = np.random.default_rng(14)
     graph = fixture_graph(1, 1)
-    conn = random_connection(rng, graph, N, mode="su", table=TABLE)
+    conn = random_connection(rng, graph, N, table=TABLE)
     normalized, report = gauge_normalize(conn)
     assert report.ok
     assert normalized.check_reality().ok
@@ -350,7 +372,7 @@ def test_su_gauge_normalize_counts_one_odd_move_per_even_one():
     rng = np.random.default_rng(1)
     for (genus, s) in FIXTURES:
         graph = fixture_graph(genus, s)
-        _, su = gauge_normalize(random_connection(rng, graph, N, mode="su", table=TABLE))
+        _, su = gauge_normalize(random_connection(rng, graph, N, table=TABLE))
         _, sl = gauge_normalize(random_connection(rng, graph, N))
         assert su.ok and sl.ok
         assert su.info["residual_gauge_odd"] == su.info["residual_gauge_even"] == 1
@@ -394,7 +416,7 @@ def test_graph_and_connection_json_roundtrip():
 def test_su_connection_json_roundtrip():
     rng = np.random.default_rng(17)
     graph = fixture_graph(1, 1)
-    conn = random_connection(rng, graph, N, mode="su", table=TABLE)
+    conn = random_connection(rng, graph, N, table=TABLE)
     data = connection_to_dict(conn)
     assert data["conjugation"] == {"pairing": list(TABLE.pairing)}
     back = connection_from_dict(graph, data)
@@ -441,7 +463,7 @@ def test_holonomy_matches_matrix_product(genus, punctures, mode):
     graph = fixture_graph(genus, punctures)
     table = TABLE if mode == "su" else None
     for _ in range(3):
-        conn = random_connection(rng, graph, N, mode=mode, table=table)
+        conn = random_connection(rng, graph, N, table=table)
         walks = list(closed_walks(graph))
         assert any(not forward for walk in walks for _, forward in walk)
         for walk in walks:
@@ -536,7 +558,7 @@ def test_vertex_sums_equal_the_signed_float_formula_bit_for_bit(genus, punctures
     graph = fixture_graph(genus, punctures)
     table = TABLE if mode == "su" else None
     for _ in range(3):
-        conn = random_connection(rng, graph, N, mode=mode, table=table)
+        conn = random_connection(rng, graph, N, table=table)
         for got, expected in zip(conn.vertex_sums(), signed_float_vertex_sums(conn)):
             assert [bits(x) for x in got] == [bits(x) for x in expected]
 
@@ -547,7 +569,7 @@ def test_vertex_sums_of_one_part_equal_that_slot_of_all_three_bit_for_bit(genus,
                                                                           mode):
     rng = np.random.default_rng(11 + genus + 3 * punctures + (mode == "su"))
     graph = fixture_graph(genus, punctures)
-    conn = random_connection(rng, graph, N, mode=mode, table=TABLE if mode == "su" else None)
+    conn = random_connection(rng, graph, N, table=TABLE if mode == "su" else None)
     full = conn.vertex_sums()
     for slot, part in enumerate(("h", "alpha", "beta")):
         alone = conn.vertex_sums((part,))
@@ -566,7 +588,7 @@ def test_faces_are_walked_when_the_graph_is_built():
 def test_gauge_normalize_reports_the_stage_whose_solve_fails(monkeypatch, mode, stages):
     real = fatgraph.solve_per_monomial
     table = TABLE if mode == "su" else None
-    conn = random_connection(np.random.default_rng(3), theta_graph(), N, mode=mode, table=table)
+    conn = random_connection(np.random.default_rng(3), theta_graph(), N, table=table)
     for fail_at, stage in enumerate(stages):
         calls = []
 

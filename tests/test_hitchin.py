@@ -542,6 +542,20 @@ def test_metric_keeps_rhobar_g_its_inverse_and_the_chern_form():
     assert [bits(x) for x in first] == [bits(x) for x in anew]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_local_function_sum_builds_one_zero_and_the_same_values(count_calls, seed):
+    # the zero that a key of the right operand alone is added to is built once per sum
+    rng = np.random.default_rng(74 + seed)
+    f, g = random_poly(rng, "even", num_terms=6), random_poly(rng, "odd", num_terms=6)
+    per_key = dict(f.terms)
+    for key, c in g.terms.items():
+        per_key[key] = per_key.get(key, GrassmannElement.zero(N)) + c
+    zeros = count_calls(GrassmannElement, "zero")
+    total = f + g
+    assert len(zeros) <= 1
+    assert bits(total) == bits(LocalFunction(N, per_key))
+
+
 def test_local_matrix_adds_only_the_chart_calculus():
     defined = {name for name, value in vars(LocalMatrix).items()
                if isinstance(value, (types.FunctionType, classmethod))}

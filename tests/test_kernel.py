@@ -199,8 +199,8 @@ def test_residual_is_the_max_abs_of_the_difference(x, y):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(residual_operands, min_size=8, max_size=8))
 def test_supermatrix_residual_is_the_max_abs_of_the_difference(entries):
-    x = SuperMatrix11(*entries[:4], check=False)
-    y = SuperMatrix11(*entries[4:], check=False)
+    x = SuperMatrix11._graded(*entries[:4])  # entries of any parity, unchecked
+    y = SuperMatrix11._graded(*entries[4:])
     assert same_float(x.residual(y), (x - y).max_abs())
     assert x.is_close(y) == ((x - y).max_abs() <= 1e-9)
 
@@ -448,8 +448,8 @@ def test_local_function_dot_of_cancelling_pairs_is_empty():
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.lists(finite_local_functions, min_size=8, max_size=8))
 def test_local_matrix_product_is_its_entrywise_formula(entries):
-    x = LocalMatrix(*entries[:4], check=False)
-    y = LocalMatrix(*entries[4:], check=False)
+    x = LocalMatrix._graded(*entries[:4])  # entries of any parity, unchecked
+    y = LocalMatrix._graded(*entries[4:])
     product = x * y
     assert type(product) is LocalMatrix
     formulas = (x.a * y.a + x.beta * y.gamma, x.a * y.beta + x.beta * y.d,

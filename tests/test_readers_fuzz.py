@@ -1,6 +1,6 @@
 """Mutated copies of every shipped fixture against the input readers.
 
-Each example takes one of the 16 fixtures, applies one mutation and runs
+Each example takes one of the 17 fixtures, applies one mutation and runs
 the command that reads it, in process.  The mutations are: delete a key,
 swap a type (an integer to a float, string, bool or null; a list to an
 object and back), put NaN or an infinity in a coefficient, put an index out
@@ -49,7 +49,7 @@ def fixture_commands(workdir):
         "report_digest", ROOT / "scripts" / "report_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.fixture_commands(workdir)
+    return module.fixture_commands(workdir) + module.su_commands(workdir)
 
 
 def command_for(name, workdir):
@@ -163,7 +163,7 @@ NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
 
 def test_every_fixture_is_covered():
-    assert len(NAMES) == 16
+    assert len(NAMES) == 17
 
 
 @pytest.mark.parametrize("name", NAMES)

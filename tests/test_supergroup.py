@@ -412,7 +412,7 @@ def twisted_from_coords(c):
     e_minus = (c.h + c.s * (-0.5)).exp()
     ab_half = c.alpha * c.beta * 0.5
     return SuperMatrix11(e_plus * (one() - ab_half), e_minus * c.beta,
-                         e_plus * c.alpha, e_minus * (one() + ab_half), check=False)
+                         e_plus * c.alpha, e_minus * (one() + ab_half))
 
 
 def assert_same_terms(x, y):
@@ -498,6 +498,19 @@ def test_group_law_results_are_graded_and_supplied_parts_are_checked(seed):
         parts[k] = odd if k < 2 else even
         with pytest.raises(ParityError, match="^%s must be" % name):
             GroupCoords(*parts)
+    # the same for the matrices: their results are graded, a caller's entries checked
+    m2 = from_coords(c2)
+    for x in (m * m2, m + m2, m - m2, m.scale(2.0), m.inverse(), SuperMatrix11.identity(N),
+              SuperMatrix11.zero(N), higgs_eigen(m).p_matrix):
+        assert (x.a.is_even(), x.beta.is_odd(), x.gamma.is_odd(), x.d.is_even()) == (
+            True, True, True, True)
+    for k, name in enumerate(("a", "beta", "gamma", "d")):
+        entries = [even, odd, odd, even]
+        entries[k] = even if k in (1, 2) else odd
+        with pytest.raises(ParityError, match="^%s must be" % name):
+            SuperMatrix11(*entries)
+        with pytest.raises(ParityError, match="^%s must be" % name):
+            LocalMatrix(*(LocalFunction.constant(x) for x in entries))
 
 
 # -- the twist e^{+-s} carried by a group element -------------------------------
