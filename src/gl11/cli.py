@@ -155,9 +155,10 @@ def cmd_fatgraph_normalize(args) -> CheckReport:
 
 def cmd_fatgraph_holonomy(args) -> CheckReport:
     hol = _load_graph_connection(args).holonomy(args.cycle)
-    return CheckReport(info={"holonomy": hol.to_dict(),
-                             "supertrace": hol.supertrace().to_dict(),
-                             "sdet": hol.sdet().to_dict()})
+    # the elements themselves: to_json writes them straight from their term maps
+    return CheckReport(info={"holonomy": {"a": hol.a, "beta": hol.beta,
+                                          "gamma": hol.gamma, "d": hol.d},
+                             "supertrace": hol.supertrace(), "sdet": hol.sdet()})
 
 
 def cmd_fatgraph_punctures(args) -> CheckReport:

@@ -22,7 +22,9 @@ holonomy invariance.)
 
 A connection is SU(1|1) exactly when it holds a conjugation table, and
 ``mode`` ('sl' or 'su') is read from that; the table's reality conditions
-(h_bar = -h, alpha_bar = -beta) are checked when the connection is built.
+(h_bar = -h, alpha_bar = -beta) are checked when a caller builds the
+connection (``GraphConnection(...)``); a gauge move keeps them and s = 0, so
+its result is built unscanned (``GraphConnection._trusted``).
 The file format keeps its "mode" key: ``connection_from_dict`` reads the
 table of an "su" file, and ``connection_to_dict`` writes "mode" back.  The
 coordinates a file supplies are checked (``GroupCoords(...)``); a rescaling
@@ -279,6 +281,14 @@ class GraphConnection:
         if table is not None and not self.check_reality().ok:
             raise ValueError("coordinates violate the SU(1|1) reality conditions")
 
+    @classmethod
+    def _trusted(cls, graph: FatGraph, coords: list, table, n: int) -> "GraphConnection":
+        """A connection whose coordinates are SL and, with a table, real by
+        construction (a gauge move of a connection): no scan."""
+        conn = object.__new__(cls)
+        conn.graph, conn.coords, conn.table, conn.n = graph, coords, table, n
+        return conn
+
     @property
     def mode(self) -> str:
         """'su' when the connection holds a conjugation table, else 'sl'."""
@@ -349,7 +359,9 @@ class GraphConnection:
             if dst in elements:
                 out = coords_product(out, elements[dst])
             new.append(out)
-        return GraphConnection(graph, new, self.table)
+        # the group law keeps s = 0, and an SU connection is moved only by SU
+        # elements (``_rescaling_coords``), which keep its reality conditions
+        return GraphConnection._trusted(graph, new, self.table, self.n)
 
     def _rescaling_coords(self, kind: str, param: GrassmannElement) -> GroupCoords:
         """Coordinates of the subgroup element of a rescaling kind, built after

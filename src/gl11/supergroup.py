@@ -74,6 +74,7 @@ it never reaches the pair loop, the prune or the series of gl11.grassmann.
 from __future__ import annotations
 
 import cmath
+from numbers import Number
 
 from .grassmann import (
     PRUNE_TOL,
@@ -176,7 +177,10 @@ class SuperMatrix11:
                                   self.gamma - other.gamma, self.d - other.d)
 
     def scale(self, c) -> "SuperMatrix11":
-        """Left multiplication of every entry by an even scalar."""
+        """Left multiplication of every entry by an even scalar: a number, or an
+        element checked even here, as an odd one would swap the grading."""
+        if not isinstance(c, Number):
+            require_parity(c, "even", "scale factor")
         return type(self)._graded(c * self.a, c * self.beta, c * self.gamma, c * self.d)
 
     def is_invertible(self) -> bool:

@@ -719,6 +719,28 @@ def test_fatgraph_normalize_su_connection(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+def test_fatgraph_normalize_checks_reality_once_on_the_parsed_su_connection(
+        capsys, monkeypatch, count_calls):
+    # each gauge move keeps reality by construction, so only the parse checks it
+    # (the moves re-checked it: 3 calls); the checked constructor still accepts the result
+    checks = count_calls(fatgraph.GraphConnection, "check_reality")
+    normalized = []
+    real = fatgraph.gauge_normalize
+
+    def normalize(conn, tol=1e-9):
+        out = real(conn, tol)
+        normalized.append(out[0])
+        return out
+
+    monkeypatch.setattr(fatgraph, "gauge_normalize", normalize)
+    code, _, err = outcome(capsys, ["fatgraph", "normalize", fx("fatgraph_g1s1.json"),
+                                    fx("connection_g1s1_su.json")])
+    assert (code, err, len(checks)) == (0, "", 1)
+    (out,) = normalized
+    assert out.mode == "su" and all(c.is_sl() for c in out.coords)
+    assert fatgraph.GraphConnection(out.graph, out.coords, out.table).check_reality().ok
+
+
 G1S1_FACE = ",".join("%d%s" % (e, "+" if forward else "-") for e, forward in
                      fatgraph.FatGraph.from_dict(json.loads(
                          (FIXTURES / "fatgraph_g1s1.json").read_text())).boundary_cycles()[0])
@@ -1049,7 +1071,8 @@ def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
         argv = ["--format", "json"] + command
         args = cli.build_parser().parse_args(argv)
         report = cli.RunReport(cli.command_name(args), args.func(args))
-        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True,
+                              default=GrassmannElement.to_dict)
         main(argv)
         assert capsys.readouterr().out == expected + "\n", command
     written = (tmp_path / "normalized.json").read_text()

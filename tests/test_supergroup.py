@@ -513,6 +513,17 @@ def test_group_law_results_are_graded_and_supplied_parts_are_checked(seed):
             LocalMatrix(*(LocalFunction.constant(x) for x in entries))
 
 
+def test_scale_refuses_an_odd_factor():
+    # an odd c would make a odd and beta even; an even element or a number scales
+    m = from_coords(GroupCoords.identity(N))
+    with pytest.raises(ParityError, match="^scale factor must be even, got parity 'odd'$"):
+        m.scale(GrassmannElement.monomial(N, [1]))
+    for c in (2.0, 1 - 0.5j, GrassmannElement.monomial(N, [1, 2], 3.0)):
+        x = m.scale(c)
+        assert (x.a.is_even(), x.beta.is_odd(), x.gamma.is_odd(), x.d.is_even()) == (
+            True, True, True, True)
+
+
 # -- the twist e^{+-s} carried by a group element -------------------------------
 
 def hex_terms(x):
