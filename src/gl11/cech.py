@@ -31,13 +31,17 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .grassmann import (PRUNE_TOL, GrassmannElement, _sort_sign, json_at, json_count,
-                        json_element, json_int, json_list, json_object, nan_max, require_parity)
+from .grassmann import (DEFAULT_TOL, PRUNE_TOL, GrassmannElement, _sort_sign, json_at,
+                        json_count, json_element, json_int, json_list, json_object, nan_max,
+                        require_parity)
 from .reports import CheckReport
 from .supergroup import (GroupCoords, coords_inverse, coords_product, from_coords,
                          product_from_term, quadratic_term)
 
 TWO_PI_I = 2j * cmath.pi
+# singular values at or below this (relative for pinv, absolute for matrix_rank)
+# count as zero in the coboundary and incidence solves
+RANK_TOL = 1e-9
 
 # (permutation, sign) of the p + 1 vertex positions of a p-simplex, p = 0..3
 _ORDERINGS = [[(perm, _sort_sign(perm)) for perm in permutations(range(p + 1))]
@@ -232,7 +236,7 @@ def solve_per_monomial(mat: np.ndarray, values, n: int):
     masks = sorted({m for v in values for m in v.terms})
     rhs = np.array([[v.terms.get(m, 0j) for m in masks] for v in values],
                    dtype=complex).reshape(len(values), len(masks))
-    sol = np.linalg.pinv(mat, rcond=1e-9) @ rhs
+    sol = np.linalg.pinv(mat, rcond=RANK_TOL) @ rhs
     residual = mat @ sol - rhs
     worst = abs(residual).max() if residual.size else 0.0
     if worst <= PRUNE_TOL:  # rounding of an exact solve, as GrassmannElement.residual
@@ -241,7 +245,7 @@ def solve_per_monomial(mat: np.ndarray, values, n: int):
             for r in range(mat.shape[1])], worst
 
 
-def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
+def solve_coboundary(g: Cochain, tol: float = DEFAULT_TOL) -> Cochain:
     """Least-norm f with delta f = g, solved per Grassmann monomial.
 
     Raises ObstructionError when the linear system is inconsistent: when the
@@ -259,7 +263,7 @@ def solve_coboundary(g: Cochain, tol: float = 1e-9) -> Cochain:
 def coboundary_solution_dim(nerve: Nerve, degree_from: int) -> int:
     """Dimension of the kernel of delta on degree_from-cochains (per monomial)."""
     mat = _coboundary_matrix(nerve, degree_from)
-    rank = np.linalg.matrix_rank(mat, tol=1e-9) if mat.size else 0
+    rank = np.linalg.matrix_rank(mat, tol=RANK_TOL) if mat.size else 0
     return nerve.num(degree_from) - rank
 
 
@@ -385,14 +389,14 @@ def _listed(nerve: Nerve, p: int, name: str, entries):
         yield simplex, stored, entry
 
 
-def check_sl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
+def check_sl_cocycle(data: TransitionData, tol: float = DEFAULT_TOL) -> CheckReport:
     """Additive cocycle identities on every listed 2-simplex (SL mode, s = 0)."""
     if not data.is_sl():
         raise ValueError("check_sl_cocycle requires SL mode (s identically zero)")
     return _cocycle_report(data, tol, twisted=False)
 
 
-def check_gl_cocycle(data: TransitionData, tol: float = 1e-9) -> CheckReport:
+def check_gl_cocycle(data: TransitionData, tol: float = DEFAULT_TOL) -> CheckReport:
     """Twisted cocycle identities (e^{s} factors); reduces to the SL check at s = 0."""
     return _cocycle_report(data, tol, twisted=True)
 
@@ -466,7 +470,7 @@ def _check_higgs_sections(data: TransitionData, higgs: HiggsCechData,
 
 
 def sl_higgs_obstruction(data: TransitionData, higgs: HiggsCechData,
-                         tol: float = 1e-9):
+                         tol: float = DEFAULT_TOL):
     """Obstruction to gluing a supertraceless Higgs field.
 
     Builds t_ij = delta_i alpha_ij - beta_ij gamma_i, verifies the cocycle
@@ -503,7 +507,7 @@ def _c_value(g_ij: GroupCoords, higgs: HiggsCechData, i) -> GrassmannElement:
 
 
 def gl_higgs_constraints(data: TransitionData, higgs: HiggsCechData,
-                         tol: float = 1e-9) -> CheckReport:
+                         tol: float = DEFAULT_TOL) -> CheckReport:
     """General supertrace constraints: the two b-relations and the c-cocycle."""
     report = CheckReport()
     c_listed = {}

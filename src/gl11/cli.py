@@ -23,8 +23,9 @@ makes of each form, so neither forms a 2^m x 2^m array.  gaudin-commute
 takes all products A_i A_j in one matmul call and each norm |A_i| once, and
 checks the arrays of each H_i whole, dropping them before it realizes the
 next H_i.  The three integrable commands read --m as a site count in 2..32,
-so that the 2m generators fit in 64; gaudin-commute realizes its states only
-up to m = 16 and says so beyond.
+so that the 2m generators fit in 64, and hold a --system file's "sites" to the
+same range where they read it; gaudin-commute realizes its states only up to
+m = 16 and says so beyond.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
@@ -43,7 +44,7 @@ from functools import cache
 import numpy as np
 
 from . import cech, fatgraph, hitchin, integrable
-from .grassmann import GrassmannElement, json_at, json_object, nan_max
+from .grassmann import DEFAULT_TOL, GrassmannElement, json_at, json_object, nan_max
 from .reports import CheckReport, to_json
 from .supergroup import group_law_suite
 
@@ -344,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gl11",
         description="Exact checks for GL(1|1) supergeometry computations.")
-    parser.add_argument("--tol", type=_tolerance, default=1e-9,
-                        help="pass/fail tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help="pass/fail tolerance (default %(default)g)")
     parser.add_argument("--seed", type=_seed, default=0,
                         help="seed for random suites (default 0)")
     parser.add_argument("--format", choices=("text", "json"), default="text")

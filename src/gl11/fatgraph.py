@@ -38,9 +38,9 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .cech import solve_per_monomial
-from .grassmann import (ConjugationTable, GrassmannElement, json_at, json_count,
-                        json_element, json_int, json_list, json_object, require_parity)
+from .cech import RANK_TOL, solve_per_monomial
+from .grassmann import (DEFAULT_TOL, ConjugationTable, GrassmannElement, json_at,
+                        json_count, json_element, json_int, json_list, json_object, require_parity)
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -126,7 +126,7 @@ class FatGraph:
                     reach.add(w)
                     frontier.append(w)
         if len(reach) != self.num_vertices:
-            raise ValueError("fatgraph is not connected")
+            raise ValueError('"pairing": the fatgraph is not connected')
 
     def _walk_faces(self) -> tuple:
         """Orbits of the face permutation as tuples of (edge, forward) steps."""
@@ -304,7 +304,7 @@ class GraphConnection:
     def edge_coords(self, e: int, forward: bool = True) -> GroupCoords:
         return self.coords[e] if forward else coords_inverse(self.coords[e])
 
-    def check_reality(self, tol: float = 1e-9) -> CheckReport:
+    def check_reality(self, tol: float = DEFAULT_TOL) -> CheckReport:
         """h_bar = -h and alpha_bar = -beta on every edge (SU form)."""
         report = CheckReport()
         for e, c in enumerate(self.coords):
@@ -372,7 +372,7 @@ class GraphConnection:
         zero = GrassmannElement.zero(self.n)
         if kind == "diag":
             require_parity(param, "even", "diag rescaling parameter")
-            if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > 1e-9:
+            if self.mode == "su" and (param.conjugate(self.table) + param).max_abs() > DEFAULT_TOL:
                 raise ValueError("SU diag parameter must satisfy bar(c) = -c")
             return GroupCoords._graded(param, zero, zero, zero)
         require_parity(param, "odd", "%s rescaling parameter" % kind)
@@ -410,7 +410,7 @@ class GraphConnection:
         return sums
 
 
-def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
+def gauge_normalize(conn: GraphConnection, tol: float = DEFAULT_TOL):
     """Bring all vertex sums to zero; returns (connection, report).
 
     Solves the odd sectors first (lower moves for alpha, upper for beta, which
@@ -447,7 +447,7 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
         report.add("vertex_alpha_sum[%d]" % v, alpha.max_abs(), tol)
         report.add("vertex_beta_sum[%d]" % v, beta.max_abs(), tol)
 
-    rank = int(np.linalg.matrix_rank(incidence, tol=1e-9))
+    rank = int(np.linalg.matrix_rank(incidence, tol=RANK_TOL))
     odd = odd_per_even(conn.mode == "su")
     report.info["singular"] = False
     report.info["free_even"] = graph.num_edges - rank
@@ -457,7 +457,7 @@ def gauge_normalize(conn: GraphConnection, tol: float = 1e-9):
     return out, report
 
 
-def check_puncture_constraints(conn: GraphConnection, tol: float = 1e-9) -> CheckReport:
+def check_puncture_constraints(conn: GraphConnection, tol: float = DEFAULT_TOL) -> CheckReport:
     """Deviation of each boundary holonomy from the identity, plus dim counts."""
     graph = conn.graph
     report = CheckReport()
@@ -473,7 +473,7 @@ def check_puncture_constraints(conn: GraphConnection, tol: float = 1e-9) -> Chec
         for (e, forward) in face:
             face_rows[k, e] += 1.0 if forward else -1.0
     combined = np.vstack([incidence, face_rows])
-    rank = int(np.linalg.matrix_rank(combined, tol=1e-9))
+    rank = int(np.linalg.matrix_rank(combined, tol=RANK_TOL))
     e_count = graph.num_edges
     report.info["constrained_free_even"] = e_count - rank
     report.info["constrained_free_odd"] = odd_per_even(conn.mode == "su") * (e_count - rank)
@@ -552,7 +552,7 @@ def connection_from_dict(graph: FatGraph, data: dict) -> GraphConnection:
         coords[e] = c
     mode = data.get("mode", "sl")
     if mode not in ("sl", "su"):
-        raise ValueError("mode must be 'sl' or 'su'")
+        raise ValueError('"mode" holds %r, not "sl" or "su"' % (mode,))
     table = (json_at("conjugation", ConjugationTable.from_dict, data["conjugation"], n)
              if mode == "su" else None)
     return GraphConnection(graph, coords, table)

@@ -38,6 +38,7 @@ entry, d - a in the lower) is conjugated and multiplied.
 from __future__ import annotations
 
 from .grassmann import (
+    DEFAULT_TOL,
     PRUNE_TOL,
     ConjugationTable,
     GrassmannElement,
@@ -143,7 +144,7 @@ class LocalFunction:
         return nan_max(mine.get(key, zero).residual(theirs.get(key, zero))
                        for key in mine.keys() | theirs.keys())
 
-    def is_close(self, other, tol=1e-9):
+    def is_close(self, other, tol=DEFAULT_TOL):
         return self.residual(other) <= tol
 
     # -- algebra --------------------------------------------------------------
@@ -433,7 +434,7 @@ def hitchin_solution(rho_h, rho_a, v_h, v_a, delta, gamma,
     return MetricData(u, base.rho, table)
 
 
-def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = 1e-9) -> LocalMatrix:
+def hitchin_residual(m: MetricData, phi: LocalMatrix, tol: float = DEFAULT_TOL) -> LocalMatrix:
     """F - [Phi, Phi^dagger_H] with Phi^dagger_H = H^{-1} Phi^dagger H.
 
     Requires the supertraceless local shape [[a, delta], [gamma, a]].  The

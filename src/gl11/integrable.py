@@ -67,8 +67,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grassmann import (MAX_GENERATORS, GrassmannElement, json_at, json_list, json_number,
-                        json_object, require_parity)
+from .grassmann import (DEFAULT_TOL, MAX_GENERATORS, GrassmannElement, json_at, json_list,
+                        json_number, json_object, require_parity)
 from .supergroup import SuperMatrix11, supertrace_product
 
 MIN_SEPARATION = 1e-8
@@ -182,12 +182,16 @@ class ParabolicData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
-        """{"sites": [{"z": [re, im], "u": [re, im], "v": [re, im]}, ...]} and nothing else."""
+        """{"sites": [{"z": [re, im], "u": [re, im], "v": [re, im]}, ...]} and nothing else,
+        with 2..MAX_SITES sites, the range of the commands' --m."""
         for key in data:
             if key != "sites":
                 raise ValueError('unknown field "%s": a system file holds only "sites"' % key)
         sites = [json_at(("sites[%d]", k), _site, site)
                  for k, site in enumerate(json_list(data["sites"], "sites"))]
+        if not 2 <= len(sites) <= MAX_SITES:
+            raise ValueError('"sites" holds %d sites, not a site count in 2..%d'
+                             % (len(sites), MAX_SITES))
         return cls(*([site[i] for site in sites] for i in range(3)))
 
 
@@ -443,7 +447,7 @@ def quantize(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0) -> np.nda
     """
     site = None
     for i in range(p.m):
-        if (garnier_hamiltonian(p, i) - f).max_abs() <= 1e-9:
+        if (garnier_hamiltonian(p, i) - f).max_abs() <= DEFAULT_TOL:
             site = i
             break
     if site is None:

@@ -36,12 +36,17 @@ and ``quadratic_term`` is the one copy of the last term, which is also the
 Cech 2-cochain g_ijk of gl11.cech; ``product_from_term`` assembles c1 c2 from
 it, so a caller that keeps the term (``cech.TransitionData``) forms it once.
 
-A supermatrix likewise keeps a^{-1} and d^{-1}: each is formed on its first
-read (``SuperMatrix11.a_inv``, ``d_inv``) and lives as long as the matrix,
-whose entries are never reassigned.  ``sdet`` reads d^{-1} alone, and
-``inverse`` (through ``block_inverse(m)``) and ``to_coords`` read both, so a
-matrix whose Berezinian, inverse and coordinates are all taken forms each
-inverse once.
+A supermatrix likewise keeps a^{-1}, d^{-1} and its Berezinian: each is
+formed on its first read (``SuperMatrix11.a_inv``, ``d_inv``, ``sdet``) and
+lives as long as the matrix, whose entries are never reassigned.  ``sdet``
+reads d^{-1} alone, ``inverse`` (through ``block_inverse(m)``) reads both,
+and ``to_coords`` reads both and the Berezinian, so a matrix whose
+Berezinian, inverse and coordinates are all taken forms each value once.
+
+Invertibility is decided by the entries: ``inv()`` raises
+``NotInvertibleError`` on a body at or below ``PRUNE_TOL``, so ``inverse``
+needs invertible a and d, and ``sdet``, like the Berezinian itself, only an
+invertible d.
 
 On SL(1|1) the twist is not formed: when the stored s has no terms, e^{+-s}
 is exactly one, so the group law reduces to the additive edge-coordinate fold
@@ -77,9 +82,8 @@ import cmath
 from numbers import Number
 
 from .grassmann import (
-    PRUNE_TOL,
+    DEFAULT_TOL,
     GrassmannElement,
-    NotInvertibleError,
     nan_max,
     random_even,
     random_odd,
@@ -117,11 +121,12 @@ class SuperMatrix11:
     ``*``, ``+``, ``-`` and ``scale`` build the operand's own class, and
     ``identity`` and ``zero`` build entries of its ``element`` type, so a
     subclass with other graded entries (gl11.hitchin.LocalMatrix) shares them.
-    The matrix keeps a^{-1} and d^{-1}, each formed on its first read
-    (``a_inv``, ``d_inv``); ``sdet``, ``inverse`` and ``to_coords`` read them.
+    The matrix keeps a^{-1}, d^{-1} and its Berezinian, each formed on its
+    first read (``a_inv``, ``d_inv``, ``sdet``); ``inverse`` and ``to_coords``
+    read them.
     """
 
-    __slots__ = ("a", "beta", "gamma", "d", "n", "_a_inv", "_d_inv")
+    __slots__ = ("a", "beta", "gamma", "d", "n", "_a_inv", "_d_inv", "_sdet")
     element = GrassmannElement
 
     def __init__(self, a, beta, gamma, d):
@@ -134,7 +139,7 @@ class SuperMatrix11:
         require_parity(gamma, "odd", "gamma")
         self.a, self.beta, self.gamma, self.d = a, beta, gamma, d
         self.n = a.n
-        self._a_inv = self._d_inv = None
+        self._a_inv = self._d_inv = self._sdet = None
 
     @classmethod
     def _graded(cls, a, beta, gamma, d) -> "SuperMatrix11":
@@ -143,7 +148,7 @@ class SuperMatrix11:
         m = _new(cls)
         m.a, m.beta, m.gamma, m.d = a, beta, gamma, d
         m.n = a.n
-        m._a_inv = m._d_inv = None
+        m._a_inv = m._d_inv = m._sdet = None
         return m
 
     @classmethod
@@ -183,9 +188,6 @@ class SuperMatrix11:
             require_parity(c, "even", "scale factor")
         return type(self)._graded(c * self.a, c * self.beta, c * self.gamma, c * self.d)
 
-    def is_invertible(self) -> bool:
-        return abs(self.a.body()) > PRUNE_TOL and abs(self.d.body()) > PRUNE_TOL
-
     def a_inv(self):
         """a^{-1}, formed on first use and kept."""
         if self._a_inv is None:
@@ -199,11 +201,7 @@ class SuperMatrix11:
         return self._d_inv
 
     def inverse(self) -> "SuperMatrix11":
-        """Closed-form block inverse; needs invertible a and d bodies."""
-        if not self.is_invertible():
-            raise NotInvertibleError(
-                "supermatrix not invertible: body(a)=%r body(d)=%r"
-                % (self.a.body(), self.d.body()))
+        """Closed-form block inverse; ``inv()`` of a and d decides invertibility."""
         return SuperMatrix11._graded(*block_inverse(self))
 
     def supertrace(self) -> GrassmannElement:
@@ -211,11 +209,12 @@ class SuperMatrix11:
         return self.a - self.d
 
     def sdet(self) -> GrassmannElement:
-        """Berezinian (a - beta d^{-1} gamma) d^{-1}."""
-        if not self.is_invertible():
-            raise NotInvertibleError("sdet needs invertible a and d bodies")
-        d_inv = self.d_inv()
-        return (self.a - self.beta * self.gamma * d_inv) * d_inv
+        """Berezinian (a - beta d^{-1} gamma) d^{-1}, formed on first use and kept;
+        it needs an invertible d alone."""
+        if self._sdet is None:
+            d_inv = self.d_inv()
+            self._sdet = (self.a - self.beta * self.gamma * d_inv) * d_inv
+        return self._sdet
 
     def max_abs(self) -> float:
         return nan_max(e.max_abs() for e in self.entries())
@@ -225,7 +224,7 @@ class SuperMatrix11:
         return nan_max([self.a.residual(other.a), self.beta.residual(other.beta),
                         self.gamma.residual(other.gamma), self.d.residual(other.d)])
 
-    def is_close(self, other: "SuperMatrix11", tol: float = 1e-9) -> bool:
+    def is_close(self, other: "SuperMatrix11", tol: float = DEFAULT_TOL) -> bool:
         return self.residual(other) <= tol
 
     def __repr__(self):
@@ -314,10 +313,10 @@ def from_coords(c: GroupCoords) -> SuperMatrix11:
                                  e_plus * c.alpha, e_minus * one_plus)
 
 
-def to_coords(m: SuperMatrix11, sdet=None) -> GroupCoords:
+def to_coords(m: SuperMatrix11) -> GroupCoords:
     """Invert the parametrization, principal log branch on bodies, by the closed
-    forms of the module docstring; ``sdet`` is m.sdet() if the caller has it."""
-    s = (m.sdet() if sdet is None else sdet).log()
+    forms of the module docstring, from m's kept Berezinian and inverses."""
+    s = m.sdet().log()
     h = (m.a * m.d).log() * 0.5
     # the half-log of a*d drops a possible i*pi: compare a's body against e^{h + s/2}
     if (m.a.body() / cmath.exp(h.body() + 0.5 * s.body())).real < 0:
@@ -373,17 +372,15 @@ class HiggsEigenData:
 
 
 def higgs_eigen(phi: SuperMatrix11) -> HiggsEigenData:
-    """Diagonalize a supermatrix with invertible supertrace.
+    """Diagonalize a supermatrix with invertible supertrace; ``str(phi).inv()``
+    raises ``NotInvertibleError`` when it is not.
 
     Eigenvalues lambda_+ = a + beta gamma / str(phi), lambda_- = d + beta
     gamma / str(phi); the invariant form lambda_+- = (str(phi^2)/str(phi)
     +- str(phi)) / 2 gives the same values.  P = [[1, -beta/str], [gamma/str,
     1]] conjugates phi to diag(lambda_+, lambda_-).
     """
-    st = phi.supertrace()
-    if abs(st.body()) <= PRUNE_TOL:
-        raise NotInvertibleError("non-diagonalizable: supertrace not invertible")
-    st_inv = st.inv()
+    st_inv = phi.supertrace().inv()
     correction = phi.beta * phi.gamma * st_inv
     lam_plus = phi.a + correction
     lam_minus = phi.d + correction
@@ -435,14 +432,13 @@ def group_law_suite(rng, n: int, count: int, tol: float,
         c3 = random_coords(rng, n)
         m1, m2, m3 = from_coords(c1), from_coords(c2), from_coords(c3)
         m12 = m1 * m2
-        sdet1 = m1.sdet()
         fold("associativity", m12 * m3, m1 * (m2 * m3))
         fold("identity", m1 * ident, m1)
         fold("inverse_formula", m1.inverse(), from_coords(coords_inverse(c1)))
-        fold("sdet_exp_s", sdet1, c1.twist()[0])
-        fold("sdet_homomorphism", m12.sdet(), sdet1 * m2.sdet())
+        fold("sdet_exp_s", m1.sdet(), c1.twist()[0])
+        fold("sdet_homomorphism", m12.sdet(), m1.sdet() * m2.sdet())
         fold("coords_vs_matrix", from_coords(coords_product(c1, c2)), m12)
-        fold("to_coords_roundtrip", from_coords(to_coords(m1, sdet1)), m1)
+        fold("to_coords_roundtrip", from_coords(to_coords(m1)), m1)
     if corrupt and count:
         c1, c2 = random_coords(rng, n), random_coords(rng, n)
         bad = coords_product(c1, c2)

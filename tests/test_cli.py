@@ -1224,6 +1224,24 @@ def test_garnier_check_sum_fails_with_a_flipped_cross_term(capsys, monkeypatch, 
     assert checks["poisson_commutativity"]["passed"]  # the residue route is untouched
 
 
+def is_generator(x):
+    """x is a bare generator t_k: one degree-1 monomial with coefficient 1."""
+    return len(x.terms) == 1 and all(c == 1.0 and mask.bit_count() == 1
+                                     for mask, c in x.terms.items())
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_garnier_check_forms_the_generator_products_once_per_site_count(capsys, count_calls,
+                                                                         count):
+    # theta_i eta_j and eta_i theta_j come from site_products(m), built once per
+    # site count: 2m^2 products of two generators in the run, none per system
+    integrable.site_products.cache_clear()
+    products = count_calls(grassmann, "_accumulate")
+    code, _, err = outcome(capsys, ["garnier-check", "--m", "5", "--count", str(count)])
+    assert (code, err) == (0, "")
+    assert sum(is_generator(x) and is_generator(y) for _, x, y in products) == 2 * 5 * 5
+
+
 def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, count_calls):
     seen = count_calls(integrable, "poisson_bracket")
     code, _, err = outcome(capsys, ["garnier-check", "--m", "4", "--count", "2"])
@@ -1268,6 +1286,29 @@ def test_other_system_commands_reject_junk_site_fields(capsys, tmp_path, command
     code, out, err = outcome(capsys, [command, "--system", path])
     assert (code, out) == (2, "")
     assert err == 'error: %s: sites[0]: z: "re" holds inf, not a finite number\n' % path
+
+
+@pytest.mark.parametrize("count", [0, 1, 33])
+@pytest.mark.parametrize("command", ["garnier-check", "gaudin-commute", "quantize-compare"])
+def test_system_file_site_count_is_checked_where_it_is_read(capsys, tmp_path, command, count):
+    # the range of --m, 2..32, with the file and "sites" named
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"sites": [{"z": [k, 0], "u": [1, 0], "v": [1, 0.5]}
+                                          for k in range(count)]}))
+    code, out, err = outcome(capsys, [command, "--system", str(path)])
+    assert (code, out) == (2, "")
+    assert err == 'error: %s: "sites" holds %d sites, not a site count in 2..32\n' % (
+        path, count)
+
+
+def test_system_file_keeps_the_realization_limit_of_gaudin_commute(capsys, tmp_path):
+    # 17 sites read, but the 2^m-state arrays stop at m = 16
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"sites": [{"z": [k, 0], "u": [1, 0], "v": [1, 0.5]}
+                                          for k in range(17)]}))
+    code, out, err = outcome(capsys, ["gaudin-commute", "--system", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the 2^m-state realization stops at m = 16")
 
 
 def test_system_file_with_integer_coordinates_still_runs(capsys, tmp_path):
@@ -1357,6 +1398,14 @@ def rename_simplices_key(data):
     data["simplices"]["1.0"] = data["simplices"].pop("1")
 
 
+def two_theta_graphs(data):
+    """A change that makes the graph two disjoint copies of its two vertices."""
+    data["pairing"] = data["pairing"] + [h + 6 for h in data["pairing"]]
+    data["cyclic_orders"] = data["cyclic_orders"] + [[h + 6 for h in order]
+                                                     for order in data["cyclic_orders"]]
+    data["orientation"] = data["orientation"] + [h + 6 for h in data["orientation"]]
+
+
 GRAPH, FLAT, RANDOM = "fatgraph_g1s1.json", "connection_g1s1_flat.json", \
     "connection_g1s1_random.json"
 MALFORMED = [
@@ -1422,6 +1471,21 @@ MALFORMED = [
     ("nerve_tetrahedron.json", set_at(["vertices", 0], 99),
      ["cech-verify", "{}", fx("cech_tetra_valid.json")],
      '"simplices": (1, 2) has the vertex 1, which is not listed'),
+    (RANDOM, set_at(["mode"], "xx"), ["fatgraph", "check-punctures", fx(GRAPH), "{}"],
+     '"mode" holds \'xx\', not "sl" or "su"'),
+    (GRAPH, set_at(["pairing", 5], 5), ["fatgraph", "check-punctures", "{}", fx(FLAT)],
+     '"pairing": not a permutation of 0..5'),
+    (GRAPH, set_at(["cyclic_orders"], [[0, 2, 4]]),
+     ["fatgraph", "check-punctures", "{}", fx(FLAT)],
+     '"cyclic_orders": some half-edges missing from vertices'),
+    (GRAPH, set_at(["orientation", 0], 2), ["fatgraph", "check-punctures", "{}", fx(FLAT)],
+     '"orientation": half-edge 2 is not on edge 0'),
+    (GRAPH, two_theta_graphs, ["fatgraph", "normalize", "{}", fx(FLAT)],
+     '"pairing": the fatgraph is not connected'),
+    ("metric_example.json", set_at(["u", "terms", 0, "z"], -1),
+     ["hitchin-residual", "{}", fx("higgs_example.json")], "u: negative degree (-1, 2)"),
+    ("higgs_example.json", set_at(["n"], 6),
+     ["hitchin-residual", fx("metric_example.json"), "{}"], '"n" holds 6, not the metric\'s 8'),
 ]
 
 

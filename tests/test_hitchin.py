@@ -632,11 +632,19 @@ def test_local_matrix_zero_and_identity_have_local_function_entries():
     assert all(e.is_zero() for e in LocalMatrix.zero(4).entries())
 
 
-def test_local_matrix_is_invertible_reads_the_constant_bodies():
-    assert LocalMatrix.identity(4).is_invertible()
-    assert not LocalMatrix.zero(4).is_invertible()
+def test_local_matrix_invertibility_is_decided_by_the_constant_bodies():
+    # LocalFunction.inv refuses a zero constant-term body; the matrix adds no test
+    assert LocalMatrix.identity(4).inverse().residual(LocalMatrix.identity(4)) == 0.0
+    with pytest.raises(NotInvertibleError, match="constant-term body is zero"):
+        LocalMatrix.zero(4).inverse()
     one, z = LocalFunction.one(N), mono(scalar(1.0), 1, 0)
-    assert not LocalMatrix(one, zero_fn(), zero_fn(), z).is_invertible()
+    for a, d in ((one, z), (z, one)):
+        with pytest.raises(NotInvertibleError, match="constant-term body is zero"):
+            LocalMatrix(a, zero_fn(), zero_fn(), d).inverse()
+    # the Berezinian needs d alone: a singular a gives a / d = z
+    assert LocalMatrix(z, zero_fn(), zero_fn(), one).sdet().residual(z) == 0.0
+    with pytest.raises(NotInvertibleError, match="constant-term body is zero"):
+        LocalMatrix(one, zero_fn(), zero_fn(), z).sdet()
 
 
 def test_local_matrix_sdet():

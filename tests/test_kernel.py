@@ -697,3 +697,16 @@ def test_no_module_but_grassmann_reaches_the_term_map_internals():
                 continue
             found += [(path.name, name) for name in names if name in TERM_MAP_INTERNALS]
     assert found == []
+
+
+def test_the_default_tolerance_is_spelled_once():
+    # 1e-9 is DEFAULT_TOL (pass/fail) or cech.RANK_TOL (singular values); every
+    # other use reads one of the two names
+    found = []
+    for path in sorted(pathlib.Path(grassmann.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        found += [(path.name, lines[node.lineno - 1]) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and node.value == 1e-9]
+    assert found == [("cech.py", "RANK_TOL = 1e-9"), ("grassmann.py", "DEFAULT_TOL = 1e-9")]

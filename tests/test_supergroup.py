@@ -199,6 +199,36 @@ def test_to_coords_rejects_noninvertible():
         to_coords(SuperMatrix11(one(), zero(), zero(), t(1, 2)))
 
 
+def test_sdet_needs_an_invertible_d_alone():
+    # Ber = (a - beta d^{-1} gamma) d^{-1} is defined whenever d is invertible
+    m = SuperMatrix11(t(1, 2), t(3), t(4), one())
+    assert m.sdet().residual(t(1, 2) - t(3) * t(4)) == 0.0
+    # the inverse needs a^{-1} too, and to_coords the log of the Berezinian
+    with pytest.raises(NotInvertibleError, match="body is zero"):
+        m.inverse()
+    with pytest.raises(NotInvertibleError, match="log undefined"):
+        to_coords(m)
+    singular_d = SuperMatrix11(one(), t(3), t(4), t(1, 2))
+    for call in (singular_d.sdet, singular_d.inverse, lambda: to_coords(singular_d)):
+        with pytest.raises(NotInvertibleError, match="not invertible: body is zero"):
+            call()
+
+
+@pytest.mark.parametrize("entries", ["grassmann", "local"])
+def test_supermatrix_keeps_its_berezinian(count_calls, entries):
+    rng = np.random.default_rng(22)
+    m = _random_supermatrix(rng) if entries == "grassmann" else random_local_matrix(rng)
+    fresh = bits(type(m)(*m.entries()).sdet())
+    sdet = m.sdet()
+    assert bits(sdet) == fresh
+    products = count_calls(grassmann, "_accumulate")
+    assert m.sdet() is sdet
+    assert products == []
+    # a result of the program starts without one and forms its own
+    product = m * m
+    assert bits(product.sdet()) == bits(type(m)(*product.entries()).sdet())
+
+
 def test_sdet_homomorphism():
     rng = np.random.default_rng(10)
     for _ in range(100):
@@ -346,7 +376,7 @@ def test_group_law_suite_draw_order():
 
 def difference_fold_suite(rng, n, count, corrupt):
     """The worst residual of every check over the suite's rounds, folded as
-    ``(x - y).max_abs()`` with ``to_coords`` forming its own Berezinian."""
+    ``(x - y).max_abs()``."""
     worst = dict.fromkeys(GROUP_LAW_CHECKS, 0.0)
 
     def fold(name, difference):
@@ -383,9 +413,8 @@ def test_group_law_suite_equals_the_difference_fold(seed, corrupt):
 
 def test_group_law_suite_keeps_a_nan_residual(monkeypatch):
     nan = GrassmannElement.scalar(N, math.nan)
-    # the suite's round trip is to_coords with the Berezinian it formed already
     monkeypatch.setattr(supergroup, "to_coords",
-                        lambda m, sdet: GroupCoords(nan, zero(), zero(), zero()))
+                        lambda m: GroupCoords(nan, zero(), zero(), zero()))
     report = group_law_suite(np.random.default_rng(4), N, 2, 1e-9)
     assert [c.name for c in report.failing()] == ["to_coords_roundtrip"]
     assert math.isnan(report.worst("to_coords_roundtrip"))
@@ -487,7 +516,7 @@ def test_group_law_results_are_graded_and_supplied_parts_are_checked(seed):
     c2 = random_coords(rng, N, sl=seed % 2 == 1, num_terms=5)
     m = from_coords(c1)
     for c in (c1, c2, coords_product(c1, c2), coords_product(c2, c1), coords_inverse(c1),
-              coords_inverse(c2), to_coords(m), to_coords(m, m.sdet())):
+              coords_inverse(c2), to_coords(m)):
         assert (c.h.parity(), c.s.parity(), c.alpha.parity(), c.beta.parity()) == (
             "even", "even", "odd", "odd")
         assert c.alpha.terms and c.beta.terms and c.n == N
@@ -737,9 +766,9 @@ def test_closed_forms_make_5_6_and_3_products(counted):
         counted["products"].clear()
         block_inverse(m)
         assert outside_products(counted) == 6
-        sdet = m.sdet()
+        m.sdet()
         counted["products"].clear()
-        to_coords(m, sdet)
+        to_coords(m)  # reads the Berezinian the matrix keeps
         assert outside_products(counted) == 3
 
 
