@@ -30,11 +30,20 @@ m = 16 and says so beyond.
 The argument parser is built once per process, on the first call of
 ``main``, and reused by later calls; parsing keeps no state between calls,
 so in-process callers such as a benchmark loop pay for it once.
+
+A command loads only the modules it reads.  Importing this module runs
+grassmann, supergroup and reports; cech, fatgraph, hitchin and integrable
+are registered in sys.modules and on the gl11 package, and each is compiled
+and run on the first read of one of its attributes.  So group-selftest and
+--help run none of the four, cech-verify runs cech, hitchin-residual runs
+hitchin, every fatgraph subcommand runs fatgraph and, through its import,
+cech, and garnier-check, gaudin-commute and quantize-compare run integrable.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -43,10 +52,38 @@ from functools import cache
 
 import numpy as np
 
-from . import cech, fatgraph, hitchin, integrable
 from .grassmann import DEFAULT_TOL, GrassmannElement, json_at, json_object, nan_max
 from .reports import CheckReport, to_json
 from .supergroup import group_law_suite
+
+
+def _lazy_submodules(*names):
+    """The gl11 submodules called names, each run on its first attribute read.
+
+    Each is registered in sys.modules and bound on the gl11 package, as an
+    import would leave it, so ``from gl11 import cech`` and the benchmark
+    tracer's sys.modules lookup find it; its source is compiled and run only
+    when some attribute of it is read.  A module already imported is returned
+    as it is.  The first read is not thread-safe (importlib's LazyLoader);
+    gl11 runs on one thread.
+    """
+    package = sys.modules[__package__]
+    modules = []
+    for name in names:
+        fullname = "%s.%s" % (__package__, name)
+        module = sys.modules.get(fullname)
+        if module is None:
+            spec = importlib.util.find_spec(fullname)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[fullname] = module
+            spec.loader.exec_module(module)
+            setattr(package, name, module)
+        modules.append(module)
+    return modules
+
+
+cech, fatgraph, hitchin, integrable = _lazy_submodules("cech", "fatgraph", "hitchin", "integrable")
 
 SELFTEST_GENERATORS = 8
 

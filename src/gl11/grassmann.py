@@ -349,7 +349,9 @@ class GrassmannElement:
         if terms:
             full = (1 << n) - 1
             for mask, coeff in terms.items():
-                if mask & ~full:
+                if mask & ~full:  # a negative mask has every high bit set
+                    if mask < 0:
+                        raise ValueError("monomial mask %d is negative" % mask)
                     raise ValueError("monomial %s outside generator range 1..%d"
                                      % (_mask_to_indices(mask), n))
                 merged[mask] = 0j + complex(coeff)  # a -0.0 part is stored as 0.0

@@ -1,6 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -22,3 +29,19 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def fresh_python():
+    """``fresh_python(*args)`` runs ``python *args`` in a new interpreter that
+    imports gl11 from this checkout's src/, and returns the finished process
+    with its stdout and stderr as text.  This test process has imported every
+    gl11 module; a new one shows what a command loads by itself."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    return run

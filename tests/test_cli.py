@@ -3,10 +3,7 @@
 import importlib.util
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -879,19 +876,68 @@ def test_fatgraph_commands_form_no_supermatrix_product(capsys, monkeypatch):
         assert (code, err) == (status, "")
 
 
-def test_python_m_gl11_runs_the_cli():
-    src = str(FIXTURES.parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "gl11", "fatgraph", "check-punctures",
-                           fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json")],
-                          capture_output=True, text=True, env=env, timeout=120)
+def test_python_m_gl11_runs_the_cli(fresh_python):
+    done = fresh_python("-m", "gl11", "fatgraph", "check-punctures",
+                        fx("fatgraph_g1s1.json"), fx("connection_g1s1_random.json"))
     assert done.returncode == 1
     assert done.stdout.startswith("== fatgraph-check-punctures ==")
     assert done.stdout.rstrip().endswith("status: FAIL")
 
 
-def cech_verify_with_s_body(tmp_path, edge, real):
+# every gl11 module the command ran, then every gl11 module registered; a module
+# still waiting for its first attribute read is not of type ModuleType itself
+LOADED_MODULES = """
+import sys, types
+from gl11.cli import main
+if sys.argv[1:]:
+    try:
+        main(sys.argv[1:])
+    except SystemExit:  # --help
+        pass
+gl11 = sorted(name for name in sys.modules if name.split(".")[0] == "gl11")
+print(" ".join(name for name in gl11 if type(sys.modules[name]) is types.ModuleType))
+print(" ".join(gl11))
+"""
+EAGER = ["gl11", "gl11.cli", "gl11.grassmann", "gl11.reports", "gl11.supergroup"]
+LAZY = ["gl11.cech", "gl11.fatgraph", "gl11.hitchin", "gl11.integrable"]
+
+# name -> (argv, the modules beyond EAGER that it runs)
+COMMAND_MODULES = {
+    "import": ([], []),
+    "help": (["--help"], []),
+    "group-selftest": (["group-selftest", "--count", "1"], []),
+    "cech-verify": (["cech-verify", fx("nerve_tetrahedron.json"),
+                     fx("cech_tetra_valid.json")], ["cech"]),
+    "hitchin-residual": (["hitchin-residual", fx("metric_example.json"),
+                          fx("higgs_example.json")], ["hitchin"]),
+    "fatgraph-normalize": (["fatgraph", "normalize", fx("fatgraph_g1s1.json"),
+                            fx("connection_g1s1_random.json")], ["cech", "fatgraph"]),
+    "fatgraph-holonomy": (["fatgraph", "holonomy", fx("fatgraph_g1s1.json"),
+                           fx("connection_g1s1_flat.json"), "--cycle", G1S1_FACE],
+                          ["cech", "fatgraph"]),
+    "fatgraph-check-punctures": (["fatgraph", "check-punctures", fx("fatgraph_g1s1.json"),
+                                  fx("connection_g1s1_flat.json")], ["cech", "fatgraph"]),
+    "fatgraph-dims": (["fatgraph", "dims", "--genus", "1", "--punctures", "1"],
+                      ["cech", "fatgraph"]),
+    "garnier-check": (["garnier-check", "--m", "2", "--count", "1"], ["integrable"]),
+    "gaudin-commute": (["gaudin-commute", "--m", "2"], ["integrable"]),
+    "quantize-compare": (["quantize-compare", "--system", fx("gaudin_m3.json")],
+                         ["integrable"]),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_a_command_runs_only_the_modules_it_reads(fresh_python, name):
+    argv, runs = COMMAND_MODULES[name]
+    done = fresh_python("-c", LOADED_MODULES, *argv)
+    assert done.returncode == 0, done.stderr
+    ran, registered = [line.split() for line in done.stdout.splitlines()[-2:]]
+    assert ran == sorted(EAGER + ["gl11." + module for module in runs])
+    # the others are registered all the same, as an import leaves them
+    assert registered == sorted(EAGER + LAZY)
+
+
+def cech_verify_with_s_body(fresh_python, tmp_path, edge, real):
     """cech-verify in a subprocess on cech_tetra_valid.json with the real part
     of the body of s on the given edge replaced."""
     data = json.loads((FIXTURES / "cech_tetra_valid.json").read_text())
@@ -899,28 +945,23 @@ def cech_verify_with_s_body(tmp_path, edge, real):
     body["re"] = real
     path = tmp_path / "cech_overflow.json"
     path.write_text(json.dumps(data))
-    src = str(FIXTURES.parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "gl11", "cech-verify",
-                           fx("nerve_tetrahedron.json"), str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return fresh_python("-m", "gl11", "cech-verify", fx("nerve_tetrahedron.json"), str(path))
 
 
-def test_cech_verify_exp_overflow_exits_2_without_a_traceback(tmp_path):
+def test_cech_verify_exp_overflow_exits_2_without_a_traceback(fresh_python, tmp_path):
     # e^1000 overflows a float: a usage error naming the file, the edge and the
     # real part, not a crash
-    done = cech_verify_with_s_body(tmp_path, 0, 1000)
+    done = cech_verify_with_s_body(fresh_python, tmp_path, 0, 1000)
     assert done.returncode == 2
     assert done.stderr == ("error: %s: edge (1, 2): exp overflows: the body has real "
                            "part 1000.0\n" % (tmp_path / "cech_overflow.json"))
     assert done.stdout == ""
 
 
-def test_cech_verify_overflow_of_e_to_the_minus_s_exits_2(tmp_path):
+def test_cech_verify_overflow_of_e_to_the_minus_s_exits_2(fresh_python, tmp_path):
     # the check never inverts edge (3, 4), yet the reader forms e^{+-s} of every
     # listed edge, so e^{800} of its reversed orientation overflows in the same way
-    done = cech_verify_with_s_body(tmp_path, 5, -800)
+    done = cech_verify_with_s_body(fresh_python, tmp_path, 5, -800)
     assert done.returncode == 2
     assert done.stderr == ("error: %s: edge (3, 4): exp overflows: the body has real "
                            "part 800.0\n" % (tmp_path / "cech_overflow.json"))

@@ -268,6 +268,18 @@ def test_canonicalization_prunes_small_terms():
     assert list(x.terms) == [0]
 
 
+@pytest.mark.parametrize("mask, message", [
+    (-1, "^monomial mask -1 is negative$"),
+    (-(1 << 70), "^monomial mask -%d is negative$" % (1 << 70)),
+    (1 << 4, r"^monomial \(5,\) outside generator range 1\.\.4$"),
+    (1 << 70, r"^monomial \(71,\) outside generator range 1\.\.4$"),
+])
+def test_constructor_rejects_a_mask_outside_the_generators(mask, message):
+    # a negative mask is named as it is: its bits never run out, so it has no indices
+    with pytest.raises(ValueError, match=message):
+        GrassmannElement(4, {mask: 1.0})
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(20):
