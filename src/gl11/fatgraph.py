@@ -294,13 +294,6 @@ class GraphConnection:
         """'su' when the connection holds a conjugation table, else 'sl'."""
         return "sl" if self.table is None else "su"
 
-    @classmethod
-    def trivial(cls, graph: FatGraph, n: int, table=None):
-        return cls(graph, [GroupCoords.identity(n) for _ in range(graph.num_edges)], table)
-
-    def copy(self) -> "GraphConnection":
-        return GraphConnection(self.graph, list(self.coords), self.table)
-
     def edge_coords(self, e: int, forward: bool = True) -> GroupCoords:
         return self.coords[e] if forward else coords_inverse(self.coords[e])
 

@@ -48,7 +48,7 @@ import math
 from functools import lru_cache
 
 # Coefficients below PRUNE_TOL are dropped during canonicalization; DEFAULT_TOL
-# is the comparison tolerance used by is_close and downstream residual checks.
+# is the default tolerance of every residual check.
 PRUNE_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
@@ -397,9 +397,6 @@ class GrassmannElement:
         """The nilpotent part x - body(x)."""
         return _pruned(self.n, {m: c for m, c in self.terms.items() if m})
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
     def is_even(self) -> bool:
         """True when every monomial has even length (vacuously for 0)."""
         return not any(map(_low_bit, map(int.bit_count, self.terms)))
@@ -447,9 +444,6 @@ class GrassmannElement:
                 elif gap != gap:
                     return math.nan
         return worst if worst > PRUNE_TOL else 0.0
-
-    def is_close(self, other: "GrassmannElement", tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(other) <= tol
 
     # -- ring operations ----------------------------------------------------
 
@@ -725,11 +719,6 @@ class ConjugationTable:
             raise ValueError("swap_halves needs an even generator count, got %d" % n)
         half = n // 2
         return cls([i + half if i <= half else i - half for i in range(1, n + 1)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ConjugationTable":
-        """Self-conjugate generators."""
-        return cls(range(1, n + 1))
 
     def __repr__(self):
         return "ConjugationTable(%r)" % (self.pairing,)

@@ -69,7 +69,7 @@ product is even, an even by odd one odd, and sums, scalings, conjugates and
 derivatives keep parity), so it goes through the one unchecked path of each
 container, ``GroupCoords._graded`` and ``SuperMatrix11._graded``: the group
 law's coordinates, ``identity``, ``random_coords``, the matrix products, sums,
-``scale``, ``inverse``, ``from_coords``, ``zero`` and ``higgs_eigen``'s P, the
+differences, ``inverse``, ``from_coords`` and ``higgs_eigen``'s P, the
 LocalMatrix results of gl11.hitchin and the Garnier residues of gl11.integrable.
 
 This module builds every element through the kernel's public operations:
@@ -79,10 +79,8 @@ it never reaches the pair loop, the prune or the series of gl11.grassmann.
 from __future__ import annotations
 
 import cmath
-from numbers import Number
 
 from .grassmann import (
-    DEFAULT_TOL,
     GrassmannElement,
     nan_max,
     random_even,
@@ -118,9 +116,9 @@ def supertrace_product(x: "SuperMatrix11", y: "SuperMatrix11") -> GrassmannEleme
 class SuperMatrix11:
     """(1|1)x(1|1) supermatrix [[a, beta], [gamma, d]] with graded blocks.
 
-    ``*``, ``+``, ``-`` and ``scale`` build the operand's own class, and
-    ``identity`` and ``zero`` build entries of its ``element`` type, so a
-    subclass with other graded entries (gl11.hitchin.LocalMatrix) shares them.
+    ``*``, ``+``, ``-`` and ``inverse`` build the operand's own class, and
+    ``identity`` builds entries of its ``element`` type, so a subclass with
+    other graded entries (gl11.hitchin.LocalMatrix) shares them.
     The matrix keeps a^{-1}, d^{-1} and its Berezinian, each formed on its
     first read (``a_inv``, ``d_inv``, ``sdet``); ``inverse`` and ``to_coords``
     read them.
@@ -157,11 +155,6 @@ class SuperMatrix11:
         zero = cls.element.zero(n)
         return cls._graded(one, zero, zero, one)
 
-    @classmethod
-    def zero(cls, n: int) -> "SuperMatrix11":
-        z = cls.element.zero(n)
-        return cls._graded(z, z, z, z)
-
     def entries(self):
         return (self.a, self.beta, self.gamma, self.d)
 
@@ -181,13 +174,6 @@ class SuperMatrix11:
         return type(self)._graded(self.a - other.a, self.beta - other.beta,
                                   self.gamma - other.gamma, self.d - other.d)
 
-    def scale(self, c) -> "SuperMatrix11":
-        """Left multiplication of every entry by an even scalar: a number, or an
-        element checked even here, as an odd one would swap the grading."""
-        if not isinstance(c, Number):
-            require_parity(c, "even", "scale factor")
-        return type(self)._graded(c * self.a, c * self.beta, c * self.gamma, c * self.d)
-
     def a_inv(self):
         """a^{-1}, formed on first use and kept."""
         if self._a_inv is None:
@@ -202,7 +188,7 @@ class SuperMatrix11:
 
     def inverse(self) -> "SuperMatrix11":
         """Closed-form block inverse; ``inv()`` of a and d decides invertibility."""
-        return SuperMatrix11._graded(*block_inverse(self))
+        return type(self)._graded(*block_inverse(self))
 
     def supertrace(self) -> GrassmannElement:
         """str(M) = a - d."""
@@ -223,9 +209,6 @@ class SuperMatrix11:
         """``(self - other).max_abs()``: the worst entry residual, NaN-safe."""
         return nan_max([self.a.residual(other.a), self.beta.residual(other.beta),
                         self.gamma.residual(other.gamma), self.d.residual(other.d)])
-
-    def is_close(self, other: "SuperMatrix11", tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(other) <= tol
 
     def __repr__(self):
         return ("SuperMatrix11(a=%r, beta=%r, gamma=%r, d=%r)"

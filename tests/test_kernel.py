@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from gl11 import cli, grassmann, integrable
 from gl11.cech import Cochain, tetrahedron_nerve
 from gl11.grassmann import (
+    DEFAULT_TOL,
     PRUNE_TOL,
     ConjugationTable,
     GrassmannElement,
@@ -202,7 +203,7 @@ def test_supermatrix_residual_is_the_max_abs_of_the_difference(entries):
     x = SuperMatrix11._graded(*entries[:4])  # entries of any parity, unchecked
     y = SuperMatrix11._graded(*entries[4:])
     assert same_float(x.residual(y), (x - y).max_abs())
-    assert x.is_close(y) == ((x - y).max_abs() <= 1e-9)
+    assert (x.residual(y) <= DEFAULT_TOL) == ((x - y).max_abs() <= 1e-9)
 
 
 # LocalFunction coefficients as the kernel and the readers store them: pruned,
