@@ -514,6 +514,8 @@ class GrassmannElement:
         return _pruned(self.n, terms)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, float, complex)):
+            return NotImplemented
         return GrassmannElement.scalar(self.n, other) - self
 
     def __mul__(self, other):

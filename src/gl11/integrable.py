@@ -54,9 +54,11 @@ of the state index (np.bitwise_count), here and in theta_matrix.
 one_body_matrix scatters the arrays densely, and gaudin-commute checks them
 without forming a 2^m x 2^m array.
 
-A Garnier H_i, each term of its closed form and a sum of Hamiltonians are
-linear combinations with number coefficients, each summed into one element
-by GrassmannElement.add_combination, not one element per sum and per term.
+A Garnier H_i on either route and a sum of Hamiltonians are linear
+combinations with number coefficients, each summed into one element by
+GrassmannElement.add_combination, not one element per sum and per term: the
+closed form of H_i is one combination of 1 + 3(m - 1) pairs, its w_i taken
+once with the sum of its coefficients over j.
 Every element here is built by GrassmannElement's public operations: this
 module never reaches the pair loop, the prune or the signs of gl11.grassmann.
 """
@@ -208,13 +210,15 @@ def _complex(pair) -> complex:
 
 
 def random_system(rng, m: int, spread: float = 2.0) -> ParabolicData:
-    """Random sites with well-separated marked points."""
-    z = [complex(k * 1.0 + 0.3 * rng.standard_normal(),
-                 0.3 * rng.standard_normal()) for k in range(m)]
-    u = [complex(rng.standard_normal(), rng.standard_normal()) * spread
-         for _ in range(m)]
-    v = [complex(rng.standard_normal(), rng.standard_normal()) * spread
-         for _ in range(m)]
+    """Random sites with well-separated marked points.
+
+    One draw of 6m normals, read as the pairs (re, im) of z, then of u, then
+    of v: the values and the order of 6m scalar draws.
+    """
+    x = rng.standard_normal(6 * m).tolist()
+    z = [complex(k * 1.0 + 0.3 * x[2 * k], 0.3 * x[2 * k + 1]) for k in range(m)]
+    u = [complex(x[2 * k], x[2 * k + 1]) * spread for k in range(m, 2 * m)]
+    v = [complex(x[2 * k], x[2 * k + 1]) * spread for k in range(2 * m, 3 * m)]
     return ParabolicData(z, u, v)
 
 
@@ -242,21 +246,26 @@ def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
     sum_{j != i} [ (u_i - 2 theta_i eta_i) v_j / 2 + v_i (u_j - 2 theta_j eta_j) / 2
                    + theta_i v_j eta_j - v_i eta_i theta_j ] / (z_i - z_j).
 
-    Each bracket is one add_combination of its four terms from zero: the
-    values of the written sum term by term (a part that is zero may differ
-    in its sign), and the sum over j is one more.
+    With k_ij = 1 / (z_i - z_j) and w_k = u_k - 2 theta_k eta_k, it is one
+    add_combination from zero of 1 + 3(m - 1) pairs: w_i once, with
+    coefficient sum_{j != i} v_j k_ij / 2, then for each j != i the pairs
+    (w_j, v_i k_ij / 2), (theta_i eta_j, v_j k_ij) and (eta_i theta_j,
+    -v_i k_ij).
     """
     if p.m < 2:
         raise ValueError("Garnier Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
     theta_eta, eta_theta, w = p.expanded
-    zero = GrassmannElement.zero(p.n)
-    return zero.add_combination(*[
-        (zero.add_combination((w[i], 0.5 * p.v[j]), (w[j], 0.5 * p.v[i]),
-                              (theta_eta[i][j], p.v[j]), (eta_theta[i][j], -p.v[i])),
-         1.0 / (p.z[i] - p.z[j]))
-        for j in range(p.m) if j != i])
+    v_i, z_i = p.v[i], p.z[i]
+    own, pairs = 0j, []
+    for j in range(p.m):
+        if j != i:
+            k = 1.0 / (z_i - p.z[j])
+            own += 0.5 * p.v[j] * k
+            pairs += ((w[j], 0.5 * v_i * k), (theta_eta[i][j], p.v[j] * k),
+                      (eta_theta[i][j], -v_i * k))
+    return GrassmannElement.zero(p.n).add_combination((w[i], own), *pairs)
 
 
 def odd_gradient(p: ParabolicData, f: GrassmannElement):
@@ -447,7 +456,7 @@ def quantize(p: ParabolicData, f: GrassmannElement, hbar: float = 1.0) -> np.nda
     """
     site = None
     for i in range(p.m):
-        if (garnier_hamiltonian(p, i) - f).max_abs() <= DEFAULT_TOL:
+        if garnier_hamiltonian(p, i).residual(f) <= DEFAULT_TOL:
             site = i
             break
     if site is None:

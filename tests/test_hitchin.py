@@ -188,6 +188,21 @@ def test_a_grassmann_element_takes_no_local_function_operand():
     assert (x * 0.5j).terms == {0: 1j, 1: 0.5j}
 
 
+def test_a_number_minus_an_element_is_the_scalar_difference_and_nothing_else_is_taken():
+    # __rsub__ takes the numbers __add__ takes and returns NotImplemented for the
+    # rest, so Python raises TypeError; "2" - x gave the element 2 - x
+    f, x = LocalFunction.one(N) + mono(scalar(1.0), 1, 0), scalar(2.0) + t(1) - 1e-3j * t(2)
+    for other in ("2", f):
+        with pytest.raises(TypeError):
+            other - x
+
+    def bits(y):
+        return {m: (c.real.hex(), c.imag.hex()) for m, c in y.terms.items()}
+
+    for number in (2, 2.0, 2j, -0.0):
+        assert bits(number - x) == bits(GrassmannElement.scalar(N, number) - x)
+
+
 def test_degree_9_metric_round_trips_and_inverts():
     rng = np.random.default_rng(9)
     u = random_poly(rng, "even") + mono(scalar(0.5) + t(1, 5), 9, 9)

@@ -172,6 +172,30 @@ def test_higgs_value_residues():
         higgs_value(p, p.z[1])
 
 
+def scalar_draw_sites(rng, m, spread=2.0):
+    """(z, u, v) as random_system drew them with one standard_normal call per number."""
+    z = [complex(k * 1.0 + 0.3 * rng.standard_normal(),
+                 0.3 * rng.standard_normal()) for k in range(m)]
+    u = [complex(rng.standard_normal(), rng.standard_normal()) * spread
+         for _ in range(m)]
+    v = [complex(rng.standard_normal(), rng.standard_normal()) * spread
+         for _ in range(m)]
+    return z, u, v
+
+
+def test_random_system_draws_the_sites_of_the_scalar_draws():
+    def bits(numbers):
+        return [(x.real.hex(), x.imag.hex()) for x in numbers]
+
+    for seed in (0, 1, 2, 17, 2 ** 31 - 2):
+        for m in range(2, 33):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = random_system(ours, m)
+            expected = scalar_draw_sites(theirs, m)
+            assert [bits(x) for x in (p.z, p.u, p.v)] == [bits(x) for x in expected]
+            assert ours.standard_normal().hex() == theirs.standard_normal().hex()
+
+
 def test_garnier_two_routes_agree():
     rng = np.random.default_rng(3)
     for m in (2, 3, 4):
@@ -752,18 +776,25 @@ def product_garnier(p, i):
 
 
 def per_j_expanded(p, i):
+    """The closed form in garnier_hamiltonian_expanded's grouping as a chain of
+    + and * on elements: w_i = u_i - 2 theta_i eta_i once, times the sum of
+    v_j k_ij / 2 with k_ij = 1 / (z_i - z_j), then per j the terms of w_j,
+    theta_i eta_j and eta_i theta_j, each rebuilt from the generators."""
     n = p.n
-    acc = GrassmannElement.zero(n)
-    for j in range(p.m):
-        if j == i:
-            continue
-        te_i = theta(p, i) * eta(p, i)
-        te_j = theta(p, j) * eta(p, j)
-        term = (0.5 * p.v[j] * (GrassmannElement.scalar(n, p.u[i]) - 2 * te_i)
-                + 0.5 * p.v[i] * (GrassmannElement.scalar(n, p.u[j]) - 2 * te_j)
-                + p.v[j] * (theta(p, i) * eta(p, j))
-                - p.v[i] * (eta(p, i) * theta(p, j)))
-        acc = acc + term * (1.0 / (p.z[i] - p.z[j]))
+
+    def w(k):
+        return GrassmannElement.scalar(n, p.u[k]) - 2 * (theta(p, k) * eta(p, k))
+
+    others = [j for j in range(p.m) if j != i]
+    own = 0j
+    for j in others:
+        own += 0.5 * p.v[j] * (1.0 / (p.z[i] - p.z[j]))
+    acc = GrassmannElement.zero(n) + w(i) * own
+    for j in others:
+        k = 1.0 / (p.z[i] - p.z[j])
+        acc = (acc + w(j) * (0.5 * p.v[i] * k)
+               + (theta(p, i) * eta(p, j)) * (p.v[j] * k)
+               + (eta(p, i) * theta(p, j)) * (-p.v[i] * k))
     return acc
 
 

@@ -549,28 +549,30 @@ def test_garnier_hamiltonians_build_three_elements_per_pair_and_one_sum_each(bui
     assert len(built) == 3 * p.m * (p.m - 1) // 2 + p.m
 
 
-def test_an_expanded_hamiltonian_builds_one_element_per_term_and_one_sum(built):
+def test_an_expanded_hamiltonian_builds_one_element(built):
     # theta_i eta_j and eta_i theta_j are read from the tables of site_products,
-    # so a term is only the combination of its four parts
+    # and w_i and every term of every j go into one combination: m - 1 more
+    # elements when each j's four terms were combined on their own
     p = random_system(np.random.default_rng(7), 5)
     garnier_hamiltonian_expanded(p, 1)  # builds the expanded operands, which are kept
     built.clear()
     garnier_hamiltonian_expanded(p, 0)
-    assert len(built) == (p.m - 1) + 1
+    assert len(built) == 1
 
 
-def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1460_elements(
+def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1260_elements(
         built, count_calls):
     # 200 supertraces, 2,300 products and 2,260 elements when str(A_i A_j) was
     # formed for both orders of a pair and theta_i eta_j, eta_i theta_j were
     # multiplied for every system; 4,200 elements when every + and scalar *
-    # built an element of its own
+    # built an element of its own; 1,460 when each j's four terms of an
+    # expanded Hamiltonian were combined on their own
     supertraces = count_calls(integrable, "supertrace_product")
     products = count_calls(grassmann, "_accumulate")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["garnier-check", "--m", "5", "--count", "10"]) == 0
     assert (len(supertraces), len(products)) == (100, 1400)
-    assert len(built) == 1460
+    assert len(built) == 1260
 
 
 # -- the series of exp, inv and log against the stepwise sum -------------------
