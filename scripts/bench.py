@@ -9,16 +9,18 @@ long-lived worker process per checkout imports gl11 from that checkout's
 one untimed warm-up pass.  The script then asks the workers for one pass at
 a time, alternating between them and swapping which goes first each pair, so
 that a drift of the host's speed falls on both sides of a pair (Kalibera and
-Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).  A pass time
-is the wall time spent inside ``gl11.cli.main``, summed over the pool.  Each
-output is checked against the pool's expectation outside that time; a
-failed check ends the run.
+Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).  A worker runs
+and judges each call with ``call`` and ``judge`` of ``report_digest.py``,
+beside this script.  A pass time is the wall time spent inside
+``gl11.cli.main``, summed over the pool.  Each output is judged by the pool's
+expectation outside that time; a problem, a raise among them, ends the run.
 
 The JSON written to stdout holds, per workload, each tree's median pass
 time and quartiles, the HEAD/BASE ratio of the pairs' pass times with its
 median and quartiles, the number of pairs HEAD won, and the verdict of the
 one rule below (``verdict``).  Progress goes to stderr.  Exit status: 0 when
-every output checked, 1 when one did not or a worker failed, 2 on bad usage.
+every output met its expectation, 1 when one did not or a worker failed (the
+first five problems go to stderr), 2 on bad usage.
 The ``perfbench/run.py`` runs stay the benchmark of record; this script
 only decides whether HEAD is faster or slower than BASE.
 """
@@ -32,7 +34,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import time
 
 WORKLOADS = ("group-law", "geometry", "integrable")
 WORKER = "--worker"  # the first argument of a worker process, never given by hand
@@ -72,43 +73,23 @@ def worker(root, workload, seed):
     """Serve passes over one checkout's pool: a line on stdin asks for one, and
     the answer is one JSON line on the original stdout.  The first line written
     reports the warm-up pass."""
-    import contextlib
     import gc
-    import io
     import shutil
     import tempfile
 
+    import report_digest  # beside this script, the first entry of sys.path
+
     answers = os.fdopen(os.dup(1), "w")
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # nothing but answers reaches the pipe
-    src = os.path.join(root, "src")
-    sys.path[:0] = [src, os.path.join(root, "perfbench")]
+    workloads = report_digest.load_workloads(root)
     import numpy as np
-    import workloads
-    from gl11 import cli
-    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-        raise RuntimeError("gl11 imported from %s, not from %s" % (cli.__file__, src))
 
     def one_pass():
         seconds, problems = 0.0, []
         for op in pool:
-            out, err = io.StringIO(), io.StringIO()
-            status = None
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                start = time.perf_counter()
-                try:
-                    status = cli.main(op.argv)
-                except SystemExit as exc:
-                    status = exc.code if isinstance(exc.code, int) else 1
-                except Exception as exc:  # a crash is a problem of this pass
-                    problems.append("%s: raised %s: %s" % (op.kind, type(exc).__name__, exc))
-                seconds += time.perf_counter() - start
-            if status is not None:
-                try:
-                    report = json.loads(out.getvalue())
-                except json.JSONDecodeError:
-                    report = None
-                problems += ["%s %s: %s" % (op.kind, " ".join(op.argv), problem)
-                             for problem in op.expect(status, report, err.getvalue())]
+            status, stdout, stderr, took = report_digest.call(op.argv)
+            seconds += took
+            problems += report_digest.judge(op, status, stdout, stderr)
         return {"seconds": seconds, "problems": problems}
 
     workdir = tempfile.mkdtemp(prefix="bench-pool-")

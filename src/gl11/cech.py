@@ -32,8 +32,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .grassmann import (DEFAULT_TOL, PRUNE_TOL, GrassmannElement, _sort_sign, json_at,
-                        json_count, json_element, json_int, json_list, json_object, nan_max,
-                        require_parity)
+                        json_count, json_element, json_int, json_ints, json_list, json_object,
+                        nan_max, require_parity)
 from .reports import CheckReport
 from .supergroup import (GroupCoords, coords_inverse, coords_product, from_coords,
                          product_from_term, quadratic_term)
@@ -119,10 +119,6 @@ def nerve_to_dict(nerve: Nerve) -> dict:
                           for p in (1, 2, 3) if nerve.simplices[p]}}
 
 
-def _simplex(value, p: int, field: str) -> tuple:
-    return tuple(json_int(v, field) for v in json_list(value, field, p + 1))
-
-
 def nerve_from_dict(data: dict) -> Nerve:
     listed = data.get("simplices", {})
     if type(listed) is not dict or not all(type(lst) is list for lst in listed.values()):
@@ -132,9 +128,8 @@ def nerve_from_dict(data: dict) -> Nerve:
         p = {"1": 1, "2": 2, "3": 3}.get(key)
         if p is None:
             raise ValueError('"simplices" has the key %r, not "1", "2" or "3"' % key)
-        simplices[p] = json_at("simplices", lambda: [_simplex(s, p, key) for s in lst])
-    vertices = [json_int(v, "vertices") for v in json_list(data["vertices"], "vertices")]
-    return Nerve(vertices, simplices)
+        simplices[p] = json_at("simplices", lambda: [json_ints(s, key, p + 1) for s in lst])
+    return Nerve(json_ints(data["vertices"], "vertices"), simplices)
 
 
 def triangle_nerve() -> Nerve:
@@ -264,7 +259,7 @@ def coboundary_solution_dim(nerve: Nerve, degree_from: int) -> int:
     """Dimension of the kernel of delta on degree_from-cochains (per monomial)."""
     mat = _coboundary_matrix(nerve, degree_from)
     rank = np.linalg.matrix_rank(mat, tol=RANK_TOL) if mat.size else 0
-    return nerve.num(degree_from) - rank
+    return nerve.num(degree_from) - int(rank)  # an int, not numpy's, for the JSON writer
 
 
 class TransitionData:
@@ -378,7 +373,8 @@ def _listed(nerve: Nerve, p: int, name: str, entries):
     seen = set()
     for k, entry in enumerate(json_list(entries, name + "s")):
         path = (name + "s[%d]", k)
-        simplex = json_at(path, lambda: _simplex(json_object(entry)["simplex"], p, "simplex"))
+        simplex = json_at(path, lambda: tuple(
+            json_ints(json_object(entry)["simplex"], "simplex", p + 1)))
         _, sign, stored = json_at(path, nerve.lookup, p, simplex)
         if sign != 1:
             raise ValueError("%s %r: reverses the listed orientation %r"

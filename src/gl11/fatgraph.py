@@ -40,7 +40,7 @@ import numpy as np
 
 from .cech import RANK_TOL, solve_per_monomial
 from .grassmann import (DEFAULT_TOL, ConjugationTable, GrassmannElement, json_at,
-                        json_count, json_element, json_int, json_list, json_object, require_parity)
+                        json_count, json_element, json_ints, json_list, json_object, require_parity)
 from .reports import CheckReport
 from .supergroup import (
     GroupCoords,
@@ -199,14 +199,10 @@ class FatGraph:
         """{"pairing": [...], "cyclic_orders": [[...], ...], "orientation": [...]}."""
         orders = json_list(data["cyclic_orders"], "cyclic_orders")
         orientation = data.get("orientation")
-        return cls(_half_edges(data["pairing"], "pairing"),
-                   [_half_edges(order, "cyclic_orders") for order in orders],
+        return cls(json_ints(data["pairing"], "pairing"),
+                   [json_ints(order, "cyclic_orders") for order in orders],
                    orientation=None if orientation is None
-                   else _half_edges(orientation, "orientation"))
-
-
-def _half_edges(value, field: str) -> list:
-    return [json_int(h, field) for h in json_list(value, field)]
+                   else json_ints(orientation, "orientation"))
 
 
 # -- fixture graphs -----------------------------------------------------------

@@ -36,9 +36,9 @@ magnitude.
 
 Every input file is read through the readers here: ``json_int``,
 ``json_count`` (a generator count), ``json_number``, ``json_list``,
-``json_object`` and ``json_element`` (an element on exactly n generators),
-with ``json_at`` putting the field path in front of any error raised inside
-a read.
+``json_ints`` (a list of integers), ``json_object`` and ``json_element``
+(an element on exactly n generators), with ``json_at`` putting the field
+path in front of any error raised inside a read.
 """
 
 from __future__ import annotations
@@ -175,6 +175,12 @@ def json_list(value, field: str, length=None) -> list:
         raise TypeError('"%s" holds %r, not a list%s' % (
             field, value, "" if length is None else " of %d entries" % length))
     return value
+
+
+def json_ints(value, field: str, length=None) -> list:
+    """value if it is a JSON list (of length entries if given) of integers,
+    each read by json_int; the errors name field."""
+    return [json_int(v, field) for v in json_list(value, field, length)]
 
 
 def json_object(value, field=None) -> dict:
@@ -711,8 +717,7 @@ class ConjugationTable:
     @classmethod
     def from_dict(cls, data, n: int) -> "ConjugationTable":
         """The table {"pairing": [...]} of n integer generator indices."""
-        pairing = json_list(json_object(data)["pairing"], "pairing", n)
-        return cls([json_int(i, "pairing") for i in pairing])
+        return cls(json_ints(json_object(data)["pairing"], "pairing", n))
 
     @classmethod
     def swap_halves(cls, n: int) -> "ConjugationTable":

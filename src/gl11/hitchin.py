@@ -75,11 +75,10 @@ class LocalFunction:
                 if coeff.n != n:
                     raise ValueError('term z^%d zbar^%d: coefficient has %d generators, '
                                      '"n" is %d' % (key + (coeff.n, n)))
-                if not coeff.terms:
-                    continue
                 if key[0] < 0 or key[1] < 0:
                     raise ValueError("negative degree (%d, %d)" % key)
-                clean[key] = coeff
+                if coeff.terms:
+                    clean[key] = coeff
         self.terms = clean
 
     def is_even(self) -> bool:

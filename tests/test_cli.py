@@ -1,6 +1,5 @@
 """CLI tests: exit-status contract, determinism, fixtures, negative controls."""
 
-import importlib.util
 import json
 import math
 import pathlib
@@ -11,6 +10,8 @@ import pytest
 from gl11 import cech, cli, fatgraph, grassmann, hitchin, integrable, supergroup
 from gl11.cli import main
 from gl11.grassmann import ConjugationTable, GrassmannElement, random_even, random_odd
+
+import report_digest  # scripts/, on the test path
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
 
@@ -1097,17 +1098,8 @@ def test_hitchin_residual_repeated_term_names_the_term(capsys, tmp_path):
 
 # -- the JSON writer on every shipped-fixture command --------------------------------
 
-def load_report_digest():
-    spec = importlib.util.spec_from_file_location(
-        "report_digest",
-        pathlib.Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_json_reports_are_json_dumps_bytes(capsys, tmp_path):
-    commands = load_report_digest().fixture_commands(str(tmp_path))
+    commands = report_digest.fixture_commands(str(tmp_path))
     for command in commands:
         argv = ["--format", "json"] + command
         args = cli.build_parser().parse_args(argv)
@@ -1527,6 +1519,10 @@ MALFORMED = [
      ["hitchin-residual", "{}", fx("higgs_example.json")], "u: negative degree (-1, 2)"),
     ("higgs_example.json", set_at(["n"], 6),
      ["hitchin-residual", fx("metric_example.json"), "{}"], '"n" holds 6, not the metric\'s 8'),
+    # the degree is read before the coefficient, so an empty one does not hide it
+    ("metric_example.json", lambda data: data["u"]["terms"].append(
+        {"z": -1, "zbar": 0, "coeff": {"n": 8, "terms": []}}),
+     ["hitchin-residual", "{}", fx("higgs_example.json")], "u: negative degree (-1, 0)"),
 ]
 
 

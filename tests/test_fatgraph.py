@@ -125,11 +125,6 @@ def test_rescale_parity_validation():
         conn.vertex_rescale(0, "lower", scalar(1.0))
 
 
-def _closed_cycle(graph):
-    """A closed cycle through source(0): edge 0 forward, then back."""
-    return [(0, True), (0, False)]
-
-
 def _theta_based_cycle():
     # on the theta graph: edge 0 forward then edge 1 backward returns to source(0)
     return [(0, True), (1, False)]

@@ -1,19 +1,15 @@
 """The shipped fixtures are exactly what scripts/make_fixtures.py writes."""
 
-import importlib.util
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "src" / "gl11" / "fixtures"
+import make_fixtures  # scripts/, on the test path
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl11" / "fixtures"
 
 
-def test_make_fixtures_reproduces_shipped_files(tmp_path):
-    spec = importlib.util.spec_from_file_location("make_fixtures",
-                                                  ROOT / "scripts" / "make_fixtures.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.OUT = tmp_path
-    script.main()
+def test_make_fixtures_reproduces_shipped_files(monkeypatch, tmp_path):
+    monkeypatch.setattr(make_fixtures, "OUT", tmp_path)
+    make_fixtures.main()
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
     for name in written:

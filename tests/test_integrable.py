@@ -115,10 +115,6 @@ def acomm(a, b):
     return a @ b + b @ a
 
 
-def rel_norm(a, b_scale):
-    return np.abs(a).max() / max(b_scale, 1e-30)
-
-
 def test_parabolic_data_validation():
     with pytest.raises(ValueError):
         ParabolicData([0.0, 1e-12], [1, 1], [1, 1])

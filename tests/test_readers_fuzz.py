@@ -8,8 +8,9 @@ of range (a "mono" index 0 or n + 1, an "edge" -1 or E, a simplex vertex the
 nerve does not have), set an integer to 10**400, past the range of a float,
 put an element on the wrong number of generators, or repeat a list entry.
 
-The oracle: no exception escapes ``main``.  The run exits 0 or 1 with a JSON
-report, or exits 2 with one line "error: <file>: ..." naming an input file.
+The oracle: no exception escapes ``main`` (the digest's ``call`` reads one
+as "raised").  The run exits 0 or 1 with a JSON report, or exits 2 with one
+line "error: <file>: ..." naming an input file.
 A mutation that breaks the input contract -- a required key deleted, a type
 swapped in a field that is read, a coefficient that is not finite, an index
 out of range, an integer past float range, a wrong generator count -- must
@@ -20,9 +21,6 @@ reads ("half_edges", "parity") may leave a valid file, so any of the
 outcomes above is allowed for them.
 """
 
-import contextlib
-import importlib.util
-import io
 import json
 import math
 import pathlib
@@ -31,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gl11.cli import main
+import report_digest  # scripts/, on the test path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "gl11" / "fixtures"
@@ -44,18 +42,11 @@ ZERO_DATA = {"n": 2, "edges": [], "triangles": []}
 NO_EDGES = {"n": 2, "edges": []}
 
 
-def fixture_commands(workdir):
-    spec = importlib.util.spec_from_file_location(
-        "report_digest", ROOT / "scripts" / "report_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.fixture_commands(workdir) + module.su_commands(workdir)
-
-
 def command_for(name, workdir):
     """argv reading the fixture name: the first shipped-fixture command that
     does, or the fixture beside a minimal valid partner written to workdir."""
-    for argv in fixture_commands(str(workdir)):
+    for argv in (report_digest.fixture_commands(str(workdir))
+                 + report_digest.su_commands(str(workdir))):
         if str(FIXTURES / name) in argv:
             return argv
     if name.startswith("nerve_"):
@@ -152,13 +143,6 @@ def replaced(doc, path, new):
     return doc
 
 
-def outcome(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
 
@@ -184,13 +168,13 @@ def test_mutated_fixture_exits_cleanly(tmp_path, name, data):
                                    for arg in argv]
     files = [arg for arg in argv if arg.endswith(".json")]
 
-    code, out, err = outcome(argv)
+    code, out, err, _ = report_digest.call(argv)
     if code in (0, 1):
         assert not strict, (kind, path, code)
         assert err == ""
         assert json.loads(out)["exit_status"] == code
         return
-    assert code == 2 and out == ""
+    assert code == 2 and out == "", (code, err)
     assert err.endswith("\n") and err.count("\n") == 1, err
     if strict:
         assert err.startswith("error: %s: " % mutated), (kind, path, err)

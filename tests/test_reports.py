@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11 import grassmann
+from gl11 import cech, fatgraph, grassmann, supergroup
 from gl11.cli import main
-from gl11.grassmann import MAX_GENERATORS, GrassmannElement
+from gl11.grassmann import MAX_GENERATORS, GrassmannElement, random_even, random_odd
 from gl11.reports import to_json
 from gl11.supergroup import SuperMatrix11
 
@@ -99,3 +99,37 @@ def test_fatgraph_holonomy_report_builds_no_term_dict(capsys, count_calls, conne
     assert (code, len(calls)) == (0, 0)
     assert set(report["info"]) == {"holonomy", "sdet", "supertrace"}
     assert set(report["info"]["holonomy"]) == {"a", "beta", "gamma", "d"}
+
+
+# -- every report a module builds ----------------------------------------------------
+
+def module_reports(rng, n=8):
+    """name -> one report of each kind that a module builds, on seeded data."""
+    tetra, genus1 = cech.tetrahedron_nerve(), cech.genus1_nerve()
+    frames = {v: supergroup.random_coords(rng, n) for v in tetra.vertices}
+    sl_frames = {v: supergroup.random_coords(rng, n, sl=True) for v in tetra.vertices}
+    data = cech.transition_from_frames(tetra, frames)
+    a, b = random_even(rng, n, num_terms=2), random_even(rng, n, num_terms=2)
+    phi = SuperMatrix11(a + 0.5 * b, random_odd(rng, n, num_terms=2),
+                        random_odd(rng, n, num_terms=2), a - 0.5 * b)
+    loop = cech.TransitionData(genus1, n)  # criterion 3's obstructed class
+    loop.set_edge((1, 2), alpha=GrassmannElement.monomial(n, [2]))
+    delta = {v: GrassmannElement.monomial(n, [1]) for v in genus1.vertices}
+    conn = fatgraph.random_connection(rng, fatgraph.fixture_graph(1, 1), n)
+    return {
+        "group_law_suite": supergroup.group_law_suite(rng, n, 2, 1e-9, corrupt=True),
+        "check_sl_cocycle": cech.check_sl_cocycle(cech.transition_from_frames(tetra, sl_frames)),
+        "check_gl_cocycle": cech.check_gl_cocycle(data),
+        "gauge_normalize": fatgraph.gauge_normalize(conn)[1],
+        "check_puncture_constraints": fatgraph.check_puncture_constraints(conn),
+        "gl_higgs_constraints": cech.gl_higgs_constraints(
+            data, cech.higgs_from_global(tetra, frames, phi)),
+        "sl_higgs_obstruction": cech.sl_higgs_obstruction(
+            loop, cech.HiggsCechData(genus1, n, delta=delta))[2],
+    }
+
+
+def test_to_json_writes_every_report_a_module_builds():
+    # a numpy scalar in info would make the writer raise, as json.dumps does
+    for name, report in module_reports(np.random.default_rng(3)).items():
+        assert to_json(report.to_dict()) == json_dumps(report.to_dict()), name
