@@ -13,7 +13,8 @@ cech-verify takes its mode from the data (SL when every s_ij is zero, else
 GL) and names it in the report's info; a two-cocycle with a nonzero class
 fails two_cocycle_split, whose residual is the least-norm solve's gap.
 garnier-check compares each Garnier H_i of the supertrace route, formed from
-one str(A_i A_j) per site pair, with the closed-form route, brackets the
+one str(A_i A_j) per site pair, with the closed-form route, c_i + sum_kl
+A_kl theta_k eta_l over the (c_i, A_i) of integrable.one_body, brackets the
 former and takes hamiltonians_sum_to_zero over the latter, where the sum
 does not vanish by construction.
 gaudin-commute and quantize-compare check their identities on the m x m
@@ -226,9 +227,10 @@ def cmd_garnier_check(args) -> CheckReport:
         hams = [integrable.garnier_hamiltonian(p, i) for i in range(p.m)]
         expanded = [integrable.garnier_hamiltonian_expanded(p, i) for i in range(p.m)]
         routes += [h.residual(e) for h, e in zip(hams, expanded)]
-        # over the expanded route: the supertrace route shares str(A_i A_j) between
-        # H_i and H_j, so its sum vanishes by construction.  k = 1.0 leaves every
-        # finite coefficient's value, so this is the sum's max_abs
+        # over the expanded route, one_body's closed form: the supertrace route
+        # shares str(A_i A_j) between H_i and H_j, so its sum vanishes by
+        # construction.  k = 1.0 leaves every finite coefficient's value, so
+        # this is the sum's max_abs
         sums.append(GrassmannElement.zero(p.n).add_combination(
             *[(e, 1.0) for e in expanded]).max_abs())
         grads = [integrable.odd_gradient(p, h) for h in hams]

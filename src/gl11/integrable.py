@@ -13,8 +13,8 @@ for the two-term form; validated by {H_i, H_j} = 0 and by matching operator
 commutators after quantization).
 
 The classical side computes each quantity once.  The generators theta_k,
-eta_k and their products theta_i eta_j and eta_i theta_j depend on m alone:
-site_products builds them once per site count, each product as x * y.
+eta_k and their products theta_i eta_j depend on m alone: site_products
+builds them once per site count, each product as x * y.
 ParabolicData builds its residue matrices A_i from them on first use and
 keeps them, without a parity scan: their entries are graded by construction.
 Its sites are tuples, so the stored matrices cannot go stale.  It keeps its
@@ -24,8 +24,8 @@ the same floating-point operations as the supertrace of the full product,
 once per pair i < j, since str(A_j A_i) equals it bit for bit;
 garnier_hamiltonian reads H_i from there.
 garnier_hamiltonian_expanded, the independent route, uses no residue matrix:
-its u_k - 2 theta_k eta_k are built once per system and kept
-(ParabolicData.expanded), and its cross terms are read from site_products.
+it combines H_i = c_i + sum_kl A_kl theta_k eta_l from the entries of
+one_body's (c_i, A_i).
 Sharing S_ij makes sum_i H_i vanish by construction on the supertrace route,
 so garnier-check sums the expanded Hamiltonians.
 odd_gradient takes the 2m derivatives of an observable once, and
@@ -38,11 +38,13 @@ realizes operators on the 2^m-dimensional module C[theta_1 .. theta_m] with
 basis ordered by monomial bitmask.
 
 Each Gaudin Hamiltonian is one-body, H_i = c_i + sum_kl A_kl theta_k d_theta_l,
-and one_body returns (c_i, A_i) with A_i an m x m matrix; that is the one
-place the Hamiltonian formula is written.  Bilinears close under commutation,
-[theta A d, theta B d] = theta [A, B] d, so commutators of the H_i are
-commutators of m x m matrices.  Quantization reads the same form off a
-Garnier H_i = c + sum_kl A_kl theta_k eta_l (quantized_one_body).
+and one_body returns (c_i, A_i) with A_i an m x m matrix, stored from the
+entries that _one_body_entries writes out in Python numbers.  That is the
+one place the closed form is written, for the Garnier H_i = c_i + sum_kl
+A_kl theta_k eta_l (hbar = 1) as for the Gaudin one.  Bilinears close under
+commutation, [theta A d, theta B d] = theta [A, B] d, so commutators of the
+H_i are commutators of m x m matrices.  Quantization reads the same form off
+a Garnier H_i (quantized_one_body).
 one_body_terms realizes any (c, A) on the 2^m states by index arithmetic: the
 diagonal c + sum_k A_kk n_k plus, for each site pair lo < hi that A couples,
 the signed Jordan-Wigner hops theta_lo d_theta_hi and theta_hi d_theta_lo.
@@ -57,8 +59,8 @@ without forming a 2^m x 2^m array.
 A Garnier H_i on either route and a sum of Hamiltonians are linear
 combinations with number coefficients, each summed into one element by
 GrassmannElement.add_combination, not one element per sum and per term: the
-closed form of H_i is one combination of 1 + 3(m - 1) pairs, its w_i taken
-once with the sum of its coefficients over j.
+closed form of H_i is one combination from the scalar c_i of the 3m - 2
+entries that the closed form sets in A_i.
 Every element here is built by GrassmannElement's public operations: this
 module never reaches the pair loop, the prune or the signs of gl11.grassmann.
 """
@@ -83,14 +85,13 @@ MAX_REALIZED_SITES = 16
 
 @lru_cache(maxsize=MAX_SITES)
 def site_products(m: int) -> tuple:
-    """(theta, eta, theta_eta, eta_theta) on the 2m generators of m sites, built
-    once per site count: theta[k] and eta[k] the generators, theta_eta[i][j] =
-    theta_i eta_j and eta_theta[i][j] = eta_i theta_j, all tuples.
+    """(theta, eta, theta_eta) on the 2m generators of m sites, built once per
+    site count: theta[k] and eta[k] the generators and theta_eta[i][j] =
+    theta_i eta_j, all tuples.
     """
     theta = tuple(GrassmannElement.generator(2 * m, 2 * k + 1) for k in range(m))
     eta = tuple(GrassmannElement.generator(2 * m, 2 * k + 2) for k in range(m))
-    return (theta, eta, tuple(tuple(x * y for y in eta) for x in theta),
-            tuple(tuple(y * x for x in theta) for y in eta))
+    return theta, eta, tuple(tuple(x * y for y in eta) for x in theta)
 
 
 class ParabolicData:
@@ -133,7 +134,7 @@ class ParabolicData:
     def residues(self) -> tuple:
         """(A_0, ..., A_{m-1}), built on first use and kept (see residue_matrix)."""
         n = self.n
-        theta, eta, theta_eta, _ = site_products(self.m)
+        theta, eta, theta_eta = site_products(self.m)
         out = []
         for i in range(self.m):
             te = theta_eta[i][i]
@@ -161,17 +162,6 @@ class ParabolicData:
         return tuple(zero.add_combination(*[(s[i, j], 1.0 / (z[i] - z[j]))
                                             for j in range(m) if j != i])
                      for i in range(m))
-
-    @cached_property
-    def expanded(self) -> tuple:
-        """(theta_eta, eta_theta, w): the site_products tables and the tuple of
-        w_k = u_k - 2 theta_k eta_k, built on first use and kept:
-        garnier_hamiltonian_expanded's operands."""
-        n = self.n
-        _, _, theta_eta, eta_theta = site_products(self.m)
-        w = tuple(GrassmannElement.scalar(n, u) - 2 * theta_eta[k][k]
-                  for k, u in enumerate(self.u))
-        return theta_eta, eta_theta, w
 
     def scaled(self, hbar: float) -> "ParabolicData":
         """Same sites with u_i -> hbar u_i (the quantization weight rule)."""
@@ -231,41 +221,28 @@ def residue_matrix(p: ParabolicData, i: int) -> SuperMatrix11:
     return p.residues[i]
 
 
-def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
-    """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j), read from p.hamiltonians."""
+def _require_hamiltonian_site(p: ParabolicData, i: int) -> None:
+    """Raise unless site i of p has a Hamiltonian: two sites or more, i in range."""
     if p.m < 2:
-        raise ValueError("Garnier Hamiltonians need at least two sites")
+        raise ValueError("Garnier and Gaudin Hamiltonians need at least two sites")
     if not 0 <= i < p.m:
         raise ValueError("site index %r out of range" % i)
+
+
+def garnier_hamiltonian(p: ParabolicData, i: int) -> GrassmannElement:
+    """H_i = sum_{j != i} str(A_i A_j) / (z_i - z_j), read from p.hamiltonians."""
+    _require_hamiltonian_site(p, i)
     return p.hamiltonians[i]
 
 
 def garnier_hamiltonian_expanded(p: ParabolicData, i: int) -> GrassmannElement:
-    """The same Hamiltonian from the rearranged closed form.
-
-    sum_{j != i} [ (u_i - 2 theta_i eta_i) v_j / 2 + v_i (u_j - 2 theta_j eta_j) / 2
-                   + theta_i v_j eta_j - v_i eta_i theta_j ] / (z_i - z_j).
-
-    With k_ij = 1 / (z_i - z_j) and w_k = u_k - 2 theta_k eta_k, it is one
-    add_combination from zero of 1 + 3(m - 1) pairs: w_i once, with
-    coefficient sum_{j != i} v_j k_ij / 2, then for each j != i the pairs
-    (w_j, v_i k_ij / 2), (theta_i eta_j, v_j k_ij) and (eta_i theta_j,
-    -v_i k_ij).
-    """
-    if p.m < 2:
-        raise ValueError("Garnier Hamiltonians need at least two sites")
-    if not 0 <= i < p.m:
-        raise ValueError("site index %r out of range" % i)
-    theta_eta, eta_theta, w = p.expanded
-    v_i, z_i = p.v[i], p.z[i]
-    own, pairs = 0j, []
-    for j in range(p.m):
-        if j != i:
-            k = 1.0 / (z_i - p.z[j])
-            own += 0.5 * p.v[j] * k
-            pairs += ((w[j], 0.5 * v_i * k), (theta_eta[i][j], p.v[j] * k),
-                      (eta_theta[i][j], -v_i * k))
-    return GrassmannElement.zero(p.n).add_combination((w[i], own), *pairs)
+    """The same Hamiltonian from the closed form, H_i = c + sum_kl A_kl theta_k
+    eta_l with (c, A) = _one_body_entries(p, i): one add_combination from the
+    scalar c of A's entries over the theta_k eta_l of site_products."""
+    c, entries = _one_body_entries(p, i)
+    theta_eta = site_products(p.m)[2]
+    return GrassmannElement.scalar(p.n, c).add_combination(
+        *[(theta_eta[k][l], x) for (k, l), x in entries.items()])
 
 
 def odd_gradient(p: ParabolicData, f: GrassmannElement):
@@ -341,8 +318,9 @@ def _hops(m: int, lo: np.ndarray, hi: np.ndarray):
     return free | bit_lo, free | bit_hi, np.where(string & 1, -1.0, 1.0)
 
 
-def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
-    """H_i = c + sum_kl A_kl theta_k d_theta_l as (c, A), A an m x m matrix.
+def _one_body_entries(p: ParabolicData, i: int, hbar: float = 1.0):
+    """H_i = c + sum_kl A_kl theta_k d_theta_l as (c, {(k, l): A_kl}), the
+    entries of A that the closed form sets, in Python numbers.
 
     Writing out E_i N_j + N_i E_j + Psi-_i Psi+_j - Psi+_i Psi-_j with
     N_k = u_k/2 - n_k, n_k = theta_k d_theta_k the occupation of site k, gives
@@ -352,25 +330,34 @@ def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
 
     so with w_ij = hbar / (z_i - z_j): c = sum_{j!=i} w_ij (v_i u_j + v_j u_i) / 2,
     A_ii = -sum_{j!=i} w_ij v_j, and for each j != i A_jj = -w_ij v_i,
-    A_ij = w_ij v_j and A_ji = w_ij v_i.  Bilinears theta A d close under
-    commutation, [theta A d, theta B d] = theta [A, B] d, so commutators of
-    these Hamiltonians are commutators of m x m matrices.
+    A_ij = w_ij v_j and A_ji = w_ij v_i.  At hbar = 1 the same (c, A) is the
+    Garnier H_i = c + sum_kl A_kl theta_k eta_l, eta_l in place of d_l, which
+    garnier_hamiltonian_expanded combines from these entries.
     """
-    if p.m < 2:
-        raise ValueError("Gaudin Hamiltonians need at least two sites")
-    if not 0 <= i < p.m:
-        raise ValueError("site index %r out of range" % i)
-    c = 0j
-    a = np.zeros((p.m, p.m), dtype=complex)
+    _require_hamiltonian_site(p, i)
+    c, a_ii, entries = 0j, 0j, {}
     for j in range(p.m):
         if j == i:
             continue
         w = hbar / (p.z[i] - p.z[j])
         c += 0.5 * w * (p.v[i] * p.u[j] + p.v[j] * p.u[i])
-        a[i, i] -= w * p.v[j]
-        a[j, j] = -w * p.v[i]
-        a[i, j] = w * p.v[j]
-        a[j, i] = w * p.v[i]
+        a_ii -= w * p.v[j]
+        entries[j, j] = -w * p.v[i]
+        entries[i, j] = w * p.v[j]
+        entries[j, i] = w * p.v[i]
+    entries[i, i] = a_ii
+    return c, entries
+
+
+def one_body(p: ParabolicData, i: int, hbar: float = 1.0):
+    """(c, A) of _one_body_entries with A the m x m matrix.  Bilinears theta A d
+    close under commutation, [theta A d, theta B d] = theta [A, B] d, so
+    commutators of these Hamiltonians are commutators of m x m matrices.
+    """
+    c, entries = _one_body_entries(p, i, hbar)
+    a = np.zeros((p.m, p.m), dtype=complex)
+    for kl, x in entries.items():
+        a[kl] = x
     return c, a
 
 

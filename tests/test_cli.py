@@ -1240,21 +1240,25 @@ def test_garnier_check_forms_one_supertrace_per_pair(capsys, count_calls, m):
 @pytest.mark.parametrize("m", [3, 4])
 def test_garnier_check_sum_fails_with_a_flipped_cross_term(capsys, monkeypatch, m):
     # the sum is taken on the expanded route, where it does not vanish by
-    # construction: with eta_i theta_j entering H_i with the wrong sign, the
-    # cross terms of H_i and H_j add up instead of cancelling
-    real = integrable.site_products
+    # construction: with the backward entries A_ji (j != i) of H_i's one-body
+    # form flipped, theta_j eta_i enters H_i with the wrong sign, so the cross
+    # terms of H_i and H_j add up instead of cancelling
+    real = integrable._one_body_entries
 
-    def flipped(sites):
-        theta, eta, theta_eta, eta_theta = real(sites)
-        return theta, eta, theta_eta, tuple(tuple(-x for x in row) for row in eta_theta)
+    def flipped(p, i, hbar=1.0):
+        c, entries = real(p, i, hbar)
+        return c, {(k, l): -x if l == i != k else x for (k, l), x in entries.items()}
 
-    monkeypatch.setattr(integrable, "site_products", flipped)
+    monkeypatch.setattr(integrable, "_one_body_entries", flipped)
     code, out = run(capsys, "--format", "json", "garnier-check", "--m", str(m))
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert not checks["hamiltonians_sum_to_zero"]["passed"]
     assert checks["hamiltonians_sum_to_zero"]["residual"] > 1.0
-    assert checks["poisson_commutativity"]["passed"]  # the residue route is untouched
+    # the supertrace route is untouched: the flipped route leaves it, and its
+    # brackets still vanish
+    assert not checks["two_routes_agree"]["passed"]
+    assert checks["poisson_commutativity"]["passed"]
 
 
 def is_generator(x):
@@ -1266,13 +1270,13 @@ def is_generator(x):
 @pytest.mark.parametrize("count", [1, 3])
 def test_garnier_check_forms_the_generator_products_once_per_site_count(capsys, count_calls,
                                                                          count):
-    # theta_i eta_j and eta_i theta_j come from site_products(m), built once per
-    # site count: 2m^2 products of two generators in the run, none per system
+    # theta_i eta_j comes from site_products(m), built once per site count:
+    # m^2 products of two generators in the run, none per system
     integrable.site_products.cache_clear()
     products = count_calls(grassmann, "_accumulate")
     code, _, err = outcome(capsys, ["garnier-check", "--m", "5", "--count", str(count)])
     assert (code, err) == (0, "")
-    assert sum(is_generator(x) and is_generator(y) for _, x, y in products) == 2 * 5 * 5
+    assert sum(is_generator(x) and is_generator(y) for _, x, y in products) == 5 * 5
 
 
 def test_garnier_check_brackets_the_gradients_of_each_pair(capsys, count_calls):

@@ -771,8 +771,22 @@ def product_garnier(p, i):
     return acc
 
 
+def one_body_garnier(p, i):
+    """c + sum_kl A_kl theta_k eta_l over one_body's (c, A) in
+    garnier_hamiltonian_expanded's grouping, as a chain of + and * on elements:
+    from the scalar c, each nonzero A_kl times theta_k eta_l rebuilt from the
+    generators (row-major; the monomials differ, so the order moves no value)."""
+    c, a = one_body(p, i)
+    acc = GrassmannElement.scalar(p.n, c)
+    for k in range(p.m):
+        for l in range(p.m):
+            if a[k, l]:
+                acc = acc + (theta(p, k) * eta(p, l)) * complex(a[k, l])
+    return acc
+
+
 def per_j_expanded(p, i):
-    """The closed form in garnier_hamiltonian_expanded's grouping as a chain of
+    """The closed form written out independently of one_body, as a chain of
     + and * on elements: w_i = u_i - 2 theta_i eta_i once, times the sum of
     v_j k_ij / 2 with k_ij = 1 / (z_i - z_j), then per j the terms of w_j,
     theta_i eta_j and eta_i theta_j, each rebuilt from the generators."""
@@ -866,7 +880,7 @@ def test_supertrace_product_is_symmetric_bit_for_bit():
 
 def test_site_products_are_the_generator_products_they_replace():
     for m in (1, 2, 3, 5):
-        theta, eta, theta_eta, eta_theta = site_products(m)
+        theta, eta, theta_eta = site_products(m)
         assert site_products(m) is site_products(m)
         n = 2 * m
         assert [x.terms for x in theta] == [GrassmannElement.generator(n, 2 * k + 1).terms
@@ -875,9 +889,8 @@ def test_site_products_are_the_generator_products_they_replace():
                                           for k in range(m)]
         for i in range(m):
             for j in range(m):
-                assert theta_eta[i][j].n == eta_theta[i][j].n == n
+                assert theta_eta[i][j].n == n
                 assert hex_terms(theta_eta[i][j]) == hex_terms(theta[i] * eta[j])
-                assert hex_terms(eta_theta[i][j]) == hex_terms(eta[i] * theta[j])
 
 
 def test_hamiltonians_are_kept_and_read_by_garnier_hamiltonian():
@@ -890,7 +903,9 @@ def test_garnier_routes_equal_their_oracles_in_every_coefficient():
     for p in oracle_systems():
         for i in range(p.m):
             assert garnier_hamiltonian(p, i).terms == product_garnier(p, i).terms
-            assert garnier_hamiltonian_expanded(p, i).terms == per_j_expanded(p, i).terms
+            expanded = garnier_hamiltonian_expanded(p, i)
+            assert expanded.terms == one_body_garnier(p, i).terms
+            assert expanded.residual(per_j_expanded(p, i)) <= DEFAULT_TOL
 
 
 def test_bracket_of_gradients_equals_the_per_pair_oracle():

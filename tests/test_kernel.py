@@ -550,29 +550,34 @@ def test_garnier_hamiltonians_build_three_elements_per_pair_and_one_sum_each(bui
 
 
 def test_an_expanded_hamiltonian_builds_one_element(built):
-    # theta_i eta_j and eta_i theta_j are read from the tables of site_products,
-    # and w_i and every term of every j go into one combination: m - 1 more
-    # elements when each j's four terms were combined on their own
+    # theta_k eta_l is read from the table of site_products, and the scalar c
+    # and every entry of the one-body form go into one combination: m - 1
+    # more elements when each j's four terms were combined on their own
     p = random_system(np.random.default_rng(7), 5)
-    garnier_hamiltonian_expanded(p, 1)  # builds the expanded operands, which are kept
+    garnier_hamiltonian_expanded(p, 1)  # builds the site_products table, which is kept
     built.clear()
     garnier_hamiltonian_expanded(p, 0)
     assert len(built) == 1
 
 
-def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1260_elements(
+def test_garnier_check_m5_count10_forms_100_supertraces_1400_products_1160_elements(
         built, count_calls):
     # 200 supertraces, 2,300 products and 2,260 elements when str(A_i A_j) was
     # formed for both orders of a pair and theta_i eta_j, eta_i theta_j were
     # multiplied for every system; 4,200 elements when every + and scalar *
     # built an element of its own; 1,460 when each j's four terms of an
-    # expanded Hamiltonian were combined on their own
+    # expanded Hamiltonian were combined on their own; 1,260 when the expanded
+    # route built u_k - 2 theta_k eta_k for every system.  The table of
+    # site_products is built before the count, so the count is the run's in
+    # any test order
+    integrable.site_products(5)
+    built.clear()
     supertraces = count_calls(integrable, "supertrace_product")
     products = count_calls(grassmann, "_accumulate")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["garnier-check", "--m", "5", "--count", "10"]) == 0
     assert (len(supertraces), len(products)) == (100, 1400)
-    assert len(built) == 1260
+    assert len(built) == 1160
 
 
 # -- the series of exp, inv and log against the stepwise sum -------------------
