@@ -15,12 +15,15 @@ beside this script.  A pass time is the wall time spent inside
 ``gl11.cli.main``, summed over the pool.  Each output is judged by the pool's
 expectation outside that time; a problem, a raise among them, ends the run.
 
-The JSON written to stdout holds, per workload, each tree's median pass
-time and quartiles, the HEAD/BASE ratio of the pairs' pass times with its
-median and quartiles, the number of pairs HEAD won, and the verdict of the
-one rule below (``verdict``).  Progress goes to stderr.  Exit status: 0 when
-every output met its expectation, 1 when one did not or a worker failed (the
-first five problems go to stderr), 2 on bad usage.
+The JSON written to stdout holds the commit of each tree (``commits``: the
+``git rev-parse HEAD`` of a checkout that is a git work tree's root, null for
+an export; it names the files only when the checkout is clean) and, per
+workload, each tree's median pass time and quartiles, the HEAD/BASE ratio of
+the pairs' pass times with its median and quartiles, the number of pairs
+HEAD won, the verdict of the one rule below (``verdict``) and each worker's
+peak resident set after its last pass (``peak_rss_mb``).  Progress goes to
+stderr.  Exit status: 0 when every output met its expectation, 1 when one did
+not or a worker failed (the first five problems go to stderr), 2 on bad usage.
 The ``perfbench/run.py`` runs stay the benchmark of record; this script
 only decides whether HEAD is faster or slower than BASE.
 """
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -90,7 +94,9 @@ def worker(root, workload, seed):
             status, stdout, stderr, took = report_digest.call(op.argv)
             seconds += took
             problems += report_digest.judge(op, status, stdout, stderr)
-        return {"seconds": seconds, "problems": problems}
+        # ru_maxrss is in kB on Linux
+        return {"seconds": seconds, "problems": problems,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
     workdir = tempfile.mkdtemp(prefix="bench-pool-")
     try:
@@ -117,12 +123,14 @@ class Worker:
         env.update(PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         self.root = root
+        self.last = None
         self.process = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), WORKER, root, workload, str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=root)
 
     def answer(self) -> dict:
-        """The next answer; problems in it, or a worker that ended, raise."""
+        """The next answer, also kept as ``last``; problems in it, or a worker
+        that ended, raise."""
         line = self.process.stdout.readline()
         if not line:
             raise RuntimeError("the worker on %s ended (exit status %s)"
@@ -130,6 +138,7 @@ class Worker:
         answer = json.loads(line)
         if answer["problems"]:
             raise RuntimeError("%s: %s" % (self.root, "; ".join(answer["problems"][:5])))
+        self.last = answer
         return answer
 
     def timed_pass(self) -> float:
@@ -162,6 +171,7 @@ def paired(base, head, workload, pairs, seed) -> dict:
         for k in range(pairs):
             for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
                 times[side].append(sides[side].timed_pass() * 1e3)
+        peak_rss_mb = {side: w.last["peak_rss_mb"] for side, w in sides.items()}
     finally:
         for w in sides.values():
             w.close()
@@ -170,7 +180,22 @@ def paired(base, head, workload, pairs, seed) -> dict:
             "base_pass_ms": spread(times["base"]), "head_pass_ms": spread(times["head"]),
             "ratio": spread(ratios), "pairs": pairs,
             "head_wins": sum(r < 1 for r in ratios), "verdict": verdict(ratios),
+            "peak_rss_mb": peak_rss_mb,
             "passes_ms": [list(p) for p in zip(times["base"], times["head"])]}
+
+
+def commit(root):
+    """``git rev-parse HEAD`` of root when root is the top of a git work tree,
+    else None (an export, or a directory inside another work tree)."""
+    try:
+        done = subprocess.run(["git", "-C", root, "rev-parse", "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:  # no git
+        return None
+    lines = done.stdout.splitlines()
+    if done.returncode or len(lines) != 2 or lines[0] != os.path.realpath(root):
+        return None
+    return lines[1]
 
 
 def parse_args(argv=None):
@@ -194,6 +219,7 @@ def main(argv=None) -> int:
     out = {"rule": RULE, "seed": args.seed,
            "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "machine": platform.machine()},
+           "commits": {"base": commit(args.base), "head": commit(args.head)},
            "workloads": {}}
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     for name in names:

@@ -8,7 +8,11 @@ operations are pure and return new values; an element is never mutated after
 construction.
 
 Every product goes through one monomial pair loop, ``_accumulate``, which adds
-x * y into a dict in place.  ``GrassmannElement.dot`` sums x * y over several
+x * y into a dict in place.  It adds each disjoint pair's ca * cb, or
+subtracts it when reordering the pair's generators is odd, which one int per
+left monomial decides (``_odd_masks``); no sign multiplies a coefficient, so
+an inf part of a product stays inf on every row (its other part may be NaN,
+since inf * 0.0 is).  ``GrassmannElement.dot`` sums x * y over several
 pairs into one such dict and prunes it once, and ``x * y`` is its one-pair
 case; a sum of products therefore builds one element, not one per product.
 ``one_pm_half_product`` reads 1 -+ x y / 2 off one such dict.
@@ -18,8 +22,8 @@ which adds y * k for each pair (y, k) into a dict in place:
 (one pair or more), and ``nilpotent_series`` sums the powers of exp, inv and
 log with it.
 
-This module owns the term maps: the pair loop, the sign table
-(``_merge_sign``), ``_combine``, the prune and the series are reached from
+This module owns the term maps: the pair loop, its parity masks
+(``_odd_masks``), ``_combine``, the prune and the series are reached from
 here alone.  The other modules (supergroup, hitchin, integrable, cech,
 fatgraph) build every element through GrassmannElement's public operations.
 
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 # Coefficients below PRUNE_TOL are dropped during canonicalization; DEFAULT_TOL
 # is the default tolerance of every residual check.
@@ -73,18 +76,6 @@ def require_parity(x, parity: str, name: str):
     if not (x.is_even() if parity == "even" else x.is_odd()):
         raise ParityError("%s must be %s, got parity %r" % (name, parity, x.parity()))
     return x
-
-
-@lru_cache(maxsize=1 << 16)
-def _merge_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of monomials a and b (disjoint)."""
-    swaps = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        swaps += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    return -1 if swaps & 1 else 1
 
 
 def _prune(terms: dict, prune: float) -> dict:
@@ -287,14 +278,48 @@ def _combine(terms: dict, pairs) -> None:
                         terms[m] = c
 
 
+class _OddMasks(dict):
+    """Monomial a -> the int whose bit j is set when a holds an odd number
+    of generators above j; filled on first read, and emptied when it holds
+    BOUND entries.
+
+    Sorting a's generators followed by b's moves each generator of b past
+    the generators of a above it, so the pair (a, b) sorts with sign -1
+    exactly when b & odd has an odd bit count, as ``derivative`` reads its
+    sign from m & below.
+    """
+
+    __slots__ = ()
+    BOUND = 1 << 16
+
+    def __missing__(self, a: int) -> int:
+        odd = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            odd ^= low - 1  # the generator at low flips the parity of every bit below it
+            rest ^= low
+        if len(self) >= self.BOUND:
+            self.clear()
+        self[a] = odd
+        return odd
+
+
+_odd_masks = _OddMasks()
+
+
 def _accumulate(terms: dict, x, y) -> None:
     """Add the product x * y of two elements into ``terms``, in place.
 
     The kernel's one monomial pair loop: the pairs are visited in the order
-    of x's terms, then y's, and nothing is pruned here.
+    of x's terms, then y's, and nothing is pruned here.  A disjoint pair
+    (ma, mb) adds ca * cb, or subtracts it when mb & _odd_masks[ma] has an
+    odd bit count.  With finite coefficients, subtracting is bit for bit
+    adding ca * cb * (-1 + 0j): no stored sum holds a -0.0 part, since each
+    starts as 0j + p.
     """
     get = terms.get
-    sign = _merge_sign
+    odd_masks = _odd_masks
     pairs = y.terms.items()
     for ma, ca in x.terms.items():
         if not ma:
@@ -302,11 +327,15 @@ def _accumulate(terms: dict, x, y) -> None:
             for mb, cb in pairs:
                 terms[mb] = get(mb, 0j) + ca * cb
             continue
+        odd = odd_masks[ma]
         for mb, cb in pairs:
             if ma & mb:
                 continue
             m = ma | mb
-            terms[m] = get(m, 0j) + (ca * cb * sign(ma, mb) if mb else ca * cb)
+            if (mb & odd).bit_count() & 1:
+                terms[m] = get(m, 0j) - ca * cb
+            else:
+                terms[m] = get(m, 0j) + ca * cb
 
 
 _new = object.__new__

@@ -377,9 +377,13 @@ def one_body_terms(c, a):
     if m > MAX_REALIZED_SITES:
         raise ValueError("the 2^m-state realization stops at m = %d"
                          % MAX_REALIZED_SITES)
-    # int8, since the matmul casts the (m, 2^m) table to complex anyway
-    bits = (np.arange(1 << m) >> np.arange(m)[:, None] & 1).astype(np.int8)
-    diag = c + np.diagonal(a) @ bits
+    # sum_k A_kk n_k in site order, doubling: the states of 2^k .. 2^(k+1) - 1
+    # are those of 0 .. 2^k - 1 with site k filled.  A matmul with the (m, 2^m)
+    # bits table would sum in the order the BLAS kernel picks.
+    occupied = np.zeros(1 << m, dtype=a.dtype)
+    for k, a_kk in enumerate(np.diagonal(a)):
+        np.add(occupied[:1 << k], a_kk, out=occupied[1 << k:2 << k])
+    diag = c + occupied
     lo, hi = np.nonzero(np.triu((a != 0) | (a.T != 0), 1))
     rows, cols, signs = _hops(m, lo, hi)
     return diag, rows, cols, a[lo, hi][:, None] * signs, a[hi, lo][:, None] * signs

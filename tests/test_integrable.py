@@ -531,6 +531,26 @@ def test_each_hop_equals_its_oracle_when_a_has_zero_entries(zero_v, hbar):
         assert_each_hop_is_its_oracle(a, terms)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 12, 16])
+def test_the_diagonal_is_the_site_order_sum_bit_for_bit(m):
+    # c + (((0j + A_k1k1) + A_k2k2) + ...) over the filled sites k1 < k2 < ...
+    # in Python numbers: no BLAS kernel picks the order of the sum
+    rng = np.random.default_rng(90 + m)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    c = complex(*rng.standard_normal(2))
+    diag = one_body_terms(c, a)[0]
+    states = list(range(1 << m)) if m <= 8 else rng.integers(0, 1 << m, 300).tolist()
+    expected = []
+    for state in states:
+        total = 0j
+        for k in range(m):
+            if state >> k & 1:
+                total += complex(a[k, k])
+        expected.append(c + total)
+    assert diag.dtype == complex and diag.shape == (1 << m,)
+    assert diag[states].tobytes() == np.array(expected).tobytes()
+
+
 def test_gaudin_commute_m8_makes_one_one_body_form_per_hamiltonian(count_calls):
     # the command realizes the forms it checks, not a second one_body per H_i
     calls = count_calls(integrable, "one_body")

@@ -11,6 +11,7 @@ import ast
 import cmath
 import contextlib
 import io
+import itertools
 import math
 import pathlib
 
@@ -127,6 +128,20 @@ def test_inf_minus_inf_is_a_failing_check():
     report.add("blown_up", residual, 1e-9)
     assert not report.checks[0].passed
     assert not report.ok
+
+
+def test_an_inf_coefficient_stays_inf_on_every_row_of_the_pair_loop():
+    # t2 t1 = -t1 t2: multiplying inf + nan j by a sign factor made the inf part NaN
+    x = GrassmannElement(N, {2: INF, 0: 1.0})
+    for product, inf in ((x * t1, -INF), (t1 * x, INF), (x * GrassmannElement.one(N), INF)):
+        assert product.terms[max(product.terms)].real == inf  # t1 t2 or t2
+        assert product.max_abs() == INF
+        expected = GrassmannElement(N, {m: 1.0 for m in product.terms})
+        for residual in (product.residual(expected), expected.residual(product)):
+            assert math.isinf(residual) or math.isnan(residual)
+            report = CheckReport()
+            report.add("blown_up", residual, DEFAULT_TOL)
+            assert not report.ok and not report.worst() <= DEFAULT_TOL
 
 
 def test_max_abs_reports_nan_wherever_it_sits():
@@ -462,6 +477,87 @@ def test_local_matrix_product_is_its_entrywise_formula(entries):
         assert got.residual(formula) <= PRUNE_TOL * (400 + scale)
 
 
+# -- the pair loop's signs: one parity mask per left monomial ------------------
+
+def mask_sign(masks, a, b):
+    """The sign with which the pair loop adds the pair (a, b), read from the
+    parity mask of a."""
+    return -1 if (b & masks[a]).bit_count() & 1 else 1
+
+
+def concatenation_sign(a, b):
+    return _sort_sign(_mask_to_indices(a) + _mask_to_indices(b))
+
+
+def test_the_mask_sign_is_the_sorting_sign_of_every_disjoint_pair_on_8_generators():
+    masks = grassmann._OddMasks()
+    pairs = 0
+    for owner in itertools.product(range(3), repeat=8):  # generator k in a, in b or in neither
+        a = sum(1 << k for k, o in enumerate(owner) if o == 1)
+        b = sum(1 << k for k, o in enumerate(owner) if o == 2)
+        assert mask_sign(masks, a, b) == concatenation_sign(a, b), (a, b)
+        pairs += 1
+    assert pairs == 3 ** 8 == 6561
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+@example((1 << 64) - 1, 0)
+@example(1 << 63, (1 << 63) - 1)
+def test_the_mask_sign_is_the_sorting_sign_on_64_generators(a, b):
+    b &= ~a
+    assert mask_sign(grassmann._OddMasks(), a, b) == concatenation_sign(a, b)
+
+
+def sign_factor_dot(*pairs):
+    """Sum of x * y over the pairs by the pair loop that multiplies each
+    disjoint pair by its sign, ca * cb * sign, the sign of sorting the
+    concatenated indices; pruned once, in insertion order."""
+    terms = {}
+    get = terms.get
+    for x, y in pairs:
+        for ma, ca in x.terms.items():
+            for mb, cb in y.terms.items():
+                if ma & mb:
+                    continue
+                m = ma | mb
+                terms[m] = get(m, 0j) + (ca * cb * concatenation_sign(ma, mb) if ma and mb
+                                         else ca * cb)
+    return {m: c for m, c in terms.items() if not abs(c) <= PRUNE_TOL}
+
+
+@st.composite
+def element_pairs(draw, max_n=12):
+    """1 to 3 pairs of finite elements on one n <= max_n generators."""
+    n = draw(st.integers(1, max_n))
+    element = st.dictionaries(st.integers(0, (1 << n) - 1), coefficients, max_size=10).map(
+        lambda terms: GrassmannElement(n, terms))
+    return draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(element_pairs())
+@example([(t1 + t2, t1 + t2)])                                   # cancels exactly
+@example([(-GrassmannElement(N, {0: SMALLEST, 3: 1.0}), GrassmannElement(N, {4: 1j}))])
+def test_the_pair_loop_is_the_sign_factor_loop_bit_for_bit(pairs):
+    x, y = pairs[0]
+    assert same_terms((x * y).terms, sign_factor_dot((x, y)))
+    assert same_terms(GrassmannElement.dot((x, y)).terms, sign_factor_dot((x, y)))
+    assert same_terms(GrassmannElement.dot(*pairs).terms, sign_factor_dot(*pairs))
+
+
+def test_the_mask_dict_stays_within_its_bound():
+    bound = grassmann._OddMasks.BOUND
+    n = bound.bit_length()  # 2^n - 1 > bound distinct left monomials
+    x = GrassmannElement(n, {m: 1.0 for m in range(1, bound + 2)})
+    assert len(x.terms) == bound + 1
+    assert (x * GrassmannElement.one(n)).terms == x.terms
+    masks = grassmann._odd_masks
+    assert 0 < len(masks) <= bound
+    fresh = grassmann._OddMasks()
+    assert all(odd == fresh[a] for a, odd in masks.items())
+
+
 # -- the fused linear combination: GrassmannElement.add_combination ---------------
 
 def chained(x, pairs):
@@ -684,10 +780,10 @@ def test_exp_overflow_raises_value_error_naming_the_real_part():
 
 # -- one owner of the term maps ------------------------------------------------------
 
-# the pair loop, its sign table, the scaled-sum loop, the prune and its two
+# the pair loop, its parity masks, the scaled-sum loop, the prune and its two
 # element builders, and the series: how a term map is stored, signed and pruned
 TERM_MAP_INTERNALS = {"_accumulate", "_combine", "_element", "_prune", "_pruned",
-                      "_merge_sign", "nilpotent_series"}
+                      "_OddMasks", "_odd_masks", "nilpotent_series"}
 
 
 def test_no_module_but_grassmann_reaches_the_term_map_internals():
