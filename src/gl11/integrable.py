@@ -381,7 +381,7 @@ def one_body_terms(c, a):
     # are those of 0 .. 2^k - 1 with site k filled.  A matmul with the (m, 2^m)
     # bits table would sum in the order the BLAS kernel picks.
     occupied = np.zeros(1 << m, dtype=a.dtype)
-    for k, a_kk in enumerate(np.diagonal(a)):
+    for k, a_kk in enumerate(np.diagonal(a).tolist()):  # np.add takes Python numbers faster
         np.add(occupied[:1 << k], a_kk, out=occupied[1 << k:2 << k])
     diag = c + occupied
     lo, hi = np.nonzero(np.triu((a != 0) | (a.T != 0), 1))
